@@ -6,7 +6,6 @@ from .model import (
     SpecModel,
     State,
     Value,
-    canonical_key,
     state_to_record,
 )
 from .parser import ParseError, Token, parse_spec, pretty_print, tokenize
@@ -37,20 +36,18 @@ from .explorer import (
     replay_trace,
 )
 from .liveness import (
-    SccInfo,
     check_always_eventually,
     check_eventually,
     check_leadsto,
     check_property,
     quiescent_states,
-    strongly_connected,
 )
 from .cli import Report, RunConfig, emit_dot, emit_json, render_text, run_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpecModel", "State", "Value", "canonical_key", "state_to_record",
+    "SpecModel", "State", "Value", "state_to_record",
     "ParseError", "Token", "parse_spec", "pretty_print", "tokenize",
     "BindError", "BoundSpec", "Env", "EvalError", "StaticError",
     "action_successors", "bind_constants", "eval_expr", "eval_set",
@@ -58,7 +55,7 @@ __all__ = [
     "ExploreLimits", "LimitError", "StateGraph", "Trace", "Verdict",
     "check_deadlock", "check_invariant", "explore", "reconstruct_trace",
     "replay_trace",
-    "SccInfo", "check_always_eventually", "check_eventually", "check_leadsto",
-    "check_property", "quiescent_states", "strongly_connected",
+    "check_always_eventually", "check_eventually", "check_leadsto",
+    "check_property", "quiescent_states",
     "Report", "RunConfig", "emit_dot", "emit_json", "render_text", "run_check",
 ]

@@ -134,19 +134,28 @@ class _Located(Exception):
         self.message = message
 
 
+def _load_or_report(config: RunConfig):
+    """`_load`, printing a usage or spec error to stderr; returns (bound,
+    graph, EXIT_OK), or (None, None, exit code) after an error."""
+    try:
+        bound, graph = _load(config)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None, None, EXIT_USAGE
+    except _Located as e:
+        print(f"error: {e.message}", file=sys.stderr)
+        return None, None, e.code
+    return bound, graph, EXIT_OK
+
+
 def run_check(config: RunConfig):
     """Run the default battery: deadlock (unless disabled) then every
     declared property in declaration order.  Returns (Report | None, exit
     code); error messages go to stderr."""
     t0 = time.perf_counter()
-    try:
-        bound, graph = _load(config)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None, EXIT_USAGE
-    except _Located as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return None, e.code
+    bound, graph, code = _load_or_report(config)
+    if graph is None:
+        return None, code
 
     results = []
     if not config.no_deadlock:
@@ -176,16 +185,10 @@ def run_check(config: RunConfig):
 
 def run_graph(config: RunConfig) -> int:
     """Explore and export DOT only; checks are not run."""
-    try:
-        _, graph = _load(config)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except _Located as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return e.code
-    _write_dot(config.dot_path, graph)
-    return EXIT_OK
+    _, graph, code = _load_or_report(config)
+    if graph is not None:
+        _write_dot(config.dot_path, graph)
+    return code
 
 
 def _write_dot(path: str, graph: StateGraph) -> None:
@@ -364,7 +367,3 @@ def main(argv: Optional[list] = None) -> int:
         else:
             print(render_text(report))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Expr, SpecModel, State, Value, canonical_key
+from .model import Expr, SpecModel, State, Value
 from .semantics import (
     BoundSpec,
     EvalError,
@@ -39,15 +39,19 @@ class StateGraph:
     """The explored reachable state space.
 
     State indices follow BFS discovery order; `parent` links give a shortest
-    discovery path from some initial state to every non-initial state.
+    discovery path from some initial state to every non-initial state, and
+    `depth` is that path's length.  A state is identified by its value
+    tuple, which requires a validated spec: `validate` fixes each slot's
+    kind, so Python's `True == 1` can never equate two distinct states.
     """
 
     bound: BoundSpec
     states: list  # index -> State
-    key_index: dict  # canonical key -> index
+    index: dict  # State -> index
     initial: list  # indices of initial states
     edges: list  # index -> ordered list of (action name, target index)
     parent: list  # index -> None (initial) or (predecessor index, action name)
+    depth: list  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -97,19 +101,19 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
 
     FIFO frontier; successors expand in the deterministic order of
     semantics.successors, so two explorations of the same BoundSpec produce
-    identical graphs.  Raises EvalError (with the discovery trace of the
-    offending state attached), LimitError, or EvalError on zero initial
-    states.
+    identical graphs.  States are keyed by their value tuples, so `bound`
+    must have passed `validate`.  Raises EvalError (with the discovery trace
+    of the offending state attached), LimitError, or EvalError on zero
+    initial states.
     """
     if limits is None:
         limits = ExploreLimits()
-    spec = bound.spec
     init = initial_states(bound)
     if not init:
         raise EvalError("spec has no initial states", "init")
 
     states: list = []
-    key_index: dict = {}
+    index: dict = {}
     initial: list = []
     edges: list = []
     parent: list = []
@@ -120,20 +124,19 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
             raise LimitError(f"state limit of {limits.max_states} exceeded")
         idx = len(states)
         states.append(s)
-        key_index[canonical_key(s, spec)] = idx
+        index[s] = idx
         edges.append(None)
         parent.append(par)
         depth.append(d)
         return idx
 
     for s in init:
-        k = canonical_key(s, spec)
-        if k not in key_index:
+        if s not in index:
             initial.append(add_state(s, None, 0))
 
     graph = StateGraph(
-        bound=bound, states=states, key_index=key_index,
-        initial=initial, edges=edges, parent=parent,
+        bound=bound, states=states, index=index,
+        initial=initial, edges=edges, parent=parent, depth=depth,
     )
 
     frontier = deque(range(len(states)))
@@ -146,8 +149,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
             raise
         out = []
         for label, t in succ:
-            k = canonical_key(t, spec)
-            j = key_index.get(k)
+            j = index.get(t)
             if j is None:
                 d = depth[i] + 1
                 if limits.max_depth is not None and d > limits.max_depth:
@@ -159,15 +161,23 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     return graph
 
 
-def reconstruct_trace(graph: StateGraph, target: int) -> Trace:
+def discovery_path(graph: StateGraph, target: int) -> tuple:
     """Shortest discovery path from an initial state to `target`, following
-    parent links."""
+    parent links: (state indices, action names between them)."""
     indices = [target]
     actions = []
-    while graph.parent[indices[0]] is not None:
-        pred, label = graph.parent[indices[0]]
-        indices.insert(0, pred)
-        actions.insert(0, label)
+    while graph.parent[indices[-1]] is not None:
+        pred, label = graph.parent[indices[-1]]
+        indices.append(pred)
+        actions.append(label)
+    indices.reverse()
+    actions.reverse()
+    return indices, actions
+
+
+def reconstruct_trace(graph: StateGraph, target: int) -> Trace:
+    """The discovery path to `target` as a trace."""
+    indices, actions = discovery_path(graph, target)
     return Trace(states=[graph.states[i] for i in indices], actions=actions)
 
 

@@ -43,29 +43,10 @@ from .model import (
     RangeSet,
     TemporalProperty,
     Unary,
-    canonical_key,
     format_value,
 )
-from .explorer import StateGraph, Trace, Verdict, check_invariant, reconstruct_trace
+from .explorer import StateGraph, Trace, Verdict, check_invariant, discovery_path
 from .semantics import EvalError, _compile_expr, eval_const_set
-
-
-def quiescent_states(graph: StateGraph) -> set:
-    """Indices of states with no edge to a different state: states with only
-    self-loops, and successor-less (deadlocked) states."""
-    return {
-        i for i, out in enumerate(graph.edges) if all(t == i for _, t in out)
-    }
-
-
-@dataclass
-class SccInfo:
-    """Strongly connected components of the state-changing edges, optionally
-    restricted to a subset of states."""
-
-    comp: list  # state index -> component id, -1 outside the restriction
-    members: list  # component id -> ascending state indices
-    nontrivial: list  # component id -> has a cycle of state-changing edges
 
 
 # --- cached numeric view of a graph -------------------------------------------
@@ -73,7 +54,7 @@ class SccInfo:
 
 class _Analysis:
     """Numpy view of a StateGraph: per-variable value columns, state-changing
-    edge arrays, quiescence flags, initial mask, and BFS depths."""
+    edge arrays, quiescence flags, and initial mask."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -101,18 +82,18 @@ class _Analysis:
         self.quiescent = quiescent
         self.initial_mask = np.zeros(n, dtype=bool)
         self.initial_mask[graph.initial] = True
-        depth = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            par = graph.parent[i]
-            if par is not None:
-                depth[i] = depth[par[0]] + 1
-        self.depth = depth
 
 
 def _analysis(graph: StateGraph) -> _Analysis:
     if graph._analysis is None:
         graph._analysis = _Analysis(graph)
     return graph._analysis
+
+
+def quiescent_states(graph: StateGraph) -> set:
+    """Indices of states with no edge to a different state: states with only
+    self-loops, and successor-less (deadlocked) states."""
+    return {int(i) for i in np.flatnonzero(_analysis(graph).quiescent)}
 
 
 # --- vectorized predicate evaluation --------------------------------------------
@@ -275,19 +256,6 @@ class _FailInfo:
     scc_members: dict  # original index -> frozenset of its SCC (original indices)
 
 
-def _restricted_edges(ana: _Analysis, restrict: np.ndarray):
-    ids = np.flatnonzero(restrict)
-    pos = np.full(ana.n, -1, dtype=np.int64)
-    pos[ids] = np.arange(ids.size)
-    if ana.sc_src.size:
-        keep = restrict[ana.sc_src] & restrict[ana.sc_dst]
-        rs = pos[ana.sc_src[keep]]
-        rd = pos[ana.sc_dst[keep]]
-    else:
-        rs = rd = np.empty(0, dtype=np.int64)
-    return ids, pos, rs, rd
-
-
 def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
                  within_restriction: bool) -> Optional[_FailInfo]:
     """Find admitted behaviors that stay in `restrict` forever.
@@ -301,8 +269,17 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     starts = starts & restrict
     if not starts.any():
         return None
-    ids, pos, rs, rd = _restricted_edges(ana, restrict)
+    # Renumber the restricted states 0..m-1 and keep the edges inside them.
+    ids = np.flatnonzero(restrict)
     m = ids.size
+    pos = np.full(ana.n, -1, dtype=np.int64)
+    pos[ids] = np.arange(m)
+    if ana.sc_src.size:
+        keep = restrict[ana.sc_src] & restrict[ana.sc_dst]
+        rs = pos[ana.sc_src[keep]]
+        rd = pos[ana.sc_dst[keep]]
+    else:
+        rs = rd = np.empty(0, dtype=np.int64)
     if within_restriction:
         sp = pos[np.flatnonzero(starts)]
         row = np.concatenate([rs, np.full(sp.size, m, dtype=np.int64)])
@@ -338,29 +315,6 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     if quiescent_hits.size == 0 and scc_hits.size == 0:
         return None
     return _FailInfo(quiescent_hits, scc_hits, scc_members)
-
-
-def strongly_connected(graph: StateGraph, restrict=None) -> SccInfo:
-    """SCCs of the state-changing edges among `restrict` (an iterable of
-    state indices, or None for every state)."""
-    ana = _analysis(graph)
-    mask = np.ones(ana.n, dtype=bool)
-    if restrict is not None:
-        mask = np.zeros(ana.n, dtype=bool)
-        mask[list(restrict)] = True
-    ids, _, rs, rd = _restricted_edges(ana, mask)
-    m = ids.size
-    comp = [-1] * ana.n
-    if m == 0:
-        return SccInfo(comp=comp, members=[], nontrivial=[])
-    sub = sparse.csr_matrix((np.ones(rs.size, dtype=np.int8), (rs, rd)), shape=(m, m))
-    _, labels = csgraph.connected_components(sub, directed=True, connection="strong")
-    members: list = [[] for _ in range(int(labels.max()) + 1 if m else 0)]
-    for local, orig in enumerate(ids):
-        comp[int(orig)] = int(labels[local])
-        members[int(labels[local])].append(int(orig))
-    nontrivial = [len(ms) >= 2 for ms in members]
-    return SccInfo(comp=comp, members=members, nontrivial=nontrivial)
 
 
 # --- lasso extraction (pure python, failure path only) ----------------------------
@@ -457,8 +411,9 @@ def _pick_entry(candidates: list, dist: dict) -> int:
 
 def _walk_back(par: dict, entry: int) -> list:
     path = [entry]
-    while par[path[0]] is not None:
-        path.insert(0, par[path[0]])
+    while par[path[-1]] is not None:
+        path.append(par[path[-1]])
+    path.reverse()
     return path
 
 
@@ -523,8 +478,8 @@ def check_leadsto(graph: StateGraph, p: Expr, q: Expr, *, name: str = "leadsto",
     entry = _pick_entry(list(info.quiescent_hits) + list(info.scc_hits), dist)
     tail = _walk_back(par, entry)  # begins at the witnessing premise state
     witness = tail[0]
-    head_idx = _indices_of(graph, reconstruct_trace(graph, witness))
-    prefix = head_idx[:-1] + tail
+    head, _ = discovery_path(graph, witness)
+    prefix = head[:-1] + tail
     trace = _assemble(graph, prefix, info, entry)
     return Verdict(
         name=name, kind="leadsto", status="fail", trace=trace,
@@ -553,20 +508,14 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
             name=name, kind="always_eventually", status="pass",
             detail="the target recurs on every admitted behavior",
         )
-    ana = _analysis(graph)
     candidates = list(info.quiescent_hits) + list(info.scc_hits)
-    entry = min(candidates, key=lambda i: (int(ana.depth[i]), i))
-    head = reconstruct_trace(graph, int(entry))
-    prefix = _indices_of(graph, head)
+    entry = min(candidates, key=lambda i: (graph.depth[i], i))
+    prefix, _ = discovery_path(graph, int(entry))
     trace = _assemble(graph, prefix, info, int(entry))
     return Verdict(
         name=name, kind="always_eventually", status="fail", trace=trace,
         detail=f"after state {int(entry)} the target never holds again",
     )
-
-
-def _indices_of(graph: StateGraph, trace: Trace) -> list:
-    return [graph.key_index[canonical_key(s, graph.spec)] for s in trace.states]
 
 
 def check_property(graph: StateGraph, prop: TemporalProperty) -> Verdict:

@@ -1,10 +1,11 @@
-"""Core data model: values, states, the workflow-spec AST, and state identity.
+"""Core data model: values, states, and the workflow-spec AST.
 
 A workflow spec describes a single-page application as a set of typed
 variables (one per observable widget property) and guarded actions (one per
 user action).  A state is one valuation of all declared variables, held as a
 plain tuple aligned with declaration order; that order is the single source
-of truth for state layout everywhere else in the package.
+of truth for state layout everywhere else in the package, and the tuple is
+the state's identity.
 """
 
 from __future__ import annotations
@@ -240,25 +241,6 @@ class SpecModel(Node):
 
     def var_names(self) -> list:
         return [v.name for v in self.variables]
-
-
-# --- state identity ----------------------------------------------------------
-
-
-def canonical_key(state: State, spec: SpecModel) -> bytes:
-    """Deterministic byte serialization of a state; equal iff the states are
-    structurally equal.  Kind tags plus length-prefixed strings keep the
-    encoding injective."""
-    parts = []
-    for v in state:
-        if isinstance(v, bool):
-            parts.append(b"T" if v else b"F")
-        elif isinstance(v, int):
-            parts.append(b"i%d" % v)
-        else:
-            b = v.encode("utf-8")
-            parts.append(b"s%d:%s" % (len(b), b))
-    return b"|".join(parts)
 
 
 def state_to_record(state: State, spec: SpecModel) -> dict:

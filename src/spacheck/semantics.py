@@ -638,10 +638,11 @@ def action_successors(state: State, action: ActionDef, bound: BoundSpec) -> list
 
 def successors(state: State, bound: BoundSpec) -> list:
     """All labeled transitions from a state: (action name, successor) pairs,
-    actions in declaration order, exact duplicates removed."""
+    actions in declaration order.  The pairs are distinct: each action's
+    successors are deduplicated, and `validate` makes action names unique."""
     out = []
     for action in bound.spec.actions:
         ca = _compiled_action(bound, action)
         for t in ca.successors(state):
             out.append((ca.name, t))
-    return list(dict.fromkeys(out))
+    return out

@@ -1,11 +1,14 @@
 """CLI driver: exit codes, text and JSON reports, DOT export."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import corpus_path, corpus_text
+from conftest import ROOT, corpus_path, corpus_text
 from spacheck.cli import main
 
 CLOCK = str(corpus_path("clock.spa"))
@@ -34,6 +37,22 @@ def test_math_all_pass_exit_zero(capsys):
     assert "Reachability: pass" in out
     assert "Liveness: pass" in out
     assert "Invariant: pass" in out
+
+
+def test_module_entry_point_runs_cleanly():
+    # `python -m spacheck` with warnings as errors: stderr stays empty
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "spacheck", "check",
+         "examples/math.spa", "--const", "max_num_q=3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    assert "Reachability: pass" in r.stdout
 
 
 def test_buggy_deadlock_exit_one(capsys):

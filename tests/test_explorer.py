@@ -65,7 +65,8 @@ def test_exploration_is_deterministic(math_src):
 def test_graph_structure_invariants(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     n = graph.n_states
-    assert sorted(graph.key_index.values()) == list(range(n))
+    assert sorted(graph.index.values()) == list(range(n))
+    assert all(graph.index[s] == i for i, s in enumerate(graph.states))
     for i, out in enumerate(graph.edges):
         for _, j in out:
             assert 0 <= j < n
@@ -192,6 +193,7 @@ def test_trace_not_longer_than_depth(math_src):
     for i in range(graph.n_states):
         if graph.parent[i] is not None:
             depth[i] = depth[graph.parent[i][0]] + 1
+    assert graph.depth == depth
     for i in range(graph.n_states):
         assert len(reconstruct_trace(graph, i).states) == depth[i] + 1
 

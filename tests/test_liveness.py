@@ -1,6 +1,7 @@
 """Temporal checks under weak fairness: quiescence, the three kernels,
 binder expansion, and agreement with the brute-force lasso oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ import oracles
 from conftest import build_graph
 from spacheck import (
     Env,
-    canonical_key,
     check_always_eventually,
     check_eventually,
     check_leadsto,
@@ -17,8 +17,8 @@ from spacheck import (
     eval_expr,
     quiescent_states,
     replay_trace,
-    strongly_connected,
 )
+from spacheck.liveness import _search_fail
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
 
@@ -283,7 +283,7 @@ def test_lasso_loops_violate_target_and_are_fair(math_src, buggy_src):
             assert eval_expr(target, env(s)) is False
         loop = t.states[t.loop_start:]
         if len(loop) == 1 and t.loop_action is None:
-            i = graph.key_index[canonical_key(loop[0], bound.spec)]
+            i = graph.index[loop[0]]
             assert i in quiescent_states(graph)
         elif len(loop) == 1:
             pass  # self-loop action at a quiescent state
@@ -339,21 +339,30 @@ def test_eventually_monotone_under_weakening(math_src):
 # --- SCC info ---------------------------------------------------------------------
 
 
+def state_mask(graph, indices):
+    mask = np.zeros(graph.n_states, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
 def test_clock_is_one_nontrivial_scc(clock_src):
     bound, graph = build_graph(clock_src)
-    info = strongly_connected(graph)
-    sizes = sorted(len(m) for m in info.members if m)
-    assert sizes == [24]
-    assert any(info.nontrivial)
+    mask = state_mask(graph, range(graph.n_states))
+    info = _search_fail(graph, mask, mask, within_restriction=False)
+    assert set(info.scc_members.values()) == {frozenset(range(24))}
+    assert info.scc_hits.size == 24
 
 
 def test_math_has_no_nontrivial_scc(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
-    info = strongly_connected(graph)
-    assert not any(info.nontrivial)
+    mask = state_mask(graph, range(graph.n_states))
+    info = _search_fail(graph, mask, mask, within_restriction=False)
+    assert info.scc_members == {}
+    assert info.scc_hits.size == 0
     # restricting to a subset keeps it that way
-    info2 = strongly_connected(graph, range(0, graph.n_states, 2))
-    assert not any(info2.nontrivial)
+    mask2 = state_mask(graph, range(0, graph.n_states, 2))
+    info2 = _search_fail(graph, mask2, mask2, within_restriction=False)
+    assert info2 is None or info2.scc_members == {}
 
 
 # --- oracle equivalence ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core model: canonical keys and state records."""
+"""Core model: state identity and state records."""
 
 import itertools
 
@@ -6,33 +6,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build, build_graph
-from spacheck import canonical_key, state_to_record
+from spacheck import state_to_record
 
 
 def clock_state(bound, hr, period):
     return (hr, period)
 
 
-def test_canonical_key_deterministic(math_src):
-    bound = build(math_src, {"max_num_q": 3})
+def test_state_identity_deterministic(math_src):
+    bound, graph = build_graph(math_src, {"max_num_q": 3})
     s1 = (1, 0, 0, "", True, False, False)
     s2 = (1, 0, 0, "", True, False, False)
-    assert canonical_key(s1, bound.spec) == canonical_key(s2, bound.spec)
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert graph.index[s1] == graph.index[s2] == graph.initial[0]
 
 
-def test_canonical_key_differs_on_any_field(clock_src):
-    bound = build(clock_src)
-    spec = bound.spec
-    assert canonical_key((1, "am"), spec) != canonical_key((1, "pm"), spec)
-    assert canonical_key((1, "am"), spec) != canonical_key((2, "am"), spec)
+def test_state_identity_differs_on_any_field(clock_src):
+    bound, graph = build_graph(clock_src)
+    assert (1, "am") != (1, "pm")
+    assert (1, "am") != (2, "am")
+    assert graph.index[(1, "am")] != graph.index[(1, "pm")]
+    assert graph.index[(1, "am")] != graph.index[(2, "am")]
 
 
 def test_all_clock_states_have_distinct_keys(clock_src):
     # brute-force product of both init sets
-    bound = build(clock_src)
+    bound, graph = build_graph(clock_src)
     states = [(hr, p) for hr in range(1, 13) for p in ("am", "pm")]
-    keys = {canonical_key(s, bound.spec) for s in states}
-    assert len(keys) == 24
+    assert len(set(states)) == 24
+    assert sorted(graph.index[s] for s in states) == list(range(24))
 
 
 def test_math_initial_record(math_src):
@@ -56,13 +58,13 @@ def test_clock_record_order(clock_src):
 
 
 def test_record_key_consistency(clock_src):
-    bound = build(clock_src)
+    bound, graph = build_graph(clock_src)
     spec = bound.spec
     states = [(hr, p) for hr in range(1, 13) for p in ("am", "pm")]
     for a, b in itertools.combinations(states, 2):
         same_record = state_to_record(a, spec) == state_to_record(b, spec)
-        same_key = canonical_key(a, spec) == canonical_key(b, spec)
-        assert same_record == same_key
+        same_key = graph.index[a] == graph.index[b]
+        assert same_record == same_key == (a == b)
 
 
 def test_key_injective_on_reachable_corpus_states(clock_src, math_src, buggy_src):
@@ -72,9 +74,10 @@ def test_key_injective_on_reachable_corpus_states(clock_src, math_src, buggy_src
         (buggy_src, {"max_num_q": 3}),
     ):
         bound, graph = build_graph(src, consts)
-        keys = {canonical_key(s, bound.spec) for s in graph.states}
+        keys = set(graph.index)
         records = {tuple(state_to_record(s, bound.spec).items()) for s in graph.states}
         assert len(keys) == len(graph.states) == len(records)
+        assert [graph.index[s] for s in graph.states] == list(range(len(graph.states)))
 
 
 @given(
@@ -98,9 +101,11 @@ def test_key_injective_on_reachable_corpus_states(clock_src, math_src, buggy_src
     ),
 )
 def test_key_equality_matches_structural_equality(a, b):
-    # the encoding itself is spec-independent: equal keys iff structurally
-    # equal value tuples (same kind and same value slot by slot; Python's
-    # True == 1 does not count as equal here)
+    # A state tuple is its own key.  Validation fixes each slot's kind, so
+    # two states of one spec agree in kind slot by slot, and then tuple
+    # equality (which alone would take True == 1) is structural equality.
+    # Align b's kinds to a's: keep b's value where the kinds already agree,
+    # and take a's value where they do not.
     from spacheck.model import value_kind
 
     def structurally_equal(xs, ys):
@@ -108,6 +113,9 @@ def test_key_equality_matches_structural_equality(a, b):
             value_kind(x) == value_kind(y) and x == y for x, y in zip(xs, ys)
         )
 
-    assert (canonical_key(tuple(a), None) == canonical_key(tuple(b), None)) == (
-        structurally_equal(a, b)
-    )
+    b = [y if value_kind(y) == value_kind(x) else x for x, y in zip(a, b)] + b[len(a):]
+    same = structurally_equal(a, b)
+    assert (tuple(a) == tuple(b)) == same
+    assert ({tuple(a): 0}.get(tuple(b)) == 0) == same
+    if same:
+        assert hash(tuple(a)) == hash(tuple(b))
