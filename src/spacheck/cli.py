@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -64,7 +65,7 @@ class Report:
     model: Optional[SpecModel] = field(default=None, repr=False, compare=False)
 
 
-def _parse_const_value(text: str) -> Value:
+def _parse_const_value(name: str, text: str) -> Value:
     if text == "true":
         return True
     if text == "false":
@@ -75,7 +76,14 @@ def _parse_const_value(text: str) -> Value:
             raise UsageError(f"constant value {text} out of 64-bit range")
         return v
     if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
+        inner = text[1:-1]
+        # The same rule as the lexer's string literals, so the report's
+        # echo of the value reads back.
+        if '"' in inner or "\n" in inner:
+            raise UsageError(
+                f"bad --const {name}: a string value cannot contain '\"' or a newline"
+            )
+        return inner
     raise UsageError(
         f"bad constant value {text!r}: expected an integer, true/false, or a quoted string"
     )
@@ -90,7 +98,7 @@ def parse_const_args(pairs: list) -> dict:
             raise UsageError(f"bad --const {pair!r}: expected name=value")
         if name in out:
             raise UsageError(f"duplicate --const for {name}")
-        out[name] = _parse_const_value(value)
+        out[name] = _parse_const_value(name, value)
     return out
 
 
@@ -362,8 +370,12 @@ def main(argv: Optional[list] = None) -> int:
 
     report, code = run_check(config)
     if report is not None:
-        if config.json_mode:
-            print(emit_json(report))
-        else:
-            print(render_text(report))
+        try:
+            print(emit_json(report) if config.json_mode else render_text(report))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early (`| head`).  Point stdout at
+            # devnull so the interpreter's exit flush cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     return code

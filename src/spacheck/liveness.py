@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,8 +55,9 @@ from .semantics import EvalError, _compile_expr, eval_const_set
 
 
 class _Analysis:
-    """Numpy view of a StateGraph: per-variable value columns, state-changing
-    edge arrays, quiescence flags, and initial mask."""
+    """Numpy view of a StateGraph, built once per graph: per-variable value
+    columns, the state-changing edges as CSR rows, quiescence flags, the
+    states on a full-graph cycle, and the initial mask."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -69,19 +72,47 @@ class _Analysis:
                 self.columns.append(np.array(vals, dtype=bool))
             else:
                 self.columns.append(np.array(vals, dtype=object))
-        src, dst = [], []
-        quiescent = np.ones(n, dtype=bool)
-        for i, out in enumerate(graph.edges):
-            for _, j in out:
-                if j != i:
-                    src.append(i)
-                    dst.append(j)
-                    quiescent[i] = False
-        self.sc_src = np.array(src, dtype=np.int64)
-        self.sc_dst = np.array(dst, dtype=np.int64)
-        self.quiescent = quiescent
+        out_deg = np.fromiter(map(len, graph.edges), dtype=np.intp, count=n)
+        dst = np.fromiter(
+            map(itemgetter(1), chain.from_iterable(graph.edges)),
+            dtype=np.intp, count=int(out_deg.sum()),
+        )
+        src = np.repeat(np.arange(n), out_deg)
+        # One entry per state-changing (source, target) pair, in CSR row
+        # order.  Two actions may lead to the same state, but scipy's strong
+        # components loop forever on a repeated edge (seen in scipy 1.17).
+        pairs = np.sort(src[src != dst] * n + dst[src != dst], kind="stable")
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        self.src, self.dst = np.divmod(pairs, n)
+        sc_deg = np.bincount(self.src, minlength=n)
+        self.quiescent = sc_deg == 0
+        # The last row is the virtual source of `edges_into`.
+        self.indptr = np.zeros(n + 2, dtype=np.intp)
+        np.cumsum(sc_deg, out=self.indptr[1:n + 1])
+        self.indptr[n + 1] = self.dst.size
+        _, labels = csgraph.connected_components(
+            self.edges_into(np.ones(n, dtype=bool)), directed=True, connection="strong"
+        )
+        self.cyclic = np.bincount(labels)[labels] >= 2  # on a nontrivial SCC
+        self.can_stay = self.quiescent | self.cyclic
         self.initial_mask = np.zeros(n, dtype=bool)
         self.initial_mask[graph.initial] = True
+
+    def edges_into(self, mask: np.ndarray, sources: Optional[np.ndarray] = None):
+        """The state-changing edges as a CSR graph, with every edge into a
+        state outside `mask` turned into a self-loop at its source: no path
+        or cycle leaves `mask` through it, and a self-loop never makes an
+        SCC nontrivial.  With `sources`, a virtual source n gets an edge to
+        each of those states."""
+        targets = np.where(mask[self.dst], self.dst, self.src)
+        size, indptr = self.n, self.indptr[:-1]
+        if sources is not None:
+            size, indptr = self.n + 1, self.indptr.copy()
+            indptr[-1] += sources.size
+            targets = np.concatenate((targets, sources))
+        return sparse.csr_matrix(
+            (np.ones(targets.size), targets, indptr), shape=(size, size)
+        )
 
 
 def _analysis(graph: StateGraph) -> _Analysis:
@@ -251,9 +282,9 @@ def _pred_column(graph: StateGraph, vec: Callable, pred: Expr, where: str,
 
 @dataclass
 class _FailInfo:
-    quiescent_hits: np.ndarray  # original indices of reached quiescent states
-    scc_hits: np.ndarray  # original indices of reached nontrivial-SCC states
-    scc_members: dict  # original index -> frozenset of its SCC (original indices)
+    quiescent_hits: np.ndarray  # reached quiescent states, ascending
+    scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
+    scc_members: dict  # each of scc_hits -> frozenset of its SCC
 
 
 def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
@@ -264,51 +295,41 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     true the path from a start must itself stay inside the restriction
     (otherwise every stored state counts as reachable, which is already true
     of the full graph).  Returns None when no such behavior exists.
+
+    A nontrivial SCC of the restricted graph lies inside a nontrivial SCC of
+    the full graph, and one that holds a reached state is wholly reached; so
+    the SCC pass runs only over reached states on a full-graph cycle.
     """
     ana = _analysis(graph)
     starts = starts & restrict
-    if not starts.any():
+    if not starts.any() or not (restrict & ana.can_stay).any():
         return None
-    # Renumber the restricted states 0..m-1 and keep the edges inside them.
-    ids = np.flatnonzero(restrict)
-    m = ids.size
-    pos = np.full(ana.n, -1, dtype=np.int64)
-    pos[ids] = np.arange(m)
-    if ana.sc_src.size:
-        keep = restrict[ana.sc_src] & restrict[ana.sc_dst]
-        rs = pos[ana.sc_src[keep]]
-        rd = pos[ana.sc_dst[keep]]
-    else:
-        rs = rd = np.empty(0, dtype=np.int64)
     if within_restriction:
-        sp = pos[np.flatnonzero(starts)]
-        row = np.concatenate([rs, np.full(sp.size, m, dtype=np.int64)])
-        col = np.concatenate([rd, sp])
-        g = sparse.csr_matrix(
-            (np.ones(row.size, dtype=np.int8), (row, col)), shape=(m + 1, m + 1)
+        g = ana.edges_into(restrict, sources=np.flatnonzero(starts))
+        order = csgraph.breadth_first_order(
+            g, ana.n, directed=True, return_predecessors=False
         )
-        order = csgraph.breadth_first_order(g, m, directed=True, return_predecessors=False)
-        reached = np.zeros(m + 1, dtype=bool)
+        reached = np.zeros(ana.n + 1, dtype=bool)
         reached[order] = True
-        reached = reached[:m]
+        reached = reached[:ana.n]
     else:
-        reached = np.ones(m, dtype=bool)
+        reached = restrict
 
-    quiescent_hits = ids[ana.quiescent[ids] & reached]
+    quiescent_hits = np.flatnonzero(ana.quiescent & reached)
 
     scc_members: dict = {}
-    if rs.size:
-        sub = sparse.csr_matrix(
-            (np.ones(rs.size, dtype=np.int8), (rs, rd)), shape=(m, m)
+    core = reached & ana.cyclic
+    if core.any():
+        _, labels = csgraph.connected_components(
+            ana.edges_into(core), directed=True, connection="strong"
         )
-        _, labels = csgraph.connected_components(sub, directed=True, connection="strong")
-        sizes = np.bincount(labels)
-        hit = (sizes[labels] >= 2) & reached
-        scc_hits = ids[hit]
-        for comp in np.unique(labels[hit]):
-            mem = frozenset(int(x) for x in ids[labels == comp])
-            for node in mem:
-                scc_members[node] = mem
+        scc_hits = np.flatnonzero(np.bincount(labels)[labels] >= 2)
+        hit_labels = labels[scc_hits]
+        by_label = np.argsort(hit_labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(hit_labels[by_label])) + 1
+        for comp in np.split(scc_hits[by_label], cuts):
+            mem = frozenset(comp.tolist())
+            scc_members.update(dict.fromkeys(mem, mem))
     else:
         scc_hits = np.empty(0, dtype=np.int64)
 

@@ -55,6 +55,24 @@ def test_module_entry_point_runs_cleanly():
     assert "Reachability: pass" in r.stdout
 
 
+def test_closed_pipe_ends_quietly():
+    # the reader goes away before the report is written (`| head`): no
+    # BrokenPipeError traceback, and the check's own exit code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spacheck", "check", "examples/math.spa",
+         "--const", "max_num_q=5"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 def test_buggy_deadlock_exit_one(capsys):
     code, out, _ = run(capsys, "check", BUGGY, "--const", "max_num_q=3")
     assert code == 1
@@ -77,6 +95,8 @@ def test_missing_constant_exit_three(capsys):
         (("check", MATH, "--const", "max_num_q"), "expected name=value"),
         (("check", "/does/not/exist.spa", "--const", "max_num_q=3"), "cannot read"),
         (("check", MATH, "--const", "max_num_q=3", "--max-states", "0"), "positive"),
+        (("check", MATH, "--const", 'max_num_q="a"b"'), "bad --const max_num_q"),
+        (("check", MATH, "--const", 'max_num_q="a\nb"'), "bad --const max_num_q"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):

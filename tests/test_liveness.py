@@ -1,6 +1,8 @@
 """Temporal checks under weak fairness: quiescence, the three kernels,
 binder expansion, and agreement with the brute-force lasso oracle."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,17 @@ import oracles
 from conftest import build_graph
 from spacheck import (
     Env,
+    ExploreLimits,
+    bind_constants,
     check_always_eventually,
     check_eventually,
     check_leadsto,
     check_property,
     eval_expr,
+    explore,
     quiescent_states,
     replay_trace,
+    validate,
 )
 from spacheck.liveness import _search_fail
 from spacheck.model import state_to_record
@@ -363,6 +369,105 @@ def test_math_has_no_nontrivial_scc(math_src):
     mask2 = state_mask(graph, range(0, graph.n_states, 2))
     info2 = _search_fail(graph, mask2, mask2, within_restriction=False)
     assert info2 is None or info2.scc_members == {}
+
+
+MATH_TERMINATING = """action Terminating {
+    when num = max_num_q
+}
+"""
+
+MATH_RESTART = """action Restart {
+    when num = max_num_q
+    num' = 1
+    count_right' = 0
+    count_wrong' = 0
+    result' = ""
+    input_enabled' = true
+    check_enabled' = false
+    new_question_enabled' = false
+}
+"""
+
+
+def restart_src(math_src):
+    # the quiz starts over instead of stopping: one SCC holds the whole graph
+    assert MATH_TERMINATING in math_src
+    return math_src.replace(MATH_TERMINATING, MATH_RESTART)
+
+
+def reference_search(graph, restrict, starts, within_restriction):
+    """_search_fail's result rebuilt from the oracles' own restricted BFS and
+    Tarjan SCCs, as (quiescent_hits, scc_hits, scc_members) or None."""
+    allowed = {int(i) for i in np.flatnonzero(restrict)}
+    sources = [int(i) for i in np.flatnonzero(starts) if int(i) in allowed]
+    if not sources:
+        return None
+    if within_restriction:
+        reached = oracles.restricted_reach(graph, sources, allowed)
+    else:
+        reached = allowed
+    quiescent_hits = sorted(reached & oracles.graph_quiescent(graph))
+    members = {}
+    adj = oracles._changing_adj(graph, allowed)
+    for comp in oracles._tarjan_sccs(adj):
+        if len(comp) >= 2 and reached & set(comp):
+            members.update(dict.fromkeys(comp, frozenset(comp)))
+    scc_hits = sorted(i for i in members if i in reached)
+    if not quiescent_hits and not scc_hits:
+        return None
+    return quiescent_hits, scc_hits, members
+
+
+def assert_search_matches_reference(graph, rng, trials):
+    for trial in range(trials):
+        density = rng.choice([0.3, 0.6, 0.9, 1.0])
+        restrict = np.array([rng.random() < density for _ in range(graph.n_states)])
+        reach = rng.choice([0.05, 0.2, 0.5])
+        starts = np.array([rng.random() < reach for _ in range(graph.n_states)])
+        for within in (True, False):
+            got = _search_fail(graph, restrict, starts, within)
+            want = reference_search(graph, restrict, starts, within)
+            if want is None:
+                assert got is None, (trial, within)
+                continue
+            assert got is not None, (trial, within)
+            assert got.quiescent_hits.tolist() == want[0], (trial, within)
+            assert got.scc_hits.tolist() == want[1], (trial, within)
+            assert got.scc_members == want[2], (trial, within)
+
+
+@pytest.mark.parametrize("which", ["restart", "clock"])
+def test_search_fail_matches_reference_on_cyclic_graphs(which, math_src, clock_src):
+    # every cycle of both graphs runs through the whole graph's one SCC, so
+    # most restrictions cut it
+    if which == "restart":
+        bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    else:
+        bound, graph = build_graph(clock_src)
+    everything = state_mask(graph, range(graph.n_states))
+    full = _search_fail(graph, everything, everything, within_restriction=False)
+    assert set(full.scc_members.values()) == {frozenset(range(graph.n_states))}
+    assert_search_matches_reference(graph, random.Random(4), 300)
+
+
+def test_search_fail_matches_reference_on_random_specs():
+    # quiescent states, several SCCs, and starts that cannot reach them
+    rng = random.Random(5)
+    for seed in range(20):
+        bound = bind_constants(oracles.gen_spec(seed), {})
+        assert validate(bound) == []
+        graph = explore(bound, ExploreLimits(max_states=200))
+        assert_search_matches_reference(graph, rng, 30)
+
+
+def test_restart_reachability_instances_match_oracle(math_src):
+    bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    for x in range(1, 4):
+        pred = parse_expr(f"num = {x}")
+        got = check_eventually(graph, pred).status
+        want = oracles.oracle_eventually(graph, pred_values(graph, bound, pred))
+        assert got == ("pass" if want else "fail"), x
+    assert check_property(graph, prop_named(bound.spec, "Reachability")).status == "pass"
 
 
 # --- oracle equivalence ---------------------------------------------------------------
