@@ -105,10 +105,16 @@ def parse_const_args(pairs: list) -> dict:
 def _load(config: RunConfig):
     """Parse, bind, and validate; returns (bound, graph)."""
     try:
-        with open(config.spec_path, encoding="utf-8") as fh:
-            source = fh.read()
+        with open(config.spec_path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {config.spec_path}: {e.strerror}") from None
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _Located(EXIT_ERROR, f"{config.spec_path}: not UTF-8 text (byte {e.start})") from None
+    # The newline translation of a text-mode open().
+    source = source.replace("\r\n", "\n").replace("\r", "\n")
     try:
         spec = parse_spec(source)
     except ParseError as e:
@@ -171,8 +177,8 @@ def run_check(config: RunConfig):
     for prop in bound.spec.properties:
         results.append(check_property(graph, prop))
 
-    if config.dot_path:
-        _write_dot(config.dot_path, graph)
+    if config.dot_path and _write_dot(config.dot_path, graph) != EXIT_OK:
+        return None, EXIT_USAGE
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     report = Report(
@@ -195,13 +201,20 @@ def run_graph(config: RunConfig) -> int:
     """Explore and export DOT only; checks are not run."""
     _, graph, code = _load_or_report(config)
     if graph is not None:
-        _write_dot(config.dot_path, graph)
+        code = _write_dot(config.dot_path, graph)
     return code
 
 
-def _write_dot(path: str, graph: StateGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_dot(graph))
+def _write_dot(path: str, graph: StateGraph) -> int:
+    """Write the DOT export; returns EXIT_OK, or EXIT_USAGE after printing
+    why the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit_dot(graph))
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 # --- rendering -----------------------------------------------------------------

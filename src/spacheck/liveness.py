@@ -11,14 +11,18 @@ makes refuting a liveness property a search for a reachable nontrivial
 strongly connected component, or a reachable quiescent state, inside the
 region where the target predicate fails.
 
-Pass/fail decisions run on numpy/scipy (predicate vectors over state
-columns, compiled SCC and reachability); counterexample lassos are then
+Pass/fail decisions run on numpy/scipy (compiled SCC and reachability, and
+predicate columns over all states at once); counterexample lassos are then
 extracted in plain Python with deterministic tie-breaking (shortest entry
-first, lowest state index on ties).
+first, lowest state index on ties).  A predicate column comes from the same
+compiler as guards and invariants, `semantics._compile_expr`, given this
+module's column operator table instead of the scalar one; when the column
+evaluation raises EvalError, the scalar evaluator decides each state.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -33,18 +37,11 @@ from .model import (
     INT_MAX,
     INT_MIN,
     AlwaysEventually,
-    Binary,
-    Cond,
     Eventually,
     Expr,
-    InSet,
     Invariant,
     LeadsTo,
-    Lit,
-    Name,
-    RangeSet,
     TemporalProperty,
-    Unary,
     format_value,
 )
 from .explorer import StateGraph, Trace, Verdict, check_invariant, discovery_path
@@ -127,147 +124,74 @@ def quiescent_states(graph: StateGraph) -> set:
     return {int(i) for i in np.flatnonzero(_analysis(graph).quiescent)}
 
 
-# --- vectorized predicate evaluation --------------------------------------------
+# --- predicate columns -----------------------------------------------------------
 
 
-class _VectorOverflow(Exception):
-    """Signal to retry the predicate with the scalar evaluator."""
+def _extremes(v) -> tuple:
+    if isinstance(v, np.ndarray):
+        return (int(v.min()), int(v.max())) if v.size else ()
+    return (int(v),)
 
 
-def _ovf_add(a, b):
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        v = int(a) + int(b)
-        if v < INT_MIN or v > INT_MAX:
-            raise _VectorOverflow
-        return v
-    with np.errstate(over="ignore"):
-        r = np.add(a, b)
-    if np.any(((a ^ r) & (b ^ r)) < 0):
-        raise _VectorOverflow
-    return r
+def _column_arith(fn: Callable) -> Callable:
+    """Column table entry for `+`, `-` or `*`.  Each is monotone in each
+    operand (`*` is bilinear), so its exact results at the corners of the
+    operands' ranges bound every element's; when a corner leaves 64 bits it
+    raises EvalError instead of wrapping around."""
+    def make(lf, rf, where, node):
+        def arith(c, b):
+            left, right = lf(c, b), rf(c, b)
+            corners = [fn(x, y) for x in _extremes(left) for y in _extremes(right)]
+            if any(not INT_MIN <= v <= INT_MAX for v in corners):
+                raise EvalError("integer overflow", where, node.line, node.col)
+            return fn(left, right)
+        return arith
+    return make
 
 
-def _ovf_sub(a, b):
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        v = int(a) - int(b)
-        if v < INT_MIN or v > INT_MAX:
-            raise _VectorOverflow
-        return v
-    with np.errstate(over="ignore"):
-        r = np.subtract(a, b)
-    if np.any(((a ^ b) & (a ^ r)) < 0):
-        raise _VectorOverflow
-    return r
+def _column_member(item, elems):
+    def member(c, b):
+        v = item(c, b)
+        acc = np.equal(v, elems[0](c, b))
+        for f in elems[1:]:
+            acc = np.logical_or(acc, np.equal(v, f(c, b)))
+        return acc
+    return member
 
 
-def _ovf_mul(a, b):
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        v = int(a) * int(b)
-        if v < INT_MIN or v > INT_MAX:
-            raise _VectorOverflow
-        return v
-    with np.errstate(over="ignore"):
-        r = np.multiply(a, b)
-    bb = np.broadcast_to(np.asarray(b, dtype=np.int64), np.shape(r))
-    aa = np.broadcast_to(np.asarray(a, dtype=np.int64), np.shape(r))
-    safe = np.where(bb == 0, 1, bb)
-    with np.errstate(over="ignore"):
-        q = np.floor_divide(r, safe)
-    if np.any((bb != 0) & (bb != -1) & (q != aa)):
-        raise _VectorOverflow
-    if np.any((bb == -1) & (aa == INT_MIN)):
-        raise _VectorOverflow
-    return r
+# `semantics._compile_expr`'s operator table for fn(columns, binders), where
+# columns[i] holds variable i of every stored state: the result is a column,
+# or a scalar when it does not depend on the state.  Both sides of and/or/
+# implies/if are evaluated on every state.
+_COLUMN_OPS = {
+    "not": lambda f: lambda c, b: np.logical_not(f(c, b)),
+    "and": lambda lf, rf: lambda c, b: np.logical_and(lf(c, b), rf(c, b)),
+    "or": lambda lf, rf: lambda c, b: np.logical_or(lf(c, b), rf(c, b)),
+    "implies": lambda lf, rf: lambda c, b: np.logical_or(np.logical_not(lf(c, b)), rf(c, b)),
+    "if": lambda cf, tf, ff: lambda c, b: np.where(cf(c, b), tf(c, b), ff(c, b)),
+    "range": lambda item, lo, hi: lambda c, b: np.logical_and(
+        lo(c, b) <= item(c, b), item(c, b) <= hi(c, b)
+    ),
+    "member": _column_member,
+    "+": _column_arith(operator.add),
+    "-": _column_arith(operator.sub),
+    "*": _column_arith(operator.mul),
+}
 
 
-def _compile_vector(e: Expr, graph: StateGraph) -> Callable:
-    """Compile a predicate into fn(columns, binders) -> bool column (or a
-    scalar when the predicate is state-independent)."""
-    bound = graph.bound
-    if isinstance(e, Lit):
-        v = e.value
-        return lambda c, b: v
-    if isinstance(e, Name):
-        if e.name in bound.var_index:
-            i = bound.var_index[e.name]
-            return lambda c, b: c[i]
-        if e.name in bound.constants:
-            v = bound.constants[e.name]
-            return lambda c, b: v
-        name = e.name
-        line, col = e.line, e.col
-
-        def lookup(c, b):
-            try:
-                return b[name]
-            except KeyError:
-                raise EvalError(f"unresolved identifier {name}", "", line, col) from None
-        return lookup
-    if isinstance(e, Unary):
-        f = _compile_vector(e.operand, graph)
-        return lambda c, b: np.logical_not(f(c, b))
-    if isinstance(e, Binary):
-        lf = _compile_vector(e.left, graph)
-        rf = _compile_vector(e.right, graph)
-        op = e.op
-        if op == "and":
-            return lambda c, b: np.logical_and(lf(c, b), rf(c, b))
-        if op == "or":
-            return lambda c, b: np.logical_or(lf(c, b), rf(c, b))
-        if op == "implies":
-            return lambda c, b: np.logical_or(np.logical_not(lf(c, b)), rf(c, b))
-        if op == "=":
-            return lambda c, b: lf(c, b) == rf(c, b)
-        if op == "/=":
-            return lambda c, b: lf(c, b) != rf(c, b)
-        if op == "<":
-            return lambda c, b: lf(c, b) < rf(c, b)
-        if op == "<=":
-            return lambda c, b: lf(c, b) <= rf(c, b)
-        if op == ">":
-            return lambda c, b: lf(c, b) > rf(c, b)
-        if op == ">=":
-            return lambda c, b: lf(c, b) >= rf(c, b)
-        if op == "+":
-            return lambda c, b: _ovf_add(lf(c, b), rf(c, b))
-        if op == "-":
-            return lambda c, b: _ovf_sub(lf(c, b), rf(c, b))
-        return lambda c, b: _ovf_mul(lf(c, b), rf(c, b))
-    if isinstance(e, InSet):
-        item = _compile_vector(e.item, graph)
-        if isinstance(e.over, RangeSet):
-            lo = _compile_vector(e.over.lo, graph)
-            hi = _compile_vector(e.over.hi, graph)
-            return lambda c, b: np.logical_and(lo(c, b) <= item(c, b), item(c, b) <= hi(c, b))
-        elems = [_compile_vector(el, graph) for el in e.over.elems]
-
-        def member(c, b):
-            v = item(c, b)
-            acc = np.equal(v, elems[0](c, b))
-            for f in elems[1:]:
-                acc = np.logical_or(acc, np.equal(v, f(c, b)))
-            return acc
-        return member
-    if isinstance(e, Cond):
-        cf = _compile_vector(e.cond, graph)
-        tf = _compile_vector(e.then, graph)
-        ff = _compile_vector(e.orelse, graph)
-        return lambda c, b: np.where(cf(c, b), tf(c, b), ff(c, b))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _pred_column(graph: StateGraph, vec: Callable, pred: Expr, where: str,
-                 binders: dict) -> np.ndarray:
+def _pred_column(graph: StateGraph, pred: Expr, where: str, binders: dict) -> np.ndarray:
     """Evaluate a predicate over every stored state.
 
-    Runs vectorized; on a detected integer overflow it falls back to the
-    scalar evaluator, which short-circuits `and`/`or` exactly as specified
-    and raises a located EvalError when the overflow is really evaluated.
+    Compiles it with the column table.  When that raises EvalError (an
+    integer overflow on some state, perhaps one that `and`/`or`/`if` would
+    never evaluate), it re-runs the scalar evaluator on each state, which
+    short-circuits exactly as specified and raises a located EvalError only
+    when the failing operation is really evaluated.
     """
     ana = _analysis(graph)
     try:
-        res = vec(ana.columns, binders)
-    except _VectorOverflow:
+        res = _compile_expr(pred, graph.bound, where, _COLUMN_OPS)(ana.columns, binders)
+    except EvalError:
         f = _compile_expr(pred, graph.bound, where)
         return np.fromiter(
             (bool(f(s, binders)) for s in graph.states), dtype=bool, count=ana.n
@@ -452,7 +376,7 @@ def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, _compile_vector(pred, graph), pred, where, binders)
+        pv = _pred_column(graph, pred, where, binders)
     except EvalError as e:
         return _verdict_error(name, "eventually", e)
     ana = _analysis(graph)
@@ -482,8 +406,8 @@ def check_leadsto(graph: StateGraph, p: Expr, q: Expr, *, name: str = "leadsto",
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, _compile_vector(p, graph), p, where, binders)
-        qv = _pred_column(graph, _compile_vector(q, graph), q, where, binders)
+        pv = _pred_column(graph, p, where, binders)
+        qv = _pred_column(graph, q, where, binders)
     except EvalError as e:
         return _verdict_error(name, "leadsto", e)
     restrict = ~qv
@@ -517,7 +441,7 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, _compile_vector(pred, graph), pred, where, binders)
+        pv = _pred_column(graph, pred, where, binders)
     except EvalError as e:
         return _verdict_error(name, "always_eventually", e)
     restrict = ~pv

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .model import (
@@ -394,7 +395,38 @@ def _arith(op: str, lf, rf, where: str, node):
     return mul
 
 
-def _compile_expr(e: Expr, bound: BoundSpec, where: str) -> Callable:
+def _member(item, elems):
+    def member(s, b):
+        v = item(s, b)
+        return any(v == f(s, b) for f in elems)
+    return member
+
+
+# Each entry builds one closure from compiled operands: "not"(f), "and"/"or"/
+# "implies"(lf, rf), "if"(cond, then, orelse), "range"(item, lo, hi) for
+# `item in lo..hi`, "member"(item, elems) for a set literal, and
+# "+"/"-"/"*"(lf, rf, where, node).
+_SCALAR_OPS = {
+    "not": lambda f: lambda s, b: not f(s, b),
+    "and": lambda lf, rf: lambda s, b: lf(s, b) and rf(s, b),
+    "or": lambda lf, rf: lambda s, b: lf(s, b) or rf(s, b),
+    "implies": lambda lf, rf: lambda s, b: (not lf(s, b)) or rf(s, b),
+    "if": lambda cf, tf, ff: lambda s, b: tf(s, b) if cf(s, b) else ff(s, b),
+    "range": lambda item, lo, hi: lambda s, b: lo(s, b) <= item(s, b) <= hi(s, b),
+    "member": _member,
+    "+": partial(_arith, "+"),
+    "-": partial(_arith, "-"),
+    "*": partial(_arith, "*"),
+}
+
+
+def _compile_expr(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
+    """The one walk over expressions.  Literals, names and comparisons mean
+    the same for one state tuple and for a list of state columns; `ops`
+    supplies the rest (`liveness` has the column table)."""
+    def sub(x: Expr) -> Callable:
+        return _compile_expr(x, bound, where, ops)
+
     if isinstance(e, Lit):
         v = e.value
         return lambda s, b: v
@@ -415,18 +447,12 @@ def _compile_expr(e: Expr, bound: BoundSpec, where: str) -> Callable:
                 raise EvalError(f"unresolved identifier {name}", where, line, col, s) from None
         return lookup
     if isinstance(e, Unary):
-        f = _compile_expr(e.operand, bound, where)
-        return lambda s, b: not f(s, b)
+        return ops["not"](sub(e.operand))
     if isinstance(e, Binary):
-        lf = _compile_expr(e.left, bound, where)
-        rf = _compile_expr(e.right, bound, where)
+        lf, rf = sub(e.left), sub(e.right)
         op = e.op
-        if op == "and":
-            return lambda s, b: lf(s, b) and rf(s, b)
-        if op == "or":
-            return lambda s, b: lf(s, b) or rf(s, b)
-        if op == "implies":
-            return lambda s, b: (not lf(s, b)) or rf(s, b)
+        if op in ("and", "or", "implies"):
+            return ops[op](lf, rf)
         if op == "=":
             return lambda s, b: lf(s, b) == rf(s, b)
         if op == "/=":
@@ -439,23 +465,14 @@ def _compile_expr(e: Expr, bound: BoundSpec, where: str) -> Callable:
             return lambda s, b: lf(s, b) > rf(s, b)
         if op == ">=":
             return lambda s, b: lf(s, b) >= rf(s, b)
-        return _arith(op, lf, rf, where, e)
+        return ops[op](lf, rf, where, e)
     if isinstance(e, InSet):
-        item = _compile_expr(e.item, bound, where)
+        item = sub(e.item)
         if isinstance(e.over, RangeSet):
-            lo = _compile_expr(e.over.lo, bound, where)
-            hi = _compile_expr(e.over.hi, bound, where)
-            return lambda s, b: lo(s, b) <= item(s, b) <= hi(s, b)
-        elems = [_compile_expr(el, bound, where) for el in e.over.elems]
-        def member(s, b):
-            v = item(s, b)
-            return any(v == f(s, b) for f in elems)
-        return member
+            return ops["range"](item, sub(e.over.lo), sub(e.over.hi))
+        return ops["member"](item, [sub(el) for el in e.over.elems])
     if isinstance(e, Cond):
-        cf = _compile_expr(e.cond, bound, where)
-        tf = _compile_expr(e.then, bound, where)
-        ff = _compile_expr(e.orelse, bound, where)
-        return lambda s, b: tf(s, b) if cf(s, b) else ff(s, b)
+        return ops["if"](sub(e.cond), sub(e.then), sub(e.orelse))
     raise TypeError(f"not an expression: {e!r}")
 
 

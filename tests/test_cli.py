@@ -97,6 +97,8 @@ def test_missing_constant_exit_three(capsys):
         (("check", MATH, "--const", "max_num_q=3", "--max-states", "0"), "positive"),
         (("check", MATH, "--const", 'max_num_q="a"b"'), "bad --const max_num_q"),
         (("check", MATH, "--const", 'max_num_q="a\nb"'), "bad --const max_num_q"),
+        (("check", CLOCK, "--dot", "/no/such/dir/x.dot"), "cannot write /no/such/dir/x.dot"),
+        (("graph", CLOCK, "--dot", "/no/such/dir/x.dot"), "cannot write /no/such/dir/x.dot"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):
@@ -111,6 +113,15 @@ def test_parse_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "bad.spa:" in err
+
+
+def test_non_utf8_spec_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.spa"
+    bad.write_bytes(b"spec t\n\xff\xfe")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text (byte 7)\n"
 
 
 def test_validate_error_exit_two(capsys, tmp_path):

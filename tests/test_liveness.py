@@ -24,9 +24,10 @@ from spacheck import (
     replay_trace,
     validate,
 )
-from spacheck.liveness import _search_fail
-from spacheck.model import state_to_record
+from spacheck.liveness import _COLUMN_OPS, _pred_column, _search_fail
+from spacheck.model import INT_MAX, INT_MIN, Binary, state_to_record
 from spacheck.parser import _Parser, tokenize
+from spacheck.semantics import EvalError
 
 
 def parse_expr(text: str):
@@ -218,7 +219,7 @@ def test_string_binder_forall(clock_src):
     assert v.status == "pass"
 
 
-# --- overflow-detecting vector arithmetic ----------------------------------------
+# --- overflow-detecting column arithmetic ----------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,12 +229,6 @@ def test_string_binder_forall(clock_src):
     st.sampled_from(["+", "-", "*"]),
 )
 def test_vector_arithmetic_matches_exact_integers(a, b, op):
-    import numpy as np
-
-    from spacheck.liveness import _VectorOverflow, _ovf_add, _ovf_mul, _ovf_sub
-    from spacheck.model import INT_MAX, INT_MIN
-
-    fn = {"+": _ovf_add, "-": _ovf_sub, "*": _ovf_mul}[op]
     exact = {"+": a + b, "-": a - b, "*": a * b}[op]
     in_range = INT_MIN <= exact <= INT_MAX
     for left, right in [
@@ -241,12 +236,99 @@ def test_vector_arithmetic_matches_exact_integers(a, b, op):
         (np.array([a], dtype=np.int64), b),
         (a, np.array([b], dtype=np.int64)),
     ]:
+        fn = _COLUMN_OPS[op](
+            lambda c, bs, v=left: v, lambda c, bs, v=right: v, "<test>", Binary(op=op)
+        )
         if in_range:
-            out = fn(left, right)
+            out = fn(None, {})
             assert int(np.asarray(out).reshape(-1)[0]) == exact
         else:
-            with pytest.raises(_VectorOverflow):
-                fn(left, right)
+            with pytest.raises(EvalError):
+                fn(None, {})
+
+
+# --- column and scalar operator tables agree ------------------------------------
+
+# Predicates over the clock and the math quiz (max_num_q = 3) whose overflow,
+# when there is one, often happens only on some states or only behind a
+# short-circuit: `k` is a binder near 2^62, so `k + k` always overflows,
+# `num * k` from num = 2 on, and `k - num` never.  A shape is a template and
+# the kinds of its holes: i(nt), b(ool), s(tring).
+SHAPES = {
+    "i": [("({} + {})", "ii"), ("({} - {})", "ii"), ("({} * {})", "ii"),
+          ("(if {} then {} else {})", "bii")],
+    "s": [("(if {} then {} else {})", "bss")],
+    "b": [("({} and {})", "bb"), ("({} or {})", "bb"), ("({} implies {})", "bb"),
+          ("(not {})", "b"), ("(if {} then {} else {})", "bbb"),
+          ("({} in ({})..({}))", "iii"), ("({} in {{{}, {}}})", "iii"),
+          ("({} = {})", "ss"), ("({} in {{{}, {}}})", "sss")]
+    + [(f"({{}} {op} {{}})", "ii") for op in ("=", "/=", "<", "<=", ">", ">=")],
+}
+
+
+def predicates(leaves):
+    """Well-kinded predicate text, nested up to 3 deep, from `leaves` (kind
+    -> leaf texts)."""
+    memo = {}
+
+    def of(kind, depth):
+        if (kind, depth) not in memo:
+            options = [st.sampled_from(leaves[kind])]
+            if depth > 0:
+                options += [
+                    st.tuples(*(of(k, depth - 1) for k in kinds)).map(
+                        lambda xs, t=template: t.format(*xs))
+                    for template, kinds in SHAPES[kind]
+                ]
+            memo[kind, depth] = st.one_of(options)
+        return memo[kind, depth]
+
+    return of("b", 3)
+
+
+DIFFERENTIAL_PREDICATES = {
+    "math": predicates({
+        "i": ["num", "count_right", "count_wrong", "max_num_q", "k", "(num * k)", "0", "2"],
+        "b": ["input_enabled", "check_enabled", "new_question_enabled", "(num = 1)", "true"],
+        "s": ["result", '""', '"Right"', '"Wrong"'],
+    }),
+    "clock": predicates({
+        "i": ["hr", "k", "(hr * k)", "0", "1", "12"],
+        "b": ["(hr = 1)", "true", "false"],
+        "s": ["period", '"am"', '"pm"'],
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def differential_graphs(math_src, clock_src):
+    return {
+        "math": build_graph(math_src, {"max_num_q": 3}),
+        "clock": build_graph(clock_src),
+    }
+
+
+# One failure is shrunk: a broken table fails in many distinct ways, and
+# shrinking each of them took minutes.
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(
+    data=st.data(),
+    which=st.sampled_from(["math", "clock"]),
+    k=st.integers(min_value=2**62 - 3, max_value=2**62 + 3),
+)
+def test_column_table_agrees_with_scalar_table(differential_graphs, data, which, k):
+    bound, graph = differential_graphs[which]
+    text = data.draw(DIFFERENTIAL_PREDICATES[which])
+    pred = parse_expr(text)
+    try:
+        want = pred_values(graph, bound, pred, {"k": k})
+    except EvalError:
+        with pytest.raises(EvalError):
+            _pred_column(graph, pred, "<test>", {"k": k})
+        return
+    got = _pred_column(graph, pred, "<test>", {"k": k})
+    assert got.dtype == bool
+    assert got.tolist() == want, text
 
 
 # --- lasso well-formedness -------------------------------------------------------------
@@ -473,9 +555,9 @@ def test_restart_reachability_instances_match_oracle(math_src):
 # --- oracle equivalence ---------------------------------------------------------------
 
 
-def pred_values(graph, bound, expr):
+def pred_values(graph, bound, expr, binders=None):
     return [
-        bool(eval_expr(expr, Env(current=s, binders={}, bound=bound)))
+        bool(eval_expr(expr, Env(current=s, binders=binders or {}, bound=bound)))
         for s in graph.states
     ]
 
