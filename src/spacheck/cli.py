@@ -129,6 +129,8 @@ def _load(config: RunConfig):
             EXIT_ERROR,
             "\n".join(f"{config.spec_path}: {err}" for err in errors),
         )
+    if config.dot_path:
+        _check_writable(config.dot_path)
     try:
         graph = explore(bound, config.limits)
     except EvalError as e:
@@ -139,6 +141,19 @@ def _load(config: RunConfig):
     except LimitError as e:
         raise _Located(EXIT_ERROR, f"{config.spec_path}: {e}") from None
     return bound, graph
+
+
+def _check_writable(path: str) -> None:
+    """Raise UsageError when `path` cannot be opened for writing, before
+    any exploring; an existing file is left as it is, and none is created."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 class _Located(Exception):
@@ -305,8 +320,8 @@ def emit_dot(graph: StateGraph) -> str:
         label = esc(format_state(state, spec).replace(", ", ","))
         shape = ", shape=doubleoctagon" if i in initial else ""
         lines.append(f'  {i} [label="{i}\\n{label}"{shape}];')
-    for i, out in enumerate(graph.edges):
-        for action, j in out:
+    for i in range(graph.n_states):
+        for action, j in graph.out_edges(i):
             lines.append(f'  {i} -> {j} [label="{esc(action)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -338,7 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--const", action="append", default=[], metavar="NAME=VALUE",
             help="bind a declared constant (repeatable)",
         )
-        p.add_argument("--max-states", type=int, default=1_000_000, metavar="N")
+        p.add_argument(
+            "--max-states", type=int, default=1_000_000, metavar="N",
+            help="stop with an error past N states (default 1,000,000); exploring"
+                 " takes about 280 bytes per state (math.spa, max_num_q=300)",
+        )
         p.add_argument("--max-depth", type=int, default=None, metavar="N")
 
     check = sub.add_parser("check", help="run deadlock and property checks")

@@ -9,7 +9,7 @@ a self-loop is quiescent but not deadlocked.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +18,7 @@ from .semantics import (
     BoundSpec,
     EvalError,
     _compile_expr,
+    _successor_functions,
     action_successors,
     initial_states,
     successors,
@@ -43,15 +44,23 @@ class StateGraph:
     `depth` is that path's length.  A state is identified by its value
     tuple, which requires a validated spec: `validate` fixes each slot's
     kind, so Python's `True == 1` can never equate two distinct states.
+
+    Edges are flat int arrays in CSR form: the edges out of state i are
+    positions edge_start[i] to edge_start[i + 1] of `edge_dst` (target
+    index) and `edge_action` (index into `spec.actions`), in the order of
+    `semantics.successors`.
     """
 
     bound: BoundSpec
     states: list  # index -> State
     index: dict  # State -> index
     initial: list  # indices of initial states
-    edges: list  # index -> ordered list of (action name, target index)
-    parent: list  # index -> None (initial) or (predecessor index, action name)
-    depth: list  # index -> BFS depth, 0 for initial states
+    edge_start: array  # n + 1 row offsets into edge_dst and edge_action
+    edge_dst: array  # target index of each edge
+    edge_action: array  # action index of each edge
+    parent: array  # index -> predecessor index, -1 for an initial state
+    parent_action: array  # index -> action index of the parent edge, -1 for initial
+    depth: array  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -64,7 +73,14 @@ class StateGraph:
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(e) for e in self.edges)
+        return len(self.edge_dst)
+
+    def out_edges(self, i: int) -> list:
+        """The edges out of state i as (action name, target index) pairs."""
+        actions = self.bound.spec.actions
+        lo, hi = self.edge_start[i], self.edge_start[i + 1]
+        return [(actions[a].name, j)
+                for a, j in zip(self.edge_action[lo:hi], self.edge_dst[lo:hi])]
 
 
 @dataclass
@@ -99,7 +115,9 @@ class Verdict:
 def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGraph:
     """Build the graph of states reachable from the initial states.
 
-    FIFO frontier; successors expand in the deterministic order of
+    Breadth-first: states are expanded in index order, which is discovery
+    order, so each state's edges are appended as the next CSR row.  Each
+    action's successors come from its generated function, in the order of
     semantics.successors, so two explorations of the same BoundSpec produce
     identical graphs.  States are keyed by their value tuples, so `bound`
     must have passed `validate`.  Raises EvalError (with the discovery trace
@@ -111,65 +129,67 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     init = initial_states(bound)
     if not init:
         raise EvalError("spec has no initial states", "init")
-
-    states: list = []
-    index: dict = {}
-    initial: list = []
-    edges: list = []
-    parent: list = []
-    depth: list = []
-
-    def add_state(s: State, par: Optional[tuple], d: int) -> int:
-        if len(states) >= limits.max_states:
-            raise LimitError(f"state limit of {limits.max_states} exceeded")
-        idx = len(states)
-        states.append(s)
-        index[s] = idx
-        edges.append(None)
-        parent.append(par)
-        depth.append(d)
-        return idx
-
-    for s in init:
-        if s not in index:
-            initial.append(add_state(s, None, 0))
+    max_states, max_depth = limits.max_states, limits.max_depth
 
     graph = StateGraph(
-        bound=bound, states=states, index=index,
-        initial=initial, edges=edges, parent=parent, depth=depth,
+        bound=bound, states=[], index={}, initial=[],
+        edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
+        parent=array("q"), parent_action=array("q"), depth=array("q"),
     )
+    states, index, depth = graph.states, graph.index, graph.depth
+    parent, parent_action = graph.parent, graph.parent_action
+    for s in init:
+        if s not in index:
+            if len(states) >= max_states:
+                raise LimitError(f"state limit of {max_states} exceeded")
+            index[s] = len(states)
+            graph.initial.append(len(states))
+            states.append(s)
+            parent.append(-1)
+            parent_action.append(-1)
+            depth.append(0)
 
-    frontier = deque(range(len(states)))
-    while frontier:
-        i = frontier.popleft()
+    fns = _successor_functions(bound)
+    start_append = graph.edge_start.append
+    dst_append, action_append = graph.edge_dst.append, graph.edge_action.append
+    i = 0
+    while i < len(states):
         try:
-            succ = successors(states[i], bound)
+            rows = [fn(states[i]) for fn in fns]
         except EvalError as e:
             e.trace = reconstruct_trace(graph, i)
             raise
-        out = []
-        for label, t in succ:
-            j = index.get(t)
-            if j is None:
-                d = depth[i] + 1
-                if limits.max_depth is not None and d > limits.max_depth:
-                    raise LimitError(f"depth limit of {limits.max_depth} exceeded")
-                j = add_state(t, (i, label), d)
-                frontier.append(j)
-            out.append((label, j))
-        edges[i] = out
+        d = depth[i] + 1
+        for a, row in enumerate(rows):
+            for t in row:
+                j = index.get(t)
+                if j is None:
+                    if max_depth is not None and d > max_depth:
+                        raise LimitError(f"depth limit of {max_depth} exceeded")
+                    j = len(states)
+                    if j >= max_states:
+                        raise LimitError(f"state limit of {max_states} exceeded")
+                    index[t] = j
+                    states.append(t)
+                    parent.append(i)
+                    parent_action.append(a)
+                    depth.append(d)
+                dst_append(j)
+                action_append(a)
+        start_append(len(graph.edge_dst))
+        i += 1
     return graph
 
 
 def discovery_path(graph: StateGraph, target: int) -> tuple:
     """Shortest discovery path from an initial state to `target`, following
     parent links: (state indices, action names between them)."""
+    actions_of = graph.spec.actions
     indices = [target]
     actions = []
-    while graph.parent[indices[-1]] is not None:
-        pred, label = graph.parent[indices[-1]]
-        indices.append(pred)
-        actions.append(label)
+    while graph.parent[indices[-1]] >= 0:
+        actions.append(actions_of[graph.parent_action[indices[-1]]].name)
+        indices.append(graph.parent[indices[-1]])
     indices.reverse()
     actions.reverse()
     return indices, actions
@@ -213,8 +233,9 @@ def check_invariant(
 def check_deadlock(graph: StateGraph) -> Verdict:
     """Pass iff every state has at least one outgoing edge (self-loops
     count); on fail the trace leads to the first successor-less state."""
-    for i, out in enumerate(graph.edges):
-        if not out:
+    start = graph.edge_start
+    for i, (lo, hi) in enumerate(zip(start, start[1:])):
+        if lo == hi:
             return Verdict(
                 name="deadlock", kind="deadlock", status="fail",
                 trace=reconstruct_trace(graph, i),

@@ -25,8 +25,6 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,12 +67,8 @@ class _Analysis:
                 self.columns.append(np.array(vals, dtype=bool))
             else:
                 self.columns.append(np.array(vals, dtype=object))
-        out_deg = np.fromiter(map(len, graph.edges), dtype=np.intp, count=n)
-        dst = np.fromiter(
-            map(itemgetter(1), chain.from_iterable(graph.edges)),
-            dtype=np.intp, count=int(out_deg.sum()),
-        )
-        src = np.repeat(np.arange(n), out_deg)
+        dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
+        src = np.repeat(np.arange(n), np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
         # One entry per state-changing (source, target) pair, in CSR row
         # order.  Two actions may lead to the same state, but scipy's strong
         # components loop forever on a repeated edge (seen in scipy 1.17).
@@ -276,9 +270,10 @@ def _bfs_within(graph: StateGraph, starts: list, allowed: np.ndarray):
             dist[s] = 0
             par[s] = None
             dq.append(s)
+    start, dst = graph.edge_start, graph.edge_dst
     while dq:
         u = dq.popleft()
-        for _, v in graph.edges[u]:
+        for v in dst[start[u]:start[u + 1]]:
             if v != u and allowed[v] and v not in dist:
                 dist[v] = dist[u] + 1
                 par[v] = u
@@ -287,7 +282,7 @@ def _bfs_within(graph: StateGraph, starts: list, allowed: np.ndarray):
 
 
 def _edge_label(graph: StateGraph, u: int, v: int) -> str:
-    for label, t in graph.edges[u]:
+    for label, t in graph.out_edges(u):
         if t == v:
             return label
     raise AssertionError(f"no edge {u} -> {v}")
@@ -297,8 +292,10 @@ def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
     """Depth-first walk over state-changing edges inside one SCC; returns the
     first cycle through `entry`, preferring lower state indices."""
 
+    start, dst = graph.edge_start, graph.edge_dst
+
     def nbrs(u: int) -> list:
-        return sorted({v for _, v in graph.edges[u] if v != u and v in members})
+        return sorted({v for v in dst[start[u]:start[u + 1]] if v != u and v in members})
 
     path = [entry]
     onpath = {entry}
@@ -321,7 +318,7 @@ def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
 
 
 def _self_loop_label(graph: StateGraph, i: int) -> Optional[str]:
-    for label, t in graph.edges[i]:
+    for label, t in graph.out_edges(i):
         if t == i:
             return label
     return None

@@ -1,8 +1,9 @@
 """Static validation, constant binding, evaluation, and the next-state relation.
 
-Expressions are compiled once per bound spec into nested closures; exploring a
-state space then costs plain function calls rather than AST walks.  Evaluation
-is strict except for `and`/`or`, which short-circuit.  Variables not assigned
+Expressions are compiled once per bound spec into nested closures, and each
+action into one generated Python function that calls them; exploring a state
+space then costs plain function calls rather than AST walks.  Evaluation is
+strict except for `and`/`or`, which short-circuit.  Variables not assigned
 on an executed action path keep their values (implicit frame), so an action
 with guards only - no body - yields the unchanged state as its one successor.
 """
@@ -87,7 +88,8 @@ class BoundSpec:
     spec: SpecModel
     constants: dict  # name -> Value
     var_index: dict = field(init=False, compare=False, repr=False)
-    _actions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # One generated successor function per action, made on first use.
+    _successor_fns: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.var_index = {v.name: i for i, v in enumerate(self.spec.variables)}
@@ -326,33 +328,26 @@ class _Checker:
                 raise TypeError(f"not a statement: {s!r}")
 
     def check_single_assignment(self, action: ActionDef):
-        """Reject a primed variable assigned twice along any execution path."""
+        """Reject a primed variable assigned twice along any execution path.
+
+        Conditions are not evaluated, so every combination of branches is a
+        path: an assignment repeats one on some path exactly when some
+        statement before it on its own path may assign the same variable."""
         where = f"action {action.name}"
 
-        def walk(stmts: list, paths: list) -> list:
+        def walk(stmts: list, before: frozenset) -> frozenset:
             for s in stmts:
                 if isinstance(s, Assign):
-                    for assigned in paths:
-                        if s.target in assigned:
-                            self.err(
-                                f"{s.target}' assigned more than once on one path",
-                                where, s,
-                            )
-                            break
-                    paths = [p | {s.target} for p in paths]
+                    if s.target in before:
+                        self.err(f"{s.target}' assigned more than once on one path", where, s)
+                    before = before | {s.target}
                 elif isinstance(s, If):
-                    taken = walk(s.then, [set(p) for p in paths])
-                    skipped = walk(s.orelse, [set(p) for p in paths])
-                    merged = []
-                    for p in taken + skipped:
-                        if p not in merged:
-                            merged.append(p)
-                    paths = merged
+                    before = walk(s.then, before) | walk(s.orelse, before)
                 elif isinstance(s, AnyChoice):
-                    paths = walk(s.body, paths)
-            return paths
+                    before = walk(s.body, before)
+            return before
 
-        walk(action.body, [set()])
+        walk(action.body, frozenset())
 
 
 def validate(bound: BoundSpec) -> list:
@@ -525,99 +520,200 @@ def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
 
 # --- action compilation ------------------------------------------------------
 
+# One function generated per action never nests deeper than this many
+# indentation levels or `for` loops; the statements below that depth move
+# into a helper.  CPython rejects about 100 levels and 20 nested loops.
+_MAX_INDENT = 40
+_MAX_LOOPS = 10
 
-class _CompiledAction:
-    """Guards plus a body runner that appends one successor per executed path
-    and choice combination to a result list."""
+# How a generated statement sequence ends: falling through (an `if` branch
+# that holds no `any`), appending the successor, or yielding the binder dict
+# (the paths of an `if` with an `any` inside, to the loop that runs the
+# statements after it).
+_FALL, _EMIT, _YIELD = "fall", "emit", "yield"
 
-    __slots__ = ("name", "guards", "run")
+
+def _contains_any(stmts: list) -> bool:
+    for st in stmts:
+        if isinstance(st, AnyChoice):
+            return True
+        if isinstance(st, If) and (_contains_any(st.then) or _contains_any(st.orelse)):
+            return True
+    return False
+
+
+def _domain_error(var: str, where: str, line: int, col: int, value, state) -> EvalError:
+    return EvalError(
+        f"value {value!r} assigned to {var} is outside its domain", where, line, col, state
+    )
+
+
+class _ActionSource:
+    """The source of one action's successor function, `succ(s)`, and the
+    namespace its names refer to.
+
+    `succ` returns the action's distinct successors of state `s` in
+    enumeration order.  It checks the guards in order, then runs the body
+    as straight-line code with one local `w<i>` for each slot `i` the body
+    assigns: an `if` is a Python `if`, and an `any` is a `for` loop that
+    runs its body and the rest of the action once per choice.  Each
+    iteration starts by restoring the slots the body assigns; the rest
+    cannot see the binder, so it takes the same path in every iteration.
+    Each path ends by appending `(s[0], w1, s[2], ...)`; only an action with
+    an `any` can reach one successor twice, so only those deduplicate.
+
+    An `if` with an `any` inside, followed by more statements, becomes a
+    generator that yields once per path through it, and those statements
+    run in a loop over it.  Statements that would nest too deep move into a
+    helper called in their place.  Generators and helpers are nested
+    functions `k<n>(b)` of the binder dict that share the slot locals.
+    Expressions, sets, domains, binder names and locations travel through
+    the namespace; the source holds only names made here.
+    """
 
     def __init__(self, bound: BoundSpec, action: ActionDef):
-        self.name = action.name
-        where = f"action {action.name}"
-        self.guards = [_compile_expr(g, bound, where) for g in action.guards]
-
-        spec = bound.spec
-        nvars = len(spec.variables)
-        domains = {}
-        for i, v in enumerate(spec.variables):
+        self.bound = bound
+        self.where = f"action {action.name}"
+        self.ns: dict = {"B": {}}
+        self.locals = itertools.count()
+        self.pending: list = []  # (name, statements, tail) of helpers to generate
+        self.domains = {}
+        for i, v in enumerate(bound.spec.variables):
             if v.domain is not None:
-                domains[i] = frozenset(eval_const_set(v.domain, bound, f"var {v.name}"))
-        var_names = [v.name for v in spec.variables]
+                self.domains[i] = frozenset(eval_const_set(v.domain, bound, f"var {v.name}"))
+        nvars = len(bound.spec.variables)
+        slots = self.slots(action.body)
+        fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
+        successor = f"({fields})" if slots else "s"
+        self.emit = f"out.append({successor})"
 
-        def emit(s, b, w, out):
-            out.append(tuple(w.get(i, s[i]) for i in range(nvars)))
+        body: list = []
+        self.block(body, set(), action.body, _EMIT, 1, 0, "B")
+        helpers: list = []
+        while self.pending:  # a loop, not recursion: helpers may be many
+            name, stmts, tail = self.pending.pop()
+            lines: list = []
+            written: set = set()
+            self.block(lines, written, stmts, tail, 2, 0, "b")
+            helpers.append(f"    def {name}(b):")
+            if written:
+                helpers.append("        nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
+            helpers.extend(lines)
 
-        def compile_stmts(stmts: list, k: Callable) -> Callable:
-            for st in reversed(stmts):
-                k = compile_stmt(st, k)
-            return k
+        lines = ["def succ(s):"]
+        for g in action.guards:
+            guard = self.bind("g", _compile_expr(g, bound, self.where))
+            lines.append(f"    if not {guard}(s, B):")
+            lines.append("        return ()")
+        lines.extend(f"    w{i} = s[{i}]" for i in sorted(slots))
+        if not helpers and not _contains_any(action.body):
+            # Exactly one path runs, and its last line is the only append.
+            body[-1] = f"    return ({successor},)"
+            lines.extend(body)
+        else:
+            lines.append("    out = []")
+            lines.extend(helpers)
+            lines.extend(body)
+            lines.append("    return dict.fromkeys(out)" if _contains_any(action.body)
+                         else "    return out")
+        self.source = "\n".join(lines) + "\n"
 
-        def compile_stmt(st, k: Callable) -> Callable:
+    def bind(self, prefix: str, value) -> str:
+        name = f"{prefix}{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def slots(self, stmts: list) -> set:
+        """Slots assigned anywhere in `stmts`."""
+        out = set()
+        for st in stmts:
             if isinstance(st, Assign):
-                i = bound.var_index[st.target]
-                f = _compile_expr(st.value, bound, where)
-                dom = domains.get(i)
-                line, col = st.line, st.col
-                if dom is None:
-                    def assign(s, b, w, out):
-                        w2 = dict(w)
-                        w2[i] = f(s, b)
-                        k(s, b, w2, out)
-                    return assign
+                out.add(self.bound.var_index[st.target])
+            elif isinstance(st, If):
+                out |= self.slots(st.then) | self.slots(st.orelse)
+            elif isinstance(st, AnyChoice):
+                out |= self.slots(st.body)
+        return out
 
-                def assign_checked(s, b, w, out):
-                    v = f(s, b)
-                    if v not in dom:
-                        raise EvalError(
-                            f"value {v!r} assigned to {var_names[i]} is outside its domain",
-                            where, line, col, s,
-                        )
-                    w2 = dict(w)
-                    w2[i] = v
-                    k(s, b, w2, out)
-                return assign_checked
+    def helper(self, stmts: list, tail: str) -> str:
+        """The name of a helper that runs `stmts`, then `tail`; it is a
+        generator when `tail` yields."""
+        name = f"k{next(self.locals)}"
+        self.pending.append((name, stmts, tail))
+        return name
+
+    def block(self, lines: list, written: set, stmts: list, tail: str, depth: int,
+              loops: int, b: str) -> None:
+        """Append the lines that run `stmts` and then `tail` at indentation
+        `depth`, inside `loops` nested loops, with binder dict `b`; `written`
+        collects the slots those lines assign."""
+        pad = "    " * depth
+        start = len(lines)
+        for k, st in enumerate(stmts):
+            if isinstance(st, Assign):
+                i = self.bound.var_index[st.target]
+                f = self.bind("e", _compile_expr(st.value, self.bound, self.where))
+                lines.append(f"{pad}w{i} = {f}(s, {b})")
+                written.add(i)
+                if i in self.domains:
+                    dom = self.bind("D", self.domains[i])
+                    err = self.bind("X", partial(
+                        _domain_error, st.target, self.where, st.line, st.col))
+                    lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
+                continue
+            if depth >= _MAX_INDENT or loops >= _MAX_LOOPS:
+                call = f"{self.helper(stmts[k:], tail)}({b})"
+                lines.append(f"{pad}yield from {call}" if tail == _YIELD else pad + call)
+                return
+            rest = stmts[k + 1:]
+            if isinstance(st, If) and rest and _contains_any([st]):
+                inner = f"b{next(self.locals)}"
+                lines.append(f"{pad}for {inner} in {self.helper([st], _YIELD)}({b}):")
+                self.block(lines, written, rest, tail, depth + 1, loops + 1, inner)
+                return
             if isinstance(st, If):
-                cf = _compile_expr(st.cond, bound, where)
-                tk = compile_stmts(st.then, k)
-                ek = compile_stmts(st.orelse, k)
-                def branch(s, b, w, out):
-                    if cf(s, b):
-                        tk(s, b, w, out)
-                    else:
-                        ek(s, b, w, out)
-                return branch
-            if isinstance(st, AnyChoice):
-                sf = _compile_set(st.over, bound, where)
-                bk = compile_stmts(st.body, k)
-                binder = st.binder
-                def choose(s, b, w, out):
-                    for v in sf(s, b):
-                        b2 = dict(b)
-                        b2[binder] = v
-                        bk(s, b2, w, out)
-                return choose
-            raise TypeError(f"not a statement: {st!r}")
-
-        self.run = compile_stmts(action.body, emit)
-
-    def enabled(self, state: State) -> bool:
-        return all(g(state, {}) for g in self.guards)
-
-    def successors(self, state: State) -> list:
-        if not self.enabled(state):
-            return []
-        out: list = []
-        self.run(state, {}, {}, out)
-        return list(dict.fromkeys(out))
+                cond = self.bind("c", _compile_expr(st.cond, self.bound, self.where))
+                branch_tail = tail if _contains_any([st]) else _FALL
+                lines.append(f"{pad}if {cond}(s, {b}):")
+                self.block(lines, written, st.then, branch_tail, depth + 1, loops, b)
+                if st.orelse or branch_tail != _FALL:
+                    lines.append(f"{pad}else:")
+                    self.block(lines, written, st.orelse, branch_tail, depth + 1, loops, b)
+                if branch_tail == _FALL:
+                    continue
+                return
+            choices = self.bind("S", _compile_set(st.over, self.bound, self.where))
+            binder = self.bind("N", st.binder)
+            n = next(self.locals)
+            inner = f"b{n}"
+            lines.append(f"{pad}for v{n} in {choices}(s, {b}):")
+            lines.append(f"{pad}    {inner} = {{**{b}, {binder}: v{n}}}")
+            for i in sorted(self.slots(st.body)):
+                lines.append(f"{pad}    w{i} = s[{i}]")
+                written.add(i)
+            self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1, inner)
+            return
+        if tail == _EMIT:
+            lines.append(pad + self.emit)
+        elif tail == _YIELD:
+            lines.append(f"{pad}yield {b}")
+        elif len(lines) == start:
+            lines.append(f"{pad}pass")
 
 
-def _compiled_action(bound: BoundSpec, action: ActionDef) -> _CompiledAction:
-    ca = bound._actions.get(action.name)
-    if ca is None:
-        ca = _CompiledAction(bound, action)
-        bound._actions[action.name] = ca
-    return ca
+def _successor_function(bound: BoundSpec, action: ActionDef) -> Callable:
+    src = _ActionSource(bound, action)
+    namespace = dict(src.ns)
+    exec(compile(src.source, f"<action {action.name}>", "exec"), namespace)
+    return namespace["succ"]
+
+
+def _successor_functions(bound: BoundSpec) -> list:
+    """One generated successor function per action, in declaration order;
+    generated on the bound spec's first use."""
+    if bound._successor_fns is None:
+        bound._successor_fns = [_successor_function(bound, a) for a in bound.spec.actions]
+    return bound._successor_fns
 
 
 # --- initial states and successors ---------------------------------------------
@@ -650,7 +746,10 @@ def action_successors(state: State, action: ActionDef, bound: BoundSpec) -> list
     """Successor states of one action: empty when a guard is false, otherwise
     one state per executed path and `any` choice, in enumeration order, with
     duplicates merged."""
-    return _compiled_action(bound, action).successors(state)
+    for a, fn in zip(bound.spec.actions, _successor_functions(bound)):
+        if a.name == action.name:
+            return list(fn(state))
+    return list(_successor_function(bound, action)(state))
 
 
 def successors(state: State, bound: BoundSpec) -> list:
@@ -658,8 +757,7 @@ def successors(state: State, bound: BoundSpec) -> list:
     actions in declaration order.  The pairs are distinct: each action's
     successors are deduplicated, and `validate` makes action names unique."""
     out = []
-    for action in bound.spec.actions:
-        ca = _compiled_action(bound, action)
-        for t in ca.successors(state):
-            out.append((ca.name, t))
+    for action, fn in zip(bound.spec.actions, _successor_functions(bound)):
+        for t in fn(state):
+            out.append((action.name, t))
     return out

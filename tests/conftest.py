@@ -1,8 +1,16 @@
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from spacheck import bind_constants, explore, parse_spec, validate
+
+# `HYPOTHESIS_PROFILE=ci` fuzzes harder where time is cheap: tests that ask
+# for `max(N, settings().max_examples)` examples draw 1,000, and none has a
+# deadline.  Without it, Hypothesis's default profile applies.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"

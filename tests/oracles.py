@@ -119,18 +119,77 @@ def fixpoint_reachable(bound) -> set:
     return seen
 
 
+# --- next-state relation by direct AST interpretation ---------------------------
+
+
+def step(bound, state) -> list:
+    """(action name, successor) pairs of `state`, in the order
+    `successors` defines: actions in declaration order, each action's
+    successors in enumeration order with repeats dropped.
+
+    A plain recursive interpreter over the statement AST: every statement
+    sees the rest of its path as a list, an `any` runs that list once per
+    choice, and primed values live in a dict.  Expressions go through
+    `eval_expr`/`eval_set`; their errors are relabelled with the action, as
+    the checker reports them.
+    """
+    from spacheck.semantics import Env, EvalError, eval_const_set, eval_expr, eval_set
+
+    domains = {
+        i: eval_const_set(v.domain, bound, f"var {v.name}")
+        for i, v in enumerate(bound.spec.variables) if v.domain is not None
+    }
+    out = []
+    for action in bound.spec.actions:
+        where = f"action {action.name}"
+        found: list = []
+
+        def run(stmts: list, binders: dict, primed: dict) -> None:
+            if not stmts:
+                t = tuple(primed.get(i, v) for i, v in enumerate(state))
+                if t not in found:
+                    found.append(t)
+                return
+            st, rest = stmts[0], list(stmts[1:])
+            env = Env(current=state, binders=binders, bound=bound)
+            if isinstance(st, model.Assign):
+                i = bound.var_index[st.target]
+                value = eval_expr(st.value, env)
+                if i in domains and value not in domains[i]:
+                    raise EvalError(
+                        f"value {value!r} assigned to {st.target} is outside its domain",
+                        where, st.line, st.col, state,
+                    )
+                run(rest, binders, {**primed, i: value})
+            elif isinstance(st, model.If):
+                run((st.then if eval_expr(st.cond, env) else st.orelse) + rest, binders, primed)
+            else:
+                for v in eval_set(st.over, env):
+                    run(st.body + rest, {**binders, st.binder: v}, primed)
+
+        try:
+            env = Env(current=state, binders={}, bound=bound)
+            if all(eval_expr(g, env) for g in action.guards):
+                run(list(action.body), {}, {})
+        except EvalError as e:
+            e.where = where
+            raise
+        out.extend((action.name, t) for t in found)
+    return out
+
+
 # --- brute-force liveness oracle ------------------------------------------------
 
 
 def graph_quiescent(graph) -> set:
-    return {i for i, out in enumerate(graph.edges) if all(t == i for _, t in out)}
+    return {i for i in range(graph.n_states) if all(t == i for _, t in graph.out_edges(i))}
 
 
 def _changing_adj(graph, allowed: set) -> dict:
     adj = {}
     for i in allowed:
         adj[i] = sorted(
-            {t for _, t in graph.edges[i] if t != i and t in allowed}
+            {t for _, t in graph.out_edges(i) if t != i and t in allowed}
         )
     return adj
 
@@ -254,7 +313,7 @@ def restricted_reach(graph, starts, allowed: set) -> set:
             dq.append(s)
     while dq:
         u = dq.popleft()
-        for _, v in graph.edges[u]:
+        for _, v in graph.out_edges(u):
             if v != u and v in allowed and v not in seen:
                 seen.add(v)
                 dq.append(v)

@@ -99,6 +99,8 @@ def test_missing_constant_exit_three(capsys):
         (("check", MATH, "--const", 'max_num_q="a\nb"'), "bad --const max_num_q"),
         (("check", CLOCK, "--dot", "/no/such/dir/x.dot"), "cannot write /no/such/dir/x.dot"),
         (("graph", CLOCK, "--dot", "/no/such/dir/x.dot"), "cannot write /no/such/dir/x.dot"),
+        (("check", MATH, "--const", "max_num_q=3", "--max-states", "5",
+          "--dot", "/no/such/dir/x.dot"), "cannot write"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):
@@ -279,6 +281,20 @@ def test_math1_dot_fan_out(capsys, tmp_path):
     check_edges = re.findall(r"(\d+) -> (\d+) \[label=\"Check\"\]", text)
     assert len(check_edges) == 2
     assert len({src for src, _, in check_edges}) == 1  # both leave the phase-B node
+
+
+def test_failed_run_leaves_dot_path_alone(capsys, tmp_path):
+    # the --dot path is checked before exploring; a run that then fails
+    # neither creates the file nor touches one that is there
+    fresh, existing = tmp_path / "fresh.dot", tmp_path / "existing.dot"
+    existing.write_text("keep")
+    for dot in (fresh, existing):
+        code, _, err = run(capsys, "check", MATH, "--const", "max_num_q=3",
+                           "--max-states", "5", "--dot", str(dot))
+        assert code == 2
+        assert "state limit" in err
+    assert not fresh.exists()
+    assert existing.read_text() == "keep"
 
 
 def test_dot_without_properties(capsys, tmp_path):

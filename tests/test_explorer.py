@@ -30,10 +30,10 @@ def test_clock_graph_counts(clock_src):
     bound, graph = build_graph(clock_src)
     assert graph.n_states == 24
     assert graph.n_transitions == 24
-    assert all(len(out) == 1 for out in graph.edges)
+    assert all(len(graph.out_edges(i)) == 1 for i in range(graph.n_states))
     # hand-coded transition function agrees edge by edge
     for i, s in enumerate(graph.states):
-        (label, j), = graph.edges[i]
+        (label, j), = graph.out_edges(i)
         assert label == "Next"
         assert graph.states[j] == oracles.clock_move(s)
     assert set(graph.states) == oracles.clock_states()
@@ -57,8 +57,11 @@ def test_exploration_is_deterministic(math_src):
     bound1, g1 = build_graph(math_src, {"max_num_q": 3})
     bound2, g2 = build_graph(math_src, {"max_num_q": 3})
     assert g1.states == g2.states
-    assert g1.edges == g2.edges
+    assert g1.edge_start == g2.edge_start
+    assert g1.edge_dst == g2.edge_dst
+    assert g1.edge_action == g2.edge_action
     assert g1.parent == g2.parent
+    assert g1.parent_action == g2.parent_action
     assert g1.initial == g2.initial
 
 
@@ -67,16 +70,16 @@ def test_graph_structure_invariants(math_src):
     n = graph.n_states
     assert sorted(graph.index.values()) == list(range(n))
     assert all(graph.index[s] == i for i, s in enumerate(graph.states))
-    for i, out in enumerate(graph.edges):
-        for _, j in out:
+    for i in range(n):
+        for _, j in graph.out_edges(i):
             assert 0 <= j < n
     for i in range(n):
-        if graph.parent[i] is None:
+        if graph.parent[i] < 0:
             assert i in graph.initial
         else:
-            pred, label = graph.parent[i]
+            pred, label = graph.parent[i], bound.spec.actions[graph.parent_action[i]].name
             assert pred < i
-            assert any(t == i for a, t in graph.edges[pred] if a == label)
+            assert any(t == i for a, t in graph.out_edges(pred) if a == label)
 
 
 def test_zero_initial_states_is_an_error():
@@ -191,9 +194,9 @@ def test_trace_not_longer_than_depth(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     depth = [0] * graph.n_states
     for i in range(graph.n_states):
-        if graph.parent[i] is not None:
-            depth[i] = depth[graph.parent[i][0]] + 1
-    assert graph.depth == depth
+        if graph.parent[i] >= 0:
+            depth[i] = depth[graph.parent[i]] + 1
+    assert list(graph.depth) == depth
     for i in range(graph.n_states):
         assert len(reconstruct_trace(graph, i).states) == depth[i] + 1
 
@@ -226,7 +229,7 @@ def test_replay_single_state_trace_checks_initial(math_src):
 def test_replay_rejects_unknown_action(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     root = graph.initial[0]
-    label, target = graph.edges[root][0]
+    label, target = graph.out_edges(root)[0]
     s0, s1 = graph.states[root], graph.states[target]
     assert replay_trace(bound, Trace(states=[s0, s1], actions=["Nope"])) == 1
     assert replay_trace(bound, Trace(states=[s0, s1], actions=[label])) is None

@@ -65,7 +65,7 @@ def test_clock_has_no_quiescent_states(clock_src):
 
 def test_buggy_deadlock_state_is_quiescent(buggy_src):
     bound, graph = build_graph(buggy_src, {"max_num_q": 3})
-    deadlocked = {i for i, out in enumerate(graph.edges) if not out}
+    deadlocked = {i for i in range(graph.n_states) if not graph.out_edges(i)}
     assert deadlocked
     assert deadlocked <= quiescent_states(graph)
 
@@ -310,7 +310,8 @@ def differential_graphs(math_src, clock_src):
 
 # One failure is shrunk: a broken table fails in many distinct ways, and
 # shrinking each of them took minutes.
-@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@settings(max_examples=max(300, settings().max_examples), deadline=None,
+          report_multiple_bugs=False)
 @given(
     data=st.data(),
     which=st.sampled_from(["math", "clock"]),

@@ -291,7 +291,7 @@ def test_frame_property_on_math(math_src):
     writable = {a.name: assigned_anywhere(a) for a in bound.spec.actions}
     names = bound.spec.var_names()
     for i, s in enumerate(graph.states):
-        for label, j in graph.edges[i]:
+        for label, j in graph.out_edges(i):
             t = graph.states[j]
             changed = {names[k] for k in range(len(names)) if s[k] != t[k]}
             assert changed <= writable[label]
