@@ -39,6 +39,11 @@ class UsageError(Exception):
     pass
 
 
+# Parsing, validation, compilation and evaluation recurse once per level of
+# nested blocks or operators, so a deep enough spec exhausts Python's stack.
+_TOO_DEEP = "the spec nests too deeply to check (Python's recursion limit was reached)"
+
+
 @dataclass
 class RunConfig:
     """One checker invocation: which spec, which constants, which checks."""
@@ -174,6 +179,9 @@ def _load_or_report(config: RunConfig):
     except _Located as e:
         print(f"error: {e.message}", file=sys.stderr)
         return None, None, e.code
+    except RecursionError:
+        print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
+        return None, None, EXIT_ERROR
     return bound, graph, EXIT_OK
 
 
@@ -189,8 +197,12 @@ def run_check(config: RunConfig):
     results = []
     if not config.no_deadlock:
         results.append(check_deadlock(graph))
-    for prop in bound.spec.properties:
-        results.append(check_property(graph, prop))
+    try:
+        for prop in bound.spec.properties:
+            results.append(check_property(graph, prop))
+    except RecursionError:
+        print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
+        return None, EXIT_ERROR
 
     if config.dot_path and _write_dot(config.dot_path, graph) != EXIT_OK:
         return None, EXIT_USAGE

@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .model import Expr, SpecModel, State, Value
 from .semantics import (
     BoundSpec,
@@ -233,14 +235,14 @@ def check_invariant(
 def check_deadlock(graph: StateGraph) -> Verdict:
     """Pass iff every state has at least one outgoing edge (self-loops
     count); on fail the trace leads to the first successor-less state."""
-    start = graph.edge_start
-    for i, (lo, hi) in enumerate(zip(start, start[1:])):
-        if lo == hi:
-            return Verdict(
-                name="deadlock", kind="deadlock", status="fail",
-                trace=reconstruct_trace(graph, i),
-                detail=f"state {i} has no enabled action",
-            )
+    empty = np.flatnonzero(np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)) == 0)
+    if empty.size:
+        i = int(empty[0])
+        return Verdict(
+            name="deadlock", kind="deadlock", status="fail",
+            trace=reconstruct_trace(graph, i),
+            detail=f"state {i} has no enabled action",
+        )
     return Verdict(
         name="deadlock", kind="deadlock", status="pass",
         detail=f"no deadlock in {graph.n_states} states",

@@ -11,19 +11,20 @@ makes refuting a liveness property a search for a reachable nontrivial
 strongly connected component, or a reachable quiescent state, inside the
 region where the target predicate fails.
 
-Pass/fail decisions run on numpy/scipy (compiled SCC and reachability, and
-predicate columns over all states at once); counterexample lassos are then
-extracted in plain Python with deterministic tie-breaking (shortest entry
-first, lowest state index on ties).  A predicate column comes from the same
-compiler as guards and invariants, `semantics._compile_expr`, given this
-module's column operator table instead of the scalar one; when the column
-evaluation raises EvalError, the scalar evaluator decides each state.
+Pass/fail decisions run on numpy/scipy (compiled SCC and reachability over
+one CSR matrix per graph, rewritten in place for each search, and predicate
+columns over all states at once).  A counterexample's prefix comes from the
+scipy BFS that decided the verdict, with deterministic tie-breaking
+(shortest entry first, lowest state index on ties); only its loop is found
+in plain Python.  A predicate column comes from the same compiler as guards
+and invariants, `semantics._compile_expr`, given this module's column
+operator table instead of the scalar one; when the column evaluation raises
+EvalError, the scalar evaluator decides each state.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,8 +52,9 @@ from .semantics import EvalError, _compile_expr, eval_const_set
 
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: per-variable value
-    columns, the state-changing edges as CSR rows, quiescence flags, the
-    states on a full-graph cycle, and the initial mask."""
+    columns, quiescence flags, the states on a full-graph cycle, the initial
+    mask, and one CSR matrix of the state-changing edges that `restricted`
+    rewrites in place for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -68,42 +70,75 @@ class _Analysis:
             else:
                 self.columns.append(np.array(vals, dtype=object))
         dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
-        src = np.repeat(np.arange(n), np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
-        # One entry per state-changing (source, target) pair, in CSR row
-        # order.  Two actions may lead to the same state, but scipy's strong
-        # components loop forever on a repeated edge (seen in scipy 1.17).
-        pairs = np.sort(src[src != dst] * n + dst[src != dst], kind="stable")
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        self.src, self.dst = np.divmod(pairs, n)
+        src = np.repeat(np.arange(n, dtype=np.int32),
+                        np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
+        # The first copy of each state-changing (source, target) pair, in edge
+        # order, so that a BFS over the rows assigns the parents a BFS over
+        # the graph's own edges would.  Two actions may lead to the same
+        # state, but scipy's strong components loop forever on a repeated
+        # edge (seen in scipy 1.17).
+        key = src.astype(np.int64)
+        key *= n
+        key += dst
+        _, first = np.unique(key, return_index=True)
+        del key
+        first.sort()
+        first = first[src[first] != dst[first]]
+        self.src = src[first]
+        self.dst = dst[first].astype(np.int32)
+        del src, dst, first  # freed before the matrix is allocated
+        m = self.dst.size
         sc_deg = np.bincount(self.src, minlength=n)
         self.quiescent = sc_deg == 0
-        # The last row is the virtual source of `edges_into`.
-        self.indptr = np.zeros(n + 2, dtype=np.intp)
-        np.cumsum(sc_deg, out=self.indptr[1:n + 1])
-        self.indptr[n + 1] = self.dst.size
-        _, labels = csgraph.connected_components(
-            self.edges_into(np.ones(n, dtype=bool)), directed=True, connection="strong"
+        # Around a cycle the BFS depth rises by at most 1 per edge and returns
+        # to where it started, so every cycle has an edge that does not rise.
+        depth = np.frombuffer(graph.depth, dtype=np.int64)
+        back = depth[self.dst] <= depth[self.src]
+        self.back_src, self.back_dst = self.src[back], self.dst[back]
+        # Row n is a virtual source with one entry per state: the state
+        # itself when it is a start of the search, else a self-loop at n.
+        indptr = np.empty(n + 2, dtype=np.int32)
+        indptr[0] = 0
+        np.cumsum(sc_deg, out=indptr[1:n + 1])
+        indptr[n + 1] = m + n
+        indices = np.zeros(m + n, dtype=np.int32)
+        self._csr = sparse.csr_matrix(
+            (np.ones(m + n), indices, indptr), shape=(n + 1, n + 1)
         )
-        self.cyclic = np.bincount(labels)[labels] >= 2  # on a nontrivial SCC
+        self._targets = self._csr.indices[:m]
+        self._virtual = self._csr.indices[m:]
+        self._inside = np.empty(m, dtype=bool)
+        self._states = np.arange(n, dtype=np.int32)
+        if self.back_src.size:
+            _, labels = csgraph.connected_components(
+                self.restricted(np.ones(n, dtype=bool)), directed=True, connection="strong"
+            )
+            self.cyclic = (np.bincount(labels)[labels] >= 2)[:n]  # on a nontrivial SCC
+        else:
+            self.cyclic = np.zeros(n, dtype=bool)  # no back edge: a DAG
         self.can_stay = self.quiescent | self.cyclic
         self.initial_mask = np.zeros(n, dtype=bool)
         self.initial_mask[graph.initial] = True
 
-    def edges_into(self, mask: np.ndarray, sources: Optional[np.ndarray] = None):
-        """The state-changing edges as a CSR graph, with every edge into a
-        state outside `mask` turned into a self-loop at its source: no path
-        or cycle leaves `mask` through it, and a self-loop never makes an
-        SCC nontrivial.  With `sources`, a virtual source n gets an edge to
-        each of those states."""
-        targets = np.where(mask[self.dst], self.dst, self.src)
-        size, indptr = self.n, self.indptr[:-1]
-        if sources is not None:
-            size, indptr = self.n + 1, self.indptr.copy()
-            indptr[-1] += sources.size
-            targets = np.concatenate((targets, sources))
-        return sparse.csr_matrix(
-            (np.ones(targets.size), targets, indptr), shape=(size, size)
-        )
+    def restricted(self, mask: np.ndarray, starts: Optional[np.ndarray] = None):
+        """The state-changing edges as an (n+1)-node CSR graph, with every
+        edge into a state outside `mask` turned into a self-loop at its
+        source: no path or cycle leaves `mask` through it, and a self-loop
+        never makes an SCC nontrivial.  The virtual source n has an edge to
+        each of `starts`, in ascending order.
+
+        The matrix is rewritten in place by the next call, so no caller may
+        keep it, or a view of its arrays, beyond its own use."""
+        # targets = src + inside * (dst - src): unlike a masked copy, it takes
+        # no branch per edge, which a mixed mask would mispredict.
+        np.take(mask, self.dst, out=self._inside)
+        np.subtract(self.dst, self.src, out=self._targets)
+        np.multiply(self._targets, self._inside, out=self._targets)
+        np.add(self._targets, self.src, out=self._targets)
+        self._virtual.fill(self.n)
+        if starts is not None:
+            np.copyto(self._virtual, self._states, where=starts)
+        return self._csr
 
 
 def _analysis(graph: StateGraph) -> _Analysis:
@@ -203,6 +238,11 @@ class _FailInfo:
     quiescent_hits: np.ndarray  # reached quiescent states, ascending
     scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
     scc_members: dict  # each of scc_hits -> frozenset of its SCC
+    # The BFS that found the reached states, from the virtual source n (None
+    # when the search did not need one): visiting order, and each state's
+    # BFS parent (n for a start).
+    order: Optional[np.ndarray] = None
+    pred: Optional[np.ndarray] = None
 
 
 def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
@@ -216,16 +256,17 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     A nontrivial SCC of the restricted graph lies inside a nontrivial SCC of
     the full graph, and one that holds a reached state is wholly reached; so
-    the SCC pass runs only over reached states on a full-graph cycle.
+    the SCC pass runs only over reached states on a full-graph cycle, and
+    only when some back edge (see `_Analysis`) lies among them.
     """
     ana = _analysis(graph)
     starts = starts & restrict
     if not starts.any() or not (restrict & ana.can_stay).any():
         return None
+    order = pred = None
     if within_restriction:
-        g = ana.edges_into(restrict, sources=np.flatnonzero(starts))
-        order = csgraph.breadth_first_order(
-            g, ana.n, directed=True, return_predecessors=False
+        order, pred = csgraph.breadth_first_order(
+            ana.restricted(restrict, starts), ana.n, directed=True, return_predecessors=True
         )
         reached = np.zeros(ana.n + 1, dtype=bool)
         reached[order] = True
@@ -237,11 +278,11 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     scc_members: dict = {}
     core = reached & ana.cyclic
-    if core.any():
+    if (core[ana.back_src] & core[ana.back_dst]).any():
         _, labels = csgraph.connected_components(
-            ana.edges_into(core), directed=True, connection="strong"
+            ana.restricted(core), directed=True, connection="strong"
         )
-        scc_hits = np.flatnonzero(np.bincount(labels)[labels] >= 2)
+        scc_hits = np.flatnonzero((np.bincount(labels)[labels] >= 2)[:ana.n])
         hit_labels = labels[scc_hits]
         by_label = np.argsort(hit_labels, kind="stable")
         cuts = np.flatnonzero(np.diff(hit_labels[by_label])) + 1
@@ -253,32 +294,35 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     if quiescent_hits.size == 0 and scc_hits.size == 0:
         return None
-    return _FailInfo(quiescent_hits, scc_hits, scc_members)
+    return _FailInfo(quiescent_hits, scc_hits, scc_members, order, pred)
 
 
-# --- lasso extraction (pure python, failure path only) ----------------------------
+# --- lasso extraction (failure path only) ------------------------------------------
 
 
-def _bfs_within(graph: StateGraph, starts: list, allowed: np.ndarray):
-    """Multi-source BFS over state-changing edges inside `allowed`; visits
-    sources in ascending index order so parents are deterministic."""
-    dist: dict = {}
-    par: dict = {}
-    dq = deque()
-    for s in sorted(starts):
-        if s not in dist:
-            dist[s] = 0
-            par[s] = None
-            dq.append(s)
-    start, dst = graph.edge_start, graph.edge_dst
-    while dq:
-        u = dq.popleft()
-        for v in dst[start[u]:start[u + 1]]:
-            if v != u and allowed[v] and v not in dist:
-                dist[v] = dist[u] + 1
-                par[v] = u
-                dq.append(v)
-    return dist, par
+def _bfs_prefix(info: _FailInfo) -> list:
+    """The BFS path of `_search_fail` from a start to the nearest state that
+    can stay forever (fewest steps, then lowest index), as state indices.
+
+    The BFS is FIFO, so its levels are contiguous in `order` and the
+    positions of the parents never decrease along it; each level ends where
+    the parents leave the level before."""
+    order, pred = info.order, info.pred
+    n = pred.size - 1
+    position = np.empty(n + 1, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    parent_position = position[pred[order[1:]]]
+    bounds = [0, 1]  # level 0 is the virtual source
+    while bounds[-1] < order.size:
+        bounds.append(int(np.searchsorted(parent_position, bounds[-1])) + 1)
+    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    candidates = np.concatenate((info.quiescent_hits, info.scc_hits))
+    entry = int(candidates[np.lexsort((candidates, level[position[candidates]]))[0]])
+    path = [entry]
+    while pred[path[-1]] != n:
+        path.append(int(pred[path[-1]]))
+    path.reverse()
+    return path
 
 
 def _edge_label(graph: StateGraph, u: int, v: int) -> str:
@@ -346,19 +390,6 @@ def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> T
     )
 
 
-def _pick_entry(candidates: list, dist: dict) -> int:
-    reachable = [i for i in candidates if i in dist]
-    return min(reachable, key=lambda i: (dist[i], i))
-
-
-def _walk_back(par: dict, entry: int) -> list:
-    path = [entry]
-    while par[path[-1]] is not None:
-        path.append(par[path[-1]])
-    path.reverse()
-    return path
-
-
 # --- the four checks ----------------------------------------------------------
 
 
@@ -384,10 +415,9 @@ def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",
             name=name, kind="eventually", status="pass",
             detail="every admitted behavior reaches the target",
         )
-    starts = [i for i in graph.initial if restrict[i]]
-    dist, par = _bfs_within(graph, starts, restrict)
-    entry = _pick_entry(list(info.quiescent_hits) + list(info.scc_hits), dist)
-    trace = _assemble(graph, _walk_back(par, entry), info, entry)
+    prefix = _bfs_prefix(info)
+    entry = prefix[-1]
+    trace = _assemble(graph, prefix, info, entry)
     kind_of_loop = "stutters forever at quiescent state" if entry not in info.scc_members \
         else "cycles forever from state"
     return Verdict(
@@ -415,10 +445,8 @@ def check_leadsto(graph: StateGraph, p: Expr, q: Expr, *, name: str = "leadsto",
             name=name, kind="leadsto", status="pass",
             detail="every premise state leads to the conclusion",
         )
-    starts = [int(i) for i in np.flatnonzero(obligations)]
-    dist, par = _bfs_within(graph, starts, restrict)
-    entry = _pick_entry(list(info.quiescent_hits) + list(info.scc_hits), dist)
-    tail = _walk_back(par, entry)  # begins at the witnessing premise state
+    tail = _bfs_prefix(info)  # begins at the witnessing premise state
+    entry = tail[-1]
     witness = tail[0]
     head, _ = discovery_path(graph, witness)
     prefix = head[:-1] + tail

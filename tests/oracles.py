@@ -304,20 +304,43 @@ def simple_cycles(graph, allowed: set, first_only: bool = False,
     return cycles
 
 
-def restricted_reach(graph, starts, allowed: set) -> set:
-    seen = set()
+def bfs_within(graph, starts, allowed: set) -> tuple:
+    """Multi-source BFS over state-changing edges inside `allowed`: sources
+    in ascending index order, each state's edges in the graph's edge order,
+    so parents are deterministic.  Returns (dist, parent) dicts; a source's
+    parent is None."""
+    dist: dict = {}
+    par: dict = {}
     dq = deque()
-    for s in starts:
-        if s in allowed and s not in seen:
-            seen.add(s)
+    for s in sorted(starts):
+        if s in allowed and s not in dist:
+            dist[s] = 0
+            par[s] = None
             dq.append(s)
     while dq:
         u = dq.popleft()
         for _, v in graph.out_edges(u):
-            if v != u and v in allowed and v not in seen:
-                seen.add(v)
+            if v != u and v in allowed and v not in dist:
+                dist[v] = dist[u] + 1
+                par[v] = u
                 dq.append(v)
-    return seen
+    return dist, par
+
+
+def restricted_reach(graph, starts, allowed: set) -> set:
+    return set(bfs_within(graph, starts, allowed)[0])
+
+
+def lasso_prefix(graph, starts, allowed: set, candidates) -> list:
+    """The `bfs_within` path from a start to the nearest of `candidates`
+    (fewest steps, then lowest index), as state indices."""
+    dist, par = bfs_within(graph, starts, allowed)
+    entry = min((i for i in candidates if i in dist), key=lambda i: (dist[i], i))
+    path = [entry]
+    while par[path[-1]] is not None:
+        path.append(par[path[-1]])
+    path.reverse()
+    return path
 
 
 def oracle_eventually(graph, pred: list) -> bool:

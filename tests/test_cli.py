@@ -134,6 +134,37 @@ def test_validate_error_exit_two(capsys, tmp_path):
     assert "x' is int" in err
 
 
+def _nested_ifs(depth):
+    body = "x' = 1\n"
+    for _ in range(depth):
+        body = "if x < 5 {\n" + body + "}\n"
+    return "spec deep\nvar x : int init 0\naction A {\n" + body + "}\n"
+
+
+def _long_sum(terms):
+    return " + ".join(["1"] * terms)
+
+
+# Each nests deeper than Python's default recursion limit allows: in the
+# parser, in validate, in the action's compiled expression, and in a
+# property's compiled expression.
+@pytest.mark.parametrize("source", [
+    _nested_ifs(600),
+    "spec deep\nvar x : int init 0\naction A {\nx' = " + _long_sum(1500) + "\n}\n",
+    "spec deep\nvar x : int init 0\naction A {\nx' = " + _long_sum(600) + "\n}\n",
+    "spec deep\nvar x : int init 0\naction A {\nx' = 1\n}\n"
+    "property P: eventually (x = " + _long_sum(600) + ")\n",
+], ids=["nested_ifs", "sum_1500", "sum_600_action", "sum_600_property"])
+def test_deep_spec_exit_two(capsys, tmp_path, source):
+    deep = tmp_path / "deep.spa"
+    deep.write_text(source)
+    code, out, err = run(capsys, "check", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
+    assert "nests too deeply" in err
+
+
 def test_limit_error_exit_two(capsys):
     code, _, err = run(
         capsys, "check", MATH, "--const", "max_num_q=5", "--max-states", "7",

@@ -1,7 +1,9 @@
 """Temporal checks under weak fairness: quiescence, the three kernels,
 binder expansion, and agreement with the brute-force lasso oracle."""
 
+import importlib.util
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_graph
+from conftest import ROOT, build_graph
 from spacheck import (
     Env,
     ExploreLimits,
@@ -24,7 +26,9 @@ from spacheck import (
     replay_trace,
     validate,
 )
-from spacheck.liveness import _COLUMN_OPS, _pred_column, _search_fail
+from spacheck import liveness
+from spacheck.explorer import discovery_path
+from spacheck.liveness import _COLUMN_OPS, _bfs_prefix, _pred_column, _search_fail
 from spacheck.model import INT_MAX, INT_MIN, Binary, state_to_record
 from spacheck.parser import _Parser, tokenize
 from spacheck.semantics import EvalError
@@ -551,6 +555,168 @@ def test_restart_reachability_instances_match_oracle(math_src):
         want = oracles.oracle_eventually(graph, pred_values(graph, bound, pred))
         assert got == ("pass" if want else "fail"), x
     assert check_property(graph, prop_named(bound.spec, "Reachability")).status == "pass"
+
+
+EQUAL_DEPTH_CYCLE = """spec flip
+var x : int init 0
+action Enter {
+    when x = 0
+    any v in {1, 2} {
+        x' = v
+    }
+}
+action Flip {
+    when x > 0
+    x' = 3 - x
+}
+"""
+
+
+def test_search_fail_matches_reference_on_equal_depth_cycle():
+    # states 1 and 2 share BFS depth 1, so both edges of their 2-cycle keep
+    # the depth: the only cycle's back edges are level ones
+    bound, graph = build_graph(EQUAL_DEPTH_CYCLE)
+    assert list(graph.depth) == [0, 1, 1]
+    everything = state_mask(graph, range(graph.n_states))
+    full = _search_fail(graph, everything, everything, within_restriction=False)
+    assert set(full.scc_members.values()) == {frozenset({1, 2})}
+    assert_search_matches_reference(graph, random.Random(6), 100)
+
+
+def test_fail_info_survives_later_searches(math_src):
+    # every search rewrites one shared CSR matrix; a result must own its arrays
+    bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    everything = state_mask(graph, range(graph.n_states))
+    initial = state_mask(graph, graph.initial)
+    info = _search_fail(graph, everything, initial, within_restriction=True)
+    fields = ("quiescent_hits", "scc_hits", "order", "pred")
+    before = {f: getattr(info, f).copy() for f in fields}
+    members, prefix = dict(info.scc_members), _bfs_prefix(info)
+    rng = random.Random(8)
+    for _ in range(20):
+        restrict, starts = random_masks(graph, rng)
+        for within in (True, False):
+            _search_fail(graph, restrict, starts, within)
+    for f in fields:
+        assert np.array_equal(getattr(info, f), before[f]), f
+    assert info.scc_members == members
+    assert _bfs_prefix(info) == prefix
+
+
+# --- lasso prefixes ------------------------------------------------------------------
+
+
+def random_masks(graph, rng):
+    density = rng.choice([0.3, 0.6, 0.9, 1.0])
+    restrict = np.array([rng.random() < density for _ in range(graph.n_states)])
+    reach = rng.choice([0.05, 0.2, 0.5])
+    starts = np.array([rng.random() < reach for _ in range(graph.n_states)])
+    return restrict, starts
+
+
+def reference_prefix(graph, restrict, starts):
+    """The lasso prefix of a failing search, rebuilt from the oracles' own
+    BFS over the graph's edges; None when no behavior stays in `restrict`."""
+    want = reference_search(graph, restrict, starts, True)
+    if want is None:
+        return None
+    allowed = {int(i) for i in np.flatnonzero(restrict)}
+    sources = [int(i) for i in np.flatnonzero(starts)]
+    return oracles.lasso_prefix(graph, sources, allowed, want[0] + want[1])
+
+
+def assert_prefixes_match_reference(graph, rng, trials):
+    """`_search_fail`'s BFS tree, and the lasso prefix taken from it, equal
+    the oracles' BFS over the graph's edges in edge order."""
+    n = graph.n_states
+    for trial in range(trials):
+        restrict, starts = random_masks(graph, rng)
+        info = _search_fail(graph, restrict, starts, within_restriction=True)
+        want = reference_prefix(graph, restrict, starts)
+        assert (info is None) == (want is None), trial
+        if info is None:
+            continue
+        assert _bfs_prefix(info) == want, trial
+        _, parents = oracles.bfs_within(
+            graph, np.flatnonzero(starts).tolist(), set(np.flatnonzero(restrict).tolist())
+        )
+        got = {int(v): int(info.pred[v]) for v in info.order[1:]}
+        assert got == {v: n if u is None else u for v, u in parents.items()}, trial
+
+
+def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
+    """Failing `eventually` and `leadsto` traces, over random target and
+    premise columns, start with the reference prefix and loop from its end."""
+    columns = {}
+    monkeypatch.setattr(liveness, "_pred_column", lambda g, pred, where, b: columns[pred])
+    initial = state_mask(graph, graph.initial)
+    for trial in range(trials):
+        restrict, starts = random_masks(graph, rng)
+        columns["target"], columns["premise"] = ~restrict, starts
+
+        want = reference_prefix(graph, restrict, initial)
+        v = check_eventually(graph, "target")
+        if want is None:
+            assert v.status == "pass", trial
+        else:
+            assert v.status == "fail", trial
+            assert v.detail.endswith(f" {want[-1]}"), trial
+            assert v.trace.loop_start == len(want) - 1, trial
+            assert v.trace.states[:len(want)] == [graph.states[i] for i in want], trial
+            assert replay_trace(graph.bound, v.trace) is None, trial
+
+        want = reference_prefix(graph, restrict, starts)
+        v = check_leadsto(graph, "premise", "target")
+        if want is None:
+            assert v.status == "pass", trial
+        else:
+            assert v.status == "fail", trial
+            assert v.detail.startswith(f"state {want[0]} "), trial
+            head, _ = discovery_path(graph, want[0])
+            prefix = head[:-1] + want
+            assert v.trace.loop_start == len(prefix) - 1, trial
+            assert v.trace.states[:len(prefix)] == [graph.states[i] for i in prefix], trial
+            assert replay_trace(graph.bound, v.trace) is None, trial
+
+
+def panels_source(seed):
+    """perfbench's generated dashboard spec with 3 panels of 3 levels: every
+    state has 6 edges, in an order the seed shuffles."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].panels_source(seed, 3, 3)
+
+
+def test_lasso_prefixes_match_reference_on_random_specs(monkeypatch):
+    rng = random.Random(9)
+    for seed in range(20):
+        bound = bind_constants(oracles.gen_spec(seed), {})
+        assert validate(bound) == []
+        graph = explore(bound, ExploreLimits(max_states=200))
+        assert_prefixes_match_reference(graph, rng, 30)
+        assert_lassos_match_reference(graph, rng, 30, monkeypatch)
+
+
+@pytest.mark.parametrize("which", ["restart", "clock"])
+def test_lasso_prefixes_match_reference_on_cyclic_graphs(which, math_src, clock_src,
+                                                         monkeypatch):
+    if which == "restart":
+        bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    else:
+        bound, graph = build_graph(clock_src)
+    assert_prefixes_match_reference(graph, random.Random(10), 100)
+    assert_lassos_match_reference(graph, random.Random(11), 100, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lasso_prefixes_match_reference_on_panels(seed):
+    # Prefixes only: on these graphs, restricted to a random subset, the
+    # loop search `_cycle_through` can take exponential time (ROADMAP item 7).
+    bound, graph = build_graph(panels_source(seed), {"levels": 3})
+    assert_prefixes_match_reference(graph, random.Random(12), 100)
 
 
 # --- oracle equivalence ---------------------------------------------------------------
