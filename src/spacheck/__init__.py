@@ -8,17 +8,14 @@ from .model import (
     Value,
     state_to_record,
 )
-from .parser import ParseError, Token, parse_spec, pretty_print, tokenize
+from .parser import ParseError, parse_spec, pretty_print, tokenize
 from .semantics import (
     BindError,
     BoundSpec,
-    Env,
     EvalError,
-    StaticError,
     action_successors,
     bind_constants,
     eval_expr,
-    eval_set,
     initial_states,
     successors,
     validate,
@@ -40,7 +37,6 @@ from .liveness import (
     check_eventually,
     check_leadsto,
     check_property,
-    quiescent_states,
 )
 from .cli import Report, RunConfig, emit_dot, emit_json, render_text, run_check
 
@@ -48,14 +44,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpecModel", "State", "Value", "state_to_record",
-    "ParseError", "Token", "parse_spec", "pretty_print", "tokenize",
-    "BindError", "BoundSpec", "Env", "EvalError", "StaticError",
-    "action_successors", "bind_constants", "eval_expr", "eval_set",
+    "ParseError", "parse_spec", "pretty_print", "tokenize",
+    "BindError", "BoundSpec", "EvalError",
+    "action_successors", "bind_constants", "eval_expr",
     "initial_states", "successors", "validate",
     "ExploreLimits", "LimitError", "StateGraph", "Trace", "Verdict",
     "check_deadlock", "check_invariant", "explore", "reconstruct_trace",
     "replay_trace",
     "check_always_eventually", "check_eventually", "check_leadsto",
-    "check_property", "quiescent_states",
+    "check_property",
     "Report", "RunConfig", "emit_dot", "emit_json", "render_text", "run_check",
 ]

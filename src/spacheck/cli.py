@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .explorer import (
+    Deadline,
     ExploreLimits,
     LimitError,
     StateGraph,
@@ -199,9 +200,12 @@ def run_check(config: RunConfig):
         results.append(check_deadlock(graph))
     try:
         for prop in bound.spec.properties:
-            results.append(check_property(graph, prop))
+            results.append(check_property(graph, prop, config.limits.deadline))
     except RecursionError:
         print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
+        return None, EXIT_ERROR
+    except LimitError as e:
+        print(f"error: {config.spec_path}: {e}", file=sys.stderr)
         return None, EXIT_ERROR
 
     if config.dot_path and _write_dot(config.dot_path, graph) != EXIT_OK:
@@ -371,6 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
                  " takes about 280 bytes per state (math.spa, max_num_q=300)",
         )
         p.add_argument("--max-depth", type=int, default=None, metavar="N")
+        p.add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="stop with an error once the check has run this long",
+        )
 
     check = sub.add_parser("check", help="run deadlock and property checks")
     common(check)
@@ -397,6 +405,8 @@ def main(argv: Optional[list] = None) -> int:
             raise UsageError("--max-states must be positive")
         if args.max_depth is not None and args.max_depth <= 0:
             raise UsageError("--max-depth must be positive")
+        if args.timeout is not None and not args.timeout > 0:  # nan too
+            raise UsageError("--timeout must be positive (seconds)")
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -407,7 +417,10 @@ def main(argv: Optional[list] = None) -> int:
         no_deadlock=getattr(args, "no_deadlock", False),
         json_mode=getattr(args, "json", False),
         dot_path=args.dot,
-        limits=ExploreLimits(max_states=args.max_states, max_depth=args.max_depth),
+        limits=ExploreLimits(
+            max_states=args.max_states, max_depth=args.max_depth,
+            deadline=None if args.timeout is None else Deadline.after(args.timeout),
+        ),
     )
     if args.command == "graph":
         return run_graph(config)

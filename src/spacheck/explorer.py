@@ -9,6 +9,7 @@ a self-loop is quiescent but not deadlocked.
 
 from __future__ import annotations
 
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,8 +20,8 @@ from .model import Expr, SpecModel, State, Value
 from .semantics import (
     BoundSpec,
     EvalError,
-    _compile_expr,
-    _successor_functions,
+    _explore_functions,
+    _scan_function,
     action_successors,
     initial_states,
     successors,
@@ -28,13 +29,33 @@ from .semantics import (
 
 
 class LimitError(Exception):
-    """Exploration hit the state or depth cap; never a silent truncation."""
+    """A check hit the state, depth or time cap; never a silent truncation."""
+
+
+@dataclass
+class Deadline:
+    """A time limit on a whole check: `seconds`, ending at `time.monotonic()`
+    value `at`."""
+
+    seconds: float
+    at: float
+
+    @classmethod
+    def after(cls, seconds: float) -> "Deadline":
+        return cls(seconds, time.monotonic() + seconds)
+
+    def expired(self) -> bool:
+        return time.monotonic() > self.at
+
+    def error(self, doing: str) -> LimitError:
+        return LimitError(f"time limit of {self.seconds:g} s exceeded while {doing}")
 
 
 @dataclass
 class ExploreLimits:
     max_states: int = 1_000_000
     max_depth: Optional[int] = None
+    deadline: Optional[Deadline] = None  # checked every 1,024 expanded states
 
 
 @dataclass
@@ -119,12 +140,12 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
 
     Breadth-first: states are expanded in index order, which is discovery
     order, so each state's edges are appended as the next CSR row.  Each
-    action's successors come from its generated function, in the order of
-    semantics.successors, so two explorations of the same BoundSpec produce
-    identical graphs.  States are keyed by their value tuples, so `bound`
-    must have passed `validate`.  Raises EvalError (with the discovery trace
-    of the offending state attached), LimitError, or EvalError on zero
-    initial states.
+    action's generated function interns the successors it makes and appends
+    their edges, in the order of semantics.successors, so two explorations
+    of the same BoundSpec produce identical graphs.  States are keyed by
+    their value tuples, so `bound` must have passed `validate`.  Raises
+    EvalError (with the discovery trace of the offending state attached),
+    LimitError, or EvalError on zero initial states.
     """
     if limits is None:
         limits = ExploreLimits()
@@ -151,35 +172,29 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
             parent_action.append(-1)
             depth.append(0)
 
-    fns = _successor_functions(bound)
-    start_append = graph.edge_start.append
-    dst_append, action_append = graph.edge_dst.append, graph.edge_action.append
+    fns = _explore_functions(bound, graph)
+    edge_dst, start_append = graph.edge_dst, graph.edge_start.append
+    deadline = limits.deadline
     i = 0
     while i < len(states):
+        s, d, known = states[i], depth[i] + 1, len(states)
         try:
-            rows = [fn(states[i]) for fn in fns]
+            for fn in fns:
+                fn(s, i, d)
         except EvalError as e:
             e.trace = reconstruct_trace(graph, i)
             raise
-        d = depth[i] + 1
-        for a, row in enumerate(rows):
-            for t in row:
-                j = index.get(t)
-                if j is None:
-                    if max_depth is not None and d > max_depth:
-                        raise LimitError(f"depth limit of {max_depth} exceeded")
-                    j = len(states)
-                    if j >= max_states:
-                        raise LimitError(f"state limit of {max_states} exceeded")
-                    index[t] = j
-                    states.append(t)
-                    parent.append(i)
-                    parent_action.append(a)
-                    depth.append(d)
-                dst_append(j)
-                action_append(a)
-        start_append(len(graph.edge_dst))
+        start_append(len(edge_dst))
+        # Checked once the state is expanded, so an EvalError at this state
+        # wins over a limit it reaches, and a limit over a later EvalError.
+        if len(states) > known:
+            if max_depth is not None and d > max_depth:
+                raise LimitError(f"depth limit of {max_depth} exceeded")
+            if len(states) > max_states:
+                raise LimitError(f"state limit of {max_states} exceeded")
         i += 1
+        if deadline is not None and not i & 1023 and deadline.expired():
+            raise deadline.error(f"exploring ({len(states)} states, depth {d - 1})")
     return graph
 
 
@@ -214,18 +229,17 @@ def check_invariant(
     """Pass iff `pred` holds in every stored state; on fail the trace is the
     shortest discovery path to the first violating state in BFS order."""
     bound = bound if bound is not None else graph.bound
-    b = binders or {}
-    f = _compile_expr(pred, bound, f"property {name}")
+    where = f"property {name}"
     try:
-        for i, s in enumerate(graph.states):
-            if not f(s, b):
-                return Verdict(
-                    name=name, kind="invariant", status="fail",
-                    trace=reconstruct_trace(graph, i),
-                    detail=f"violated at state {i}",
-                )
+        i = _scan_function(pred, bound, where)(graph.states, binders or {})
     except EvalError as e:
         return Verdict(name=name, kind="invariant", status="error", detail=str(e))
+    if i >= 0:
+        return Verdict(
+            name=name, kind="invariant", status="fail",
+            trace=reconstruct_trace(graph, i),
+            detail=f"violated at state {i}",
+        )
     return Verdict(
         name=name, kind="invariant", status="pass",
         detail=f"holds in all {graph.n_states} states",

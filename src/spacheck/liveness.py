@@ -17,9 +17,10 @@ columns over all states at once).  A counterexample's prefix comes from the
 scipy BFS that decided the verdict, with deterministic tie-breaking
 (shortest entry first, lowest state index on ties); only its loop is found
 in plain Python.  A predicate column comes from the same compiler as guards
-and invariants, `semantics._compile_expr`, given this module's column
-operator table instead of the scalar one; when the column evaluation raises
-EvalError, the scalar evaluator decides each state.
+and invariants, `semantics._compile_expr`, given this module's table of
+column source templates (numpy calls) instead of the scalar one, and is
+generated once per predicate; when the column evaluation raises EvalError,
+the scalar evaluator decides each state.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .model import (
     TemporalProperty,
     format_value,
 )
-from .explorer import StateGraph, Trace, Verdict, check_invariant, discovery_path
-from .semantics import EvalError, _compile_expr, eval_const_set
+from .explorer import Deadline, StateGraph, Trace, Verdict, check_invariant, discovery_path
+from .semantics import EvalError, _expr_function, eval_const_set
 
 
 # --- cached numeric view of a graph -------------------------------------------
@@ -163,65 +164,63 @@ def _extremes(v) -> tuple:
 
 
 def _column_arith(fn: Callable) -> Callable:
-    """Column table entry for `+`, `-` or `*`.  Each is monotone in each
-    operand (`*` is bilinear), so its exact results at the corners of the
-    operands' ranges bound every element's; when a corner leaves 64 bits it
-    raises EvalError instead of wrapping around."""
-    def make(lf, rf, where, node):
-        def arith(c, b):
-            left, right = lf(c, b), rf(c, b)
+    """Factory, for the column table, of the function that applies `+`,
+    `-` or `*` to two operands.  Each is monotone in each operand (`*` is
+    bilinear), so its exact results at the corners of the operands' ranges
+    bound every element's; when a corner leaves 64 bits it raises EvalError
+    instead of wrapping around."""
+    def make(where: str, line: int, col: int) -> Callable:
+        def arith(left, right):
             corners = [fn(x, y) for x in _extremes(left) for y in _extremes(right)]
             if any(not INT_MIN <= v <= INT_MAX for v in corners):
-                raise EvalError("integer overflow", where, node.line, node.col)
+                raise EvalError("integer overflow", where, line, col)
             return fn(left, right)
         return arith
     return make
 
 
-def _column_member(item, elems):
-    def member(c, b):
-        v = item(c, b)
-        acc = np.equal(v, elems[0](c, b))
-        for f in elems[1:]:
-            acc = np.logical_or(acc, np.equal(v, f(c, b)))
-        return acc
-    return member
+def _column_member(item, *elems):
+    acc = np.equal(item, elems[0])
+    for v in elems[1:]:
+        acc = np.logical_or(acc, np.equal(item, v))
+    return acc
 
 
 # `semantics._compile_expr`'s operator table for fn(columns, binders), where
-# columns[i] holds variable i of every stored state: the result is a column,
-# or a scalar when it does not depend on the state.  Both sides of and/or/
-# implies/if are evaluated on every state.
+# columns[i] holds variable i of every stored state, so the source `s[i]` is
+# a column: the result is a column, or a scalar when it does not depend on
+# the state.  Both sides of and/or/implies/if are evaluated on every state.
 _COLUMN_OPS = {
-    "not": lambda f: lambda c, b: np.logical_not(f(c, b)),
-    "and": lambda lf, rf: lambda c, b: np.logical_and(lf(c, b), rf(c, b)),
-    "or": lambda lf, rf: lambda c, b: np.logical_or(lf(c, b), rf(c, b)),
-    "implies": lambda lf, rf: lambda c, b: np.logical_or(np.logical_not(lf(c, b)), rf(c, b)),
-    "if": lambda cf, tf, ff: lambda c, b: np.where(cf(c, b), tf(c, b), ff(c, b)),
-    "range": lambda item, lo, hi: lambda c, b: np.logical_and(
-        lo(c, b) <= item(c, b), item(c, b) <= hi(c, b)
-    ),
-    "member": _column_member,
-    "+": _column_arith(operator.add),
-    "-": _column_arith(operator.sub),
-    "*": _column_arith(operator.mul),
+    "globals": {"np": np, "column_member": _column_member},
+    "not": "np.logical_not({0})",
+    "and": "np.logical_and({0}, {1})",
+    "or": "np.logical_or({0}, {1})",
+    "implies": "np.logical_or(np.logical_not({0}), {1})",
+    "if": "np.where({0}, {1}, {2})",
+    "range": "np.logical_and({1} <= ({t} := {0}), {t} <= {2})",
+    "member": ("column_member({0}, {1})", ", "),
+    "member_const": ("column_member({0}, {1})", ", "),
+    "+": ("{f}({0}, {1})", _column_arith(operator.add)),
+    "-": ("{f}({0}, {1})", _column_arith(operator.sub)),
+    "*": ("{f}({0}, {1})", _column_arith(operator.mul)),
 }
 
 
 def _pred_column(graph: StateGraph, pred: Expr, where: str, binders: dict) -> np.ndarray:
     """Evaluate a predicate over every stored state.
 
-    Compiles it with the column table.  When that raises EvalError (an
-    integer overflow on some state, perhaps one that `and`/`or`/`if` would
-    never evaluate), it re-runs the scalar evaluator on each state, which
-    short-circuits exactly as specified and raises a located EvalError only
-    when the failing operation is really evaluated.
+    Compiles it with the column table, once per bound spec and predicate.
+    When that raises EvalError (an integer overflow on some state, perhaps
+    one that `and`/`or`/`if` would never evaluate), it re-runs the scalar
+    evaluator on each state, which short-circuits exactly as specified and
+    raises a located EvalError only when the failing operation is really
+    evaluated.
     """
     ana = _analysis(graph)
     try:
-        res = _compile_expr(pred, graph.bound, where, _COLUMN_OPS)(ana.columns, binders)
+        res = _expr_function(pred, graph.bound, where, _COLUMN_OPS)(ana.columns, binders)
     except EvalError:
-        f = _compile_expr(pred, graph.bound, where)
+        f = _expr_function(pred, graph.bound, where)
         return np.fromiter(
             (bool(f(s, binders)) for s in graph.states), dtype=bool, count=ana.n
         )
@@ -488,9 +487,11 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
     )
 
 
-def check_property(graph: StateGraph, prop: TemporalProperty) -> Verdict:
+def check_property(graph: StateGraph, prop: TemporalProperty,
+                   deadline: Optional[Deadline] = None) -> Verdict:
     """Dispatch a declared property; a `forall x in S` binder expands to one
-    kernel check per member of S, and a fail names the witnessing value."""
+    kernel check per member of S, and a fail names the witnessing value.
+    Raises LimitError when `deadline` has passed before an instance."""
     where = f"property {prop.name}"
     if prop.binder is not None:
         bname, bset = prop.binder
@@ -508,6 +509,8 @@ def check_property(graph: StateGraph, prop: TemporalProperty) -> Verdict:
         instances = [({}, None)]
 
     for binders, value in instances:
+        if deadline is not None and deadline.expired():
+            raise deadline.error(f"checking property {prop.name}")
         v = _check_shape(graph, prop, binders)
         if v.status != "pass":
             v.binder = value

@@ -1,16 +1,20 @@
 """Static validation, constant binding, evaluation, and the next-state relation.
 
-Expressions are compiled once per bound spec into nested closures, and each
-action into one generated Python function that calls them; exploring a state
-space then costs plain function calls rather than AST walks.  Evaluation is
-strict except for `and`/`or`, which short-circuit.  Variables not assigned
-on an executed action path keep their values (implicit frame), so an action
-with guards only - no body - yields the unchanged state as its one successor.
+Expressions compile to Python source text from source templates, and each
+action to one generated Python function with its guards, assignments,
+conditions and `any` sets inline; `explore` gets a variant that also interns
+each successor where it is made.  Exploring a state space then runs
+straight-line Python rather than AST walks or calls per operator.
+Evaluation is strict except for `and`/`or`, which short-circuit.  Variables
+not assigned on an executed action path keep their values (implicit frame),
+so an action with guards only - no body - yields the unchanged state as its
+one successor.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -88,8 +92,11 @@ class BoundSpec:
     spec: SpecModel
     constants: dict  # name -> Value
     var_index: dict = field(init=False, compare=False, repr=False)
-    # One generated successor function per action, made on first use.
+    # Generated code, made on first use: one successor function per action,
+    # each action's interning variant for `explore`, and expression functions.
     _successor_fns: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _explore_code: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _generated: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.var_index = {v.name: i for i, v in enumerate(self.spec.variables)}
@@ -361,147 +368,251 @@ def validate(bound: BoundSpec) -> list:
     return _Checker(bound).run()
 
 
-# --- compilation to closures -----------------------------------------------------
+# --- compilation to Python source -------------------------------------------------
 
-# A compiled expression is fn(state, binders) -> Value.
+# An expression compiles to Python source text over a state `s` and a binder
+# dict: a variable is `s[3]`, a literal or constant its repr, and operators
+# come from a table of source templates.  `_SCALAR_OPS` is the table for one
+# state tuple; `liveness` has the table for a list of state columns, where
+# `s[3]` is a whole column.  Generated functions then run that text.
 
+_VARIES = object()  # the value of an expression that depends on the state
 
-def _arith(op: str, lf, rf, where: str, node):
-    line, col = node.line, node.col
-    if op == "+":
-        def add(s, b):
-            v = lf(s, b) + rf(s, b)
-            if v < INT_MIN or v > INT_MAX:
-                raise EvalError("integer overflow", where, line, col, s)
-            return v
-        return add
-    if op == "-":
-        def sub(s, b):
-            v = lf(s, b) - rf(s, b)
-            if v < INT_MIN or v > INT_MAX:
-                raise EvalError("integer overflow", where, line, col, s)
-            return v
-        return sub
-    def mul(s, b):
-        v = lf(s, b) * rf(s, b)
-        if v < INT_MIN or v > INT_MAX:
-            raise EvalError("integer overflow", where, line, col, s)
-        return v
-    return mul
+# An operand whose source nests this deep moves into a helper function of its
+# own: CPython's parser gives up at a few hundred nested parentheses, and a
+# level of arithmetic adds two.
+_MAX_EXPR_DEPTH = 12
 
-
-def _member(item, elems):
-    def member(s, b):
-        v = item(s, b)
-        return any(v == f(s, b) for f in elems)
-    return member
-
-
-# Each entry builds one closure from compiled operands: "not"(f), "and"/"or"/
-# "implies"(lf, rf), "if"(cond, then, orelse), "range"(item, lo, hi) for
-# `item in lo..hi`, "member"(item, elems) for a set literal, and
-# "+"/"-"/"*"(lf, rf, where, node).
-_SCALAR_OPS = {
-    "not": lambda f: lambda s, b: not f(s, b),
-    "and": lambda lf, rf: lambda s, b: lf(s, b) and rf(s, b),
-    "or": lambda lf, rf: lambda s, b: lf(s, b) or rf(s, b),
-    "implies": lambda lf, rf: lambda s, b: (not lf(s, b)) or rf(s, b),
-    "if": lambda cf, tf, ff: lambda s, b: tf(s, b) if cf(s, b) else ff(s, b),
-    "range": lambda item, lo, hi: lambda s, b: lo(s, b) <= item(s, b) <= hi(s, b),
-    "member": _member,
-    "+": partial(_arith, "+"),
-    "-": partial(_arith, "-"),
-    "*": partial(_arith, "*"),
+_COMPARE = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_FOLD = {
+    "=": operator.eq, "/=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
 }
 
 
-def _compile_expr(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
-    """The one walk over expressions.  Literals, names and comparisons mean
-    the same for one state tuple and for a list of state columns; `ops`
-    supplies the rest (`liveness` has the column table)."""
-    def sub(x: Expr) -> Callable:
-        return _compile_expr(x, bound, where, ops)
+def _overflow(where: str, line: int, col: int) -> Callable:
+    def overflow(s):
+        raise EvalError("integer overflow", where, line, col, s)
+    return overflow
+
+
+def _unresolved(name: str, where: str, line: int, col: int) -> Callable:
+    def unresolved(s):
+        raise EvalError(f"unresolved identifier {name}", where, line, col, s)
+    return unresolved
+
+
+def _range_values(where: str, line: int, col: int) -> Callable:
+    def range_values(a, z, s):
+        if z - a + 1 > SET_LIMIT:
+            raise EvalError(
+                f"range {a}..{z} exceeds the {SET_LIMIT}-element set limit", where, line, col, s
+            )
+        return range(a, z + 1)
+    return range_values
+
+
+def _checked(op: str) -> str:
+    return "({t} if %d <= ({t} := {0} %s {1}) <= %d else {f}(s))" % (INT_MIN, op, INT_MAX)
+
+
+# Templates over operand sources {0}, {1}, ... and a fresh local {t}.  Set
+# membership is (template, separator between the members); arithmetic is
+# (template, factory(where, line, col) of the function named {f}).  Names a
+# table's templates use come from its "globals".
+_SCALAR_OPS = {
+    "globals": {},
+    "not": "(not {0})",
+    "and": "({0} and {1})",
+    "or": "({0} or {1})",
+    "implies": "(not {0} or {1})",
+    "if": "({1} if {0} else {2})",
+    "range": "({1} <= {0} <= {2})",  # item in lo..hi
+    "member": ("(({t} := {0}) == {1})", " or {t} == "),
+    "member_const": ("({0} in {{{1}}})", ", "),  # folded to a frozenset
+    "+": (_checked("+"), _overflow),
+    "-": (_checked("-"), _overflow),
+    "*": (_checked("*"), _overflow),
+}
+
+
+class _Module:
+    """Generated source under construction: the helper functions it defines
+    at top level, and the namespace its other names refer to."""
+
+    def __init__(self, ns: Optional[dict] = None):
+        self.ns = dict(ns or {})
+        self.defs: list = []
+        self.count = itertools.count()
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}{next(self.count)}"
+
+    def bind(self, prefix: str, value) -> str:
+        name = self.fresh(prefix)
+        self.ns[name] = value
+        return name
+
+    def source(self, main: str) -> str:
+        return "".join(self.defs) + main
+
+    def run(self, main: str, filename: str) -> dict:
+        ns = dict(self.ns)
+        exec(compile(self.source(main), filename, "exec"), ns)
+        return ns
+
+
+def _literal(v) -> tuple:
+    text = repr(v)
+    return (f"({text})" if text.startswith("-") else text), v, 0
+
+
+def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str = "b",
+                  ops: dict = _SCALAR_OPS) -> str:
+    """Python source that evaluates `e` over state `s` and the binder dict
+    named `b`; the names it needs are added to `mod`.  `ops` is the operator
+    table."""
+    return _source(e, bound, where, mod, b, ops)[0]
+
+
+def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: dict) -> tuple:
+    """The one walk over expressions: (source, value, height).  `value` is
+    the constant `e` folds to, or _VARIES; constants fold only where
+    evaluating them cannot fail, and `and`, `or`, `implies` and `if` fold on
+    a constant left side or condition to the branch every state takes.
+    `height` is the nesting of the source; an operand as high as
+    _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, b)`."""
+    def sub(x: Expr) -> tuple:
+        src, value, height = _source(x, bound, where, mod, b, ops)
+        if height < _MAX_EXPR_DEPTH:
+            return src, value, height
+        name = mod.fresh("x")
+        mod.defs.append(f"def {name}(s, {b}):\n    return {src}\n")
+        return f"{name}(s, {b})", value, 1
+
+    def made(src: str, *operands) -> tuple:
+        return src, _VARIES, 1 + max(h for _, _, h in operands)
 
     if isinstance(e, Lit):
-        v = e.value
-        return lambda s, b: v
+        return _literal(e.value)
     if isinstance(e, Name):
         if e.name in bound.var_index:
-            i = bound.var_index[e.name]
-            return lambda s, b: s[i]
+            return f"s[{bound.var_index[e.name]}]", _VARIES, 0
         if e.name in bound.constants:
-            v = bound.constants[e.name]
-            return lambda s, b: v
-        name = e.name
-        line, col = e.line, e.col
-
-        def lookup(s, b):
-            try:
-                return b[name]
-            except KeyError:
-                raise EvalError(f"unresolved identifier {name}", where, line, col, s) from None
-        return lookup
+            return _literal(bound.constants[e.name])
+        err = mod.bind("U", _unresolved(e.name, where, e.line, e.col))
+        return f"({b}[{e.name!r}] if {e.name!r} in {b} else {err}(s))", _VARIES, 1
     if isinstance(e, Unary):
-        return ops["not"](sub(e.operand))
+        x = sub(e.operand)
+        return _literal(not x[1]) if x[1] is not _VARIES else made(ops["not"].format(x[0]), x)
     if isinstance(e, Binary):
-        lf, rf = sub(e.left), sub(e.right)
-        op = e.op
+        left, right = sub(e.left), sub(e.right)
+        op, lv, rv = e.op, left[1], right[1]
         if op in ("and", "or", "implies"):
-            return ops[op](lf, rf)
-        if op == "=":
-            return lambda s, b: lf(s, b) == rf(s, b)
-        if op == "/=":
-            return lambda s, b: lf(s, b) != rf(s, b)
-        if op == "<":
-            return lambda s, b: lf(s, b) < rf(s, b)
-        if op == "<=":
-            return lambda s, b: lf(s, b) <= rf(s, b)
-        if op == ">":
-            return lambda s, b: lf(s, b) > rf(s, b)
-        if op == ">=":
-            return lambda s, b: lf(s, b) >= rf(s, b)
-        return ops[op](lf, rf, where, e)
+            if lv is _VARIES:
+                return made(ops[op].format(left[0], right[0]), left, right)
+            if bool(lv) == (op != "or"):  # the right side decides
+                return right
+            return _literal(op != "and")
+        if lv is not _VARIES and rv is not _VARIES:
+            v = _FOLD[op](lv, rv)
+            if op in _COMPARE or INT_MIN <= v <= INT_MAX:
+                return _literal(v)
+        if op in _COMPARE:
+            return made(f"({left[0]} {_COMPARE[op]} {right[0]})", left, right)
+        template, factory = ops[op]
+        f = mod.bind("O", factory(where, e.line, e.col))
+        return made(template.format(left[0], right[0], t=mod.fresh("t"), f=f), left, right)
     if isinstance(e, InSet):
         item = sub(e.item)
         if isinstance(e.over, RangeSet):
-            return ops["range"](item, sub(e.over.lo), sub(e.over.hi))
-        return ops["member"](item, [sub(el) for el in e.over.elems])
+            lo, hi = sub(e.over.lo), sub(e.over.hi)
+            if _VARIES not in (item[1], lo[1], hi[1]):
+                return _literal(lo[1] <= item[1] <= hi[1])
+            t = mod.fresh("t")
+            return made(ops["range"].format(item[0], lo[0], hi[0], t=t), item, lo, hi)
+        elems = [sub(el) for el in e.over.elems]
+        values = [v for _, v, _ in elems]
+        if _VARIES not in values:
+            if item[1] is not _VARIES:
+                return _literal(item[1] in values)
+            template, sep = ops["member_const"]
+        else:
+            template, sep = ops["member"]
+        t = mod.fresh("t")
+        src = template.format(item[0], sep.format(t=t).join(x for x, _, _ in elems), t=t)
+        return made(src, item, *elems)
     if isinstance(e, Cond):
-        return ops["if"](sub(e.cond), sub(e.then), sub(e.orelse))
+        cond = sub(e.cond)
+        if cond[1] is not _VARIES:
+            return sub(e.then) if cond[1] else sub(e.orelse)
+        then, orelse = sub(e.then), sub(e.orelse)
+        return made(ops["if"].format(cond[0], then[0], orelse[0]), cond, then, orelse)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile_set(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
-    """Compiled set expression: fn(state, binders) -> ordered distinct values."""
+def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: str = "b") -> str:
+    """Python source for the ordered distinct members of a set expression,
+    as an iterable; a literal set of constants is folded to a tuple."""
     if isinstance(se, RangeSet):
-        lo = _compile_expr(se.lo, bound, where)
-        hi = _compile_expr(se.hi, bound, where)
-        line, col = se.line, se.col
+        (lo, lov, _), (hi, hiv, _) = (_source(x, bound, where, mod, b, _SCALAR_OPS)
+                                      for x in (se.lo, se.hi))
+        if _VARIES not in (lov, hiv) and hiv - lov + 1 <= SET_LIMIT:
+            return f"range({lo}, {hiv + 1!r})"
+        check = mod.bind("R", _range_values(where, se.line, se.col))
+        return f"{check}({lo}, {hi}, s)"
+    elems = [_source(x, bound, where, mod, b, _SCALAR_OPS) for x in se.elems]
+    values = [v for _, v, _ in elems]
+    if _VARIES not in values:
+        return "(" + "".join(_literal(v)[0] + ", " for v in dict.fromkeys(values)) + ")"
+    return "dict.fromkeys((" + "".join(x + ", " for x, _, _ in elems) + "))"
 
-        def range_values(s, b):
-            a, z = lo(s, b), hi(s, b)
-            if z - a + 1 > SET_LIMIT:
-                raise EvalError(
-                    f"range {a}..{z} exceeds the {SET_LIMIT}-element set limit",
-                    where, line, col, s,
-                )
-            return list(range(a, z + 1))
-        return range_values
-    elems = [_compile_expr(el, bound, where) for el in se.elems]
 
-    def literal_values(s, b):
-        out = []
-        for f in elems:
-            v = f(s, b)
-            if v not in out:
-                out.append(v)
-        return out
-    return literal_values
+def _generated(bound: BoundSpec, e, key: tuple, make: Callable):
+    """`make()`, run once per bound spec, expression object and `key`.  The
+    cache keeps `e` alive, so its id() cannot pass to another object."""
+    hit = bound._generated.get((id(e),) + key)
+    if hit is None:
+        hit = bound._generated[(id(e),) + key] = (e, make())
+    return hit[1]
+
+
+def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
+    """fn(s, b) -> the value of `e` over state `s` and binder dict `b`."""
+    def make():
+        mod = _Module(ops["globals"])
+        src = _compile_expr(e, bound, where, mod, "b", ops)
+        return mod.run(f"def f(s, b):\n    return {src}\n", f"<{where}>")["f"]
+    return _generated(bound, e, (where, id(ops)), make)
+
+
+def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
+    """scan(states, b) -> the index of the first of `states` where `pred`
+    is false, or -1."""
+    def make():
+        mod = _Module()
+        test = _compile_expr(pred, bound, where, mod)
+        return mod.run("def scan(states, b):\n"
+                       "    for i, s in enumerate(states):\n"
+                       f"        if not {test}:\n"
+                       "            return i\n"
+                       "    return -1\n", f"<{where}>")["scan"]
+    return _generated(bound, pred, (where, "scan"), make)
+
+
+def _set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
+    """fn(s, b) -> the ordered distinct members of `se`, as a list."""
+    def make():
+        mod = _Module()
+        src = _compile_set(se, bound, where, mod)
+        return mod.run(f"def f(s, b):\n    return list({src})\n", f"<{where}>")["f"]
+    return _generated(bound, se, (where, "set"), make)
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
     """Evaluate a validated expression in the given environment."""
-    return _compile_expr(expr, env.bound, "<expr>")(env.current, env.binders)
+    return _expr_function(expr, env.bound, "<expr>")(env.current, env.binders)
 
 
 def eval_set(setexpr: SetExpr, env: Env) -> list:
@@ -510,12 +621,12 @@ def eval_set(setexpr: SetExpr, env: Env) -> list:
     `a..b` yields a, a+1, ..., b (empty when a > b); a literal keeps written
     order, first occurrence wins.
     """
-    return _compile_set(setexpr, env.bound, "<set>")(env.current, env.binders)
+    return _set_function(setexpr, env.bound, "<set>")(env.current, env.binders)
 
 
 def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
     """Evaluate a constants-only set expression (binder sets, domains)."""
-    return _compile_set(setexpr, bound, where)(None, {})
+    return _set_function(setexpr, bound, where)(None, {})
 
 
 # --- action compilation ------------------------------------------------------
@@ -549,33 +660,39 @@ def _domain_error(var: str, where: str, line: int, col: int, value, state) -> Ev
 
 
 class _ActionSource:
-    """The source of one action's successor function, `succ(s)`, and the
-    namespace its names refer to.
+    """The source of one action's successor function and the namespace its
+    names refer to.
 
-    `succ` returns the action's distinct successors of state `s` in
-    enumeration order.  It checks the guards in order, then runs the body
-    as straight-line code with one local `w<i>` for each slot `i` the body
-    assigns: an `if` is a Python `if`, and an `any` is a `for` loop that
-    runs its body and the rest of the action once per choice.  Each
-    iteration starts by restoring the slots the body assigns; the rest
-    cannot see the binder, so it takes the same path in every iteration.
-    Each path ends by appending `(s[0], w1, s[2], ...)`; only an action with
-    an `any` can reach one successor twice, so only those deduplicate.
+    By default the function is `succ(s)`, which returns the action's
+    distinct successors of state `s` in enumeration order.  With
+    `explore_index` set to the action's index it is `succ(s, i, d)` for
+    `explore`: `s` is state `i`, at depth `d - 1`, and each successor is
+    interned where it is made - looked up in the graph's `index`, appended
+    to its state arrays when new - and its edge appended.  Only that last
+    step differs between the two.
+
+    `succ` checks the guards in order, then runs the body as straight-line
+    code with one local `w<i>` for each slot `i` the body assigns: an `if`
+    is a Python `if`, and an `any` is a `for` loop that runs its body and
+    the rest of the action once per choice.  Each iteration starts by
+    restoring the slots the body assigns; the rest cannot see the binder, so
+    it takes the same path in every iteration.  Each path ends with the
+    successor `(s[0], w1, s[2], ...)`; only an action with an `any` can
+    reach one successor twice, so only those collect and deduplicate them
+    first.  Guards, assignments, conditions and `any` sets are
+    `_compile_expr` source, inline.
 
     An `if` with an `any` inside, followed by more statements, becomes a
     generator that yields once per path through it, and those statements
     run in a loop over it.  Statements that would nest too deep move into a
     helper called in their place.  Generators and helpers are nested
     functions `k<n>(b)` of the binder dict that share the slot locals.
-    Expressions, sets, domains, binder names and locations travel through
-    the namespace; the source holds only names made here.
     """
 
-    def __init__(self, bound: BoundSpec, action: ActionDef):
+    def __init__(self, bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
         self.bound = bound
         self.where = f"action {action.name}"
-        self.ns: dict = {"B": {}}
-        self.locals = itertools.count()
+        self.mod = _Module({"B": {}})
         self.pending: list = []  # (name, statements, tail) of helpers to generate
         self.domains = {}
         for i, v in enumerate(bound.spec.variables):
@@ -585,7 +702,18 @@ class _ActionSource:
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
         successor = f"({fields})" if slots else "s"
-        self.emit = f"out.append({successor})"
+        has_any = _contains_any(action.body)
+        interned = [
+            "j = lookup(t)",
+            "if j is None:",
+            "    j = index[t] = len(states)",
+            f"    add_state(t); add_parent(i); add_parent_action({explore_index}); add_depth(d)",
+            f"add_dst(j); add_action({explore_index})",
+        ]
+        if explore_index is None or has_any:
+            self.emit = [f"out.append({successor})"]
+        else:
+            self.emit = [f"t = {successor}"] + interned
 
         body: list = []
         self.block(body, set(), action.body, _EMIT, 1, 0, "B")
@@ -600,28 +728,29 @@ class _ActionSource:
                 helpers.append("        nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
             helpers.extend(lines)
 
-        lines = ["def succ(s):"]
+        lines = ["def succ(s):" if explore_index is None else "def succ(s, i, d):"]
         for g in action.guards:
-            guard = self.bind("g", _compile_expr(g, bound, self.where))
-            lines.append(f"    if not {guard}(s, B):")
-            lines.append("        return ()")
+            lines.append(f"    if not {self.expr(g, 'B')}:")
+            lines.append("        return ()" if explore_index is None else "        return")
         lines.extend(f"    w{i} = s[{i}]" for i in sorted(slots))
-        if not helpers and not _contains_any(action.body):
+        if explore_index is None and not helpers and not has_any:
             # Exactly one path runs, and its last line is the only append.
             body[-1] = f"    return ({successor},)"
             lines.extend(body)
         else:
-            lines.append("    out = []")
+            if explore_index is None or has_any:
+                lines.append("    out = []")
             lines.extend(helpers)
             lines.extend(body)
-            lines.append("    return dict.fromkeys(out)" if _contains_any(action.body)
-                         else "    return out")
-        self.source = "\n".join(lines) + "\n"
+            if explore_index is None:
+                lines.append("    return dict.fromkeys(out)" if has_any else "    return out")
+            elif has_any:
+                lines.append("    for t in dict.fromkeys(out):")
+                lines.extend("        " + line for line in interned)
+        self.source = self.mod.source("\n".join(lines) + "\n")
 
-    def bind(self, prefix: str, value) -> str:
-        name = f"{prefix}{len(self.ns)}"
-        self.ns[name] = value
-        return name
+    def expr(self, e: Expr, b: str) -> str:
+        return _compile_expr(e, self.bound, self.where, self.mod, b)
 
     def slots(self, stmts: list) -> set:
         """Slots assigned anywhere in `stmts`."""
@@ -638,7 +767,7 @@ class _ActionSource:
     def helper(self, stmts: list, tail: str) -> str:
         """The name of a helper that runs `stmts`, then `tail`; it is a
         generator when `tail` yields."""
-        name = f"k{next(self.locals)}"
+        name = self.mod.fresh("k")
         self.pending.append((name, stmts, tail))
         return name
 
@@ -652,12 +781,11 @@ class _ActionSource:
         for k, st in enumerate(stmts):
             if isinstance(st, Assign):
                 i = self.bound.var_index[st.target]
-                f = self.bind("e", _compile_expr(st.value, self.bound, self.where))
-                lines.append(f"{pad}w{i} = {f}(s, {b})")
+                lines.append(f"{pad}w{i} = {self.expr(st.value, b)}")
                 written.add(i)
                 if i in self.domains:
-                    dom = self.bind("D", self.domains[i])
-                    err = self.bind("X", partial(
+                    dom = self.mod.bind("D", self.domains[i])
+                    err = self.mod.bind("X", partial(
                         _domain_error, st.target, self.where, st.line, st.col))
                     lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
                 continue
@@ -667,14 +795,13 @@ class _ActionSource:
                 return
             rest = stmts[k + 1:]
             if isinstance(st, If) and rest and _contains_any([st]):
-                inner = f"b{next(self.locals)}"
+                inner = self.mod.fresh("b")
                 lines.append(f"{pad}for {inner} in {self.helper([st], _YIELD)}({b}):")
                 self.block(lines, written, rest, tail, depth + 1, loops + 1, inner)
                 return
             if isinstance(st, If):
-                cond = self.bind("c", _compile_expr(st.cond, self.bound, self.where))
                 branch_tail = tail if _contains_any([st]) else _FALL
-                lines.append(f"{pad}if {cond}(s, {b}):")
+                lines.append(f"{pad}if {self.expr(st.cond, b)}:")
                 self.block(lines, written, st.then, branch_tail, depth + 1, loops, b)
                 if st.orelse or branch_tail != _FALL:
                     lines.append(f"{pad}else:")
@@ -682,30 +809,34 @@ class _ActionSource:
                 if branch_tail == _FALL:
                     continue
                 return
-            choices = self.bind("S", _compile_set(st.over, self.bound, self.where))
-            binder = self.bind("N", st.binder)
-            n = next(self.locals)
-            inner = f"b{n}"
-            lines.append(f"{pad}for v{n} in {choices}(s, {b}):")
-            lines.append(f"{pad}    {inner} = {{**{b}, {binder}: v{n}}}")
+            choices = _compile_set(st.over, self.bound, self.where, self.mod, b)
+            value, inner = self.mod.fresh("v"), self.mod.fresh("b")
+            lines.append(f"{pad}for {value} in {choices}:")
+            lines.append(f"{pad}    {inner} = {{**{b}, {st.binder!r}: {value}}}")
             for i in sorted(self.slots(st.body)):
                 lines.append(f"{pad}    w{i} = s[{i}]")
                 written.add(i)
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1, inner)
             return
         if tail == _EMIT:
-            lines.append(pad + self.emit)
+            lines.extend(pad + line for line in self.emit)
         elif tail == _YIELD:
             lines.append(f"{pad}yield {b}")
         elif len(lines) == start:
             lines.append(f"{pad}pass")
 
 
+def _action_code(bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
+    """(namespace, code object) of one action's generated successor function."""
+    src = _ActionSource(bound, action, explore_index)
+    return src.mod.ns, compile(src.source, f"<action {action.name}>", "exec")
+
+
 def _successor_function(bound: BoundSpec, action: ActionDef) -> Callable:
-    src = _ActionSource(bound, action)
-    namespace = dict(src.ns)
-    exec(compile(src.source, f"<action {action.name}>", "exec"), namespace)
-    return namespace["succ"]
+    ns, code = _action_code(bound, action)
+    ns = dict(ns)
+    exec(code, ns)
+    return ns["succ"]
 
 
 def _successor_functions(bound: BoundSpec) -> list:
@@ -714,6 +845,29 @@ def _successor_functions(bound: BoundSpec) -> list:
     if bound._successor_fns is None:
         bound._successor_fns = [_successor_function(bound, a) for a in bound.spec.actions]
     return bound._successor_fns
+
+
+def _explore_functions(bound: BoundSpec, graph) -> list:
+    """One interning successor function per action, `succ(s, i, d)` (see
+    `_ActionSource`), bound to the containers of `graph`: its `index`,
+    `states`, `parent`, `parent_action` and `depth`, and the CSR arrays
+    `edge_dst` and `edge_action`.  The code is generated once per bound
+    spec and run once per graph."""
+    if bound._explore_code is None:
+        bound._explore_code = [_action_code(bound, action, a)
+                               for a, action in enumerate(bound.spec.actions)]
+    targets = {
+        "lookup": graph.index.get, "index": graph.index, "states": graph.states,
+        "add_state": graph.states.append, "add_parent": graph.parent.append,
+        "add_parent_action": graph.parent_action.append, "add_depth": graph.depth.append,
+        "add_dst": graph.edge_dst.append, "add_action": graph.edge_action.append,
+    }
+    fns = []
+    for ns, code in bound._explore_code:
+        ns = {**ns, **targets}
+        exec(code, ns)
+        fns.append(ns["succ"])
+    return fns
 
 
 # --- initial states and successors ---------------------------------------------
@@ -727,7 +881,7 @@ def initial_states(bound: BoundSpec) -> list:
     for v in bound.spec.variables:
         where = f"var {v.name}"
         if v.init is not None:
-            values = [_compile_expr(v.init, bound, where)(None, {})]
+            values = [_expr_function(v.init, bound, where)(None, {})]
         else:
             values = eval_const_set(v.init_set, bound, where)
         if v.domain is not None:

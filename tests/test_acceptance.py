@@ -13,7 +13,6 @@ import pytest
 import oracles
 from conftest import build_graph, corpus_path
 from spacheck import (
-    Env,
     ExploreLimits,
     Trace,
     bind_constants,
@@ -34,6 +33,7 @@ from spacheck import (
 from spacheck.cli import RunConfig, emit_json, run_check
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
+from spacheck.semantics import Env
 
 
 def parse_expr(text: str):

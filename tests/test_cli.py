@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -101,6 +102,10 @@ def test_missing_constant_exit_three(capsys):
         (("graph", CLOCK, "--dot", "/no/such/dir/x.dot"), "cannot write /no/such/dir/x.dot"),
         (("check", MATH, "--const", "max_num_q=3", "--max-states", "5",
           "--dot", "/no/such/dir/x.dot"), "cannot write"),
+        (("check", CLOCK, "--timeout", "0"), "--timeout must be positive"),
+        (("check", CLOCK, "--timeout", "-1"), "--timeout must be positive"),
+        (("check", CLOCK, "--timeout", "nan"), "--timeout must be positive"),
+        (("check", CLOCK, "--timeout", "soon"), "invalid float value"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):
@@ -285,6 +290,40 @@ def test_max_depth_flag_exit_two(capsys):
     )
     assert code == 2
     assert "depth limit" in err
+
+
+# A billion reachable states: three counters, each stepping 0..999.
+_HUGE = """spec huge
+var a : int init 0
+var b : int init 0
+var c : int init 0
+action A { when a < 999 a' = a + 1 }
+action B { when b < 999 b' = b + 1 }
+action C { when c < 999 c' = c + 1 }
+"""
+
+
+def test_timeout_while_exploring_exit_two(capsys, tmp_path):
+    spec = tmp_path / "huge.spa"
+    spec.write_text(_HUGE)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "check", str(spec), "--timeout", "0.3")
+    assert time.monotonic() - t0 < 10
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(
+        rf"error: {re.escape(str(spec))}: time limit of 0\.3 s exceeded while exploring"
+        r" \(\d+ states, depth \d+\)\n", err), err
+
+
+def test_timeout_while_checking_a_property_exit_two(capsys):
+    # 24 states: exploring never reaches its first deadline check, at 1,024
+    # expanded states, so the first property meets the deadline.
+    code, out, err = run(capsys, "check", MATH, "--const", "max_num_q=3", "--timeout", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {MATH}: time limit of 1e-09 s exceeded while checking"
+                   " property Reachability\n")
 
 
 # --- DOT export ---------------------------------------------------------------------

@@ -233,3 +233,53 @@ def test_replay_rejects_unknown_action(math_src):
     s0, s1 = graph.states[root], graph.states[target]
     assert replay_trace(bound, Trace(states=[s0, s1], actions=["Nope"])) == 1
     assert replay_trace(bound, Trace(states=[s0, s1], actions=[label])) is None
+
+
+# --- which of a limit and an evaluation error wins ------------------------------------
+
+# State 1 (x = 1) has five new successors from Fan, and then Boom overflows
+# there; Later overflows only at x = 2, a state discovered from state 1.
+_PRECEDENCE = """spec t
+var x : int init 0
+action Start { when x = 0 x' = 1 }
+action Fan { when x = 1 any c in 2..6 { x' = c } }
+action Boom { when x = 1 and boom x' = x + 9223372036854775807 }
+action Later { when x = 2 x' = x * 9223372036854775807 }
+"""
+
+
+def precedence_spec(boom: bool):
+    return build(_PRECEDENCE.replace("boom", "true" if boom else "false"))
+
+
+@pytest.mark.parametrize("limits", [ExploreLimits(max_states=4), ExploreLimits(max_depth=1)],
+                         ids=["max_states", "max_depth"])
+def test_eval_error_of_a_later_action_beats_a_limit_at_the_same_state(limits):
+    with pytest.raises(EvalError, match="overflow") as err:
+        explore(precedence_spec(boom=True), limits)
+    assert "action Boom" in str(err.value)
+    assert err.value.trace.states == [(0,), (1,)]
+    assert err.value.trace.actions == ["Start"]
+
+
+@pytest.mark.parametrize("limits,message", [
+    (ExploreLimits(max_states=4), "state limit of 4 exceeded"),
+    (ExploreLimits(max_depth=1), "depth limit of 1 exceeded"),
+], ids=["max_states", "max_depth"])
+def test_limit_at_a_state_beats_an_eval_error_at_a_later_one(limits, message):
+    bound = precedence_spec(boom=False)
+    with pytest.raises(EvalError, match="overflow") as err:
+        explore(bound)
+    assert "action Later" in str(err.value)
+    assert err.value.trace.states == [(0,), (1,), (2,)]
+    assert err.value.trace.actions == ["Start", "Fan"]
+    with pytest.raises(LimitError) as limit:
+        explore(bound, limits)
+    assert str(limit.value) == message
+
+
+def test_state_limit_counts_the_initial_states():
+    bound = build("spec t\nvar x : int init in 1..3\naction A { when false }")
+    with pytest.raises(LimitError, match="state limit of 2 exceeded"):
+        explore(bound, ExploreLimits(max_states=2))
+    assert explore(bound, ExploreLimits(max_states=3)).n_states == 3

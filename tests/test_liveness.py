@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import ROOT, build_graph
 from spacheck import (
-    Env,
     ExploreLimits,
     bind_constants,
     check_always_eventually,
@@ -22,16 +21,21 @@ from spacheck import (
     check_property,
     eval_expr,
     explore,
-    quiescent_states,
     replay_trace,
     validate,
 )
 from spacheck import liveness
 from spacheck.explorer import discovery_path
-from spacheck.liveness import _COLUMN_OPS, _bfs_prefix, _pred_column, _search_fail
-from spacheck.model import INT_MAX, INT_MIN, Binary, state_to_record
+from spacheck.liveness import (
+    _COLUMN_OPS,
+    _bfs_prefix,
+    _pred_column,
+    _search_fail,
+    quiescent_states,
+)
+from spacheck.model import INT_MAX, INT_MIN, state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import EvalError
+from spacheck.semantics import Env, EvalError
 
 
 def parse_expr(text: str):
@@ -240,15 +244,14 @@ def test_vector_arithmetic_matches_exact_integers(a, b, op):
         (np.array([a], dtype=np.int64), b),
         (a, np.array([b], dtype=np.int64)),
     ]:
-        fn = _COLUMN_OPS[op](
-            lambda c, bs, v=left: v, lambda c, bs, v=right: v, "<test>", Binary(op=op)
-        )
+        _, factory = _COLUMN_OPS[op]
+        fn = factory("<test>", 0, 0)
         if in_range:
-            out = fn(None, {})
+            out = fn(left, right)
             assert int(np.asarray(out).reshape(-1)[0]) == exact
         else:
             with pytest.raises(EvalError):
-                fn(None, {})
+                fn(left, right)
 
 
 # --- column and scalar operator tables agree ------------------------------------

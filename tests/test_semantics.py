@@ -1,22 +1,23 @@
 """Constant binding, static validation, evaluation, and successor enumeration."""
 
+import itertools
+
 import pytest
 
 import oracles
 from conftest import build, build_graph
 from spacheck import (
     BindError,
-    Env,
     EvalError,
     action_successors,
     bind_constants,
     eval_expr,
-    eval_set,
     initial_states,
     parse_spec,
     successors,
     validate,
 )
+from spacheck.semantics import Env, eval_set
 from spacheck.model import INT_MAX, state_to_record
 from spacheck.parser import _Parser, tokenize
 
@@ -172,6 +173,43 @@ def test_eval_set_literal_and_empty_range(clock_src):
     assert eval_set(parse_setexpr("{true, false}"), env_for(bound)) == [True, False]
     assert eval_set(parse_setexpr("5..3"), env_for(bound)) == []
     assert eval_set(parse_setexpr("{1, 2, 1}"), env_for(bound)) == [1, 2]
+
+
+# Templates whose holes A, B (bool) and X, Y (int) are filled either with a
+# literal, which the compiler folds, or with a variable holding the same
+# value, which it cannot; both must evaluate alike, errors included.
+FOLD_TEMPLATES = [
+    "A and B", "A or B", "A implies B", "not A", "(if A then X else Y) = X",
+    "X + Y > 0", "X - Y < 0", "X * Y = 0", "X < Y", "X /= Y", "X in 0..Y",
+    "X in {Y, 1}", "X in {0, 1}", "A = B",
+]
+FOLD_VARS = {"A": "p", "B": "q", "X": "x", "Y": "y"}
+FOLD_VALUES = {"A": (True, False), "B": (True, False), "X": (0, 1, INT_MAX), "Y": (0, 1, INT_MAX)}
+
+
+def fold_outcome(bound, text, state):
+    try:
+        return eval_expr(parse_expr(text), env_for(bound, state))
+    except EvalError as e:
+        return f"EvalError: {e.message}"
+
+
+@pytest.mark.parametrize("template", FOLD_TEMPLATES)
+def test_folded_constants_evaluate_as_variables(template):
+    bound = build("spec t\nvar p : bool init true\nvar q : bool init true\n"
+                  "var x : int init 0\nvar y : int init 0\naction A { when true }")
+    holes = [h for h in FOLD_VARS if h in template]
+    for values in itertools.product(*(FOLD_VALUES[h] for h in holes)):
+        state = {"p": True, "q": True, "x": 0, "y": 0}
+        state.update({FOLD_VARS[h]: v for h, v in zip(holes, values)})
+        want = fold_outcome(bound, template.translate(str.maketrans(FOLD_VARS)), state)
+        for literal in itertools.product((False, True), repeat=len(holes)):
+            text = template
+            for h, v, lit in zip(holes, values, literal):
+                if lit:
+                    text = text.replace(h, str(v).lower() if isinstance(v, bool) else str(v))
+            text = text.translate(str.maketrans(FOLD_VARS))
+            assert fold_outcome(bound, text, state) == want, text
 
 
 # --- initial_states --------------------------------------------------------------

@@ -2,14 +2,20 @@
 the next-state relation (`oracles.step`), and the shapes of action that
 Python's own compiler limits make hard to generate."""
 
+import ast
+import dataclasses
 import itertools
+import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import build
-from spacheck import bind_constants, explore, initial_states, successors, validate
+from spacheck import (bind_constants, check_deadlock, check_property, explore, initial_states,
+                      parse_spec, replay_trace, successors, validate)
+from spacheck.model import Binary, Cond, Lit, Name, Node
 from spacheck.semantics import EvalError, _ActionSource
 
 INT_MAX = 2**63 - 1  # adding it to any positive value overflows
@@ -243,8 +249,10 @@ def oracle_graph(bound) -> tuple:
     return states, edges
 
 
-def source_size(text: str) -> int:
-    bound = build(text)
+def source_size(spec) -> int:
+    """The size of the generated source of the first action of `spec`
+    (text, or a bound spec)."""
+    bound = build(spec) if isinstance(spec, str) else spec
     return len(_ActionSource(bound, bound.spec.actions[0]).source)
 
 
@@ -273,3 +281,103 @@ def test_twenty_five_sequential_anys():
 
 def test_thirty_sequential_ifs_each_with_an_any():
     check_shape(sequential_ifs_with_any, 30, [(0,) * 30, (1,) * 30])
+
+
+# --- expressions nested past what one Python expression can hold ---------------------
+
+# Every `D` below becomes one deep expression whose value is `x` for x >= 0.
+_DEEP = """spec deep
+var x : int init 0
+action Step { when D < 3 x' = D + 1 }
+invariant Small: D < 4
+invariant Below3: D < 3
+property Reaches: eventually (D = 3)
+property Never: eventually (D = 5)
+"""
+_DEEP_VERDICTS = [("deadlock", "fail"), ("Small", "pass"), ("Below3", "fail"),
+                  ("Reaches", "pass"), ("Never", "fail")]
+
+
+def deep_sum(n: int):
+    """x + 0 + 1 - 1 + 1 - 1 ..., n terms, left-nested as the parser builds
+    sums; the `+ 0` is there when n is even, so the value is x."""
+    e = Name(name="x")
+    ops = ([("+", 0)] if n % 2 == 0 else []) + [("+", 1), ("-", 1)] * (n // 2)
+    for op, k in ops[:n - 1]:
+        e = Binary(op=op, left=e, right=Lit(value=k))
+    return e
+
+
+def deep_cond(n: int):
+    """An `if ... then ... else` nested n deep, alternately in the else and
+    the then branch (the parser cannot read one this deep)."""
+    e = Name(name="x")
+    for k in range(n):
+        if k % 2:
+            test = Binary(op=">=", left=Name(name="x"), right=Lit(value=0))
+            e = Cond(cond=test, then=e, orelse=Lit(value=0))
+        else:
+            test = Binary(op="=", left=Name(name="x"), right=Lit(value=-1 - k))
+            e = Cond(cond=test, then=Lit(value=0), orelse=e)
+    return e
+
+
+def substitute(node, make):
+    """Replace every `Name("D")` below `node` by a fresh `make()`."""
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, Name) and value.name == "D":
+            setattr(node, f.name, make())
+        elif isinstance(value, Node):
+            substitute(value, make)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Node):
+                    substitute(item, make)
+
+
+def deep_spec(make):
+    spec = parse_spec(_DEEP)
+    substitute(spec, make)
+    bound = bind_constants(spec, {})
+    assert validate(bound) == []
+    return bound
+
+
+@pytest.mark.parametrize("make,n", [(deep_sum, 120), (deep_sum, 400), (deep_cond, 150)],
+                         ids=["sum_120", "sum_400", "cond_150"])
+def test_deeply_nested_expressions(make, n):
+    bound = deep_spec(lambda: make(n))
+    graph = explore(bound)
+    assert graph.states == [(0,), (1,), (2,), (3,)]
+    assert (graph.states, [graph.out_edges(i) for i in range(graph.n_states)]) \
+        == oracle_graph(bound)
+    verdicts = [check_deadlock(graph)] + [check_property(graph, p) for p in bound.spec.properties]
+    assert [(v.name, v.status) for v in verdicts] == _DEEP_VERDICTS
+    for v in verdicts:
+        if v.trace is not None:
+            assert v.trace.states[-1] == (3,)
+            assert replay_trace(bound, v.trace) is None
+    # linear, as for nested statements
+    half = deep_spec(lambda: make(n // 2))
+    assert source_size(bound) < 2.5 * source_size(half)
+
+
+def test_generated_actions_read_and_compare_inline(math_src):
+    """A variable read, literal, comparison, `and`/`or` or sum in an action
+    is inline source: the only calls left are appending a successor,
+    deduplicating, and raising an overflow or unresolved-name error."""
+    bound = build(math_src, {"max_num_q": 3})
+    for action in bound.spec.actions:
+        for explore_index in (None, 0):
+            tree = ast.parse(_ActionSource(bound, action, explore_index).source)
+            raisers = {id(node.orelse) for node in ast.walk(tree) if isinstance(node, ast.IfExp)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if re.fullmatch(r"[OU]\d+", name):
+                    assert id(node) in raisers, ast.unparse(node)
+                else:
+                    assert name in {"out.append", "dict.fromkeys", "lookup", "len"} \
+                        or name.startswith("add_"), ast.unparse(node)
