@@ -180,9 +180,9 @@ def _column_arith(fn: Callable) -> Callable:
 
 
 def _column_member(item, *elems):
-    acc = np.equal(item, elems[0])
+    acc = item == elems[0]
     for v in elems[1:]:
-        acc = np.logical_or(acc, np.equal(item, v))
+        acc = np.logical_or(acc, item == v)
     return acc
 
 
@@ -199,7 +199,6 @@ _COLUMN_OPS = {
     "if": "np.where({0}, {1}, {2})",
     "range": "np.logical_and({1} <= ({t} := {0}), {t} <= {2})",
     "member": ("column_member({0}, {1})", ", "),
-    "member_const": ("column_member({0}, {1})", ", "),
     "+": ("{f}({0}, {1})", _column_arith(operator.add)),
     "-": ("{f}({0}, {1})", _column_arith(operator.sub)),
     "*": ("{f}({0}, {1})", _column_arith(operator.mul)),

@@ -92,11 +92,12 @@ class BoundSpec:
     spec: SpecModel
     constants: dict  # name -> Value
     var_index: dict = field(init=False, compare=False, repr=False)
-    # Generated code, made on first use: one successor function per action,
-    # each action's interning variant for `explore`, and expression functions.
-    _successor_fns: Optional[list] = field(default=None, init=False, compare=False, repr=False)
-    _explore_code: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    # Generated code, made on first use: what the checker re-uses (successor
+    # code, invariant scans, predicate functions, domains and init sets), and
+    # the functions of the public `eval_expr`/`eval_set`, of which only the
+    # latest few are kept.
     _generated: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _evaluators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.var_index = {v.name: i for i, v in enumerate(self.spec.variables)}
@@ -384,11 +385,7 @@ _VARIES = object()  # the value of an expression that depends on the state
 _MAX_EXPR_DEPTH = 12
 
 _COMPARE = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-_FOLD = {
-    "=": operator.eq, "/=": operator.ne, "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _overflow(where: str, line: int, col: int) -> Callable:
@@ -430,7 +427,6 @@ _SCALAR_OPS = {
     "if": "({1} if {0} else {2})",
     "range": "({1} <= {0} <= {2})",  # item in lo..hi
     "member": ("(({t} := {0}) == {1})", " or {t} == "),
-    "member_const": ("({0} in {{{1}}})", ", "),  # folded to a frozenset
     "+": (_checked("+"), _overflow),
     "-": (_checked("-"), _overflow),
     "*": (_checked("*"), _overflow),
@@ -478,9 +474,8 @@ def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str = 
 
 def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: dict) -> tuple:
     """The one walk over expressions: (source, value, height).  `value` is
-    the constant `e` folds to, or _VARIES; constants fold only where
-    evaluating them cannot fail, and `and`, `or`, `implies` and `if` fold on
-    a constant left side or condition to the branch every state takes.
+    the constant `e` folds to, or _VARIES: literals and constants are their
+    value, and arithmetic on two constants folds unless it overflows.
     `height` is the nesting of the source; an operand as high as
     _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, b)`."""
     def sub(x: Expr) -> tuple:
@@ -505,49 +500,32 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: di
         return f"({b}[{e.name!r}] if {e.name!r} in {b} else {err}(s))", _VARIES, 1
     if isinstance(e, Unary):
         x = sub(e.operand)
-        return _literal(not x[1]) if x[1] is not _VARIES else made(ops["not"].format(x[0]), x)
+        return made(ops["not"].format(x[0]), x)
     if isinstance(e, Binary):
         left, right = sub(e.left), sub(e.right)
-        op, lv, rv = e.op, left[1], right[1]
-        if op in ("and", "or", "implies"):
-            if lv is _VARIES:
-                return made(ops[op].format(left[0], right[0]), left, right)
-            if bool(lv) == (op != "or"):  # the right side decides
-                return right
-            return _literal(op != "and")
-        if lv is not _VARIES and rv is not _VARIES:
-            v = _FOLD[op](lv, rv)
-            if op in _COMPARE or INT_MIN <= v <= INT_MAX:
+        if e.op in ("and", "or", "implies"):
+            return made(ops[e.op].format(left[0], right[0]), left, right)
+        if e.op in _COMPARE:
+            return made(f"({left[0]} {_COMPARE[e.op]} {right[0]})", left, right)
+        if left[1] is not _VARIES and right[1] is not _VARIES:
+            v = _ARITH[e.op](left[1], right[1])
+            if INT_MIN <= v <= INT_MAX:
                 return _literal(v)
-        if op in _COMPARE:
-            return made(f"({left[0]} {_COMPARE[op]} {right[0]})", left, right)
-        template, factory = ops[op]
+        template, factory = ops[e.op]
         f = mod.bind("O", factory(where, e.line, e.col))
         return made(template.format(left[0], right[0], t=mod.fresh("t"), f=f), left, right)
     if isinstance(e, InSet):
         item = sub(e.item)
+        t = mod.fresh("t")
         if isinstance(e.over, RangeSet):
             lo, hi = sub(e.over.lo), sub(e.over.hi)
-            if _VARIES not in (item[1], lo[1], hi[1]):
-                return _literal(lo[1] <= item[1] <= hi[1])
-            t = mod.fresh("t")
             return made(ops["range"].format(item[0], lo[0], hi[0], t=t), item, lo, hi)
         elems = [sub(el) for el in e.over.elems]
-        values = [v for _, v, _ in elems]
-        if _VARIES not in values:
-            if item[1] is not _VARIES:
-                return _literal(item[1] in values)
-            template, sep = ops["member_const"]
-        else:
-            template, sep = ops["member"]
-        t = mod.fresh("t")
+        template, sep = ops["member"]
         src = template.format(item[0], sep.format(t=t).join(x for x, _, _ in elems), t=t)
         return made(src, item, *elems)
     if isinstance(e, Cond):
-        cond = sub(e.cond)
-        if cond[1] is not _VARIES:
-            return sub(e.then) if cond[1] else sub(e.orelse)
-        then, orelse = sub(e.then), sub(e.orelse)
+        cond, then, orelse = sub(e.cond), sub(e.then), sub(e.orelse)
         return made(ops["if"].format(cond[0], then[0], orelse[0]), cond, then, orelse)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -556,10 +534,7 @@ def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: str
     """Python source for the ordered distinct members of a set expression,
     as an iterable; a literal set of constants is folded to a tuple."""
     if isinstance(se, RangeSet):
-        (lo, lov, _), (hi, hiv, _) = (_source(x, bound, where, mod, b, _SCALAR_OPS)
-                                      for x in (se.lo, se.hi))
-        if _VARIES not in (lov, hiv) and hiv - lov + 1 <= SET_LIMIT:
-            return f"range({lo}, {hiv + 1!r})"
+        lo, hi = (_compile_expr(x, bound, where, mod, b) for x in (se.lo, se.hi))
         check = mod.bind("R", _range_values(where, se.line, se.col))
         return f"{check}({lo}, {hi}, s)"
     elems = [_source(x, bound, where, mod, b, _SCALAR_OPS) for x in se.elems]
@@ -569,22 +544,35 @@ def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: str
     return "dict.fromkeys((" + "".join(x + ", " for x, _, _ in elems) + "))"
 
 
-def _generated(bound: BoundSpec, e, key: tuple, make: Callable):
-    """`make()`, run once per bound spec, expression object and `key`.  The
-    cache keeps `e` alive, so its id() cannot pass to another object."""
-    hit = bound._generated.get((id(e),) + key)
+# How many generated functions the public evaluators keep per bound spec.
+_EVALUATORS = 256
+
+
+def _generated(store: dict, e, key: tuple, make: Callable, limit: Optional[int] = None):
+    """`make()`, run once per expression object `e` and `key` while `store`
+    holds it; with `limit`, the oldest entry goes once `store` is full.  An
+    entry keeps `e` alive, so its id() cannot pass to another object."""
+    key = (id(e),) + key
+    hit = store.get(key)
     if hit is None:
-        hit = bound._generated[(id(e),) + key] = (e, make())
+        if limit is not None and len(store) >= limit:
+            del store[next(iter(store))]
+        hit = store[key] = (e, make())
     return hit[1]
 
 
-def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
+def _make_expr_function(e: Expr, bound: BoundSpec, where: str,
+                        ops: dict = _SCALAR_OPS) -> Callable:
     """fn(s, b) -> the value of `e` over state `s` and binder dict `b`."""
-    def make():
-        mod = _Module(ops["globals"])
-        src = _compile_expr(e, bound, where, mod, "b", ops)
-        return mod.run(f"def f(s, b):\n    return {src}\n", f"<{where}>")["f"]
-    return _generated(bound, e, (where, id(ops)), make)
+    mod = _Module(ops["globals"])
+    src = _compile_expr(e, bound, where, mod, "b", ops)
+    return mod.run(f"def f(s, b):\n    return {src}\n", f"<{where}>")["f"]
+
+
+def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
+    """`_make_expr_function`, generated once per bound spec."""
+    return _generated(bound._generated, e, (where, id(ops)),
+                      partial(_make_expr_function, e, bound, where, ops))
 
 
 def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
@@ -598,21 +586,21 @@ def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
                        f"        if not {test}:\n"
                        "            return i\n"
                        "    return -1\n", f"<{where}>")["scan"]
-    return _generated(bound, pred, (where, "scan"), make)
+    return _generated(bound._generated, pred, (where, "scan"), make)
 
 
-def _set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
+def _make_set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
     """fn(s, b) -> the ordered distinct members of `se`, as a list."""
-    def make():
-        mod = _Module()
-        src = _compile_set(se, bound, where, mod)
-        return mod.run(f"def f(s, b):\n    return list({src})\n", f"<{where}>")["f"]
-    return _generated(bound, se, (where, "set"), make)
+    mod = _Module()
+    src = _compile_set(se, bound, where, mod)
+    return mod.run(f"def f(s, b):\n    return list({src})\n", f"<{where}>")["f"]
 
 
 def eval_expr(expr: Expr, env: Env) -> Value:
     """Evaluate a validated expression in the given environment."""
-    return _expr_function(expr, env.bound, "<expr>")(env.current, env.binders)
+    fn = _generated(env.bound._evaluators, expr, ("expr",),
+                    partial(_make_expr_function, expr, env.bound, "<expr>"), _EVALUATORS)
+    return fn(env.current, env.binders)
 
 
 def eval_set(setexpr: SetExpr, env: Env) -> list:
@@ -621,12 +609,16 @@ def eval_set(setexpr: SetExpr, env: Env) -> list:
     `a..b` yields a, a+1, ..., b (empty when a > b); a literal keeps written
     order, first occurrence wins.
     """
-    return _set_function(setexpr, env.bound, "<set>")(env.current, env.binders)
+    fn = _generated(env.bound._evaluators, setexpr, ("set",),
+                    partial(_make_set_function, setexpr, env.bound, "<set>"), _EVALUATORS)
+    return fn(env.current, env.binders)
 
 
 def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
     """Evaluate a constants-only set expression (binder sets, domains)."""
-    return _set_function(setexpr, bound, where)(None, {})
+    fn = _generated(bound._generated, setexpr, (where, "set"),
+                    partial(_make_set_function, setexpr, bound, where))
+    return fn(None, {})
 
 
 # --- action compilation ------------------------------------------------------
@@ -659,17 +651,46 @@ def _domain_error(var: str, where: str, line: int, col: int, value, state) -> Ev
     )
 
 
+def _interning(a: int) -> list:
+    """Lines that intern successor `t` of state `i`, made by action `a`,
+    into the graph: looked up in its `index`, appended to its state arrays
+    at depth `d` when new, and its edge appended."""
+    return [
+        "j = lookup(t)",
+        "if j is None:",
+        "    j = index[t] = len(states)",
+        f"    add_state(t); add_parent(i); add_parent_action({a}); add_depth(d)",
+        f"add_dst(j); add_action({a})",
+    ]
+
+
+def _variant(action: ActionDef, explore_index: Optional[int]) -> tuple:
+    """(params, start, emit, end) of one action's successor function:
+    `succ(s)`, or with `explore_index` (the action's index) the interning
+    `succ(s, i, d)` that `_explore_functions` binds to a graph.  Only an
+    action with an `any` can make one successor twice, so only those collect
+    their successors and deduplicate them first."""
+    has_any = _contains_any(action.body)
+    if explore_index is None:
+        return ("s", ["out = []"], ["out.append(t)"],
+                ["return dict.fromkeys(out)" if has_any else "return out"])
+    if has_any:
+        return ("s, i, d", ["out = []"], ["out.append(t)"],
+                ["for t in dict.fromkeys(out):"]
+                + ["    " + line for line in _interning(explore_index)])
+    return "s, i, d", [], _interning(explore_index), []
+
+
 class _ActionSource:
     """The source of one action's successor function and the namespace its
     names refer to.
 
     By default the function is `succ(s)`, which returns the action's
-    distinct successors of state `s` in enumeration order.  With
-    `explore_index` set to the action's index it is `succ(s, i, d)` for
-    `explore`: `s` is state `i`, at depth `d - 1`, and each successor is
-    interned where it is made - looked up in the graph's `index`, appended
-    to its state arrays when new - and its edge appended.  Only that last
-    step differs between the two.
+    distinct successors of state `s` in enumeration order; with
+    `explore_index` it is `succ(s, i, d)`, which interns each into the
+    graph where it is made.  Only the lines of `_variant` differ: `start`
+    runs once the guards hold, `emit` for each successor `t` made, and `end`
+    closes the function.
 
     `succ` checks the guards in order, then runs the body as straight-line
     code with one local `w<i>` for each slot `i` the body assigns: an `if`
@@ -677,10 +698,8 @@ class _ActionSource:
     the rest of the action once per choice.  Each iteration starts by
     restoring the slots the body assigns; the rest cannot see the binder, so
     it takes the same path in every iteration.  Each path ends with the
-    successor `(s[0], w1, s[2], ...)`; only an action with an `any` can
-    reach one successor twice, so only those collect and deduplicate them
-    first.  Guards, assignments, conditions and `any` sets are
-    `_compile_expr` source, inline.
+    successor `t = (s[0], w1, s[2], ...)`.  Guards, assignments, conditions
+    and `any` sets are `_compile_expr` source, inline.
 
     An `if` with an `any` inside, followed by more statements, becomes a
     generator that yields once per path through it, and those statements
@@ -690,6 +709,7 @@ class _ActionSource:
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
+        params, start, emit, end = _variant(action, explore_index)
         self.bound = bound
         self.where = f"action {action.name}"
         self.mod = _Module({"B": {}})
@@ -701,19 +721,7 @@ class _ActionSource:
         nvars = len(bound.spec.variables)
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
-        successor = f"({fields})" if slots else "s"
-        has_any = _contains_any(action.body)
-        interned = [
-            "j = lookup(t)",
-            "if j is None:",
-            "    j = index[t] = len(states)",
-            f"    add_state(t); add_parent(i); add_parent_action({explore_index}); add_depth(d)",
-            f"add_dst(j); add_action({explore_index})",
-        ]
-        if explore_index is None or has_any:
-            self.emit = [f"out.append({successor})"]
-        else:
-            self.emit = [f"t = {successor}"] + interned
+        self.emit = [f"t = ({fields})" if slots else "t = s"] + emit
 
         body: list = []
         self.block(body, set(), action.body, _EMIT, 1, 0, "B")
@@ -728,25 +736,15 @@ class _ActionSource:
                 helpers.append("        nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
             helpers.extend(lines)
 
-        lines = ["def succ(s):" if explore_index is None else "def succ(s, i, d):"]
+        lines = [f"def succ({params}):"]
         for g in action.guards:
             lines.append(f"    if not {self.expr(g, 'B')}:")
-            lines.append("        return ()" if explore_index is None else "        return")
+            lines.append("        return ()")
         lines.extend(f"    w{i} = s[{i}]" for i in sorted(slots))
-        if explore_index is None and not helpers and not has_any:
-            # Exactly one path runs, and its last line is the only append.
-            body[-1] = f"    return ({successor},)"
-            lines.extend(body)
-        else:
-            if explore_index is None or has_any:
-                lines.append("    out = []")
-            lines.extend(helpers)
-            lines.extend(body)
-            if explore_index is None:
-                lines.append("    return dict.fromkeys(out)" if has_any else "    return out")
-            elif has_any:
-                lines.append("    for t in dict.fromkeys(out):")
-                lines.extend("        " + line for line in interned)
+        lines.extend("    " + line for line in start)
+        lines.extend(helpers)
+        lines.extend(body)
+        lines.extend("    " + line for line in end)
         self.source = self.mod.source("\n".join(lines) + "\n")
 
     def expr(self, e: Expr, b: str) -> str:
@@ -827,7 +825,8 @@ class _ActionSource:
 
 
 def _action_code(bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
-    """(namespace, code object) of one action's generated successor function."""
+    """(namespace, code object) of one action's generated successor function
+    (see `_ActionSource`)."""
     src = _ActionSource(bound, action, explore_index)
     return src.mod.ns, compile(src.source, f"<action {action.name}>", "exec")
 
@@ -842,9 +841,8 @@ def _successor_function(bound: BoundSpec, action: ActionDef) -> Callable:
 def _successor_functions(bound: BoundSpec) -> list:
     """One generated successor function per action, in declaration order;
     generated on the bound spec's first use."""
-    if bound._successor_fns is None:
-        bound._successor_fns = [_successor_function(bound, a) for a in bound.spec.actions]
-    return bound._successor_fns
+    return _generated(bound._generated, bound.spec, ("succ",), lambda: [
+        _successor_function(bound, a) for a in bound.spec.actions])
 
 
 def _explore_functions(bound: BoundSpec, graph) -> list:
@@ -853,9 +851,8 @@ def _explore_functions(bound: BoundSpec, graph) -> list:
     `states`, `parent`, `parent_action` and `depth`, and the CSR arrays
     `edge_dst` and `edge_action`.  The code is generated once per bound
     spec and run once per graph."""
-    if bound._explore_code is None:
-        bound._explore_code = [_action_code(bound, action, a)
-                               for a, action in enumerate(bound.spec.actions)]
+    codes = _generated(bound._generated, bound.spec, ("explore",), lambda: [
+        _action_code(bound, action, a) for a, action in enumerate(bound.spec.actions)])
     targets = {
         "lookup": graph.index.get, "index": graph.index, "states": graph.states,
         "add_state": graph.states.append, "add_parent": graph.parent.append,
@@ -863,7 +860,7 @@ def _explore_functions(bound: BoundSpec, graph) -> list:
         "add_dst": graph.edge_dst.append, "add_action": graph.edge_action.append,
     }
     fns = []
-    for ns, code in bound._explore_code:
+    for ns, code in codes:
         ns = {**ns, **targets}
         exec(code, ns)
         fns.append(ns["succ"])

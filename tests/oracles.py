@@ -9,11 +9,12 @@ quiescent state, each with a reachability prefix).
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 
 from spacheck import model
-from spacheck.semantics import successors
+from spacheck.semantics import SET_LIMIT, EvalError, successors
 
 # --- hand-coded math workflow (independent of the .spa corpus) ---------------
 
@@ -119,6 +120,74 @@ def fixpoint_reachable(bound) -> set:
     return seen
 
 
+# --- expressions by direct AST interpretation -----------------------------------
+
+_COMPARE = {
+    "=": operator.eq, "/=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def evaluate(e, state, binders: dict, bound, where: str = "<expr>"):
+    """The value of expression `e` at `state` (None where only constants
+    and binders may appear), by plain recursion over the AST.  Operands are
+    evaluated left to right; `and`, `or`, `implies`, `if` and the chained
+    `lo <= item <= hi` of a range, like Python's, skip what cannot change
+    the result, and a set literal stops at the first equal member.  An
+    integer overflow is a located EvalError, as the checker reports it."""
+    def ev(x):
+        return evaluate(x, state, binders, bound, where)
+
+    if isinstance(e, model.Lit):
+        return e.value
+    if isinstance(e, model.Name):
+        if e.name in bound.var_index:
+            return state[bound.var_index[e.name]]
+        return bound.constants[e.name] if e.name in bound.constants else binders[e.name]
+    if isinstance(e, model.Unary):
+        return not ev(e.operand)
+    if isinstance(e, model.Binary):
+        left = ev(e.left)
+        if e.op == "and":
+            return left and ev(e.right)
+        if e.op == "or":
+            return left or ev(e.right)
+        if e.op == "implies":
+            return not left or ev(e.right)
+        right = ev(e.right)
+        if e.op in _COMPARE:
+            return _COMPARE[e.op](left, right)
+        value = _ARITH[e.op](left, right)
+        if not model.INT_MIN <= value <= model.INT_MAX:
+            raise EvalError("integer overflow", where, e.line, e.col, state)
+        return value
+    if isinstance(e, model.InSet):
+        if isinstance(e.over, model.RangeSet):
+            lo = ev(e.over.lo)
+            item = ev(e.item)
+            return lo <= item and item <= ev(e.over.hi)
+        item = ev(e.item)
+        return any(item == ev(x) for x in e.over.elems)
+    if isinstance(e, model.Cond):
+        return ev(e.then) if ev(e.cond) else ev(e.orelse)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def members(se, state, binders: dict, bound, where: str = "<set>") -> list:
+    """The ordered distinct members of a set expression, as `evaluate`
+    would give them."""
+    if isinstance(se, model.RangeSet):
+        lo = evaluate(se.lo, state, binders, bound, where)
+        hi = evaluate(se.hi, state, binders, bound, where)
+        if hi - lo + 1 > SET_LIMIT:
+            raise EvalError(f"range {lo}..{hi} exceeds the {SET_LIMIT}-element set limit",
+                            where, se.line, se.col, state)
+        return list(range(lo, hi + 1))
+    values = [evaluate(x, state, binders, bound, where) for x in se.elems]
+    return list(dict.fromkeys(values))
+
+
 # --- next-state relation by direct AST interpretation ---------------------------
 
 
@@ -130,13 +199,11 @@ def step(bound, state) -> list:
     A plain recursive interpreter over the statement AST: every statement
     sees the rest of its path as a list, an `any` runs that list once per
     choice, and primed values live in a dict.  Expressions go through
-    `eval_expr`/`eval_set`; their errors are relabelled with the action, as
-    the checker reports them.
+    `evaluate` and `members`, which share no code with the checker's
+    expression compiler.
     """
-    from spacheck.semantics import Env, EvalError, eval_const_set, eval_expr, eval_set
-
     domains = {
-        i: eval_const_set(v.domain, bound, f"var {v.name}")
+        i: members(v.domain, None, {}, bound, f"var {v.name}")
         for i, v in enumerate(bound.spec.variables) if v.domain is not None
     }
     out = []
@@ -151,10 +218,9 @@ def step(bound, state) -> list:
                     found.append(t)
                 return
             st, rest = stmts[0], list(stmts[1:])
-            env = Env(current=state, binders=binders, bound=bound)
             if isinstance(st, model.Assign):
                 i = bound.var_index[st.target]
-                value = eval_expr(st.value, env)
+                value = evaluate(st.value, state, binders, bound, where)
                 if i in domains and value not in domains[i]:
                     raise EvalError(
                         f"value {value!r} assigned to {st.target} is outside its domain",
@@ -162,18 +228,14 @@ def step(bound, state) -> list:
                     )
                 run(rest, binders, {**primed, i: value})
             elif isinstance(st, model.If):
-                run((st.then if eval_expr(st.cond, env) else st.orelse) + rest, binders, primed)
+                branch = evaluate(st.cond, state, binders, bound, where)
+                run((st.then if branch else st.orelse) + rest, binders, primed)
             else:
-                for v in eval_set(st.over, env):
+                for v in members(st.over, state, binders, bound, where):
                     run(st.body + rest, {**binders, st.binder: v}, primed)
 
-        try:
-            env = Env(current=state, binders={}, bound=bound)
-            if all(eval_expr(g, env) for g in action.guards):
-                run(list(action.body), {}, {})
-        except EvalError as e:
-            e.where = where
-            raise
+        if all(evaluate(g, state, {}, bound, where) for g in action.guards):
+            run(list(action.body), {}, {})
         out.extend((action.name, t) for t in found)
     return out
 

@@ -22,7 +22,6 @@ from spacheck import (
     check_property,
     check_leadsto,
     check_always_eventually,
-    eval_expr,
     explore,
     parse_spec,
     pretty_print,
@@ -33,7 +32,6 @@ from spacheck import (
 from spacheck.cli import RunConfig, emit_json, run_check
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import Env
 
 
 def parse_expr(text: str):
@@ -125,8 +123,7 @@ def _oracle_for(kind):
 
 def _pred_values(graph, bound, expr, binders=None):
     return [
-        bool(eval_expr(expr, Env(current=s, binders=binders or {}, bound=bound)))
-        for s in graph.states
+        bool(oracles.evaluate(expr, s, binders or {}, bound)) for s in graph.states
     ]
 
 

@@ -727,8 +727,7 @@ def test_lasso_prefixes_match_reference_on_panels(seed):
 
 def pred_values(graph, bound, expr, binders=None):
     return [
-        bool(eval_expr(expr, Env(current=s, binders=binders or {}, bound=bound)))
-        for s in graph.states
+        bool(oracles.evaluate(expr, s, binders or {}, bound)) for s in graph.states
     ]
 
 
