@@ -12,11 +12,16 @@ strongly connected component, or a reachable quiescent state, inside the
 region where the target predicate fails.
 
 Pass/fail decisions run on numpy/scipy (compiled SCC and reachability over
-one CSR matrix per graph, rewritten in place for each search, and predicate
-columns over all states at once).  A counterexample's prefix comes from the
-scipy BFS that decided the verdict, with deterministic tie-breaking
-(shortest entry first, lowest state index on ties); only its loop is found
-in plain Python.  A predicate column comes from the same compiler as guards
+one CSR matrix per graph, and predicate columns over all states at once).
+A search restricted to a set of states gives every state outside it a row
+of self-loops, so the compiled BFS and SCC passes reach such a state only
+as a leaf or a singleton SCC, and the search ANDs what they return with the
+set.  Between searches only the rows of states whose membership changed
+are rewritten, which is what keeps a `forall`'s instances cheap: each
+changes few rows.  A counterexample's prefix comes from the scipy BFS that
+decided the verdict, with deterministic tie-breaking (shortest entry first,
+lowest state index on ties); only its loop is found in plain Python, by a
+linear DFS.  A predicate column comes from the same compiler as guards
 and invariants, `semantics._compile_expr`, given this module's table of
 column source templates (numpy calls) instead of the scalar one, and is
 generated once per predicate; when the column evaluation raises EvalError,
@@ -50,12 +55,18 @@ from .semantics import EvalError, _expr_function, eval_const_set
 
 # --- cached numeric view of a graph -------------------------------------------
 
+# `_Analysis.restricted` rewrites all rows in one vectorised pass when the
+# rows whose membership changed hold more than 1/8 of the edges.  Rewriting
+# only those rows costs more per edge; it stopped paying at about 1/10 of
+# the rows changed on math-dag and 1/3 on panels-wide (random rows).
+_FULL_REWRITE_SHARE = 8
+
 
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: per-variable value
     columns, quiescence flags, the states on a full-graph cycle, the initial
     mask, and one CSR matrix of the state-changing edges that `restricted`
-    rewrites in place for every search."""
+    rewrites in place, row by row, for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -98,21 +109,26 @@ class _Analysis:
         self.back_src, self.back_dst = self.src[back], self.dst[back]
         # Row n is a virtual source with one entry per state: the state
         # itself when it is a start of the search, else a self-loop at n.
+        # The matrix starts out as the whole graph, with no starts.
         indptr = np.empty(n + 2, dtype=np.int32)
         indptr[0] = 0
         np.cumsum(sc_deg, out=indptr[1:n + 1])
         indptr[n + 1] = m + n
-        indices = np.zeros(m + n, dtype=np.int32)
+        indices = np.empty(m + n, dtype=np.int32)
+        indices[:m] = self.dst
+        indices[m:] = n
         self._csr = sparse.csr_matrix(
             (np.ones(m + n), indices, indptr), shape=(n + 1, n + 1)
         )
+        self._row_start = self._csr.indptr[:n + 1]
         self._targets = self._csr.indices[:m]
         self._virtual = self._csr.indices[m:]
         self._inside = np.empty(m, dtype=bool)
-        self._states = np.arange(n, dtype=np.int32)
+        self._mask = np.ones(n, dtype=bool)
+        self._starts = np.zeros(n, dtype=bool)
         if self.back_src.size:
             _, labels = csgraph.connected_components(
-                self.restricted(np.ones(n, dtype=bool)), directed=True, connection="strong"
+                self._csr, directed=True, connection="strong"
             )
             self.cyclic = (np.bincount(labels)[labels] >= 2)[:n]  # on a nontrivial SCC
         else:
@@ -122,23 +138,44 @@ class _Analysis:
         self.initial_mask[graph.initial] = True
 
     def restricted(self, mask: np.ndarray, starts: Optional[np.ndarray] = None):
-        """The state-changing edges as an (n+1)-node CSR graph, with every
-        edge into a state outside `mask` turned into a self-loop at its
-        source: no path or cycle leaves `mask` through it, and a self-loop
-        never makes an SCC nontrivial.  The virtual source n has an edge to
-        each of `starts`, in ascending order.
+        """The state-changing edges as an (n+1)-node CSR graph in which every
+        state outside `mask` has a row of self-loops: a path or cycle can
+        enter such a state but never leave it, so a search sees it only as a
+        leaf or a singleton SCC, and a caller ANDs its result with `mask`.
+        The virtual source n has an edge to each of `starts`, in ascending
+        order.
 
-        The matrix is rewritten in place by the next call, so no caller may
-        keep it, or a view of its arrays, beyond its own use."""
-        # targets = src + inside * (dst - src): unlike a masked copy, it takes
-        # no branch per edge, which a mixed mask would mispredict.
-        np.take(mask, self.dst, out=self._inside)
-        np.subtract(self.dst, self.src, out=self._targets)
-        np.multiply(self._targets, self._inside, out=self._targets)
-        np.add(self._targets, self.src, out=self._targets)
-        self._virtual.fill(self.n)
-        if starts is not None:
-            np.copyto(self._virtual, self._states, where=starts)
+        The matrix is rewritten in place, and only in the rows of states whose
+        membership changed since the last call (and in the virtual row only at
+        the starts that changed), so no caller may keep it, or a view of its
+        arrays, beyond its own use."""
+        changed = np.flatnonzero(mask != self._mask)
+        first = self._row_start[changed]
+        width = self._row_start[changed + 1] - first
+        total = int(width.sum())
+        if total * _FULL_REWRITE_SHARE > self._targets.size:
+            # targets = src + inside * (dst - src): unlike a masked copy, it
+            # takes no branch per edge, which a mixed mask would mispredict.
+            # `src` is sorted, so `mask[src]` is read in order.
+            np.take(mask, self.src, out=self._inside)
+            np.subtract(self.dst, self.src, out=self._targets)
+            np.multiply(self._targets, self._inside, out=self._targets)
+            np.add(self._targets, self.src, out=self._targets)
+        elif total:
+            # The edge positions of the changed rows, row after row.
+            offset = first.astype(np.int64)
+            offset -= np.cumsum(width) - width
+            pos = np.repeat(offset, width)
+            pos += np.arange(total)
+            self._targets[pos] = np.where(
+                np.repeat(mask[changed], width), self.dst[pos], self.src[pos]
+            )
+        np.copyto(self._mask, mask)
+        if starts is None:
+            starts = np.zeros_like(self._starts)
+        flipped = np.flatnonzero(starts != self._starts)
+        self._virtual[flipped] = np.where(starts[flipped], flipped, self.n)
+        np.copyto(self._starts, starts)
         return self._csr
 
 
@@ -256,6 +293,11 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     the full graph, and one that holds a reached state is wholly reached; so
     the SCC pass runs only over reached states on a full-graph cycle, and
     only when some back edge (see `_Analysis`) lies among them.
+
+    The BFS also visits states outside `restrict` that an edge leads to, but
+    only as leaves (see `_Analysis.restricted`): the states inside keep the
+    order and the parents of a BFS that never left the restriction, and a
+    failing search drops the others from `order` and `pred`.
     """
     ana = _analysis(graph)
     starts = starts & restrict
@@ -266,9 +308,8 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
         order, pred = csgraph.breadth_first_order(
             ana.restricted(restrict, starts), ana.n, directed=True, return_predecessors=True
         )
-        reached = np.zeros(ana.n + 1, dtype=bool)
-        reached[order] = True
-        reached = reached[:ana.n]
+        reached = pred[:ana.n] >= 0  # a start's parent is n
+        reached &= restrict
     else:
         reached = restrict
 
@@ -292,6 +333,9 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     if quiescent_hits.size == 0 and scc_hits.size == 0:
         return None
+    if order is not None:
+        order = order[np.append(restrict, True)[order]]
+        pred[:ana.n][~restrict] = pred[ana.n]  # scipy's "no parent"
     return _FailInfo(quiescent_hits, scc_hits, scc_members, order, pred)
 
 
@@ -332,7 +376,13 @@ def _edge_label(graph: StateGraph, u: int, v: int) -> str:
 
 def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
     """Depth-first walk over state-changing edges inside one SCC; returns the
-    first cycle through `entry`, preferring lower state indices."""
+    first cycle through `entry`, preferring lower state indices.
+
+    A state whose subtree is exhausted is never entered again.  Until the
+    cycle is found, every path from such a state to `entry` passes through a
+    state on the current DFS path (the blocking argument of Johnson, SIAM J.
+    Comput. 1975), so no simple path through it closes the loop: skipping it
+    finds the same first cycle as a walk over all simple paths, in O(V+E)."""
 
     start, dst = graph.edge_start, graph.edge_dst
 
@@ -340,21 +390,21 @@ def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
         return sorted({v for v in dst[start[u]:start[u + 1]] if v != u and v in members})
 
     path = [entry]
-    onpath = {entry}
+    entered = {entry}  # on the path, or exhausted
     iters = [iter(nbrs(entry))]
     while iters:
         try:
             v = next(iters[-1])
         except StopIteration:
             iters.pop()
-            onpath.discard(path.pop())
+            path.pop()
             continue
-        if v == entry and len(path) >= 2:
+        if v == entry:
             return path
-        if v in onpath or v == entry:
+        if v in entered:
             continue
         path.append(v)
-        onpath.add(v)
+        entered.add(v)
         iters.append(iter(nbrs(v)))
     raise AssertionError("nontrivial SCC must contain a cycle")
 

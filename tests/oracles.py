@@ -366,6 +366,38 @@ def simple_cycles(graph, allowed: set, first_only: bool = False,
     return cycles
 
 
+def first_cycle_through(graph, entry: int, members, step_cap: int = 10_000_000) -> list:
+    """The first simple cycle through `entry` inside `members` that a
+    depth-first walk over all simple paths finds, taking successors in
+    ascending index order; returns the path from `entry`, without the
+    closing edge.  Exponential in the worst case."""
+    def nbrs(u: int) -> list:
+        return sorted({t for _, t in graph.out_edges(u) if t != u and t in members})
+
+    path = [entry]
+    onpath = {entry}
+    iters = [iter(nbrs(entry))]
+    steps = 0
+    while iters:
+        steps += 1
+        if steps > step_cap:
+            raise RuntimeError("cycle search exceeded the step cap")
+        try:
+            v = next(iters[-1])
+        except StopIteration:
+            iters.pop()
+            onpath.discard(path.pop())
+            continue
+        if v == entry:
+            return path
+        if v in onpath:
+            continue
+        path.append(v)
+        onpath.add(v)
+        iters.append(iter(nbrs(v)))
+    raise AssertionError("no cycle through the entry")
+
+
 def bfs_within(graph, starts, allowed: set) -> tuple:
     """Multi-source BFS over state-changing edges inside `allowed`: sources
     in ascending index order, each state's edges in the graph's edge order,

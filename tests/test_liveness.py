@@ -1,9 +1,12 @@
 """Temporal checks under weak fairness: quiescence, the three kernels,
 binder expansion, and agreement with the brute-force lasso oracle."""
 
+import dataclasses
 import importlib.util
 import random
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from spacheck.explorer import discovery_path
 from spacheck.liveness import (
     _COLUMN_OPS,
     _bfs_prefix,
+    _cycle_through,
     _pred_column,
     _search_fail,
     quiescent_states,
@@ -606,6 +610,82 @@ def test_fail_info_survives_later_searches(math_src):
     assert _bfs_prefix(info) == prefix
 
 
+def assert_mask_walk_matches_reference(graph, rng, steps):
+    """Searches in the pattern of `forall` instances, which change only a
+    few rows of the shared CSR between searches: each step flips 1-3 states
+    of `restrict` or `starts`, or now and then draws fresh masks, and some
+    steps search without the path requirement (the SCC-core call).  Each
+    result, and each BFS tree, equals the oracles'."""
+    n = graph.n_states
+    restrict, starts = random_masks(graph, rng)
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            restrict, starts = random_masks(graph, rng)
+        else:
+            flipped = restrict if roll < 0.7 else starts
+            for i in rng.sample(range(n), min(n, rng.randint(1, 3))):
+                flipped[i] = not flipped[i]
+        within = rng.random() < 0.8
+        got = _search_fail(graph, restrict, starts, within)
+        want = reference_search(graph, restrict, starts, within)
+        if want is None:
+            assert got is None, step
+            continue
+        assert got is not None, step
+        assert got.quiescent_hits.tolist() == want[0], step
+        assert got.scc_hits.tolist() == want[1], step
+        assert got.scc_members == want[2], step
+        if within:
+            _, parents = oracles.bfs_within(
+                graph, np.flatnonzero(starts).tolist(), set(np.flatnonzero(restrict).tolist())
+            )
+            tree = {int(v): int(got.pred[v]) for v in got.order[1:]}
+            assert tree == {v: n if u is None else u for v, u in parents.items()}, step
+            assert set(np.flatnonzero(got.pred >= 0).tolist()) == set(tree), step
+
+
+@pytest.mark.parametrize("which", ["restart", "clock", "panels", "random"])
+def test_search_fail_matches_reference_on_mask_walks(which, math_src, clock_src):
+    rng = random.Random(15)
+    if which == "random":
+        for seed in range(20):
+            bound = bind_constants(oracles.gen_spec(seed), {})
+            assert validate(bound) == []
+            graph = explore(bound, ExploreLimits(max_states=200))
+            assert_mask_walk_matches_reference(graph, rng, 40)
+        return
+    if which == "restart":
+        bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    elif which == "clock":
+        bound, graph = build_graph(clock_src)
+    else:
+        bound, graph = build_graph(panels_source(2), {"levels": 3})
+    assert_mask_walk_matches_reference(graph, rng, 100)
+
+
+def test_forall_instances_match_fresh_analysis(math_src):
+    # Instances share one CSR, and the narrow targets here change few enough
+    # of its rows that each instance rewrites only those; each verdict, trace
+    # included, equals that of a graph analysed afresh.
+    src = restart_src(math_src) + (
+        "property Ev: forall x in 0..7 : eventually (num = x and count_wrong = 0)\n"
+        "property Rec: forall x in 0..7 : always eventually (num = x)\n"
+        "property To: forall x in 0..7 : (num = x and count_wrong = 0) leadsto (count_right = x)\n"
+    )
+    bound, graph = build_graph(src, {"max_num_q": 6})
+    statuses = set()
+    for prop in bound.spec.properties:
+        if prop.binder is None:
+            continue
+        for x in range(8):
+            got = liveness._check_shape(graph, prop, {"x": x})
+            fresh = dataclasses.replace(graph, _analysis=None)
+            assert got == liveness._check_shape(fresh, prop, {"x": x}), (prop.name, x)
+            statuses.add(got.status)
+    assert statuses == {"pass", "fail"}
+
+
 # --- lasso prefixes ------------------------------------------------------------------
 
 
@@ -715,11 +795,80 @@ def test_lasso_prefixes_match_reference_on_cyclic_graphs(which, math_src, clock_
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lasso_prefixes_match_reference_on_panels(seed):
-    # Prefixes only: on these graphs, restricted to a random subset, the
-    # loop search `_cycle_through` can take exponential time (ROADMAP item 7).
+def test_lasso_prefixes_match_reference_on_panels(seed, monkeypatch):
     bound, graph = build_graph(panels_source(seed), {"levels": 3})
     assert_prefixes_match_reference(graph, random.Random(12), 100)
+    assert_lassos_match_reference(graph, random.Random(10), 50, monkeypatch)
+
+
+# --- loop search ---------------------------------------------------------------------
+
+
+def assert_cycles_match_reference(graph, allowed):
+    """`_cycle_through` finds the reference walk's first cycle from every
+    state of every nontrivial SCC inside `allowed`."""
+    for comp in oracles._tarjan_sccs(oracles._changing_adj(graph, allowed)):
+        if len(comp) < 2:
+            continue
+        members = frozenset(comp)
+        for entry in comp:
+            want = oracles.first_cycle_through(graph, entry, members)
+            assert _cycle_through(graph, entry, members) == want, (entry, members)
+
+
+def random_digraph(rng, n):
+    """A stand-in for a StateGraph: n states with up to 4 edges each, in
+    random order, self-loops and repeated edges included."""
+    rows = [[rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)]
+    start, dst = [0], []
+    for row in rows:
+        dst.extend(row)
+        start.append(len(dst))
+    return SimpleNamespace(
+        n_states=n, edge_start=start, edge_dst=dst,
+        out_edges=lambda u: [("a", v) for v in rows[u]],
+    )
+
+
+def test_cycle_through_matches_reference_on_random_sccs():
+    rng = random.Random(13)
+    for _ in range(1000):
+        graph = random_digraph(rng, rng.randint(2, 16))
+        allowed = {i for i in range(graph.n_states) if rng.random() < 0.8}
+        assert_cycles_match_reference(graph, allowed)
+
+
+def test_cycle_through_matches_reference_on_random_specs():
+    rng = random.Random(14)
+    for seed in range(20):
+        bound = bind_constants(oracles.gen_spec(seed), {})
+        assert validate(bound) == []
+        graph = explore(bound, ExploreLimits(max_states=200))
+        for density in (0.6, 0.8, 1.0):
+            allowed = {i for i in range(graph.n_states) if rng.random() < density}
+            assert_cycles_match_reference(graph, allowed)
+
+
+@pytest.mark.parametrize("trial", [14, 87])
+def test_cycle_through_is_linear_on_panels(trial):
+    # A 125-state SCC in which the reference walk tries a great many simple
+    # paths before it closes the loop (it ran for seconds).
+    bound, graph = build_graph(panels_source(3), {"levels": 3})
+    rng = random.Random(10)
+    for _ in range(trial + 1):
+        restrict, starts = random_masks(graph, rng)
+    info = _search_fail(graph, restrict, starts, within_restriction=True)
+    entry = _bfs_prefix(info)[-1]
+    members = info.scc_members[entry]
+    with pytest.raises(RuntimeError, match="step cap"):
+        oracles.first_cycle_through(graph, entry, members, step_cap=100_000)
+    t0 = time.perf_counter()
+    cycle = _cycle_through(graph, entry, members)
+    assert time.perf_counter() - t0 < 1.0
+    assert cycle[0] == entry and len(set(cycle)) == len(cycle) >= 2
+    assert set(cycle) <= members
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert v in {t for _, t in graph.out_edges(u)}
 
 
 # --- oracle equivalence ---------------------------------------------------------------
