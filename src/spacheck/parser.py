@@ -28,10 +28,16 @@ not, comparison (= /= < <= > >= and `in` setexpr, non-associative), additive
 (+ -), multiplicative (*), primary.  A primary is a literal, identifier,
 parenthesised expression, or `if e then e else e` (note `then` is contextual,
 not reserved).  Comments run from `//` to end of line.
+
+The grammar above is the specification; the code is table-driven.  Tokens
+come from one regular expression with a named alternative per token class,
+and expressions from precedence climbing over `_PREC`, the table the pretty
+printer reads to place parentheses.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,9 +74,19 @@ KEYWORDS = frozenset(
     int bool string""".split()
 )
 
-_TWO_CHAR_OPS = ("/=", "<=", ">=", "..")
-_ONE_CHAR_OPS = "=<>+-*"
-_PUNCT = "{}():,'"
+# One alternative per token class, tried in order at each position.  A lone
+# `"` matches only where no closing quote follows on the same line.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r]+|//[^\n]*)
+    |(?P<newline>\n)
+    |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<integer>[0-9]+)
+    |(?P<string>"[^"\n]*")
+    |(?P<quote>")
+    |(?P<operator>/=|<=|>=|\.\.|[=<>+*-])
+    |(?P<punctuation>[{}():,'])""",
+    re.VERBOSE,
+)
 
 
 @dataclass
@@ -102,81 +118,48 @@ def tokenize(source: str) -> list:
     literal, or an integer literal outside the signed 64-bit range.
     """
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"illegal character {source[pos]!r}", line, pos - line_start + 1)
+        kind, col, pos = m.lastgroup, pos - line_start + 1, m.end()
+        if kind == "skip":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "_" or "a" <= c <= "z" or "A" <= c <= "Z":
-            j = i
-            while j < n and (
-                source[j] == "_"
-                or "a" <= source[j] <= "z"
-                or "A" <= source[j] <= "Z"
-                or "0" <= source[j] <= "9"
-            ):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "identifier"
-            toks.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            text = source[i:j]
+        text = m.group()
+        if kind == "word":
+            toks.append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
+        elif kind == "integer":
             if int(text) > INT_MAX:
-                raise ParseError(
-                    f"integer literal {text} out of 64-bit range", start_line, start_col
-                )
-            toks.append(Token("integer-literal", text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise ParseError("unterminated string literal", start_line, start_col)
-            toks.append(Token("string-literal", source[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            toks.append(Token("operator", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            toks.append(Token("operator", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _PUNCT:
-            toks.append(Token("punctuation", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"illegal character {c!r}", start_line, start_col)
-    toks.append(Token("end-of-input", "", line, col))
+                raise ParseError(f"integer literal {text} out of 64-bit range", line, col)
+            toks.append(Token("integer-literal", text, line, col))
+        elif kind == "string":
+            toks.append(Token("string-literal", text[1:-1], line, col))
+        elif kind == "quote":
+            raise ParseError("unterminated string literal", line, col)
+        else:
+            toks.append(Token(kind, text, line, col))
+    toks.append(Token("end-of-input", "", line, pos - line_start + 1))
     return toks
+
+
+# Binding tightness per operator, shared by the parser and the printer.
+_PREC = {
+    "implies": 1,
+    "or": 2,
+    "and": 3,
+    "not": 4,
+    "=": 5, "/=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5, "in": 5,
+    "+": 6, "-": 6,
+    "*": 7,
+}
+_NOT = _PREC["not"]
+_CMP = _PREC["in"]  # comparisons and `in`: non-associative
+_ADD = _PREC["+"]
+_TIGHTEST = max(_PREC.values())
 
 
 class _Parser:
@@ -410,79 +393,39 @@ class _Parser:
                 elems.append(self.expr())
             self.eat("}")
             return SetLit(elems=elems, line=t.line, col=t.col)
-        lo = self.add_expr()
+        lo = self.expr(_ADD)
         self.eat("..")
-        hi = self.add_expr()
+        hi = self.expr(_ADD)
         return RangeSet(lo=lo, hi=hi, line=t.line, col=t.col)
 
     # -- expressions -----------------------------------------------------------
 
-    def expr(self) -> Expr:
-        left = self.or_expr()
-        if self.at_kw("implies"):
-            t = self.next()
-            return Binary(
-                op="implies", left=left, right=self.expr(), line=t.line, col=t.col
-            )
-        return left
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at_kw("or"):
-            t = self.next()
-            left = Binary(
-                op="or", left=left, right=self.and_expr(), line=t.line, col=t.col
-            )
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.not_expr()
-        while self.at_kw("and"):
-            t = self.next()
-            left = Binary(
-                op="and", left=left, right=self.not_expr(), line=t.line, col=t.col
-            )
-        return left
-
-    def not_expr(self) -> Expr:
-        if self.at_kw("not"):
-            t = self.next()
-            return Unary(op="not", operand=self.not_expr(), line=t.line, col=t.col)
-        return self.cmp_expr()
-
-    def cmp_expr(self) -> Expr:
-        left = self.add_expr()
+    def expr(self, min_prec: int = 1) -> Expr:
+        """An expression whose operators all bind at least as tightly as
+        `min_prec`, by precedence climbing over `_PREC`."""
         t = self.peek()
-        if t.kind == "operator" and t.text in ("=", "/=", "<", "<=", ">", ">="):
+        if t.kind == "keyword" and t.text == "not" and min_prec <= _NOT:
             self.next()
-            return Binary(
-                op=t.text, left=left, right=self.add_expr(), line=t.line, col=t.col
-            )
-        if self.at_kw("in"):
-            self.next()
-            return InSet(item=left, over=self.setexpr(), line=t.line, col=t.col)
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
+            left = Unary(op="not", operand=self.expr(_NOT), line=t.line, col=t.col)
+            ceiling = _NOT - 1
+        else:
+            left = self.primary()
+            ceiling = _TIGHTEST
         while True:
             t = self.peek()
-            if t.kind == "operator" and t.text in ("+", "-"):
-                self.next()
-                left = Binary(
-                    op=t.text, left=left, right=self.mul_expr(), line=t.line, col=t.col
-                )
-            else:
+            p = _PREC.get(t.text) if t.kind in ("operator", "keyword") else None
+            # `ceiling` keeps the grammar: after an operator only operators
+            # that bind no tighter may follow, and after `not`, a comparison
+            # or `in`, only ones that bind strictly looser
+            if p is None or t.text == "not" or not min_prec <= p <= ceiling:
                 return left
-
-    def mul_expr(self) -> Expr:
-        left = self.primary()
-        while self.at("*"):
-            t = self.next()
-            left = Binary(
-                op="*", left=left, right=self.primary(), line=t.line, col=t.col
-            )
-        return left
+            self.next()
+            if t.text == "in":
+                left = InSet(item=left, over=self.setexpr(), line=t.line, col=t.col)
+            else:
+                right = self.expr(p if t.text == "implies" else p + 1)  # implies: right assoc
+                left = Binary(op=t.text, left=left, right=right, line=t.line, col=t.col)
+            ceiling = p - 1 if p == _CMP else p
 
     def primary(self) -> Expr:
         t = self.peek()
@@ -525,27 +468,19 @@ class _Parser:
 def parse_spec(source: str) -> SpecModel:
     """Parse source text into a SpecModel.
 
-    Raises ParseError at the first syntax violation.  Identifier resolution
-    and kind checks are deferred to semantics.validate.
+    Raises ParseError at the first syntax violation, or at the token being
+    read when the spec nests past Python's recursion limit.  Identifier
+    resolution and kind checks are deferred to semantics.validate.
     """
-    return _Parser(tokenize(source)).spec()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.spec()
+    except RecursionError:
+        t = parser.peek()
+        raise ParseError("the spec nests too deeply to parse", t.line, t.col) from None
 
 
 # --- pretty printer -----------------------------------------------------------
-
-# Binding tightness per operator; Cond is 0 so it is parenthesised whenever it
-# appears under any operator (a bare if-expression would swallow the rest of
-# the enclosing expression on reparse).
-_PREC = {
-    "implies": 1,
-    "or": 2,
-    "and": 3,
-    "not": 4,
-    "=": 5, "/=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5, "in": 5,
-    "+": 6, "-": 6,
-    "*": 7,
-}
-_ADD = 6
 
 
 def _fmt_expr(e: Expr, ctx: int = 0) -> str:
@@ -554,23 +489,25 @@ def _fmt_expr(e: Expr, ctx: int = 0) -> str:
     if isinstance(e, Name):
         return e.name
     if isinstance(e, Unary):
-        p = _PREC["not"]
+        p = _NOT
         s = f"not {_fmt_expr(e.operand, p)}"
         return f"({s})" if p < ctx else s
     if isinstance(e, Binary):
         p = _PREC[e.op]
         if e.op == "implies":  # right associative
             s = f"{_fmt_expr(e.left, p + 1)} implies {_fmt_expr(e.right, p)}"
-        elif p == 5:  # comparisons are non-associative
+        elif p == _CMP:  # comparisons are non-associative
             s = f"{_fmt_expr(e.left, p + 1)} {e.op} {_fmt_expr(e.right, p + 1)}"
         else:  # left associative
             s = f"{_fmt_expr(e.left, p)} {e.op} {_fmt_expr(e.right, p + 1)}"
         return f"({s})" if p < ctx else s
     if isinstance(e, InSet):
-        p = _PREC["in"]
+        p = _CMP
         s = f"{_fmt_expr(e.item, p + 1)} in {_fmt_setexpr(e.over)}"
         return f"({s})" if p < ctx else s
     if isinstance(e, Cond):
+        # parenthesised under any operator: a bare if-expression would
+        # swallow the rest of the enclosing expression on reparse
         s = (
             f"if {_fmt_expr(e.cond)} then {_fmt_expr(e.then)} "
             f"else {_fmt_expr(e.orelse)}"

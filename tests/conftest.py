@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import pathlib
+import sys
 
 import pytest
 from hypothesis import settings
@@ -22,6 +24,17 @@ def corpus_path(name: str) -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return corpus_path(name).read_text(encoding="utf-8")
+
+
+def perfbench_workloads():
+    """`perfbench/workloads.py`, the benchmark's spec generators, loaded by
+    path since `perfbench` is not a package on the test path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def build(source: str, constants=None):

@@ -2,9 +2,7 @@
 binder expansion, and agreement with the brute-force lasso oracle."""
 
 import dataclasses
-import importlib.util
 import random
-import sys
 import time
 from types import SimpleNamespace
 
@@ -14,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import ROOT, build_graph
+from conftest import build_graph, perfbench_workloads
 from spacheck import (
     ExploreLimits,
     bind_constants,
@@ -765,12 +763,7 @@ def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
 def panels_source(seed):
     """perfbench's generated dashboard spec with 3 panels of 3 levels: every
     state has 6 edges, in an order the seed shuffles."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].panels_source(seed, 3, 3)
+    return perfbench_workloads().panels_source(seed, 3, 3)
 
 
 def test_lasso_prefixes_match_reference_on_random_specs(monkeypatch):

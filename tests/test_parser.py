@@ -1,13 +1,18 @@
 """Lexing, parsing, error positions, and pretty-print round trips."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import corpus_text
+from conftest import ROOT, corpus_text, perfbench_workloads
 from spacheck import ParseError, parse_spec, pretty_print, tokenize
-from spacheck.model import Invariant, LeadsTo
+from spacheck.model import (
+    Binary, Cond, InSet, Invariant, LeadsTo, Lit, Name, Node, Unary, format_value,
+)
+from spacheck.parser import KEYWORDS
 
 
 def kinds_and_texts(tokens):
@@ -41,6 +46,9 @@ def test_tokenize_comments_and_positions():
     toks = tokenize("var x // trailing\nvar")
     assert [t.text for t in toks[:-1]] == ["var", "x", "var"]
     assert (toks[2].line, toks[2].col) == (2, 1)
+    # end of input after a trailing comment sits after the comment
+    end = tokenize("spec t // c")[-1]
+    assert (end.kind, end.line, end.col) == ("end-of-input", 1, 12)
 
 
 @pytest.mark.parametrize(
@@ -139,7 +147,7 @@ def test_parse_error_positions_inside_source():
         assert err.value.col >= 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings().max_examples), deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generated_specs_round_trip(seed):
     spec = oracles.gen_spec(seed)
@@ -166,8 +174,6 @@ def parse_expr(text):
 
 
 def test_operator_precedence():
-    from spacheck.model import Binary, InSet, Lit, Name, Unary
-
     x, y, z = Name(name="x"), Name(name="y"), Name(name="z")
     assert parse_expr("x or y and z") == Binary(op="or", left=x, right=Binary(op="and", left=y, right=z))
     assert parse_expr("not x = y") == Unary(op="not", operand=Binary(op="=", left=x, right=y))
@@ -215,7 +221,7 @@ def _expr_strategy():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
 @given(_expr_strategy())
 def test_arbitrary_expressions_round_trip(expr):
     from spacheck.parser import _fmt_expr
@@ -223,17 +229,139 @@ def test_arbitrary_expressions_round_trip(expr):
     assert parse_expr(_fmt_expr(expr)) == expr
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.text(max_size=40))
+# text made of the language's own pieces reaches every token class and error
+_PIECES = sorted(KEYWORDS) + [
+    "x", "then", "0", "12", str(2**63), "=", "/=", "<", "<=", ">", ">=", "+", "-",
+    "*", "..", ".", "/", "{", "}", "(", ")", ":", ",", "'", '"', '"s"', "//",
+    " ", "\t", "\r", "\n", "?",
+]
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)))
 def test_tokenize_never_crashes(source):
     # arbitrary text either tokenizes or reports a position inside the input
+    lines = source.split("\n")
     try:
         toks = tokenize(source)
     except ParseError as err:
-        lines = source.split("\n")
         assert 1 <= err.line <= len(lines)
         assert err.col >= 1
         return
     assert toks[-1].kind == "end-of-input"
     for t in toks[:-1]:
         assert t.line >= 1 and t.col >= 1
+        spelling = f'"{t.text}"' if t.kind == "string-literal" else t.text
+        assert lines[t.line - 1][t.col - 1:].startswith(spelling)
+
+
+# --- parse edge cases ---------------------------------------------------------------
+
+def _when(e):
+    return f"spec t\nvar x : int init 0\naction A {{\n    when {e}\n}}\n"
+
+
+# The grammar is non-associative at comparisons and `in`, and `not` binds
+# looser than comparison: each of these stops where the tokens after a
+# complete expression cannot continue it.
+@pytest.mark.parametrize("e,line,col,message", [
+    ("a = b = c", 4, 16, "expected statement but found '='"),
+    ("1 <= x <= y", 4, 17, "expected statement but found '<='"),
+    ("x in {1} + 1", 4, 19, "expected statement but found '+'"),
+    ("x in 1..3 = true", 4, 20, "expected statement but found '='"),
+    ('not z < "s" in {"t"}', 4, 22, "expected statement but found 'in'"),
+    ("x = not y", 4, 14, "expected expression but found 'not'"),
+    ("9 or 1 <= y <= z", 4, 22, "expected statement but found '<='"),
+    ("a implies b = c = d", 4, 26, "expected statement but found '='"),
+])
+def test_parse_edge_case_errors(e, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec(_when(e))
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+def test_parse_edge_case_trees():
+    x, y, z = Name(name="x"), Name(name="y"), Name(name="z")
+    assert parse_expr("x and not y or z") == Binary(
+        op="or", left=Binary(op="and", left=x, right=Unary(op="not", operand=y)), right=z
+    )
+    assert parse_expr("not not x") == Unary(op="not", operand=Unary(op="not", operand=x))
+    a, b, c, d = (Name(name=n) for n in "abcd")
+    assert parse_expr("a or b implies c or d") == Binary(
+        op="implies", left=Binary(op="or", left=a, right=b), right=Binary(op="or", left=c, right=d)
+    )
+
+
+# --- node positions -------------------------------------------------------------------
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (list, tuple)):
+            stack.extend(n)
+        elif isinstance(n, Node):
+            yield n
+            stack.extend(getattr(n, f.name) for f in dataclasses.fields(n))
+
+
+# the source spelling of the token each expression node is placed at
+_SPELLING = {
+    Binary: lambda e: e.op,
+    Unary: lambda e: "not",
+    InSet: lambda e: "in",
+    Cond: lambda e: "if",
+    Lit: lambda e: format_value(e.value),
+    Name: lambda e: e.name,
+}
+
+
+def _position_sources():
+    for name in ("clock.spa", "math.spa", "math_buggy.spa"):
+        yield name, corpus_text(name)
+    yield "panels.spa", (ROOT / "tests" / "golden" / "panels.spa").read_text()
+    for seed in range(100):
+        yield f"gen_spec({seed})", pretty_print(oracles.gen_spec(seed))
+    bench = perfbench_workloads()
+    for seed in (1, 2, 3):
+        yield f"math_source({seed})", bench.math_source(seed, False)
+        yield f"math_source({seed}, cyclic)", bench.math_source(seed, True)
+        yield f"panels_source({seed})", bench.panels_source(seed, 5, 3)
+
+
+def test_expression_nodes_sit_at_their_tokens():
+    for label, source in _position_sources():
+        at = {
+            (t.line, t.col): f'"{t.text}"' if t.kind == "string-literal" else t.text
+            for t in tokenize(source)
+        }
+        checked = 0
+        for node in _nodes(parse_spec(source)):
+            spelling = _SPELLING.get(type(node))
+            if spelling is not None:
+                assert at.get((node.line, node.col)) == spelling(node), (label, node)
+                checked += 1
+        assert checked > 0, label
+
+
+# --- nesting depth ----------------------------------------------------------------------
+
+def test_spec_nested_too_deeply_is_a_located_parse_error():
+    source = "spec t\nvar x : int init 0\naction A {\n" + "if x < 5 {\n" * 600 + "x' = 1\n" + "}\n" * 601
+    with pytest.raises(ParseError) as err:
+        parse_spec(source)
+    assert err.value.message == "the spec nests too deeply to parse"
+    assert 4 <= err.value.line <= 604 and err.value.col >= 1
+
+
+def test_deep_expressions_parse_from_text():
+    parens = parse_expr("(" * 400 + "x + 1" + ")" * 400)
+    assert parens == Binary(op="+", left=Name(name="x"), right=Lit(value=1))
+    # alternately nested in the else and the then branch
+    text = "x"
+    for k in range(150):
+        text = f"if x = {k} then {text} else 0" if k % 2 else f"if x = {k} then 0 else {text}"
+    cond, depth = parse_expr(text), 0
+    while isinstance(cond, Cond):
+        cond, depth = (cond.then if isinstance(cond.orelse, Lit) else cond.orelse), depth + 1
+    assert (cond, depth) == (Name(name="x"), 150)

@@ -310,7 +310,7 @@ def deep_sum(n: int):
 
 def deep_cond(n: int):
     """An `if ... then ... else` nested n deep, alternately in the else and
-    the then branch (the parser cannot read one this deep)."""
+    the then branch."""
     e = Name(name="x")
     for k in range(n):
         if k % 2:
