@@ -17,15 +17,23 @@ A search restricted to a set of states gives every state outside it a row
 of self-loops, so the compiled BFS and SCC passes reach such a state only
 as a leaf or a singleton SCC, and the search ANDs what they return with the
 set.  Between searches only the rows of states whose membership changed
-are rewritten, which is what keeps a `forall`'s instances cheap: each
-changes few rows.  A counterexample's prefix comes from the scipy BFS that
+are rewritten.  A counterexample's prefix comes from the scipy BFS that
 decided the verdict, with deterministic tie-breaking (shortest entry first,
 lowest state index on ties); only its loop is found in plain Python, by a
-linear DFS.  A predicate column comes from the same compiler as guards
-and invariants, `semantics._compile_expr`, given this module's table of
-column source templates (numpy calls) instead of the scalar one, and is
-generated once per predicate; when the column evaluation raises EvalError,
-the scalar evaluator decides each state.
+linear DFS.  A predicate column comes from the same compiler as guards and
+invariants, `semantics._compile_expr`, given this module's table of column
+source templates (numpy calls) instead of the scalar one, and is generated
+once per predicate; when the column evaluation raises EvalError, the scalar
+evaluator decides each state.
+
+A `forall` over eventually, leadsto or always eventually searches its first
+instance alone and sweeps the others, 64 at a time: each state holds a
+uint64 word with one bit per instance, and the bits spread along the
+explorer's BFS levels, then along the back edges, until they stop moving
+(the multi-source BFS of Then et al., VLDB 2014).  The sweep passes an
+instance whose reached states hold no quiescent state and no back edge
+between two states on a cycle; every other instance is searched alone, so
+the verdicts and traces are the search's.
 """
 
 from __future__ import annotations
@@ -136,6 +144,7 @@ class _Analysis:
         self.can_stay = self.quiescent | self.cyclic
         self.initial_mask = np.zeros(n, dtype=bool)
         self.initial_mask[graph.initial] = True
+        self.plan = None  # a _SweepPlan, built by the first sweep
 
     def restricted(self, mask: np.ndarray, starts: Optional[np.ndarray] = None):
         """The state-changing edges as an (n+1)-node CSR graph in which every
@@ -183,12 +192,6 @@ def _analysis(graph: StateGraph) -> _Analysis:
     if graph._analysis is None:
         graph._analysis = _Analysis(graph)
     return graph._analysis
-
-
-def quiescent_states(graph: StateGraph) -> set:
-    """Indices of states with no edge to a different state: states with only
-    self-loops, and successor-less (deadlocked) states."""
-    return {int(i) for i in np.flatnonzero(_analysis(graph).quiescent)}
 
 
 # --- predicate columns -----------------------------------------------------------
@@ -536,11 +539,153 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
     )
 
 
+# --- many `forall` instances at once ------------------------------------------
+
+# Instances decided by one sweep: one bit each of a uint64 word per state.
+_BLOCK = 64
+
+# Back-edge rounds per sweep.  A round pushes the reached bits along the back
+# edges and, where a bit moved, sweeps the levels again; math needs at most
+# one and panels two.  An instance still moving after this many rounds goes
+# to the per-instance search.
+_SWEEP_ROUNDS = 4
+
+
+class _SweepPlan:
+    """The graph's BFS levels and forward edges, for `_spread`, built once
+    per graph in int32 (and views of the graph's own arrays).
+
+    States are numbered in BFS order, so level d (BFS depth d) is the index
+    range levels[d]:levels[d + 1].  A forward edge goes one level deeper.
+    Every state past level 0 has one from its BFS parent (`graph.parent`);
+    the others are `extra_src`/`extra_dst`, and since `_Analysis.src` is
+    sorted, those out of level d are positions extra_out[d]:extra_out[d + 1]."""
+
+    def __init__(self, graph: StateGraph, ana: _Analysis):
+        self.depth = np.frombuffer(graph.depth, dtype=np.int64)
+        self.parent = np.frombuffer(graph.parent, dtype=np.int64)
+        self.levels = np.concatenate(
+            ([0], np.flatnonzero(np.diff(self.depth)) + 1, [ana.n])
+        ).astype(np.int32)
+        next_level = self.levels[1:][self.depth]  # where each state's level ends
+        extra = ana.dst >= next_level[ana.src]
+        extra &= ana.src != self.parent.astype(np.int32)[ana.dst]
+        self.extra_src, self.extra_dst = ana.src[extra], ana.dst[extra]
+        self.extra_out = np.searchsorted(self.extra_src, self.levels).astype(np.int32)
+        self.quiescent = np.flatnonzero(ana.quiescent).astype(np.int32)
+        # The back edges whose ends `_search_fail` tests before an SCC pass.
+        on_cycle = ana.cyclic[ana.back_src] & ana.cyclic[ana.back_dst]
+        self.cycle_src, self.cycle_dst = ana.back_src[on_cycle], ana.back_dst[on_cycle]
+
+
+def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray) -> np.uint64:
+    """Close each bit of `reach` under the state-changing edges into states
+    that hold the bit in `allowed`, in place: level by level along the
+    forward edges, then along the back edges, and again from the level after
+    the lowest one that grew, until no bit moves.  Returns the bits still
+    moving after `_SWEEP_ROUNDS` rounds; their reach is unfinished."""
+    plan = ana.plan
+    levels, out = plan.levels.tolist(), plan.extra_out.tolist()
+    parent, src, dst = plan.parent, plan.extra_src, plan.extra_dst
+    first = 1
+    for _ in range(_SWEEP_ROUNDS + 1):
+        for d in range(first, len(levels) - 1):
+            lo, hi = levels[d], levels[d + 1]
+            level = reach[lo:hi]
+            level |= reach[parent[lo:hi]]
+            if out[d - 1] < out[d]:
+                np.bitwise_or.at(reach, dst[out[d - 1]:out[d]], reach[src[out[d - 1]:out[d]]])
+            level &= allowed[lo:hi]
+        if not ana.back_src.size:
+            return np.uint64(0)
+        before = reach[ana.back_dst]
+        np.bitwise_or.at(reach, ana.back_dst, reach[ana.back_src] & allowed[ana.back_dst])
+        grown = reach[ana.back_dst] & ~before
+        moved = np.bitwise_or.reduce(grown)
+        if not moved:
+            break
+        first = int(plan.depth[ana.back_dst[grown != 0]].min()) + 1
+    return moved
+
+
+def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
+    """Decide up to `_BLOCK` instances of an eventually, leadsto or always
+    eventually `shape`, one per binder dict in `instances`, in one sweep.
+
+    Bit k of a state's word says, in `allowed`, that instance k's target
+    fails there, and in `reach`, that instance k's `_search_fail` reaches
+    it.  The tests on the reach are the search's own: a reached quiescent
+    state refutes the instance, and a back edge between two reached states
+    on a full-graph cycle calls for its SCC pass.  Returns (covered,
+    flagged): the sweep decides the first `covered` instances, and those at
+    the positions `flagged` (ascending) need the per-instance search, which
+    fails them, passes them or reports their error.  An EvalError in
+    instance k's columns ends the sweep before k and flags k."""
+    ana = _analysis(graph)
+    if ana.plan is None:
+        ana.plan = _SweepPlan(graph, ana)
+    plan, n = ana.plan, ana.n
+    # For leadsto the premise's columns, then the target's: the per-instance
+    # check evaluates them in this order, so it meets the same EvalError.
+    preds = (shape.lhs, shape.rhs) if isinstance(shape, LeadsTo) else (shape.pred,)
+    packed = np.zeros((len(preds), n, 8), dtype=np.uint8)
+    byte = np.zeros((len(preds), n), dtype=np.uint8)
+    bit = np.empty(n, dtype=np.uint8)
+    covered = len(instances)
+    for k, binders in enumerate(instances):
+        try:
+            columns = [_pred_column(graph, e, where, binders) for e in preds]
+        except EvalError:
+            covered = k
+            break
+        for acc, column in zip(byte, columns):
+            # A uint8 multiply by 2**j is a shift by j; numpy's uint8 shift
+            # loop is about 10 times slower.
+            np.multiply(column.view(np.uint8), np.uint8(1 << (k & 7)), out=bit)
+            acc |= bit
+        if k & 7 == 7:
+            packed[:, :, k >> 3] = byte
+            byte[:] = 0
+    if covered & 7:
+        packed[:, :, covered >> 3] = byte
+    del byte, bit
+    if covered == 0:
+        return 1, [0]
+    # Bits past the last instance stay clear, so they start no back-edge round.
+    valid = np.packbits(np.arange(_BLOCK) < covered, bitorder="little").view(np.uint64)[0]
+    words = packed.view(np.uint64)[:, :, 0]  # one row of n words per column
+    allowed = words[-1]
+    np.invert(allowed, out=allowed)
+    allowed &= valid
+    if isinstance(shape, AlwaysEventually):
+        reach = allowed  # every stored state is reachable
+    elif isinstance(shape, LeadsTo):
+        reach = words[0]
+        reach &= allowed  # the obligations
+    else:
+        reach = np.zeros(n, dtype=np.uint64)
+        reach[:plan.levels[1]] = allowed[:plan.levels[1]]  # level 0: the initial states
+    flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach)
+    flags |= np.bitwise_or.reduce(reach[plan.quiescent])
+    flags |= np.bitwise_or.reduce(reach[plan.cycle_src] & reach[plan.cycle_dst])
+    bits = np.unpackbits(np.array([flags], dtype=np.uint64).view(np.uint8), bitorder="little")
+    flagged = np.flatnonzero(bits[:covered]).tolist()
+    if covered < len(instances):
+        flagged.append(covered)
+        covered += 1
+    return covered, flagged
+
+
 def check_property(graph: StateGraph, prop: TemporalProperty,
                    deadline: Optional[Deadline] = None) -> Verdict:
     """Dispatch a declared property; a `forall x in S` binder expands to one
-    kernel check per member of S, and a fail names the witnessing value.
-    Raises LimitError when `deadline` has passed before an instance."""
+    kernel check per member of S, in order, and a fail names the first
+    witnessing value.  The first instance of an eventually, leadsto or
+    always eventually property is searched on its own; if it passes,
+    `_sweep` decides the rest `_BLOCK` at a time, and the per-instance
+    search runs only on those it flags, so the verdict is that of searching
+    every instance.  Raises LimitError when `deadline` has passed before a
+    sweep or a search."""
     where = f"property {prop.name}"
     if prop.binder is not None:
         bname, bset = prop.binder
@@ -553,20 +698,30 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
                 name=prop.name, kind=prop.kind, status="pass",
                 detail="vacuous: the binder set is empty",
             )
-        instances = [({bname: v}, v) for v in values]
+        instances = [{bname: v} for v in values]
     else:
-        instances = [({}, None)]
+        instances = [{}]
 
-    for binders, value in instances:
+    def check_time():
         if deadline is not None and deadline.expired():
             raise deadline.error(f"checking property {prop.name}")
-        v = _check_shape(graph, prop, binders)
-        if v.status != "pass":
-            v.binder = value
-            if value is not None:
-                bname = prop.binder[0]
-                v.detail = f"{bname} = {format_value(value)}: {v.detail}"
-            return v
+
+    i = 0
+    while i < len(instances):
+        if i == 0 or isinstance(prop.shape, Invariant):
+            covered, flagged = 1, [0]
+        else:
+            check_time()
+            covered, flagged = _sweep(graph, prop.shape, where, instances[i:i + _BLOCK])
+        for k in flagged:
+            check_time()
+            v = _check_shape(graph, prop, instances[i + k])
+            if v.status != "pass":
+                if prop.binder is not None:
+                    v.binder = values[i + k]
+                    v.detail = f"{bname} = {format_value(v.binder)}: {v.detail}"
+                return v
+        i += covered
     detail = "holds"
     if prop.binder is not None:
         detail = f"holds for all {len(instances)} binder values"

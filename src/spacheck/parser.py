@@ -133,7 +133,9 @@ def tokenize(source: str) -> list:
         if kind == "word":
             toks.append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
         elif kind == "integer":
-            if int(text) > INT_MAX:
+            digits = text.lstrip("0")
+            # Python converts at most 4,300 digits to an int; INT_MAX has 19.
+            if len(digits) > 19 or int(digits or "0") > INT_MAX:
                 raise ParseError(f"integer literal {text} out of 64-bit range", line, col)
             toks.append(Token("integer-literal", text, line, col))
         elif kind == "string":
@@ -431,7 +433,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "integer-literal":
             self.next()
-            return Lit(value=int(t.text), line=t.line, col=t.col)
+            return Lit(value=int(t.text.lstrip("0") or "0"), line=t.line, col=t.col)
         if t.kind == "string-literal":
             self.next()
             return Lit(value=t.text, line=t.line, col=t.col)

@@ -642,3 +642,47 @@ def gen_spec(seed: int) -> model.SpecModel:
         actions=actions,
         properties=properties,
     )
+
+
+def gen_forall_spec(seed: int, count: int, overflow_at: int = -1) -> model.SpecModel:
+    """`gen_spec(seed)`'s variables and actions with `forall x in S`
+    properties of each liveness shape, whose predicates name `x`.  S is
+    -1..count-2, as a range or shuffled into a set literal, which puts the
+    values the int variables take (0..2) at scattered positions.  With
+    `overflow_at` >= 0, S is the set, its member there is INT_MAX, and each
+    predicate adds `x` to an int variable, so that instance's columns
+    overflow wherever the variable is not 0."""
+    spec = gen_spec(seed)
+    rng = random.Random(f"forall {seed} {count}")
+    var_pool = [(v.name, v.kind) for v in spec.variables]
+    ints = [name for name, kind in var_pool if kind == "int"]
+    members = list(range(-1, count - 1))
+    if overflow_at < 0 and rng.random() < 0.5:
+        over = model.RangeSet(lo=model.Lit(value=members[0]), hi=model.Lit(value=members[-1]))
+    else:
+        rng.shuffle(members)
+        if overflow_at >= 0:
+            members[overflow_at] = model.INT_MAX
+        over = model.SetLit(elems=[model.Lit(value=v) for v in members])
+
+    def pred():
+        p = _gen_pred(rng, var_pool, {"x": "int"})
+        if not ints:
+            return p
+        name = model.Name(name=rng.choice(ints))
+        x = model.Name(name="x")
+        if overflow_at >= 0:
+            atom = model.Binary(op=">", left=model.Binary(op="+", left=name, right=x),
+                                right=model.Lit(value=rng.choice(_INT_POOL)))
+        else:
+            atom = model.Binary(op=rng.choice(("=", "/=", "<", ">=")), left=name, right=x)
+        return model.Binary(op=rng.choice(("and", "or")), left=p, right=atom)
+
+    spec.properties = [
+        model.TemporalProperty(name="Ev", shape=model.Eventually(pred=pred()), binder=("x", over)),
+        model.TemporalProperty(name="To", shape=model.LeadsTo(lhs=pred(), rhs=pred()),
+                               binder=("x", over)),
+        model.TemporalProperty(name="Rec", shape=model.AlwaysEventually(pred=pred()),
+                               binder=("x", over)),
+    ]
+    return spec

@@ -10,7 +10,9 @@ import time
 import pytest
 
 from conftest import ROOT, corpus_path, corpus_text
+from spacheck import liveness
 from spacheck.cli import main
+from spacheck.explorer import Deadline
 
 CLOCK = str(corpus_path("clock.spa"))
 MATH = str(corpus_path("math.spa"))
@@ -120,6 +122,15 @@ def test_parse_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "bad.spa:" in err
+
+
+def test_integer_literal_past_python_digit_limit_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.spa"
+    bad.write_text("spec t\nvar x : int init " + "1" * 5000 + "\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:2:18: integer literal {'1' * 5000} out of 64-bit range\n"
 
 
 def test_non_utf8_spec_exit_two(capsys, tmp_path):
@@ -326,6 +337,25 @@ def test_timeout_while_checking_a_property_exit_two(capsys):
     assert out == ""
     assert err == (f"error: {MATH}: time limit of 1e-09 s exceeded while checking"
                    " property Reachability\n")
+
+
+def test_timeout_after_the_first_forall_block_exit_two(capsys, monkeypatch):
+    # Reachability's 70 instances: one searched, then blocks of 64 and 5; the
+    # clock runs out once the first block is swept
+    real, sweeps = liveness._sweep, []
+
+    def sweep(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(liveness, "_sweep", sweep)
+    monkeypatch.setattr(Deadline, "expired", lambda self: len(sweeps) > 0)
+    code, out, err = run(capsys, "check", MATH, "--const", "max_num_q=70", "--timeout", "3600")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {MATH}: time limit of 3600 s exceeded while checking"
+                   " property Reachability\n")
+    assert len(sweeps) == 1
 
 
 # --- DOT export ---------------------------------------------------------------------

@@ -25,17 +25,16 @@ from spacheck import (
     replay_trace,
     validate,
 )
-from spacheck import liveness
-from spacheck.explorer import discovery_path
+from spacheck import liveness, model
+from spacheck.explorer import Deadline, LimitError, Verdict, discovery_path
 from spacheck.liveness import (
     _COLUMN_OPS,
     _bfs_prefix,
     _cycle_through,
     _pred_column,
     _search_fail,
-    quiescent_states,
 )
-from spacheck.model import INT_MAX, INT_MIN, state_to_record
+from spacheck.model import INT_MAX, INT_MIN, format_value, state_to_record
 from spacheck.parser import _Parser, tokenize
 from spacheck.semantics import Env, EvalError
 
@@ -51,9 +50,17 @@ def prop_named(spec, name):
 # --- quiescence -----------------------------------------------------------------
 
 
+def analysed_quiescent(graph) -> set:
+    """The states the liveness analysis marks quiescent, checked against the
+    oracle's own scan of the edges."""
+    q = {int(i) for i in np.flatnonzero(liveness._analysis(graph).quiescent)}
+    assert q == oracles.graph_quiescent(graph)
+    return q
+
+
 def test_math_quiescent_states(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
-    q = quiescent_states(graph)
+    q = analysed_quiescent(graph)
     assert len(q) == 6
     for i in q:
         rec = state_to_record(graph.states[i], bound.spec)
@@ -70,14 +77,14 @@ def test_math_quiescent_states(math_src):
 
 def test_clock_has_no_quiescent_states(clock_src):
     bound, graph = build_graph(clock_src)
-    assert quiescent_states(graph) == set()
+    assert analysed_quiescent(graph) == set()
 
 
 def test_buggy_deadlock_state_is_quiescent(buggy_src):
     bound, graph = build_graph(buggy_src, {"max_num_q": 3})
     deadlocked = {i for i in range(graph.n_states) if not graph.out_edges(i)}
     assert deadlocked
-    assert deadlocked <= quiescent_states(graph)
+    assert deadlocked <= analysed_quiescent(graph)
 
 
 # --- eventually -------------------------------------------------------------------
@@ -382,7 +389,7 @@ def test_lasso_loops_violate_target_and_are_fair(math_src, buggy_src):
         loop = t.states[t.loop_start:]
         if len(loop) == 1 and t.loop_action is None:
             i = graph.index[loop[0]]
-            assert i in quiescent_states(graph)
+            assert i in oracles.graph_quiescent(graph)
         elif len(loop) == 1:
             pass  # self-loop action at a quiescent state
         else:
@@ -682,6 +689,235 @@ def test_forall_instances_match_fresh_analysis(math_src):
             assert got == liveness._check_shape(fresh, prop, {"x": x}), (prop.name, x)
             statuses.add(got.status)
     assert statuses == {"pass", "fail"}
+
+
+# --- `forall` sweeps ----------------------------------------------------------------
+
+
+def binder_values(prop) -> list:
+    over = prop.binder[1]
+    if isinstance(over, model.RangeSet):
+        return list(range(over.lo.value, over.hi.value + 1))
+    return [e.value for e in over.elems]
+
+
+def reference_forall(graph, prop):
+    """`check_property`'s verdict rebuilt from the per-instance search alone,
+    instance after instance in binder order, on a fresh analysis."""
+    fresh = dataclasses.replace(graph, _analysis=None)
+    name, values = prop.binder[0], binder_values(prop)
+    for x in values:
+        v = liveness._check_shape(fresh, prop, {name: x})
+        if v.status != "pass":
+            v.binder = x
+            v.detail = f"{name} = {format_value(x)}: {v.detail}"
+            return v
+    return Verdict(name=prop.name, kind=prop.kind, status="pass",
+                   detail=f"holds for all {len(values)} binder values")
+
+
+def spy(monkeypatch, name):
+    """Wraps `liveness.<name>`; returns the list of its (args, result) pairs."""
+    calls, real = [], getattr(liveness, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(liveness, name, wrapper)
+    return calls
+
+
+def assert_foralls_match_reference(source_or_spec, constants=None):
+    """Every property's `check_property` verdict equals `reference_forall`'s;
+    returns the graph and the verdicts."""
+    if isinstance(source_or_spec, str):
+        bound, graph = build_graph(source_or_spec, constants)
+    else:
+        bound = bind_constants(source_or_spec, {})
+        assert validate(bound) == []
+        graph = explore(bound, ExploreLimits(max_states=200))
+    verdicts = []
+    for prop in bound.spec.properties:
+        want = reference_forall(graph, prop)
+        got = check_property(graph, prop)
+        assert got == want, prop.name
+        verdicts.append(got)
+    return graph, verdicts
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_forall_sweep_matches_per_instance_search(count, monkeypatch):
+    # 1 searched instance and 62, 63, 64 or 2 x 64 swept ones
+    sweeps = spy(monkeypatch, "_sweep")
+    cyclic, statuses = set(), set()
+    for seed in range(12):
+        graph, verdicts = assert_foralls_match_reference(
+            oracles.gen_forall_spec(seed, count))
+        cyclic.add(bool(liveness._analysis(graph).cyclic.any()))
+        statuses |= {v.status for v in verdicts}
+    assert cyclic == {True, False}
+    assert statuses == {"pass", "fail"}
+    assert min(count - 1, liveness._BLOCK) in [len(args[-1]) for args, _ in sweeps]
+    assert any(flagged for _, (_, flagged) in sweeps)
+
+
+def test_forall_sweep_stops_at_a_mid_block_overflow(monkeypatch):
+    # the columns of the instance x = INT_MAX overflow; the sweep decides
+    # the instances before it and leaves it to the per-instance search
+    sweeps = spy(monkeypatch, "_sweep")
+    statuses = set()
+    for seed in range(12):
+        _, verdicts = assert_foralls_match_reference(
+            oracles.gen_forall_spec(seed, 129, overflow_at=100))
+        statuses |= {v.status for v in verdicts}
+    assert "error" in statuses
+    assert any(len(args[-1]) == 64 and covered == 36 for args, (covered, _) in sweeps)
+
+
+# x runs from 0 into one of 1..N (all BFS level 1) and up the chain to N:
+# reach climbs the chain one back edge per round.
+CHAIN = """spec chain
+const top : int
+var x : int init 0
+action Enter {
+    when x = 0
+    any v in 1..top {
+        x' = v
+    }
+}
+action Step {
+    when x >= 1 and x < top
+    x' = x + 1
+}
+"""
+
+
+def test_forall_sweep_round_cap_leaves_the_rest_to_the_search(monkeypatch):
+    top = liveness._SWEEP_ROUNDS + 5
+    targets = [top] + list(range(2, top))
+    src = CHAIN + (
+        f"property Cap: forall y in {{{', '.join(map(str, targets))}}} : (x = 1) leadsto (x = y)\n"
+    )
+    spreads = spy(monkeypatch, "_spread")
+    searched = spy(monkeypatch, "_check_shape")
+    _, [verdict] = assert_foralls_match_reference(src, {"top": top})
+    assert verdict.status == "pass"
+    # instance y needs y - 2 rounds
+    [(_, unsettled)] = spreads
+    assert unsettled == sum(1 << k for k, y in enumerate(targets[1:]) if y - 2 > liveness._SWEEP_ROUNDS)
+    # after the reference's searches: the first instance, then the two capped
+    assert [args[2]["y"] for args, _ in searched[len(targets):]] == [top, top - 2, top - 1]
+
+
+def test_forall_sweep_overflow_reaches_the_error(monkeypatch):
+    int_max = INT_MAX
+    members = [9] + list(range(10, 50)) + [int_max] + list(range(50, 100))
+    src = CHAIN + (
+        f"property Over: forall y in {{{', '.join(map(str, members))}}} :"
+        " (x = 1) leadsto (x + y > 0)\n"
+    )
+    sweeps = spy(monkeypatch, "_sweep")
+    _, [verdict] = assert_foralls_match_reference(src, {"top": 9})
+    assert verdict.status == "error"
+    assert verdict.binder == int_max
+    assert [result for _, result in sweeps] == [(41, [40])]
+
+
+DETOUR = """spec detour
+var x : int init 0
+action Enter {
+    when x = 0
+    any v in {1, 2} {
+        x' = v
+    }
+}
+action Across {
+    when x = 1
+    x' = 2
+}
+action Down {
+    when x = 2
+    x' = 3
+}
+action Up {
+    when x = 3
+    x' = 1
+}
+property Ev: forall y in 0..3 : eventually (x = y)
+"""
+
+
+def test_forall_sweep_flags_a_scc_search_that_passes(monkeypatch):
+    # 1 -> 2 -> 3 -> 1 is a cycle, and 1 -> 2 joins two states of BFS level
+    # 1; for y = 3 both are reached, but the cycle runs through 3
+    searched = spy(monkeypatch, "_check_shape")
+    graph, [verdict] = assert_foralls_match_reference(DETOUR)
+    assert verdict.status == "pass"
+    assert liveness._analysis(graph).cyclic.sum() == 3
+    # after the reference's 4 searches: the first instance, then y = 3
+    assert [(args[2]["y"], v.status) for args, v in searched[4:]] == [(0, "pass"), (3, "pass")]
+
+
+def assert_spread_matches_restricted_reach(graph, rng, blocks):
+    """`_spread`, run on 64 random (allowed, seeds) pairs at once, leaves in
+    each settled bit the states that the oracle's BFS inside `allowed`
+    reaches from the seeds, and in each unsettled bit some of them."""
+    ana = liveness._analysis(graph)
+    if ana.plan is None:
+        ana.plan = liveness._SweepPlan(graph, ana)
+    n = graph.n_states
+    for block in range(blocks):
+        pairs = []
+        allowed, reach = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+        for k in range(64):
+            restrict = np.array([rng.random() < rng.choice([0.5, 0.8, 1.0]) for _ in range(n)])
+            seeds = rng.sample(range(n), min(n, rng.randint(1, 3)))
+            pairs.append((set(np.flatnonzero(restrict).tolist()), seeds))
+            allowed |= restrict.astype(np.uint64) << np.uint64(k)
+            reach[[i for i in seeds if restrict[i]]] |= np.uint64(1 << k)
+        unsettled = int(liveness._spread(ana, allowed, reach))
+        for k, (restrict, seeds) in enumerate(pairs):
+            got = set(np.flatnonzero(reach >> np.uint64(k) & np.uint64(1)).tolist())
+            want = oracles.restricted_reach(graph, seeds, restrict)
+            if unsettled >> k & 1:
+                assert got <= want, (block, k)
+            else:
+                assert got == want, (block, k)
+
+
+@pytest.mark.parametrize("which", ["math", "restart", "clock", "panels", "chain", "random"])
+def test_spread_matches_restricted_reach(which, math_src, clock_src):
+    rng = random.Random(16)
+    if which == "random":
+        for seed in range(20):
+            bound = bind_constants(oracles.gen_spec(seed), {})
+            assert validate(bound) == []
+            assert_spread_matches_restricted_reach(
+                explore(bound, ExploreLimits(max_states=200)), rng, 2)
+        return
+    if which == "math":
+        bound, graph = build_graph(math_src, {"max_num_q": 4})
+    elif which == "restart":
+        bound, graph = build_graph(restart_src(math_src), {"max_num_q": 4})
+    elif which == "clock":
+        bound, graph = build_graph(clock_src)
+    elif which == "panels":
+        bound, graph = build_graph(panels_source(2), {"levels": 3})
+    else:
+        bound, graph = build_graph(CHAIN, {"top": liveness._SWEEP_ROUNDS + 5})
+    assert_spread_matches_restricted_reach(graph, rng, 6)
+
+
+def test_deadline_after_the_first_block_stops_the_forall(math_src, monkeypatch):
+    bound, graph = build_graph(math_src, {"max_num_q": 70})
+    sweeps = spy(monkeypatch, "_sweep")
+    monkeypatch.setattr(Deadline, "expired", lambda self: len(sweeps) > 0)
+    with pytest.raises(LimitError) as err:
+        check_property(graph, prop_named(bound.spec, "Reachability"), Deadline.after(3600))
+    assert str(err.value) == "time limit of 3600 s exceeded while checking property Reachability"
+    assert len(sweeps) == 1
 
 
 # --- lasso prefixes ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from spacheck import ParseError, parse_spec, pretty_print, tokenize
 from spacheck.model import (
     Binary, Cond, InSet, Invariant, LeadsTo, Lit, Name, Node, Unary, format_value,
 )
-from spacheck.parser import KEYWORDS
+from spacheck.parser import KEYWORDS, _Parser
 
 
 def kinds_and_texts(tokens):
@@ -34,6 +34,19 @@ def test_tokenize_range():
         ("operator", ".."),
         ("integer-literal", "12"),
     ]
+
+
+def test_tokenize_integer_literal_past_python_digit_limit():
+    # Python refuses to convert more than 4,300 digits to an int
+    with pytest.raises(ParseError) as err:
+        tokenize("1" * 5000)
+    assert (err.value.line, err.value.col) == (1, 1)
+    assert err.value.message.endswith("1 out of 64-bit range")
+    with pytest.raises(ParseError, match="out of 64-bit range"):
+        tokenize("0" * 5000 + str(2**63))
+    # leading zeros do not count
+    assert tokenize("0" * 5000 + "7")[0].kind == "integer-literal"
+    assert parse_expr("0" * 5000 + "7").value == 7
 
 
 def test_tokenize_string_literal():
@@ -168,8 +181,6 @@ def test_crlf_sources_parse_identically(clock_src):
 
 
 def parse_expr(text):
-    from spacheck.parser import _Parser
-
     return _Parser(tokenize(text)).expr()
 
 
