@@ -15,7 +15,6 @@ from .semantics import (
     EvalError,
     action_successors,
     bind_constants,
-    eval_expr,
     initial_states,
     successors,
     validate,
@@ -46,8 +45,8 @@ __all__ = [
     "SpecModel", "State", "Value", "state_to_record",
     "ParseError", "parse_spec", "pretty_print", "tokenize",
     "BindError", "BoundSpec", "EvalError",
-    "action_successors", "bind_constants", "eval_expr",
-    "initial_states", "successors", "validate",
+    "action_successors", "bind_constants", "initial_states", "successors",
+    "validate",
     "ExploreLimits", "LimitError", "StateGraph", "Trace", "Verdict",
     "check_deadlock", "check_invariant", "explore", "reconstruct_trace",
     "replay_trace",

@@ -221,17 +221,15 @@ def reconstruct_trace(graph: StateGraph, target: int) -> Trace:
 def check_invariant(
     graph: StateGraph,
     pred: Expr,
-    bound: Optional[BoundSpec] = None,
     *,
     name: str = "invariant",
     binders: Optional[dict] = None,
 ) -> Verdict:
     """Pass iff `pred` holds in every stored state; on fail the trace is the
     shortest discovery path to the first violating state in BFS order."""
-    bound = bound if bound is not None else graph.bound
     where = f"property {name}"
     try:
-        i = _scan_function(pred, bound, where)(graph.states, binders or {})
+        i = _scan_function(pred, graph.bound, where)(graph.states, binders or {})
     except EvalError as e:
         return Verdict(name=name, kind="invariant", status="error", detail=str(e))
     if i >= 0:

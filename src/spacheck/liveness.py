@@ -16,8 +16,8 @@ one CSR matrix per graph, and predicate columns over all states at once).
 A search restricted to a set of states gives every state outside it a row
 of self-loops, so the compiled BFS and SCC passes reach such a state only
 as a leaf or a singleton SCC, and the search ANDs what they return with the
-set.  Between searches only the rows of states whose membership changed
-are rewritten.  A counterexample's prefix comes from the scipy BFS that
+set.  Each search rewrites the matrix in place, in one vectorised pass over
+all edges.  A counterexample's prefix comes from the scipy BFS that
 decided the verdict, with deterministic tie-breaking (shortest entry first,
 lowest state index on ties); only its loop is found in plain Python, by a
 linear DFS.  A predicate column comes from the same compiler as guards and
@@ -63,18 +63,12 @@ from .semantics import EvalError, _expr_function, eval_const_set
 
 # --- cached numeric view of a graph -------------------------------------------
 
-# `_Analysis.restricted` rewrites all rows in one vectorised pass when the
-# rows whose membership changed hold more than 1/8 of the edges.  Rewriting
-# only those rows costs more per edge; it stopped paying at about 1/10 of
-# the rows changed on math-dag and 1/3 on panels-wide (random rows).
-_FULL_REWRITE_SHARE = 8
-
 
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: per-variable value
     columns, quiescence flags, the states on a full-graph cycle, the initial
     mask, and one CSR matrix of the state-changing edges that `restricted`
-    rewrites in place, row by row, for every search."""
+    rewrites in place for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -128,12 +122,9 @@ class _Analysis:
         self._csr = sparse.csr_matrix(
             (np.ones(m + n), indices, indptr), shape=(n + 1, n + 1)
         )
-        self._row_start = self._csr.indptr[:n + 1]
         self._targets = self._csr.indices[:m]
         self._virtual = self._csr.indices[m:]
         self._inside = np.empty(m, dtype=bool)
-        self._mask = np.ones(n, dtype=bool)
-        self._starts = np.zeros(n, dtype=bool)
         if self.back_src.size:
             _, labels = csgraph.connected_components(
                 self._csr, directed=True, connection="strong"
@@ -154,37 +145,19 @@ class _Analysis:
         The virtual source n has an edge to each of `starts`, in ascending
         order.
 
-        The matrix is rewritten in place, and only in the rows of states whose
-        membership changed since the last call (and in the virtual row only at
-        the starts that changed), so no caller may keep it, or a view of its
-        arrays, beyond its own use."""
-        changed = np.flatnonzero(mask != self._mask)
-        first = self._row_start[changed]
-        width = self._row_start[changed + 1] - first
-        total = int(width.sum())
-        if total * _FULL_REWRITE_SHARE > self._targets.size:
-            # targets = src + inside * (dst - src): unlike a masked copy, it
-            # takes no branch per edge, which a mixed mask would mispredict.
-            # `src` is sorted, so `mask[src]` is read in order.
-            np.take(mask, self.src, out=self._inside)
-            np.subtract(self.dst, self.src, out=self._targets)
-            np.multiply(self._targets, self._inside, out=self._targets)
-            np.add(self._targets, self.src, out=self._targets)
-        elif total:
-            # The edge positions of the changed rows, row after row.
-            offset = first.astype(np.int64)
-            offset -= np.cumsum(width) - width
-            pos = np.repeat(offset, width)
-            pos += np.arange(total)
-            self._targets[pos] = np.where(
-                np.repeat(mask[changed], width), self.dst[pos], self.src[pos]
-            )
-        np.copyto(self._mask, mask)
-        if starts is None:
-            starts = np.zeros_like(self._starts)
-        flipped = np.flatnonzero(starts != self._starts)
-        self._virtual[flipped] = np.where(starts[flipped], flipped, self.n)
-        np.copyto(self._starts, starts)
+        The matrix is rewritten in place by every call, so no caller may keep
+        it, or a view of its arrays, beyond its own use."""
+        # targets = src + inside * (dst - src): unlike a masked copy, it
+        # takes no branch per edge, which a mixed mask would mispredict.
+        # `src` is sorted, so `mask[src]` is read in order.
+        np.take(mask, self.src, out=self._inside)
+        np.subtract(self.dst, self.src, out=self._targets)
+        np.multiply(self._targets, self._inside, out=self._targets)
+        np.add(self._targets, self.src, out=self._targets)
+        self._virtual.fill(self.n)
+        if starts is not None:
+            at = np.flatnonzero(starts)
+            self._virtual[at] = at
         return self._csr
 
 
@@ -731,7 +704,7 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
 def _check_shape(graph: StateGraph, prop: TemporalProperty, binders: dict) -> Verdict:
     shape = prop.shape
     if isinstance(shape, Invariant):
-        return check_invariant(graph, shape.pred, graph.bound, name=prop.name, binders=binders)
+        return check_invariant(graph, shape.pred, name=prop.name, binders=binders)
     if isinstance(shape, Eventually):
         return check_eventually(graph, shape.pred, name=prop.name, binders=binders)
     if isinstance(shape, AlwaysEventually):

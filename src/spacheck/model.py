@@ -19,8 +19,6 @@ from typing import Optional, Union
 Value = Union[bool, int, str]
 State = tuple  # tuple[Value, ...] aligned with SpecModel.variables
 
-KINDS = ("int", "bool", "string")
-
 # Signed 64-bit range; arithmetic leaving it is a runtime evaluation error.
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -207,7 +205,7 @@ class AlwaysEventually(Node):
 
 Shape = Union[Invariant, Eventually, LeadsTo, AlwaysEventually]
 
-PROPERTY_KINDS = {
+KIND_OF_SHAPE = {
     Invariant: "invariant",
     Eventually: "eventually",
     LeadsTo: "leadsto",
@@ -224,7 +222,7 @@ class TemporalProperty(Node):
 
     @property
     def kind(self) -> str:
-        return PROPERTY_KINDS[type(self.shape)]
+        return KIND_OF_SHAPE[type(self.shape)]
 
 
 @dataclass

@@ -38,7 +38,6 @@ from .model import (
     SpecModel,
     State,
     Unary,
-    Value,
     value_kind,
 )
 
@@ -92,29 +91,12 @@ class BoundSpec:
     spec: SpecModel
     constants: dict  # name -> Value
     var_index: dict = field(init=False, compare=False, repr=False)
-    # Generated code, made on first use: what the checker re-uses (successor
-    # code, invariant scans, predicate functions, domains and init sets), and
-    # the functions of the public `eval_expr`/`eval_set`, of which only the
-    # latest few are kept.
+    # Generated code, made on first use: successor code, invariant scans,
+    # predicate functions, domains and init sets.
     _generated: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _evaluators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.var_index = {v.name: i for i, v in enumerate(self.spec.variables)}
-
-
-@dataclass
-class Env:
-    """Evaluation context: the current state plus any choice/quantifier
-    binder values in scope."""
-
-    current: Optional[State]
-    binders: dict
-    bound: BoundSpec
-
-    @property
-    def constants(self) -> dict:
-        return self.bound.constants
 
 
 def bind_constants(spec: SpecModel, assignments: dict) -> BoundSpec:
@@ -544,19 +526,13 @@ def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: str
     return "dict.fromkeys((" + "".join(x + ", " for x, _, _ in elems) + "))"
 
 
-# How many generated functions the public evaluators keep per bound spec.
-_EVALUATORS = 256
-
-
-def _generated(store: dict, e, key: tuple, make: Callable, limit: Optional[int] = None):
+def _generated(store: dict, e, key: tuple, make: Callable):
     """`make()`, run once per expression object `e` and `key` while `store`
-    holds it; with `limit`, the oldest entry goes once `store` is full.  An
-    entry keeps `e` alive, so its id() cannot pass to another object."""
+    holds it.  An entry keeps `e` alive, so its id() cannot pass to another
+    object."""
     key = (id(e),) + key
     hit = store.get(key)
     if hit is None:
-        if limit is not None and len(store) >= limit:
-            del store[next(iter(store))]
         hit = store[key] = (e, make())
     return hit[1]
 
@@ -596,26 +572,10 @@ def _make_set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
     return mod.run(f"def f(s, b):\n    return list({src})\n", f"<{where}>")["f"]
 
 
-def eval_expr(expr: Expr, env: Env) -> Value:
-    """Evaluate a validated expression in the given environment."""
-    fn = _generated(env.bound._evaluators, expr, ("expr",),
-                    partial(_make_expr_function, expr, env.bound, "<expr>"), _EVALUATORS)
-    return fn(env.current, env.binders)
-
-
-def eval_set(setexpr: SetExpr, env: Env) -> list:
-    """Evaluate a finite set expression to its ordered distinct members.
-
-    `a..b` yields a, a+1, ..., b (empty when a > b); a literal keeps written
-    order, first occurrence wins.
-    """
-    fn = _generated(env.bound._evaluators, setexpr, ("set",),
-                    partial(_make_set_function, setexpr, env.bound, "<set>"), _EVALUATORS)
-    return fn(env.current, env.binders)
-
-
 def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
-    """Evaluate a constants-only set expression (binder sets, domains)."""
+    """Evaluate a constants-only set expression (binder sets, domains) to
+    its ordered distinct members: `a..b` yields a, a+1, ..., b (empty when
+    a > b); a literal keeps written order, first occurrence wins."""
     fn = _generated(bound._generated, setexpr, (where, "set"),
                     partial(_make_set_function, setexpr, bound, where))
     return fn(None, {})

@@ -75,7 +75,7 @@ def test_criterion_03_math_leadsto(math_src, n):
 
 def test_criterion_04_failing_invariant(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 5})
-    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"), bound)
+    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"))
     assert v.status == "fail"
     assert len(v.trace.states) == 1  # the initial state itself violates it
     assert replay_trace(bound, v.trace) is None
@@ -84,9 +84,7 @@ def test_criterion_04_failing_invariant(math_src):
 
 def test_criterion_05_corrected_invariant(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 5})
-    v = check_invariant(
-        graph, parse_expr('result = "" or num = count_right + count_wrong'), bound
-    )
+    v = check_invariant(graph, parse_expr('result = "" or num = count_right + count_wrong'))
     assert v.status == "pass"
     ok(5, 'result = "" or num = count_right + count_wrong passes')
 
@@ -205,7 +203,7 @@ def test_criterion_08_liveness_oracle_equivalence(math_src, clock_src, buggy_src
 def _collect_failure_traces(math_src, buggy_src):
     out = []
     bound, graph = build_graph(math_src, {"max_num_q": 5})
-    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"), bound)
+    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"))
     out.append((bound, v.trace))
     v = check_eventually(graph, parse_expr("num = 6"))
     out.append((bound, v.trace))

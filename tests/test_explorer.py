@@ -11,6 +11,7 @@ from spacheck import (
     Trace,
     check_deadlock,
     check_invariant,
+    check_property,
     explore,
     reconstruct_trace,
     replay_trace,
@@ -121,13 +122,13 @@ def test_eval_error_carries_discovery_trace():
 
 def test_clock_invariant_passes(clock_src):
     bound, graph = build_graph(clock_src)
-    v = check_invariant(graph, parse_expr("hr in 1..12"), bound)
+    v = check_invariant(graph, parse_expr("hr in 1..12"))
     assert v.status == "pass"
 
 
 def test_math_bad_invariant_fails_at_init(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 5})
-    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"), bound)
+    v = check_invariant(graph, parse_expr("num = count_right + count_wrong"))
     assert v.status == "fail"
     assert len(v.trace.states) == 1
     assert v.trace.actions == []
@@ -138,18 +139,36 @@ def test_math_bad_invariant_fails_at_init(math_src):
 
 def test_math_corrected_invariant_passes(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 5})
-    v = check_invariant(
-        graph, parse_expr('result = "" or num = count_right + count_wrong'), bound
-    )
+    v = check_invariant(graph, parse_expr('result = "" or num = count_right + count_wrong'))
     assert v.status == "pass"
 
 
 def test_invariant_true_false_extremes(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 2})
-    assert check_invariant(graph, parse_expr("true"), bound).status == "pass"
-    v = check_invariant(graph, parse_expr("false"), bound)
+    assert check_invariant(graph, parse_expr("true")).status == "pass"
+    v = check_invariant(graph, parse_expr("false"))
     assert v.status == "fail"
     assert len(v.trace.states) == 1
+
+
+def test_earlier_violation_beats_later_overflow():
+    # x + K is INT_MAX at x = 1, which violates the invariant, and leaves
+    # 64 bits at x = 2 and 3: the first violating state in BFS order wins,
+    # though a whole-graph evaluation of the predicate would overflow.
+    bound, graph = build_graph(
+        "spec t\nvar x : int init 0\n"
+        "action Inc { when x < 3 x' = x + 1 }\n"
+        "invariant Safe: x < 1 or x + 9223372036854775806 < 0\n"
+    )
+    assert [s[0] for s in graph.states] == [0, 1, 2, 3]
+    prop = bound.spec.properties[0]
+    for v in (check_invariant(graph, prop.shape.pred, name="Safe"),
+              check_property(graph, prop)):
+        assert (v.status, v.detail) == ("fail", "violated at state 1")
+        assert [s[0] for s in v.trace.states] == [0, 1]
+        assert replay_trace(bound, v.trace) is None
+    with pytest.raises(EvalError, match="overflow"):
+        oracles.evaluate(prop.shape.pred, graph.states[2], {}, bound)
 
 
 # --- deadlock ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from spacheck import (
     check_eventually,
     check_leadsto,
     check_property,
-    eval_expr,
     explore,
     replay_trace,
     validate,
@@ -36,7 +35,7 @@ from spacheck.liveness import (
 )
 from spacheck.model import INT_MAX, INT_MIN, format_value, state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import Env, EvalError
+from spacheck.semantics import EvalError
 
 
 def parse_expr(text: str):
@@ -69,9 +68,9 @@ def test_math_quiescent_states(math_src):
         assert rec["count_right"] + rec["count_wrong"] == 3
     # guard evaluation over the whole graph: only Terminating is enabled there
     for i in q:
-        env = Env(current=graph.states[i], binders={}, bound=bound)
         for action in bound.spec.actions:
-            enabled = all(eval_expr(g, env) for g in action.guards)
+            enabled = all(oracles.evaluate(g, graph.states[i], {}, bound)
+                          for g in action.guards)
             assert enabled == (action.name == "Terminating")
 
 
@@ -383,9 +382,8 @@ def test_lasso_loops_violate_target_and_are_fair(math_src, buggy_src):
         t = v.trace
         assert replay_trace(bound, t) is None
         target = args[-1]  # for leadsto the loop must avoid the conclusion
-        env = lambda s: Env(current=s, binders={}, bound=bound)
         for s in t.states[t.loop_start:]:
-            assert eval_expr(target, env(s)) is False
+            assert oracles.evaluate(target, s, {}, bound) is False
         loop = t.states[t.loop_start:]
         if len(loop) == 1 and t.loop_action is None:
             i = graph.index[loop[0]]
@@ -616,11 +614,11 @@ def test_fail_info_survives_later_searches(math_src):
 
 
 def assert_mask_walk_matches_reference(graph, rng, steps):
-    """Searches in the pattern of `forall` instances, which change only a
-    few rows of the shared CSR between searches: each step flips 1-3 states
-    of `restrict` or `starts`, or now and then draws fresh masks, and some
-    steps search without the path requirement (the SCC-core call).  Each
-    result, and each BFS tree, equals the oracles'."""
+    """Searches in the pattern of `forall` instances, which reuse one CSR,
+    rewritten for each search, and differ in a few states: each step flips
+    1-3 states of `restrict` or `starts`, or now and then draws fresh masks,
+    and some steps search without the path requirement (the SCC-core call).
+    Each result, and each BFS tree, equals the oracles'."""
     n = graph.n_states
     restrict, starts = random_masks(graph, rng)
     for step in range(steps):
@@ -670,8 +668,8 @@ def test_search_fail_matches_reference_on_mask_walks(which, math_src, clock_src)
 
 
 def test_forall_instances_match_fresh_analysis(math_src):
-    # Instances share one CSR, and the narrow targets here change few enough
-    # of its rows that each instance rewrites only those; each verdict, trace
+    # Instances share one CSR, which each search rewrites after the last
+    # one's, over masks that differ in few states; each verdict, trace
     # included, equals that of a graph analysed afresh.
     src = restart_src(math_src) + (
         "property Ev: forall x in 0..7 : eventually (num = x and count_wrong = 0)\n"

@@ -1,10 +1,11 @@
-"""Core model: state identity and state records."""
+"""Core model: state identity and state records, and the package's exports."""
 
 import itertools
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spacheck
 from conftest import build, build_graph
 from spacheck import state_to_record
 
@@ -119,3 +120,9 @@ def test_key_equality_matches_structural_equality(a, b):
     assert ({tuple(a): 0}.get(tuple(b)) == 0) == same
     if same:
         assert hash(tuple(a)) == hash(tuple(b))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in spacheck.__all__ if not hasattr(spacheck, name)]
+    assert missing == []
+    assert len(set(spacheck.__all__)) == len(spacheck.__all__)

@@ -11,13 +11,12 @@ from spacheck import (
     EvalError,
     action_successors,
     bind_constants,
-    eval_expr,
     initial_states,
     parse_spec,
     successors,
     validate,
 )
-from spacheck.semantics import Env, eval_set
+from spacheck.semantics import _make_expr_function, eval_const_set
 from spacheck.model import INT_MAX, state_to_record
 from spacheck.parser import _Parser, tokenize
 
@@ -30,11 +29,15 @@ def parse_setexpr(text: str):
     return _Parser(tokenize(text)).setexpr()
 
 
-def env_for(bound, record: dict | None = None, binders: dict | None = None) -> Env:
-    state = None
-    if record is not None:
-        state = tuple(record[v.name] for v in bound.spec.variables)
-    return Env(current=state, binders=binders or {}, bound=bound)
+def value_at(bound, text: str, record: dict):
+    """`text`'s value at the state `record`, from a function generated for
+    this call alone, so throwaway expressions stay out of the spec's cache."""
+    state = tuple(record[v.name] for v in bound.spec.variables)
+    return _make_expr_function(parse_expr(text), bound, "<expr>")(state, {})
+
+
+def const_set(bound, text: str) -> list:
+    return eval_const_set(parse_setexpr(text), bound, "<set>")
 
 
 # --- bind_constants ---------------------------------------------------------
@@ -139,55 +142,40 @@ def test_validate_requires_variable_and_action():
     assert any("at least one action" in e for e in errs)
 
 
-# --- eval_expr / eval_set -------------------------------------------------------
+# --- expression and set evaluation -----------------------------------------------
 
 
 def test_eval_clock_conditional(clock_src):
     bound = build(clock_src)
-    expr = parse_expr("if hr = 12 then 1 else hr + 1")
-    assert eval_expr(expr, env_for(bound, {"hr": 12, "period": "am"})) == 1
-    assert eval_expr(expr, env_for(bound, {"hr": 5, "period": "am"})) == 6
+    text = "if hr = 12 then 1 else hr + 1"
+    assert value_at(bound, text, {"hr": 12, "period": "am"}) == 1
+    assert value_at(bound, text, {"hr": 5, "period": "am"}) == 6
 
 
 def test_eval_overflow(math_src):
     bound = build(math_src, {"max_num_q": 2})
-    env = env_for(bound, dict(oracles.math_init(), num=INT_MAX))
+    record = dict(oracles.math_init(), num=INT_MAX)
     with pytest.raises(EvalError, match="overflow"):
-        eval_expr(parse_expr("num + 1"), env)
+        value_at(bound, "num + 1", record)
 
 
 def test_eval_short_circuit_skips_overflow(math_src):
     bound = build(math_src, {"max_num_q": 2})
-    env = env_for(bound, dict(oracles.math_init(), num=INT_MAX))
-    assert eval_expr(parse_expr("true or num + 1 = 0"), env) is True
-    assert eval_expr(parse_expr("false and num + 1 = 0"), env) is False
+    record = dict(oracles.math_init(), num=INT_MAX)
+    assert value_at(bound, "true or num + 1 = 0", record) is True
+    assert value_at(bound, "false and num + 1 = 0", record) is False
 
 
 def test_eval_set_range(clock_src):
     bound = build(clock_src)
-    assert eval_set(parse_setexpr("1..12"), env_for(bound)) == list(range(1, 13))
+    assert const_set(bound, "1..12") == list(range(1, 13))
 
 
 def test_eval_set_literal_and_empty_range(clock_src):
     bound = build(clock_src)
-    assert eval_set(parse_setexpr("{true, false}"), env_for(bound)) == [True, False]
-    assert eval_set(parse_setexpr("5..3"), env_for(bound)) == []
-    assert eval_set(parse_setexpr("{1, 2, 1}"), env_for(bound)) == [1, 2]
-
-
-def test_public_evaluators_keep_a_bounded_cache(clock_src):
-    bound = build(clock_src)
-    env = env_for(bound, {"hr": 5, "period": "am"})
-    expr = parse_expr("hr + 1")
-    assert eval_expr(expr, env) == 6
-    made = dict(bound._evaluators)
-    assert eval_expr(expr, env) == 6
-    assert bound._evaluators == made  # the second call compiles nothing
-    for k in range(600):
-        assert eval_expr(parse_expr(f"hr + {k}"), env) == 5 + k
-        assert eval_set(parse_setexpr(f"{{{k}, hr}}"), env) == ([5] if k == 5 else [k, 5])
-    assert len(bound._evaluators) <= 256
-    assert eval_expr(expr, env) == 6
+    assert const_set(bound, "{true, false}") == [True, False]
+    assert const_set(bound, "5..3") == []
+    assert const_set(bound, "{1, 2, 1}") == [1, 2]
 
 
 # Templates whose holes X, Y (int) are filled either with a literal, so
@@ -200,7 +188,7 @@ FOLD_VALUES = {"X": (0, 1, INT_MAX), "Y": (0, 1, INT_MAX)}
 
 def fold_outcome(bound, text, state):
     try:
-        return eval_expr(parse_expr(text), env_for(bound, state))
+        return value_at(bound, text, state)
     except EvalError as e:
         return f"EvalError: {e.message}"
 
@@ -287,8 +275,7 @@ def test_successors_at_math_init(math_src):
     # guard oracle: evaluate each action's guards directly
     enabled = []
     for action in bound.spec.actions:
-        env = env_for(bound, state_to_record(init, bound.spec))
-        if all(eval_expr(g, env) for g in action.guards):
+        if all(oracles.evaluate(g, init, {}, bound) for g in action.guards):
             enabled.append(action.name)
     assert enabled == ["Input_Answer"]
     succ = successors(init, bound)
@@ -349,8 +336,7 @@ def test_guard_monotonicity(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 2})
     for s in graph.states:
         for action in bound.spec.actions:
-            env = env_for(bound, state_to_record(s, bound.spec))
-            guards_hold = all(eval_expr(g, env) for g in action.guards)
+            guards_hold = all(oracles.evaluate(g, s, {}, bound) for g in action.guards)
             assert bool(action_successors(s, action, bound)) == guards_hold
 
 
