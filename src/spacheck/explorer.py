@@ -20,7 +20,7 @@ from .model import Expr, SpecModel, State, Value
 from .semantics import (
     BoundSpec,
     EvalError,
-    _explore_functions,
+    _explore_function,
     _scan_function,
     action_successors,
     initial_states,
@@ -139,13 +139,15 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     """Build the graph of states reachable from the initial states.
 
     Breadth-first: states are expanded in index order, which is discovery
-    order, so each state's edges are appended as the next CSR row.  Each
-    action's generated function interns the successors it makes and appends
-    their edges, in the order of semantics.successors, so two explorations
-    of the same BoundSpec produce identical graphs.  States are keyed by
-    their value tuples, so `bound` must have passed `validate`.  Raises
-    EvalError (with the discovery trace of the offending state attached),
-    LimitError, or EvalError on zero initial states.
+    order, so each state's edges are appended as the next CSR row.  The
+    loop that expands them is generated per spec, with the actions' code in
+    it (see `semantics._explore_function`): each successor is interned
+    where it is made and its edge appended, in the order of
+    semantics.successors, so two explorations of the same BoundSpec produce
+    identical graphs.  States are keyed by their value tuples, so `bound`
+    must have passed `validate`.  Raises EvalError (with the discovery
+    trace of the offending state attached), LimitError, or EvalError on
+    zero initial states.
     """
     if limits is None:
         limits = ExploreLimits()
@@ -159,8 +161,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
         parent=array("q"), parent_action=array("q"), depth=array("q"),
     )
-    states, index, depth = graph.states, graph.index, graph.depth
-    parent, parent_action = graph.parent, graph.parent_action
+    states, index = graph.states, graph.index
     for s in init:
         if s not in index:
             if len(states) >= max_states:
@@ -168,33 +169,25 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
             index[s] = len(states)
             graph.initial.append(len(states))
             states.append(s)
-            parent.append(-1)
-            parent_action.append(-1)
-            depth.append(0)
+            graph.parent.append(-1)
+            graph.parent_action.append(-1)
+            graph.depth.append(0)
 
-    fns = _explore_functions(bound, graph)
-    edge_dst, start_append = graph.edge_dst, graph.edge_start.append
-    deadline = limits.deadline
-    i = 0
-    while i < len(states):
-        s, d, known = states[i], depth[i] + 1, len(states)
-        try:
-            for fn in fns:
-                fn(s, i, d)
-        except EvalError as e:
-            e.trace = reconstruct_trace(graph, i)
-            raise
-        start_append(len(edge_dst))
-        # Checked once the state is expanded, so an EvalError at this state
-        # wins over a limit it reaches, and a limit over a later EvalError.
-        if len(states) > known:
-            if max_depth is not None and d > max_depth:
-                raise LimitError(f"depth limit of {max_depth} exceeded")
-            if len(states) > max_states:
-                raise LimitError(f"state limit of {max_states} exceeded")
-        i += 1
-        if deadline is not None and not i & 1023 and deadline.expired():
-            raise deadline.error(f"exploring ({len(states)} states, depth {d - 1})")
+    run = _explore_function(bound, graph)
+    try:
+        stopped = run(max_states, max_depth, limits.deadline)
+    except EvalError as e:
+        # The state being expanded is the one whose CSR row is still open.
+        e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
+        raise
+    if stopped == "depth":
+        raise LimitError(f"depth limit of {max_depth} exceeded")
+    if stopped == "states":
+        raise LimitError(f"state limit of {max_states} exceeded")
+    if stopped == "time":
+        last = len(graph.edge_start) - 2  # the last state expanded
+        raise limits.deadline.error(
+            f"exploring ({len(states)} states, depth {graph.depth[last]})")
     return graph
 
 

@@ -64,25 +64,34 @@ from .semantics import EvalError, _expr_function, eval_const_set
 # --- cached numeric view of a graph -------------------------------------------
 
 
+class _Columns(dict):
+    """Variable index -> the variable's value in every stored state, as a
+    numpy column; each is built on its first read, so a check pays only for
+    the variables its predicates name."""
+
+    _DTYPES = {"int": np.int64, "bool": bool}
+
+    def __init__(self, graph: StateGraph):
+        super().__init__()
+        self.states = graph.states
+        self.kinds = [v.kind for v in graph.spec.variables]
+
+    def __missing__(self, i: int) -> np.ndarray:
+        column = self[i] = np.array([s[i] for s in self.states],
+                                    dtype=self._DTYPES.get(self.kinds[i], object))
+        return column
+
+
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: per-variable value
-    columns, quiescence flags, the states on a full-graph cycle, the initial
-    mask, and one CSR matrix of the state-changing edges that `restricted`
-    rewrites in place for every search."""
+    columns (on demand), quiescence flags, the states on a full-graph cycle,
+    the initial mask, and one CSR matrix of the state-changing edges that
+    `restricted` rewrites in place for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
-        spec = graph.spec
         self.n = n
-        self.columns = []
-        for i, decl in enumerate(spec.variables):
-            vals = [s[i] for s in graph.states]
-            if decl.kind == "int":
-                self.columns.append(np.array(vals, dtype=np.int64))
-            elif decl.kind == "bool":
-                self.columns.append(np.array(vals, dtype=bool))
-            else:
-                self.columns.append(np.array(vals, dtype=object))
+        self.columns = _Columns(graph)
         dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int32),
                         np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))

@@ -1,10 +1,12 @@
 """Static validation, constant binding, evaluation, and the next-state relation.
 
 Expressions compile to Python source text from source templates, and each
-action to one generated Python function with its guards, assignments,
-conditions and `any` sets inline; `explore` gets a variant that also interns
-each successor where it is made.  Exploring a state space then runs
-straight-line Python rather than AST walks or calls per operator.
+action to generated straight-line Python with its guards, assignments,
+conditions and `any` sets inline: one function per action for `successors`,
+and for `explore` one generated breadth-first loop that holds every
+action's code and interns each successor where it is made.  Exploring a
+state space then runs straight-line Python rather than AST walks or calls
+per operator.
 Evaluation is strict except for `and`/`or`, which short-circuit.  Variables
 not assigned on an executed action path keep their values (implicit frame),
 so an action with guards only - no body - yields the unchanged state as its
@@ -353,11 +355,13 @@ def validate(bound: BoundSpec) -> list:
 
 # --- compilation to Python source -------------------------------------------------
 
-# An expression compiles to Python source text over a state `s` and a binder
-# dict: a variable is `s[3]`, a literal or constant its repr, and operators
-# come from a table of source templates.  `_SCALAR_OPS` is the table for one
-# state tuple; `liveness` has the table for a list of state columns, where
-# `s[3]` is a whole column.  Generated functions then run that text.
+# An expression compiles to Python source text over a state `s` and its
+# binders: a variable is `s[3]`, a binder an entry of a binder dict or, in
+# action code, a local variable, a literal or constant its repr, and
+# operators come from a table of source templates.  `_SCALAR_OPS` is the
+# table for one state tuple; `liveness` has the table for a list of state
+# columns, where `s[3]` is a whole column.  Generated functions then run
+# that text.
 
 _VARIES = object()  # the value of an expression that depends on the state
 
@@ -416,8 +420,8 @@ _SCALAR_OPS = {
 
 
 class _Module:
-    """Generated source under construction: the helper functions it defines
-    at top level, and the namespace its other names refer to."""
+    """Generated source under construction: the helper functions it defines,
+    and the namespace its other names refer to."""
 
     def __init__(self, ns: Optional[dict] = None):
         self.ns = dict(ns or {})
@@ -446,27 +450,37 @@ def _literal(v) -> tuple:
     return (f"({text})" if text.startswith("-") else text), v, 0
 
 
-def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str = "b",
+def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b="b",
                   ops: dict = _SCALAR_OPS) -> str:
-    """Python source that evaluates `e` over state `s` and the binder dict
-    named `b`; the names it needs are added to `mod`.  `ops` is the operator
-    table."""
+    """Python source that evaluates `e` over state `s` and the binders `b`;
+    the names it needs are added to `mod`.  `ops` is the operator table.
+
+    `b` is the name of a binder dict, or, in action code, a dict from each
+    binder in scope to the local variable that holds its value."""
     return _source(e, bound, where, mod, b, ops)[0]
 
 
-def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: dict) -> tuple:
+def _binder_args(b) -> str:
+    """The parameters, after `s`, through which a helper function sees the
+    binders `b` (see `_compile_expr`)."""
+    return ", ".join(b.values()) if isinstance(b, dict) else b
+
+
+def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -> tuple:
     """The one walk over expressions: (source, value, height).  `value` is
     the constant `e` folds to, or _VARIES: literals and constants are their
     value, and arithmetic on two constants folds unless it overflows.
     `height` is the nesting of the source; an operand as high as
-    _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, b)`."""
+    _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, <binders>)`."""
     def sub(x: Expr) -> tuple:
         src, value, height = _source(x, bound, where, mod, b, ops)
         if height < _MAX_EXPR_DEPTH:
             return src, value, height
         name = mod.fresh("x")
-        mod.defs.append(f"def {name}(s, {b}):\n    return {src}\n")
-        return f"{name}(s, {b})", value, 1
+        args = _binder_args(b)
+        params = f"s, {args}" if args else "s"
+        mod.defs.append(f"def {name}({params}):\n    return {src}\n")
+        return f"{name}({params})", value, 1
 
     def made(src: str, *operands) -> tuple:
         return src, _VARIES, 1 + max(h for _, _, h in operands)
@@ -478,7 +492,11 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: di
             return f"s[{bound.var_index[e.name]}]", _VARIES, 0
         if e.name in bound.constants:
             return _literal(bound.constants[e.name])
+        if isinstance(b, dict) and e.name in b:
+            return b[e.name], _VARIES, 0
         err = mod.bind("U", _unresolved(e.name, where, e.line, e.col))
+        if isinstance(b, dict):
+            return f"{err}(s)", _VARIES, 1
         return f"({b}[{e.name!r}] if {e.name!r} in {b} else {err}(s))", _VARIES, 1
     if isinstance(e, Unary):
         x = sub(e.operand)
@@ -512,7 +530,7 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: str, ops: di
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: str = "b") -> str:
+def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b="b") -> str:
     """Python source for the ordered distinct members of a set expression,
     as an iterable; a literal set of constants is folded to a tuple."""
     if isinstance(se, RangeSet):
@@ -583,16 +601,25 @@ def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
 
 # --- action compilation ------------------------------------------------------
 
-# One function generated per action never nests deeper than this many
-# indentation levels or `for` loops; the statements below that depth move
-# into a helper.  CPython rejects about 100 levels and 20 nested loops.
+# Action code nests no deeper than this many indentation levels or `for`
+# loops in one generated function; the statements below that depth move into
+# a helper.  CPython rejects about 100 levels and 20 nested blocks.
 _MAX_INDENT = 40
 _MAX_LOOPS = 10
 
+# The explore loop holds all action code inline when it is at most this many
+# lines; otherwise the loop calls group functions, each holding consecutive
+# actions of at most this many lines in all (or one longer action).  Explore
+# times in-process (CPU time, medians of 20 interleaved rounds, 2 cores,
+# Python 3.11): math-dag (59 lines) 0.26 s inline, 0.34 s in groups of at
+# most 50 lines, 0.34 s with one call per action; math-cyclic (73 lines)
+# 0.27, 0.34 and 0.33 s; panels-wide (15 actions, 195 lines) 0.52 s inline,
+# 0.46 s in groups of at most 100 lines, 0.51 s with one call per action.
+_MAX_INLINE = 100
+
 # How a generated statement sequence ends: falling through (an `if` branch
-# that holds no `any`), appending the successor, or yielding the binder dict
-# (the paths of an `if` with an `any` inside, to the loop that runs the
-# statements after it).
+# that holds no `any`), making the successor, or yielding (the paths of an
+# `if` with an `any` inside, to the loop that runs the statements after it).
 _FALL, _EMIT, _YIELD = "fall", "emit", "yield"
 
 
@@ -611,69 +638,41 @@ def _domain_error(var: str, where: str, line: int, col: int, value, state) -> Ev
     )
 
 
-def _interning(a: int) -> list:
-    """Lines that intern successor `t` of state `i`, made by action `a`,
-    into the graph: looked up in its `index`, appended to its state arrays
-    at depth `d` when new, and its edge appended."""
-    return [
-        "j = lookup(t)",
-        "if j is None:",
-        "    j = index[t] = len(states)",
-        f"    add_state(t); add_parent(i); add_parent_action({a}); add_depth(d)",
-        f"add_dst(j); add_action({a})",
-    ]
-
-
-def _variant(action: ActionDef, explore_index: Optional[int]) -> tuple:
-    """(params, start, emit, end) of one action's successor function:
-    `succ(s)`, or with `explore_index` (the action's index) the interning
-    `succ(s, i, d)` that `_explore_functions` binds to a graph.  Only an
-    action with an `any` can make one successor twice, so only those collect
-    their successors and deduplicate them first."""
-    has_any = _contains_any(action.body)
-    if explore_index is None:
-        return ("s", ["out = []"], ["out.append(t)"],
-                ["return dict.fromkeys(out)" if has_any else "return out"])
-    if has_any:
-        return ("s, i, d", ["out = []"], ["out.append(t)"],
-                ["for t in dict.fromkeys(out):"]
-                + ["    " + line for line in _interning(explore_index)])
-    return "s, i, d", [], _interning(explore_index), []
-
-
 class _ActionSource:
-    """The source of one action's successor function and the namespace its
-    names refer to.
+    """The code of one action: `lines`, at indentation `depth` of a generated
+    function whose locals include the state `s`, run `emit` once for each
+    distinct successor `t` of `s` that the action makes, in enumeration
+    order.  With no `emit`, they append every successor to a list `out`
+    made once the guards hold, and the caller deduplicates it when the
+    action has an `any`.  The names the code needs are added to `mod`.
 
-    By default the function is `succ(s)`, which returns the action's
-    distinct successors of state `s` in enumeration order; with
-    `explore_index` it is `succ(s, i, d)`, which interns each into the
-    graph where it is made.  Only the lines of `_variant` differ: `start`
-    runs once the guards hold, `emit` for each successor `t` made, and `end`
-    closes the function.
-
-    `succ` checks the guards in order, then runs the body as straight-line
-    code with one local `w<i>` for each slot `i` the body assigns: an `if`
-    is a Python `if`, and an `any` is a `for` loop that runs its body and
-    the rest of the action once per choice.  Each iteration starts by
-    restoring the slots the body assigns; the rest cannot see the binder, so
-    it takes the same path in every iteration.  Each path ends with the
-    successor `t = (s[0], w1, s[2], ...)`.  Guards, assignments, conditions
-    and `any` sets are `_compile_expr` source, inline.
+    The lines check the guards in order, in one `if`, then run the body as
+    straight-line code with one local `w<i>` for each slot `i` the body
+    assigns: an `if` is a Python `if`, and an `any` is a `for` loop that
+    runs its body and the rest of the action once per choice.  The loop
+    variable is the binder: expressions read a binder as a plain local.
+    Each iteration starts by restoring the slots the body assigns; the rest
+    cannot see the binder, so it takes the same path in every iteration.
+    Each path ends with the successor `t = (s[0], w1, s[2], ...)`.  Guards,
+    assignments, conditions and `any` sets are `_compile_expr` source,
+    inline.  Only an action with an `any` can make one successor twice, so
+    only those collect their successors in `out` and run `emit` over them
+    deduplicated.
 
     An `if` with an `any` inside, followed by more statements, becomes a
     generator that yields once per path through it, and those statements
     run in a loop over it.  Statements that would nest too deep move into a
     helper called in their place.  Generators and helpers are nested
-    functions `k<n>(b)` of the binder dict that share the slot locals.
+    functions `k<n>(...)` of the binders in scope that share the slot
+    locals; `helpers` says whether the action has any.
     """
 
-    def __init__(self, bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
-        params, start, emit, end = _variant(action, explore_index)
+    def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
+                 emit: Optional[list], depth: int):
         self.bound = bound
         self.where = f"action {action.name}"
-        self.mod = _Module({"B": {}})
-        self.pending: list = []  # (name, statements, tail) of helpers to generate
+        self.mod = mod
+        self.pending: list = []  # (name, statements, tail, binders) of helpers to generate
         self.domains = {}
         for i, v in enumerate(bound.spec.variables):
             if v.domain is not None:
@@ -681,33 +680,38 @@ class _ActionSource:
         nvars = len(bound.spec.variables)
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
-        self.emit = [f"t = ({fields})" if slots else "t = s"] + emit
+        collect = emit is None or _contains_any(action.body)
+        self.emit = [f"t = ({fields})" if slots else "t = s"]
+        self.emit += ["out.append(t)"] if collect else emit
 
+        lines = []
+        if action.guards:
+            guards = " and ".join(self.expr(g, {}) for g in action.guards)
+            lines.append(f"{'    ' * depth}if {guards}:")
+            depth += 1
+        pad = "    " * depth
+        lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(slots))
+        if collect:
+            lines.append(f"{pad}out = []")
         body: list = []
-        self.block(body, set(), action.body, _EMIT, 1, 0, "B")
-        helpers: list = []
+        self.block(body, set(), action.body, _EMIT, depth, 0, {})
+        self.helpers = bool(self.pending)
         while self.pending:  # a loop, not recursion: helpers may be many
-            name, stmts, tail = self.pending.pop()
-            lines: list = []
+            name, stmts, tail, binders = self.pending.pop()
+            helper: list = []
             written: set = set()
-            self.block(lines, written, stmts, tail, 2, 0, "b")
-            helpers.append(f"    def {name}(b):")
+            self.block(helper, written, stmts, tail, depth + 1, 0, binders)
+            lines.append(f"{pad}def {name}({_binder_args(binders)}):")
             if written:
-                helpers.append("        nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
-            helpers.extend(lines)
-
-        lines = [f"def succ({params}):"]
-        for g in action.guards:
-            lines.append(f"    if not {self.expr(g, 'B')}:")
-            lines.append("        return ()")
-        lines.extend(f"    w{i} = s[{i}]" for i in sorted(slots))
-        lines.extend("    " + line for line in start)
-        lines.extend(helpers)
+                lines.append(f"{pad}    nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
+            lines.extend(helper)
         lines.extend(body)
-        lines.extend("    " + line for line in end)
-        self.source = self.mod.source("\n".join(lines) + "\n")
+        if collect and emit is not None:
+            lines.append(f"{pad}for t in dict.fromkeys(out):")
+            lines.extend(f"{pad}    {line}" for line in emit)
+        self.lines = lines
 
-    def expr(self, e: Expr, b: str) -> str:
+    def expr(self, e: Expr, b: dict) -> str:
         return _compile_expr(e, self.bound, self.where, self.mod, b)
 
     def slots(self, stmts: list) -> set:
@@ -722,18 +726,19 @@ class _ActionSource:
                 out |= self.slots(st.body)
         return out
 
-    def helper(self, stmts: list, tail: str) -> str:
-        """The name of a helper that runs `stmts`, then `tail`; it is a
-        generator when `tail` yields."""
+    def helper(self, stmts: list, tail: str, b: dict) -> str:
+        """A call of a helper that runs `stmts`, then `tail`, with the
+        binders `b`; it is a generator when `tail` yields."""
         name = self.mod.fresh("k")
-        self.pending.append((name, stmts, tail))
-        return name
+        self.pending.append((name, stmts, tail, b))
+        return f"{name}({_binder_args(b)})"
 
     def block(self, lines: list, written: set, stmts: list, tail: str, depth: int,
-              loops: int, b: str) -> None:
+              loops: int, b: dict) -> None:
         """Append the lines that run `stmts` and then `tail` at indentation
-        `depth`, inside `loops` nested loops, with binder dict `b`; `written`
-        collects the slots those lines assign."""
+        `depth`, inside `loops` nested loops, with the binders `b` in scope
+        (see `_compile_expr`); `written` collects the slots those lines
+        assign."""
         pad = "    " * depth
         start = len(lines)
         for k, st in enumerate(stmts):
@@ -748,14 +753,13 @@ class _ActionSource:
                     lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
                 continue
             if depth >= _MAX_INDENT or loops >= _MAX_LOOPS:
-                call = f"{self.helper(stmts[k:], tail)}({b})"
+                call = self.helper(stmts[k:], tail, b)
                 lines.append(f"{pad}yield from {call}" if tail == _YIELD else pad + call)
                 return
             rest = stmts[k + 1:]
             if isinstance(st, If) and rest and _contains_any([st]):
-                inner = self.mod.fresh("b")
-                lines.append(f"{pad}for {inner} in {self.helper([st], _YIELD)}({b}):")
-                self.block(lines, written, rest, tail, depth + 1, loops + 1, inner)
+                lines.append(f"{pad}for _ in {self.helper([st], _YIELD, b)}:")
+                self.block(lines, written, rest, tail, depth + 1, loops + 1, b)
                 return
             if isinstance(st, If):
                 branch_tail = tail if _contains_any([st]) else _FALL
@@ -768,34 +772,46 @@ class _ActionSource:
                     continue
                 return
             choices = _compile_set(st.over, self.bound, self.where, self.mod, b)
-            value, inner = self.mod.fresh("v"), self.mod.fresh("b")
+            value = self.mod.fresh("v")
             lines.append(f"{pad}for {value} in {choices}:")
-            lines.append(f"{pad}    {inner} = {{**{b}, {st.binder!r}: {value}}}")
             for i in sorted(self.slots(st.body)):
                 lines.append(f"{pad}    w{i} = s[{i}]")
                 written.add(i)
-            self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1, inner)
+            self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
+                       {**b, st.binder: value})
             return
         if tail == _EMIT:
             lines.extend(pad + line for line in self.emit)
         elif tail == _YIELD:
-            lines.append(f"{pad}yield {b}")
+            lines.append(f"{pad}yield")
         elif len(lines) == start:
             lines.append(f"{pad}pass")
 
 
-def _action_code(bound: BoundSpec, action: ActionDef, explore_index: Optional[int] = None):
-    """(namespace, code object) of one action's generated successor function
-    (see `_ActionSource`)."""
-    src = _ActionSource(bound, action, explore_index)
-    return src.mod.ns, compile(src.source, f"<action {action.name}>", "exec")
+def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
+                   emit: Optional[list], depth: int) -> _ActionSource:
+    """`_ActionSource`, with a located EvalError for an action that nests
+    past Python's recursion limit."""
+    try:
+        return _ActionSource(bound, action, mod, emit, depth)
+    except RecursionError:
+        raise EvalError("the spec nests too deeply to check", f"action {action.name}",
+                        action.line, action.col) from None
+
+
+def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
+    """(module, main source) of `succ(s)`, which returns the action's
+    distinct successors of state `s` in enumeration order: the reference
+    next-state function that `successors` and `replay_trace` run."""
+    mod = _Module()
+    src = _action_source(bound, action, mod, None, 1)
+    end = "dict.fromkeys(out)" if _contains_any(action.body) else "out"
+    return mod, "\n".join(["def succ(s):", "    out = ()", *src.lines, f"    return {end}\n"])
 
 
 def _successor_function(bound: BoundSpec, action: ActionDef) -> Callable:
-    ns, code = _action_code(bound, action)
-    ns = dict(ns)
-    exec(code, ns)
-    return ns["succ"]
+    mod, main = _successor_source(bound, action)
+    return mod.run(main, f"<action {action.name}>")["succ"]
 
 
 def _successor_functions(bound: BoundSpec) -> list:
@@ -805,26 +821,98 @@ def _successor_functions(bound: BoundSpec) -> list:
         _successor_function(bound, a) for a in bound.spec.actions])
 
 
-def _explore_functions(bound: BoundSpec, graph) -> list:
-    """One interning successor function per action, `succ(s, i, d)` (see
-    `_ActionSource`), bound to the containers of `graph`: its `index`,
-    `states`, `parent`, `parent_action` and `depth`, and the CSR arrays
-    `edge_dst` and `edge_action`.  The code is generated once per bound
-    spec and run once per graph."""
-    codes = _generated(bound._generated, bound.spec, ("explore",), lambda: [
-        _action_code(bound, action, a) for a, action in enumerate(bound.spec.actions)])
-    targets = {
-        "lookup": graph.index.get, "index": graph.index, "states": graph.states,
-        "add_state": graph.states.append, "add_parent": graph.parent.append,
-        "add_parent_action": graph.parent_action.append, "add_depth": graph.depth.append,
-        "add_dst": graph.edge_dst.append, "add_action": graph.edge_action.append,
-    }
-    fns = []
-    for ns, code in codes:
-        ns = {**ns, **targets}
-        exec(code, ns)
-        fns.append(ns["succ"])
-    return fns
+# The graph containers the explore module's factory takes, and the names it
+# binds to their methods.
+_GRAPH_ARGS = ("index", "states", "parent", "parent_action", "depth",
+               "edge_start", "edge_dst", "edge_action")
+_GRAPH_NAMES = ["lookup = index.get", "add_state = states.append",
+                "add_parent = parent.append", "add_parent_action = parent_action.append",
+                "add_depth = depth.append", "add_start = edge_start.append",
+                "add_dst = edge_dst.append", "add_action = edge_action.append"]
+
+# The breadth-first loop: states are expanded in index order, each state's
+# edges closing its CSR row.  It returns the limit it stopped at, or None
+# once every state is expanded.
+_RUN_HEAD = """\
+    def run(max_states, max_depth, deadline):
+        i = 0
+        while i < len(states):
+            s = states[i]
+            d = depth[i] + 1
+            known = len(states)
+"""
+_RUN_TAIL = """\
+            add_start(len(edge_dst))
+            i += 1
+            # Checked once the state is expanded, so an EvalError at this
+            # state wins over a limit it reaches, and a limit over a later
+            # EvalError.
+            if len(states) > known:
+                if max_depth is not None and d > max_depth:
+                    return "depth"
+                if len(states) > max_states:
+                    return "states"
+            if deadline is not None and not i & 1023 and deadline.expired():
+                return "time"
+    return run
+"""
+
+
+def _explore_module(bound: BoundSpec) -> tuple:
+    """(namespace, source) of the module that explores `bound`: one function
+    `explore(<graph containers>, <namespace names>)` whose `run` expands
+    the states of that graph (see `_explore_function`)."""
+    mod = _Module()
+    actions = []
+    for a, action in enumerate(bound.spec.actions):
+        intern = ["j = lookup(t)",
+                  "if j is None:",
+                  "    j = index[t] = len(states)",
+                  f"    add_state(t); add_parent(i); add_parent_action({a}); add_depth(d)",
+                  f"add_dst(j); add_action({a})"]
+        actions.append(_action_source(bound, action, mod, intern, 3))
+    lines = ["    " + line for line in _GRAPH_NAMES]
+    lines += ["    " + line for d in mod.defs for line in d.splitlines()]
+    calls = []
+    if sum(len(x.lines) for x in actions) <= _MAX_INLINE and not any(x.helpers for x in actions):
+        calls = [line for x in actions for line in x.lines]
+    else:
+        groups: list = []
+        for x in actions:
+            if not groups or len(groups[-1]) + len(x.lines) > _MAX_INLINE:
+                groups.append([])
+            groups[-1].extend(line[4:] for line in x.lines)
+        for group in groups:
+            name = mod.fresh("g")
+            lines.append(f"    def {name}(s, i, d):")
+            lines.extend(group)
+            calls.append(f"            {name}(s, i, d)")
+    params = ", ".join([*_GRAPH_ARGS, *mod.ns])
+    source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + "\n".join(calls),
+                        _RUN_TAIL])
+    return mod.ns, source
+
+
+def _explore_function(bound: BoundSpec, graph) -> Callable:
+    """run(max_states, max_depth, deadline), which expands the states of
+    `graph` in index order until all are expanded (it returns None) or a
+    limit is passed: it returns "depth" or "states" once a state's new
+    successors pass `max_depth` or `max_states`, and "time" when `deadline`
+    has expired at a multiple of 1,024 expanded states.  An EvalError
+    leaves the row of the state being expanded open in `edge_start`.
+
+    Each successor is interned where it is made, its edge appended in the
+    order of `successors`.  The module is compiled once per bound spec; its
+    `explore` runs once per graph and binds the graph's containers and the
+    module's names as closure cells."""
+    def make():
+        ns, source = _explore_module(bound)
+        code = compile(source, f"<explore {bound.spec.name}>", "exec")
+        module: dict = {}
+        exec(code, module)
+        return ns, module["explore"]
+    ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
+    return factory(**{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
 
 
 # --- initial states and successors ---------------------------------------------

@@ -9,6 +9,7 @@ quiescent state, each with a reachability prefix).
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from collections import deque
@@ -238,6 +239,58 @@ def step(bound, state) -> list:
             run(list(action.body), {}, {})
         out.extend((action.name, t) for t in found)
     return out
+
+
+def explore_reference(bound, max_states: int) -> tuple:
+    """Breadth-first exploration over `step` alone, as `explore` defines it:
+    states numbered in discovery order, each expanded in index order, the
+    state limit checked once a state's successors are all interned.
+
+    Returns ("graph", fields), where fields holds `states`, `initial` and
+    the six per-state and per-edge arrays as lists; ("error", message,
+    trace states, trace actions) when expanding a state raises EvalError,
+    with the discovery path to that state; or ("limit", message) when the
+    states pass `max_states`.  Initial values come from `evaluate` and
+    `members`, in declaration order, as the Cartesian product."""
+    per_var = []
+    for v in bound.spec.variables:
+        where = f"var {v.name}"
+        if v.init is not None:
+            per_var.append([evaluate(v.init, None, {}, bound, where)])
+        else:
+            per_var.append(members(v.init_set, None, {}, bound, where))
+    names = [a.name for a in bound.spec.actions]
+    states = list(dict.fromkeys(itertools.product(*per_var)))
+    limit = ("limit", f"state limit of {max_states} exceeded")
+    if len(states) > max_states:
+        return limit
+    fields = {"states": states, "initial": list(range(len(states))), "edge_start": [0],
+              "edge_dst": [], "edge_action": [], "parent": [-1] * len(states),
+              "parent_action": [-1] * len(states), "depth": [0] * len(states)}
+    index = {s: k for k, s in enumerate(states)}
+    for i, s in enumerate(states):  # `states` grows as the loop runs
+        try:
+            moves = step(bound, s)
+        except EvalError as e:
+            path, labels = [i], []
+            while fields["parent"][path[-1]] >= 0:
+                labels.append(names[fields["parent_action"][path[-1]]])
+                path.append(fields["parent"][path[-1]])
+            return ("error", str(e), [states[k] for k in reversed(path)], labels[::-1])
+        for name, t in moves:
+            a = names.index(name)
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+                fields["parent"].append(i)
+                fields["parent_action"].append(a)
+                fields["depth"].append(fields["depth"][i] + 1)
+            fields["edge_dst"].append(index[t])
+            fields["edge_action"].append(a)
+        fields["edge_start"].append(len(fields["edge_dst"]))
+        if len(states) > max_states:
+            return limit
+    return ("graph", fields)
 
 
 # --- brute-force liveness oracle ------------------------------------------------

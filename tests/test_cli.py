@@ -163,14 +163,16 @@ def _long_sum(terms):
 
 # Each nests deeper than Python's default recursion limit allows: in the
 # parser, in validate, in the action's compiled expression, and in a
-# property's compiled expression.  The parser says where it stopped.
+# property's compiled expression.  The parser says where it stopped, and
+# exploring names the action it could not compile.
 _TOO_DEEP = r": [^\n]*nests too deeply[^\n]*\n"
 
 
 @pytest.mark.parametrize("source,message", [
     (_nested_ifs(600), r":\d+:\d+: the spec nests too deeply to parse\n"),
     ("spec deep\nvar x : int init 0\naction A {\nx' = " + _long_sum(1500) + "\n}\n", _TOO_DEEP),
-    ("spec deep\nvar x : int init 0\naction A {\nx' = " + _long_sum(600) + "\n}\n", _TOO_DEEP),
+    ("spec deep\nvar x : int init 0\naction A {\nx' = " + _long_sum(600) + "\n}\n",
+     r": action A at 3:1: the spec nests too deeply to check\n"),
     ("spec deep\nvar x : int init 0\naction A {\nx' = 1\n}\n"
      "property P: eventually (x = " + _long_sum(600) + ")\n", _TOO_DEEP),
 ], ids=["nested_ifs", "sum_1500", "sum_600_action", "sum_600_property"])

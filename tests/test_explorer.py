@@ -1,5 +1,8 @@
 """Exploration, safety checks, deadlock, and trace machinery."""
 
+import ast
+import re
+
 import pytest
 
 import oracles
@@ -18,6 +21,7 @@ from spacheck import (
 )
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
+from spacheck.semantics import _explore_module
 
 
 def parse_expr(text: str):
@@ -281,6 +285,37 @@ def test_eval_error_of_a_later_action_beats_a_limit_at_the_same_state(limits):
     assert err.value.trace.actions == ["Start"]
 
 
+def grouped_precedence_spec():
+    """The precedence spec with Boom overflowing (see above) and forty idle
+    actions between Fan and Boom: too much code for the explore loop to hold
+    inline, so the actions sit in group functions, Boom in a later one than
+    Fan."""
+    idle = "".join(f"action Idle{k} {{ when x = 9 x' = x + {k} }}\n" for k in range(40))
+    return build(_PRECEDENCE.replace("boom", "true").replace("action Boom", idle + "action Boom"))
+
+
+@pytest.mark.parametrize("limits", [ExploreLimits(max_states=4), ExploreLimits(max_depth=1)],
+                         ids=["max_states", "max_depth"])
+def test_eval_error_of_a_later_group_beats_a_limit_at_the_same_state(limits):
+    bound = grouped_precedence_spec()
+    tree = ast.parse(_explore_module(bound)[1])
+    groups = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and re.fullmatch(r"g\d+", node.name)]
+    names = [a.name for a in bound.spec.actions]
+
+    def group_of(action: str) -> int:
+        return next(k for k, g in enumerate(groups)
+                    if f"add_action({names.index(action)})" in g)
+
+    assert len(groups) >= 3
+    assert group_of("Fan") < group_of("Boom")
+    with pytest.raises(EvalError, match="overflow") as err:
+        explore(bound, limits)
+    assert "action Boom" in str(err.value)
+    assert err.value.trace.states == [(0,), (1,)]
+    assert err.value.trace.actions == ["Start"]
+
+
 @pytest.mark.parametrize("limits,message", [
     (ExploreLimits(max_states=4), "state limit of 4 exceeded"),
     (ExploreLimits(max_depth=1), "depth limit of 1 exceeded"),
@@ -302,3 +337,13 @@ def test_state_limit_counts_the_initial_states():
     with pytest.raises(LimitError, match="state limit of 2 exceeded"):
         explore(bound, ExploreLimits(max_states=2))
     assert explore(bound, ExploreLimits(max_states=3)).n_states == 3
+
+
+def test_action_nested_past_the_recursion_limit_is_a_located_error():
+    # a sum of 600 terms validates, but compiling it recurses past the limit
+    bound = build("spec deep\nvar x : int init 0\naction A {\nx' = "
+                  + " + ".join(["x"] * 600) + "\n}\n")
+    with pytest.raises(EvalError) as err:
+        explore(bound)
+    assert str(err.value) == "action A at 3:1: the spec nests too deeply to check"
+    assert err.value.trace is None

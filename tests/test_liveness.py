@@ -567,6 +567,26 @@ def test_restart_reachability_instances_match_oracle(math_src):
     assert check_property(graph, prop_named(bound.spec, "Reachability")).status == "pass"
 
 
+def test_predicate_columns_are_built_on_first_read(math_src):
+    """A predicate builds the value columns of the variables it names and no
+    others, and the verdicts are the oracle's."""
+    bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
+    columns = liveness._analysis(graph).columns
+    assert dict(columns) == {}
+    num, enabled = bound.var_index["num"], bound.var_index["input_enabled"]
+    target = parse_expr("num = 2")
+    want = oracles.oracle_eventually(graph, pred_values(graph, bound, target))
+    assert check_eventually(graph, target).status == ("pass" if want else "fail")
+    assert list(columns) == [num]
+    premise, target = parse_expr("input_enabled"), parse_expr("num = 3")
+    want = oracles.oracle_leadsto(graph, pred_values(graph, bound, premise),
+                                  pred_values(graph, bound, target))
+    assert check_leadsto(graph, premise, target).status == ("pass" if want else "fail")
+    assert sorted(columns) == sorted([num, enabled])
+    for i, column in columns.items():
+        assert column.tolist() == [s[i] for s in graph.states]
+
+
 EQUAL_DEPTH_CYCLE = """spec flip
 var x : int init 0
 action Enter {

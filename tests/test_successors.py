@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build
-from spacheck import (bind_constants, check_deadlock, check_property, explore, initial_states,
-                      parse_spec, replay_trace, successors, validate)
+from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
+                      explore, initial_states, parse_spec, replay_trace, successors, validate)
 from spacheck.model import Binary, Cond, Lit, Name, Node
-from spacheck.semantics import EvalError, _ActionSource
+from spacheck.semantics import EvalError, _explore_module, _successor_source
 
 INT_MAX = 2**63 - 1  # adding it to any positive value overflows
 
@@ -200,6 +200,46 @@ def test_successors_match_interpreter_on_deep_specs(source):
     agree_from_initial(build(source))
 
 
+# --- the generated explore loop against a reference BFS -------------------------
+
+_ARRAYS = ("edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
+
+
+def explore_outcome(bound, max_states: int) -> tuple:
+    """`explore`'s result in the shape of `oracles.explore_reference`."""
+    try:
+        graph = explore(bound, ExploreLimits(max_states=max_states))
+    except EvalError as e:
+        return ("error", str(e), e.trace.states, e.trace.actions)
+    except LimitError as e:
+        return ("limit", str(e))
+    fields = {"states": graph.states, "initial": graph.initial}
+    fields.update((name, list(getattr(graph, name))) for name in _ARRAYS)
+    return ("graph", fields)
+
+
+def assert_explore_matches_reference(bound, max_states: int) -> None:
+    assert explore_outcome(bound, max_states) == oracles.explore_reference(bound, max_states)
+
+
+@settings(max_examples=max(100, settings().max_examples), deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_explore_matches_reference_bfs_on_random_specs(seed):
+    bound = bind_constants(oracles.gen_spec(seed), {})
+    assert validate(bound) == []
+    assert_explore_matches_reference(bound, 10_000)
+
+
+# Unbounded counters make some deep specs infinite: those end at the state
+# limit in both explorations, with every EvalError before it compared too.
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@example(_PATHS)
+@example(_ERRORS)
+@given(deep_specs())
+def test_explore_matches_reference_bfs_on_deep_specs(source):
+    assert_explore_matches_reference(build(source), 200)
+
+
 # --- nesting past what one generated function can hold -----------------------------
 
 
@@ -250,10 +290,10 @@ def oracle_graph(bound) -> tuple:
 
 
 def source_size(spec) -> int:
-    """The size of the generated source of the first action of `spec`
-    (text, or a bound spec)."""
+    """The size of the generated explore module of `spec` (text, or a bound
+    spec)."""
     bound = build(spec) if isinstance(spec, str) else spec
-    return len(_ActionSource(bound, bound.spec.actions[0]).source)
+    return len(_explore_module(bound)[1])
 
 
 def check_shape(make, n: int, states: list) -> None:
@@ -273,6 +313,14 @@ def test_four_hundred_nested_ifs():
 
 def test_twenty_five_nested_anys():
     check_shape(nested_anys, 25, [(0,), (25,), (50,)])
+
+
+def test_ten_nested_anys_inline_in_the_loop():
+    # the most loops an action nests without a helper, inside the explore
+    # loop's own `while`
+    source = _explore_module(build(nested_anys(10)))[1]
+    assert "def g" not in source and "def k" not in source
+    check_shape(nested_anys, 10, [(0,), (10,), (20,)])
 
 
 def test_twenty_five_sequential_anys():
@@ -364,20 +412,32 @@ def test_deeply_nested_expressions(make, n):
 
 
 def test_generated_actions_read_and_compare_inline(math_src):
-    """A variable read, literal, comparison, `and`/`or` or sum in an action
-    is inline source: the only calls left are appending a successor,
-    deduplicating, and raising an overflow or unresolved-name error."""
+    """A variable read, binder, literal, comparison, `and`/`or` or sum in an
+    action is inline source, in the explore loop and in the reference
+    successor functions: the only calls left are interning or appending a
+    successor, deduplicating, the loop's deadline check, and raising an
+    overflow or unresolved-name error."""
     bound = build(math_src, {"max_num_q": 3})
+    explore_source = _explore_module(bound)[1]
+    # math is small enough for all of its actions to sit inline in the loop
+    assert [node.name for node in ast.walk(ast.parse(explore_source))
+            if isinstance(node, ast.FunctionDef)] == ["explore", "run"]
+    # Check's binder `r` is a local: no binder dict is built or searched
+    assert "{**" not in explore_source and "'r' in" not in explore_source
+    sources = [explore_source]
     for action in bound.spec.actions:
-        for explore_index in (None, 0):
-            tree = ast.parse(_ActionSource(bound, action, explore_index).source)
-            raisers = {id(node.orelse) for node in ast.walk(tree) if isinstance(node, ast.IfExp)}
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = ast.unparse(node.func)
-                if re.fullmatch(r"[OU]\d+", name):
-                    assert id(node) in raisers, ast.unparse(node)
-                else:
-                    assert name in {"out.append", "dict.fromkeys", "lookup", "len"} \
-                        or name.startswith("add_"), ast.unparse(node)
+        mod, main = _successor_source(bound, action)
+        sources.append(mod.source(main))
+    for source in sources:
+        tree = ast.parse(source)
+        raisers = {id(node.orelse) for node in ast.walk(tree) if isinstance(node, ast.IfExp)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if re.fullmatch(r"[OU]\d+", name):
+                assert id(node) in raisers, ast.unparse(node)
+            else:
+                assert name in {"out.append", "dict.fromkeys", "lookup", "len",
+                                "deadline.expired"} \
+                    or name.startswith("add_"), ast.unparse(node)
