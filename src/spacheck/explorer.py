@@ -29,7 +29,13 @@ from .semantics import (
 
 
 class LimitError(Exception):
-    """A check hit the state, depth or time cap; never a silent truncation."""
+    """A check hit the state, depth or time cap; never a silent truncation.
+    A limit hit while exploring carries the graph explored so far, its
+    discovery tree derived, as `graph`."""
+
+    def __init__(self, message: str, graph: Optional["StateGraph"] = None):
+        super().__init__(message)
+        self.graph = graph
 
 
 @dataclass
@@ -47,8 +53,8 @@ class Deadline:
     def expired(self) -> bool:
         return time.monotonic() > self.at
 
-    def error(self, doing: str) -> LimitError:
-        return LimitError(f"time limit of {self.seconds:g} s exceeded while {doing}")
+    def error(self, doing: str, graph: Optional["StateGraph"] = None) -> LimitError:
+        return LimitError(f"time limit of {self.seconds:g} s exceeded while {doing}", graph)
 
 
 @dataclass
@@ -62,22 +68,29 @@ class ExploreLimits:
 class StateGraph:
     """The explored reachable state space.
 
-    State indices follow BFS discovery order; `parent` links give a shortest
-    discovery path from some initial state to every non-initial state, and
-    `depth` is that path's length.  A state is identified by its value
-    tuple, which requires a validated spec: `validate` fixes each slot's
-    kind, so Python's `True == 1` can never equate two distinct states.
+    State indices follow BFS discovery order, so BFS level d (the states at
+    depth d) is the index range levels[d] to levels[d + 1].  A state is
+    identified by its value tuple, which requires a validated spec:
+    `validate` fixes each slot's kind, so Python's `True == 1` can never
+    equate two distinct states.
 
     Edges are flat int arrays in CSR form: the edges out of state i are
     positions edge_start[i] to edge_start[i + 1] of `edge_dst` (target
     index) and `edge_action` (index into `spec.actions`), in the order of
     `semantics.successors`.
+
+    `parent` links give a shortest discovery path from some initial state
+    to every non-initial state, and `depth` is that path's length.  Explore
+    derives them and `parent_action` from the edges and levels once its
+    loop ends: a state's parent edge is the first edge into it, the one
+    whose target is above every earlier target.
     """
 
     bound: BoundSpec
     states: list  # index -> State
     index: dict  # State -> index
-    initial: list  # indices of initial states
+    initial: list  # indices of initial states: 0 to len(initial) - 1
+    levels: array  # where each BFS level starts, then n_states
     edge_start: array  # n + 1 row offsets into edge_dst and edge_action
     edge_dst: array  # target index of each edge
     edge_action: array  # action index of each edge
@@ -144,51 +157,81 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     it (see `semantics._explore_function`): each successor is interned
     where it is made and its edge appended, in the order of
     semantics.successors, so two explorations of the same BoundSpec produce
-    identical graphs.  States are keyed by their value tuples, so `bound`
-    must have passed `validate`.  Raises EvalError (with the discovery
-    trace of the offending state attached), LimitError, or EvalError on
-    zero initial states.
+    identical graphs.  The loop keeps only the states, the edges and the
+    level starts; `parent`, `parent_action` and `depth` are derived from
+    them afterwards (see `_derive_tree`), on the limit and error paths too.
+    States are keyed by their value tuples, so `bound` must have passed
+    `validate`.  Raises EvalError (with the discovery trace of the offending
+    state attached), LimitError (with the graph explored so far, except at
+    the initial states), or EvalError on zero initial states.
     """
     if limits is None:
         limits = ExploreLimits()
-    init = initial_states(bound)
+    init = list(dict.fromkeys(initial_states(bound)))
     if not init:
         raise EvalError("spec has no initial states", "init")
     max_states, max_depth = limits.max_states, limits.max_depth
+    if len(init) > max_states:
+        raise LimitError(f"state limit of {max_states} exceeded")
 
     graph = StateGraph(
-        bound=bound, states=[], index={}, initial=[],
+        bound=bound, states=init, index={s: k for k, s in enumerate(init)},
+        initial=list(range(len(init))), levels=array("q", [0, len(init)]),
         edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
         parent=array("q"), parent_action=array("q"), depth=array("q"),
     )
-    states, index = graph.states, graph.index
-    for s in init:
-        if s not in index:
-            if len(states) >= max_states:
-                raise LimitError(f"state limit of {max_states} exceeded")
-            index[s] = len(states)
-            graph.initial.append(len(states))
-            states.append(s)
-            graph.parent.append(-1)
-            graph.parent_action.append(-1)
-            graph.depth.append(0)
-
     run = _explore_function(bound, graph)
     try:
         stopped = run(max_states, max_depth, limits.deadline)
     except EvalError as e:
+        _derive_tree(graph)
         # The state being expanded is the one whose CSR row is still open.
         e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
         raise
+    _derive_tree(graph)
     if stopped == "depth":
-        raise LimitError(f"depth limit of {max_depth} exceeded")
+        raise LimitError(f"depth limit of {max_depth} exceeded", graph)
     if stopped == "states":
-        raise LimitError(f"state limit of {max_states} exceeded")
+        raise LimitError(f"state limit of {max_states} exceeded", graph)
     if stopped == "time":
         last = len(graph.edge_start) - 2  # the last state expanded
         raise limits.deadline.error(
-            f"exploring ({len(states)} states, depth {graph.depth[last]})")
+            f"exploring ({len(graph.states)} states, depth {graph.depth[last]})", graph)
     return graph
+
+
+def _derive_tree(graph: StateGraph) -> None:
+    """Fill `parent`, `parent_action` and `depth` from the edges and level
+    starts of a graph explored in full or in part, and end `levels` at
+    `n_states`.
+
+    A new state is numbered len(states) right before its first edge is
+    appended, so edge e discovers a state exactly when its target is above
+    every earlier edge's target and every initial state: the tree edges
+    discover the states past the initial ones in index order.  The arrays
+    are fresh `array('q')` buffers written through numpy views, so no
+    second copy of them stays alive."""
+    n, n0 = graph.n_states, len(graph.initial)
+    if graph.levels[-1] < n:
+        graph.levels.append(n)  # a partial graph: the last level is open
+    dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
+    above = np.empty_like(dst)  # the highest index numbered before each edge
+    if dst.size:
+        above[0] = n0 - 1
+        above[1:] = dst[:-1]
+        np.maximum.accumulate(above, out=above)
+    tree = np.flatnonzero(dst > above)
+    del above
+    graph.parent, graph.parent_action = array("q", [-1]) * n, array("q", [-1]) * n
+    graph.depth = array("q", [0]) * n
+    rows = np.searchsorted(np.frombuffer(graph.edge_start, dtype=np.int64), tree, "right")
+    rows -= 1  # the row of an edge, the open row included
+    np.frombuffer(graph.parent, dtype=np.int64)[n0:] = rows
+    np.frombuffer(graph.parent_action, dtype=np.int64)[n0:] = \
+        np.frombuffer(graph.edge_action, dtype=np.int64)[tree]
+    levels = np.frombuffer(graph.levels, dtype=np.int64)
+    np.frombuffer(graph.depth, dtype=np.int64)[:] = \
+        np.repeat(np.arange(levels.size - 1), np.diff(levels))
 
 
 def discovery_path(graph: StateGraph, target: int) -> tuple:

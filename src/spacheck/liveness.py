@@ -537,8 +537,8 @@ class _SweepPlan:
     """The graph's BFS levels and forward edges, for `_spread`, built once
     per graph in int32 (and views of the graph's own arrays).
 
-    States are numbered in BFS order, so level d (BFS depth d) is the index
-    range levels[d]:levels[d + 1].  A forward edge goes one level deeper.
+    Level d (BFS depth d) is the index range levels[d]:levels[d + 1], as
+    explore recorded it (`graph.levels`).  A forward edge goes one level deeper.
     Every state past level 0 has one from its BFS parent (`graph.parent`);
     the others are `extra_src`/`extra_dst`, and since `_Analysis.src` is
     sorted, those out of level d are positions extra_out[d]:extra_out[d + 1]."""
@@ -546,9 +546,7 @@ class _SweepPlan:
     def __init__(self, graph: StateGraph, ana: _Analysis):
         self.depth = np.frombuffer(graph.depth, dtype=np.int64)
         self.parent = np.frombuffer(graph.parent, dtype=np.int64)
-        self.levels = np.concatenate(
-            ([0], np.flatnonzero(np.diff(self.depth)) + 1, [ana.n])
-        ).astype(np.int32)
+        self.levels = np.frombuffer(graph.levels, dtype=np.int64).astype(np.int32)
         next_level = self.levels[1:][self.depth]  # where each state's level ends
         extra = ana.dst >= next_level[ana.src]
         extra &= ana.src != self.parent.astype(np.int32)[ana.dst]

@@ -15,6 +15,7 @@ one successor.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -69,6 +70,19 @@ class EvalError(Exception):
     def __str__(self) -> str:
         loc = f"{self.where} at {self.line}:{self.col}" if self.where else f"{self.line}:{self.col}"
         return f"{loc}: {self.message}"
+
+
+_TOO_DEEP = "the spec nests too deeply to check"
+
+
+def _within_depth(node, where: str, make: Callable):
+    """`make()`, or a located EvalError at `node` when it recurses past
+    Python's limit: validating, compiling and evaluating recurse once per
+    level of nested blocks or operators."""
+    try:
+        return make()
+    except RecursionError:
+        raise EvalError(_TOO_DEEP, where, node.line, node.col) from None
 
 
 class BindError(Exception):
@@ -227,6 +241,15 @@ class _Checker:
         if name in self.const_kinds or name in self.var_kinds or name in enclosing:
             self.err(f"binder {name} shadows an existing name", where, node)
 
+    @contextlib.contextmanager
+    def within_depth(self, where: str, node):
+        """Report a declaration that nests past Python's recursion limit as
+        a static error at `node`."""
+        try:
+            yield
+        except RecursionError:
+            self.err(_TOO_DEEP, where, node)
+
     def run(self) -> list:
         spec = self.spec
         if not spec.variables:
@@ -244,18 +267,8 @@ class _Checker:
 
         for v in spec.variables:
             where = f"var {v.name}"
-            if v.domain is not None:
-                dk = self.set_kind(v.domain, where, base, allow_vars=False)
-                if dk is not None and dk != v.kind:
-                    self.err(f"domain of {v.name} has kind {dk}, expected {v.kind}", where, v.domain)
-            if v.init is not None:
-                ik = self.kind_of(v.init, where, base, allow_vars=False)
-                if ik is not None and ik != v.kind:
-                    self.err(f"init of {v.name} has kind {ik}, expected {v.kind}", where, v.init)
-            else:
-                ik = self.set_kind(v.init_set, where, base, allow_vars=False)
-                if ik is not None and ik != v.kind:
-                    self.err(f"init set of {v.name} has kind {ik}, expected {v.kind}", where, v.init_set)
+            with self.within_depth(where, v):
+                self.check_variable(v, where, base)
 
         action_names = {}
         for a in spec.actions:
@@ -263,10 +276,11 @@ class _Checker:
             if a.name in action_names:
                 self.err(f"duplicate action name {a.name}", where, a)
             action_names[a.name] = True
-            for g in a.guards:
-                self.expect_bool(g, where, base, True, "guard")
-            self.check_stmts(a.body, where, base, {})
-            self.check_single_assignment(a)
+            with self.within_depth(where, a):
+                for g in a.guards:
+                    self.expect_bool(g, where, base, True, "guard")
+                self.check_stmts(a.body, where, base, {})
+                self.check_single_assignment(a)
 
         prop_names = {}
         for p in spec.properties:
@@ -274,20 +288,38 @@ class _Checker:
             if p.name in prop_names:
                 self.err(f"duplicate property name {p.name}", where, p)
             prop_names[p.name] = True
-            scope = dict(base)
-            if p.binder is not None:
-                bname, bset = p.binder
-                self.check_binder_name(bname, where, p, {})
-                bk = self.set_kind(bset, where, base, allow_vars=False)
-                if bk is not None:
-                    scope[bname] = bk
-            shape = p.shape
-            if isinstance(shape, LeadsTo):
-                self.expect_bool(shape.lhs, where, scope, True, "leadsto left side")
-                self.expect_bool(shape.rhs, where, scope, True, "leadsto right side")
-            else:
-                self.expect_bool(shape.pred, where, scope, True, "property predicate")
+            with self.within_depth(where, p):
+                self.check_property(p, where, base)
         return self.errors
+
+    def check_variable(self, v, where: str, base: dict):
+        if v.domain is not None:
+            dk = self.set_kind(v.domain, where, base, allow_vars=False)
+            if dk is not None and dk != v.kind:
+                self.err(f"domain of {v.name} has kind {dk}, expected {v.kind}", where, v.domain)
+        if v.init is not None:
+            ik = self.kind_of(v.init, where, base, allow_vars=False)
+            if ik is not None and ik != v.kind:
+                self.err(f"init of {v.name} has kind {ik}, expected {v.kind}", where, v.init)
+        else:
+            ik = self.set_kind(v.init_set, where, base, allow_vars=False)
+            if ik is not None and ik != v.kind:
+                self.err(f"init set of {v.name} has kind {ik}, expected {v.kind}", where, v.init_set)
+
+    def check_property(self, p, where: str, base: dict):
+        scope = dict(base)
+        if p.binder is not None:
+            bname, bset = p.binder
+            self.check_binder_name(bname, where, p, {})
+            bk = self.set_kind(bset, where, base, allow_vars=False)
+            if bk is not None:
+                scope[bname] = bk
+        shape = p.shape
+        if isinstance(shape, LeadsTo):
+            self.expect_bool(shape.lhs, where, scope, True, "leadsto left side")
+            self.expect_bool(shape.rhs, where, scope, True, "leadsto right side")
+        else:
+            self.expect_bool(shape.pred, where, scope, True, "property predicate")
 
     def check_stmts(self, stmts: list, where: str, scope: dict, binders: dict):
         for s in stmts:
@@ -348,7 +380,8 @@ def validate(bound: BoundSpec) -> list:
     Checks: identifier resolution, kind consistency (mixed-kind `=` is an
     error), assignment targets, at most one primed assignment per variable
     per path, binder shadowing, and constants-only contexts (init, domain,
-    `any`/`forall` sets).
+    `any`/`forall` sets).  A declaration nested past Python's recursion
+    limit is an error at that variable, action or property.
     """
     return _Checker(bound).run()
 
@@ -566,7 +599,8 @@ def _make_expr_function(e: Expr, bound: BoundSpec, where: str,
 def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
     """`_make_expr_function`, generated once per bound spec."""
     return _generated(bound._generated, e, (where, id(ops)),
-                      partial(_make_expr_function, e, bound, where, ops))
+                      partial(_within_depth, e, where,
+                              partial(_make_expr_function, e, bound, where, ops)))
 
 
 def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
@@ -580,7 +614,8 @@ def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
                        f"        if not {test}:\n"
                        "            return i\n"
                        "    return -1\n", f"<{where}>")["scan"]
-    return _generated(bound._generated, pred, (where, "scan"), make)
+    return _generated(bound._generated, pred, (where, "scan"),
+                      partial(_within_depth, pred, where, make))
 
 
 def _make_set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
@@ -595,7 +630,8 @@ def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
     its ordered distinct members: `a..b` yields a, a+1, ..., b (empty when
     a > b); a literal keeps written order, first occurrence wins."""
     fn = _generated(bound._generated, setexpr, (where, "set"),
-                    partial(_make_set_function, setexpr, bound, where))
+                    partial(_within_depth, setexpr, where,
+                            partial(_make_set_function, setexpr, bound, where)))
     return fn(None, {})
 
 
@@ -651,13 +687,17 @@ class _ActionSource:
     assigns: an `if` is a Python `if`, and an `any` is a `for` loop that
     runs its body and the rest of the action once per choice.  The loop
     variable is the binder: expressions read a binder as a plain local.
-    Each iteration starts by restoring the slots the body assigns; the rest
-    cannot see the binder, so it takes the same path in every iteration.
-    Each path ends with the successor `t = (s[0], w1, s[2], ...)`.  Guards,
-    assignments, conditions and `any` sets are `_compile_expr` source,
-    inline.  Only an action with an `any` can make one successor twice, so
-    only those collect their successors in `out` and run `emit` over them
-    deduplicated.
+    Each iteration starts by restoring the slots the body assigns on some
+    path but not on all paths through it and the rest; the rest cannot see
+    the binder, so it takes the same path in every iteration.  Each path
+    ends with the successor `t = (s[0], w1, s[2], ...)`, and a slot is
+    copied from `s` once the guards hold only when some path can reach
+    that line without assigning or restoring it.  Guards, assignments,
+    conditions and `any` sets are `_compile_expr` source, inline; an
+    assigned value is tested against its slot's domain unless it folds to
+    a constant inside it.  Only an action with an `any` can make one
+    successor twice, so only those collect their successors in `out` and
+    run `emit` over them deduplicated.
 
     An `if` with an `any` inside, followed by more statements, becomes a
     generator that yields once per path through it, and those statements
@@ -690,12 +730,14 @@ class _ActionSource:
             lines.append(f"{'    ' * depth}if {guards}:")
             depth += 1
         pad = "    " * depth
-        lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(slots))
-        if collect:
-            lines.append(f"{pad}out = []")
         body: list = []
         self.block(body, set(), action.body, _EMIT, depth, 0, {})
         self.helpers = bool(self.pending)
+        # A helper shares the slot locals, so they must all be bound here.
+        copied = slots if self.helpers else slots - self.always(action.body)
+        lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(copied))
+        if collect:
+            lines.append(f"{pad}out = []")
         while self.pending:  # a loop, not recursion: helpers may be many
             name, stmts, tail, binders = self.pending.pop()
             helper: list = []
@@ -726,6 +768,20 @@ class _ActionSource:
                 out |= self.slots(st.body)
         return out
 
+    def always(self, stmts: list) -> set:
+        """Slots assigned on every path through `stmts` that reaches its
+        end.  An `any` restores each slot its body may assign, so it
+        assigns them all."""
+        out = set()
+        for st in stmts:
+            if isinstance(st, Assign):
+                out.add(self.bound.var_index[st.target])
+            elif isinstance(st, If):
+                out |= self.always(st.then) & self.always(st.orelse)
+            elif isinstance(st, AnyChoice):
+                out |= self.slots(st.body)
+        return out
+
     def helper(self, stmts: list, tail: str, b: dict) -> str:
         """A call of a helper that runs `stmts`, then `tail`, with the
         binders `b`; it is a generator when `tail` yields."""
@@ -744,9 +800,12 @@ class _ActionSource:
         for k, st in enumerate(stmts):
             if isinstance(st, Assign):
                 i = self.bound.var_index[st.target]
-                lines.append(f"{pad}w{i} = {self.expr(st.value, b)}")
+                src, value, _ = _source(st.value, self.bound, self.where, self.mod, b,
+                                        _SCALAR_OPS)
+                lines.append(f"{pad}w{i} = {src}")
                 written.add(i)
-                if i in self.domains:
+                # A value that folds to a constant in the domain needs no test.
+                if i in self.domains and (value is _VARIES or value not in self.domains[i]):
                     dom = self.mod.bind("D", self.domains[i])
                     err = self.mod.bind("X", partial(
                         _domain_error, st.target, self.where, st.line, st.col))
@@ -774,7 +833,7 @@ class _ActionSource:
             choices = _compile_set(st.over, self.bound, self.where, self.mod, b)
             value = self.mod.fresh("v")
             lines.append(f"{pad}for {value} in {choices}:")
-            for i in sorted(self.slots(st.body)):
+            for i in sorted(self.slots(st.body) - self.always(st.body + rest)):
                 lines.append(f"{pad}    w{i} = s[{i}]")
                 written.add(i)
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
@@ -792,11 +851,8 @@ def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
                    emit: Optional[list], depth: int) -> _ActionSource:
     """`_ActionSource`, with a located EvalError for an action that nests
     past Python's recursion limit."""
-    try:
-        return _ActionSource(bound, action, mod, emit, depth)
-    except RecursionError:
-        raise EvalError("the spec nests too deeply to check", f"action {action.name}",
-                        action.line, action.col) from None
+    return _within_depth(action, f"action {action.name}",
+                         partial(_ActionSource, bound, action, mod, emit, depth))
 
 
 def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
@@ -823,36 +879,40 @@ def _successor_functions(bound: BoundSpec) -> list:
 
 # The graph containers the explore module's factory takes, and the names it
 # binds to their methods.
-_GRAPH_ARGS = ("index", "states", "parent", "parent_action", "depth",
-               "edge_start", "edge_dst", "edge_action")
-_GRAPH_NAMES = ["lookup = index.get", "add_state = states.append",
-                "add_parent = parent.append", "add_parent_action = parent_action.append",
-                "add_depth = depth.append", "add_start = edge_start.append",
+_GRAPH_ARGS = ("index", "states", "levels", "edge_start", "edge_dst", "edge_action")
+_GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
+                "add_level = levels.append", "add_start = edge_start.append",
                 "add_dst = edge_dst.append", "add_action = edge_action.append"]
 
 # The breadth-first loop: states are expanded in index order, each state's
-# edges closing its CSR row.  It returns the limit it stopped at, or None
-# once every state is expanded.
+# edges closing its CSR row, and the index where each BFS level starts is
+# appended once that level is complete.  `d` is the depth of the successors
+# made, and `lend` where the level being expanded ends: the states from
+# `lend` on are at depth d.  The loop records no discovery tree; `explore`
+# derives it from the edges and levels afterwards.  It returns the limit it
+# stopped at, or None once every state is expanded.
 _RUN_HEAD = """\
     def run(max_states, max_depth, deadline):
-        i = 0
-        while i < len(states):
-            s = states[i]
-            d = depth[i] + 1
-            known = len(states)
+        d = 1
+        lend = levels[-1]
+        for i, s in enumerate(states):  # `states` grows as the loop runs
+            if i == lend:
+                d += 1
+                lend = len(states)
+                add_level(lend)
 """
 _RUN_TAIL = """\
             add_start(len(edge_dst))
-            i += 1
             # Checked once the state is expanded, so an EvalError at this
             # state wins over a limit it reaches, and a limit over a later
-            # EvalError.
-            if len(states) > known:
+            # EvalError.  Past `lend` are the states this level has made,
+            # so the first state to make one meets the limits first.
+            if len(states) > lend:
                 if max_depth is not None and d > max_depth:
                     return "depth"
                 if len(states) > max_states:
                     return "states"
-            if deadline is not None and not i & 1023 and deadline.expired():
+            if deadline is not None and not (i + 1) & 1023 and deadline.expired():
                 return "time"
     return run
 """
@@ -865,10 +925,10 @@ def _explore_module(bound: BoundSpec) -> tuple:
     mod = _Module()
     actions = []
     for a, action in enumerate(bound.spec.actions):
-        intern = ["j = lookup(t)",
-                  "if j is None:",
-                  "    j = index[t] = len(states)",
-                  f"    add_state(t); add_parent(i); add_parent_action({a}); add_depth(d)",
+        intern = ["m = len(states)",
+                  "j = intern(t, m)",
+                  "if j == m:",
+                  "    add_state(t)",
                   f"add_dst(j); add_action({a})"]
         actions.append(_action_source(bound, action, mod, intern, 3))
     lines = ["    " + line for line in _GRAPH_NAMES]
@@ -884,9 +944,9 @@ def _explore_module(bound: BoundSpec) -> tuple:
             groups[-1].extend(line[4:] for line in x.lines)
         for group in groups:
             name = mod.fresh("g")
-            lines.append(f"    def {name}(s, i, d):")
+            lines.append(f"    def {name}(s):")
             lines.extend(group)
-            calls.append(f"            {name}(s, i, d)")
+            calls.append(f"            {name}(s)")
     params = ", ".join([*_GRAPH_ARGS, *mod.ns])
     source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + "\n".join(calls),
                         _RUN_TAIL])
@@ -902,9 +962,10 @@ def _explore_function(bound: BoundSpec, graph) -> Callable:
     leaves the row of the state being expanded open in `edge_start`.
 
     Each successor is interned where it is made, its edge appended in the
-    order of `successors`.  The module is compiled once per bound spec; its
-    `explore` runs once per graph and binds the graph's containers and the
-    module's names as closure cells."""
+    order of `successors`; a new state is appended to `states` and nothing
+    else, and the start of each BFS level to `levels`.  The module is
+    compiled once per bound spec; its `explore` runs once per graph and
+    binds the graph's containers and the module's names as closure cells."""
     def make():
         ns, source = _explore_module(bound)
         code = compile(source, f"<explore {bound.spec.name}>", "exec")

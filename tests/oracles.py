@@ -249,9 +249,12 @@ def explore_reference(bound, max_states: int) -> tuple:
     Returns ("graph", fields), where fields holds `states`, `initial` and
     the six per-state and per-edge arrays as lists; ("error", message,
     trace states, trace actions) when expanding a state raises EvalError,
-    with the discovery path to that state; or ("limit", message) when the
-    states pass `max_states`.  Initial values come from `evaluate` and
-    `members`, in declaration order, as the Cartesian product."""
+    with the discovery path to that state; or ("limit", message, fields)
+    when the states pass `max_states`, with the graph as it stood then
+    (None when the initial states alone pass it).  Initial values come
+    from `evaluate` and `members`, in declaration order, as the Cartesian
+    product.  Each new state's parent, parent action and depth are
+    recorded when it is numbered."""
     per_var = []
     for v in bound.spec.variables:
         where = f"var {v.name}"
@@ -263,7 +266,7 @@ def explore_reference(bound, max_states: int) -> tuple:
     states = list(dict.fromkeys(itertools.product(*per_var)))
     limit = ("limit", f"state limit of {max_states} exceeded")
     if len(states) > max_states:
-        return limit
+        return (*limit, None)
     fields = {"states": states, "initial": list(range(len(states))), "edge_start": [0],
               "edge_dst": [], "edge_action": [], "parent": [-1] * len(states),
               "parent_action": [-1] * len(states), "depth": [0] * len(states)}
@@ -289,7 +292,7 @@ def explore_reference(bound, max_states: int) -> tuple:
             fields["edge_action"].append(a)
         fields["edge_start"].append(len(fields["edge_dst"]))
         if len(states) > max_states:
-            return limit
+            return (*limit, fields)
     return ("graph", fields)
 
 

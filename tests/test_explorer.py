@@ -2,6 +2,7 @@
 
 import ast
 import re
+import time
 
 import pytest
 
@@ -12,13 +13,18 @@ from spacheck import (
     ExploreLimits,
     LimitError,
     Trace,
+    bind_constants,
     check_deadlock,
+    check_eventually,
     check_invariant,
     check_property,
     explore,
+    parse_spec,
     reconstruct_trace,
     replay_trace,
+    validate,
 )
+from spacheck.explorer import Deadline
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
 from spacheck.semantics import _explore_module
@@ -347,3 +353,209 @@ def test_action_nested_past_the_recursion_limit_is_a_located_error():
         explore(bound)
     assert str(err.value) == "action A at 3:1: the spec nests too deeply to check"
     assert err.value.trace is None
+
+
+def test_nesting_past_the_recursion_limit_is_a_located_static_error():
+    # sums of 1500 terms recurse past the limit in validate itself
+    deep = " + ".join(["1"] * 1500)
+    spec = parse_spec(f"spec deep\nvar x : int init {deep}\naction A {{\nx' = {deep}\n}}\n"
+                      f"property P: eventually (x = {deep})\ninvariant I: x = {deep}\n")
+    assert [str(e) for e in validate(bind_constants(spec, {}))] == [
+        "var x at 2:1: the spec nests too deeply to check",
+        "action A at 3:1: the spec nests too deeply to check",
+        "property P at 6:1: the spec nests too deeply to check",
+        "property I at 7:1: the spec nests too deeply to check",
+    ]
+
+
+def test_property_nested_past_the_recursion_limit_is_an_error_verdict():
+    # a sum of 600 terms validates, but compiling it recurses past the limit
+    deep = " + ".join(["1"] * 600)
+    bound, graph = build_graph(
+        f"spec deep\nvar x : int init 0\naction A {{ x' = 1 }}\n"
+        f"property E: eventually (x = {deep})\ninvariant I: x /= {deep}\n"
+        f"property F: forall y in 1..2 : (x = y) leadsto (x = {deep})\n")
+    located = "at {}: the spec nests too deeply to check"
+    verdicts = [check_property(graph, p) for p in bound.spec.properties]
+    assert [(v.status, v.detail) for v in verdicts] == [
+        ("error", "property E " + located.format("4:27")),
+        ("error", "property I " + located.format("5:16")),
+        ("error", "y = 1: property F " + located.format("6:51")),
+    ]
+    v = check_eventually(graph, bound.spec.properties[0].shape.pred, name="E")
+    assert (v.status, v.detail) == ("error", "property E " + located.format("4:27"))
+
+
+# --- the discovery tree, derived from the edges after the loop --------------------
+
+
+def first_edge_tree(graph) -> tuple:
+    """(parent, parent_action, depth) as lists, from the edges alone: a
+    state's parent edge is the first edge into it, in edge order, that is
+    not into an initial state.  A row past the last closed one is open."""
+    n = graph.n_states
+    parent, action, depth = [-1] * n, [-1] * n, [0] * n
+    seen = set(graph.initial)
+    row = 0
+    for e, (j, a) in enumerate(zip(graph.edge_dst, graph.edge_action)):
+        while row + 1 < len(graph.edge_start) and graph.edge_start[row + 1] <= e:
+            row += 1
+        if j not in seen:
+            seen.add(j)
+            parent[j], action[j], depth[j] = row, a, depth[row] + 1
+    return parent, action, depth
+
+
+def tree_of(graph) -> tuple:
+    return list(graph.parent), list(graph.parent_action), list(graph.depth)
+
+
+def assert_tree_and_levels(graph) -> None:
+    assert tree_of(graph) == first_edge_tree(graph)
+    depth = list(graph.depth)
+    starts = [i for i in range(1, graph.n_states) if depth[i] != depth[i - 1]]
+    assert list(graph.levels) == [0, *starts, graph.n_states]
+    assert depth == sorted(depth)
+
+
+# Two initial states, x = 2 and x = 0, each with a child; Back leads into an
+# initial state.
+_TWO_ROOTS = """spec t
+var x : int init in {2, 0}
+action Up { when x < 4 x' = x + 1 }
+action Back { when x = 4 x' = 0 }
+"""
+
+
+def test_tree_with_several_initial_states_and_an_edge_into_one():
+    bound, graph = build_graph(_TWO_ROOTS)
+    assert graph.states == [(2,), (0,), (3,), (1,), (4,)]
+    assert graph.initial == [0, 1]
+    assert tree_of(graph) == ([-1, -1, 0, 1, 2], [-1, -1, 0, 0, 0], [0, 0, 1, 1, 2])
+    assert list(graph.levels) == [0, 2, 4, 5]
+    assert graph.out_edges(4) == [("Back", 1)]
+    assert_tree_and_levels(graph)
+
+
+# From x = 0, A and B both make x = 1 and C makes x = 2 and then x = 1 again;
+# x = 1 has only a self-loop and x = 2 no edge at all.
+_SHARED = """spec t
+var x : int init 0
+action A { when x = 0 x' = 1 }
+action B { when x = 0 x' = 1 }
+action C { when x = 0 any c in {2, 1, 2} { x' = c } }
+action Stay { when x = 1 }
+"""
+
+
+def test_tree_with_actions_and_an_any_sharing_a_target_a_self_loop_and_no_edge():
+    bound, graph = build_graph(_SHARED)
+    assert graph.states == [(0,), (1,), (2,)]
+    assert graph.out_edges(0) == [("A", 1), ("B", 1), ("C", 2), ("C", 1)]
+    assert graph.out_edges(1) == [("Stay", 1)]
+    assert graph.out_edges(2) == []
+    assert tree_of(graph) == ([-1, 0, 0], [-1, 0, 2], [0, 1, 1])
+    assert list(graph.levels) == [0, 1, 3]
+    assert_tree_and_levels(graph)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_tree_is_the_first_edge_into_each_state(math_src, buggy_src, clock_src, n):
+    for src, consts in ((math_src, {"max_num_q": n}), (buggy_src, {"max_num_q": n}),
+                        (clock_src, {})):
+        bound, graph = build_graph(src, consts)
+        assert_tree_and_levels(graph)
+        fields = oracles.explore_reference(bound, 10**6)[1]
+        assert tree_of(graph) == (fields["parent"], fields["parent_action"], fields["depth"])
+
+
+def test_eval_error_after_a_new_state_in_the_same_row():
+    # Expanding x = 2 makes x = 3 with Up, and then Boom overflows there.
+    bound = build("spec t\nvar x : int init in {5, 0}\n"
+                  "action Up { when x < 3 x' = x + 1 }\n"
+                  "action Jump { when x = 5 x' = 2 }\n"
+                  "action Boom { when x = 2 x' = x + 9223372036854775807 }\n")
+    with pytest.raises(EvalError, match="overflow") as err:
+        explore(bound)
+    trace = err.value.trace
+    assert (trace.states, trace.actions) == ([(5,), (2,)], ["Jump"])
+    assert replay_trace(bound, trace) is None
+    assert oracles.explore_reference(bound, 100) == (
+        "error", str(err.value), trace.states, trace.actions)
+
+
+def test_state_limit_graph_has_its_tree():
+    bound = build(_TWO_ROOTS)
+    with pytest.raises(LimitError) as err:
+        explore(bound, ExploreLimits(max_states=3))
+    assert str(err.value) == "state limit of 3 exceeded"
+    graph = err.value.graph
+    # expanding x = 0 made x = 1, the fourth state
+    assert graph.states == [(2,), (0,), (3,), (1,)]
+    assert list(graph.edge_start) == [0, 1, 2]
+    assert tree_of(graph) == ([-1, -1, 0, 1], [-1, -1, 0, 0], [0, 0, 1, 1])
+    assert list(graph.levels) == [0, 2, 4]
+    assert_tree_and_levels(graph)
+    fields = oracles.explore_reference(bound, 3)[2]
+    assert tree_of(graph) == (fields["parent"], fields["parent_action"], fields["depth"])
+
+
+def test_state_limit_at_the_initial_states_has_no_graph():
+    bound = build(_TWO_ROOTS)
+    with pytest.raises(LimitError) as err:
+        explore(bound, ExploreLimits(max_states=1))
+    assert str(err.value) == "state limit of 1 exceeded"
+    assert err.value.graph is None
+
+
+def test_depth_limit_graph_has_its_tree():
+    bound = build(_TWO_ROOTS)
+    with pytest.raises(LimitError) as err:
+        explore(bound, ExploreLimits(max_depth=1))
+    assert str(err.value) == "depth limit of 1 exceeded"
+    graph = err.value.graph
+    # expanding x = 3, the first state at depth 1, made x = 4 at depth 2
+    assert graph.states == [(2,), (0,), (3,), (1,), (4,)]
+    assert list(graph.edge_start) == [0, 1, 2, 3]
+    assert tree_of(graph) == ([-1, -1, 0, 1, 2], [-1, -1, 0, 0, 0], [0, 0, 1, 1, 2])
+    assert list(graph.levels) == [0, 2, 4, 5]
+    assert_tree_and_levels(graph)
+
+
+def test_time_limit_message_and_graph():
+    # 41 x 41 states in 81 levels; the deadline has passed, so explore stops
+    # after 1,024 expanded states
+    bound = build("spec t\nvar x : int init 0\nvar y : int init 0\n"
+                  "action X { when x < 40 x' = x + 1 }\n"
+                  "action Y { when y < 40 y' = y + 1 }\n")
+    fields = oracles.explore_reference(bound, 10**6)[1]
+    reached = max(fields["edge_dst"][:fields["edge_start"][1024]]) + 1
+    with pytest.raises(LimitError) as err:
+        explore(bound, ExploreLimits(deadline=Deadline(0.5, time.monotonic() - 1)))
+    assert str(err.value) == ("time limit of 0.5 s exceeded while exploring "
+                              f"({reached} states, depth {fields['depth'][1023]})")
+    graph = err.value.graph
+    assert graph.n_states == reached
+    assert len(graph.edge_start) == 1025
+    assert tree_of(graph) == (fields["parent"][:reached], fields["parent_action"][:reached],
+                              fields["depth"][:reached])
+    assert_tree_and_levels(graph)
+
+
+def test_explore_loop_appends_only_the_state_for_a_new_state(math_src):
+    """The loop keeps no discovery tree: the one statement it runs for a new
+    state appends it to `states`, and it appends only states, edges and
+    level starts."""
+    for bound in (build(math_src, {"max_num_q": 3}), grouped_precedence_spec()):
+        tree = ast.parse(_explore_module(bound)[1])
+        new_state = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.If) and ast.unparse(node.test) == "j == m"]
+        assert len(new_state) == len(bound.spec.actions)
+        for node in new_state:
+            assert [ast.unparse(x) for x in node.body] == ["add_state(t)"]
+            assert node.orelse == []
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert {c for c in calls if c.startswith("add_")} == {
+            "add_state", "add_level", "add_start", "add_dst", "add_action"}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"parent", "parent_action", "depth"}

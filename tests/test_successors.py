@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import itertools
 import re
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,29 +206,39 @@ def test_successors_match_interpreter_on_deep_specs(source):
 _ARRAYS = ("edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
 
 
+def graph_fields(graph) -> Optional[dict]:
+    if graph is None:
+        return None
+    fields = {"states": graph.states, "initial": graph.initial}
+    fields.update((name, list(getattr(graph, name))) for name in _ARRAYS)
+    return fields
+
+
 def explore_outcome(bound, max_states: int) -> tuple:
-    """`explore`'s result in the shape of `oracles.explore_reference`."""
+    """`explore`'s result in the shape of `oracles.explore_reference`: a
+    state limit carries the graph explored so far, its tree derived."""
     try:
         graph = explore(bound, ExploreLimits(max_states=max_states))
     except EvalError as e:
         return ("error", str(e), e.trace.states, e.trace.actions)
     except LimitError as e:
-        return ("limit", str(e))
-    fields = {"states": graph.states, "initial": graph.initial}
-    fields.update((name, list(getattr(graph, name))) for name in _ARRAYS)
-    return ("graph", fields)
+        return ("limit", str(e), graph_fields(e.graph))
+    return ("graph", graph_fields(graph))
 
 
 def assert_explore_matches_reference(bound, max_states: int) -> None:
     assert explore_outcome(bound, max_states) == oracles.explore_reference(bound, max_states)
 
 
+# The random specs have at most a few dozen states, so the small limit
+# truncates many of them, in any level.
 @settings(max_examples=max(100, settings().max_examples), deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_explore_matches_reference_bfs_on_random_specs(seed):
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=12))
+def test_explore_matches_reference_bfs_on_random_specs(seed, max_states):
     bound = bind_constants(oracles.gen_spec(seed), {})
     assert validate(bound) == []
     assert_explore_matches_reference(bound, 10_000)
+    assert_explore_matches_reference(bound, max_states)
 
 
 # Unbounded counters make some deep specs infinite: those end at the state
@@ -317,7 +328,7 @@ def test_twenty_five_nested_anys():
 
 def test_ten_nested_anys_inline_in_the_loop():
     # the most loops an action nests without a helper, inside the explore
-    # loop's own `while`
+    # loop's own `for`
     source = _explore_module(build(nested_anys(10)))[1]
     assert "def g" not in source and "def k" not in source
     check_shape(nested_anys, 10, [(0,), (10,), (20,)])
@@ -415,8 +426,8 @@ def test_generated_actions_read_and_compare_inline(math_src):
     """A variable read, binder, literal, comparison, `and`/`or` or sum in an
     action is inline source, in the explore loop and in the reference
     successor functions: the only calls left are interning or appending a
-    successor, deduplicating, the loop's deadline check, and raising an
-    overflow or unresolved-name error."""
+    successor, deduplicating, the loop's `enumerate` and deadline check, and
+    raising an overflow or unresolved-name error."""
     bound = build(math_src, {"max_num_q": 3})
     explore_source = _explore_module(bound)[1]
     # math is small enough for all of its actions to sit inline in the loop
@@ -438,6 +449,44 @@ def test_generated_actions_read_and_compare_inline(math_src):
             if re.fullmatch(r"[OU]\d+", name):
                 assert id(node) in raisers, ast.unparse(node)
             else:
-                assert name in {"out.append", "dict.fromkeys", "lookup", "len",
+                assert name in {"out.append", "dict.fromkeys", "intern", "len", "enumerate",
                                 "deadline.expired"} \
                     or name.startswith("add_"), ast.unparse(node)
+
+
+def slot_copies(source: str) -> list:
+    return re.findall(r"\bw(\d+) = s\[\1\]", source)
+
+
+def test_each_slot_is_copied_only_where_a_path_needs_it(math_src):
+    """Check restores count_right and count_wrong once per `any` choice,
+    since each choice assigns only one of them, and copies no slot when its
+    guard holds: every path assigns or restores every slot it writes.  The
+    other actions assign their slots on every path."""
+    bound = build(math_src, {"max_num_q": 3})
+    check = next(a for a in bound.spec.actions if a.name == "Check")
+    mod, main = _successor_source(bound, check)
+    assert slot_copies(mod.source(main)) == ["1", "2"]
+    assert slot_copies(_explore_module(bound)[1]) == ["1", "2"]
+
+
+_DOMAIN = """spec t
+const top : int
+var x : int domain 0..top init 0
+action Wrap { if x = top { x' = 0 } else { x' = x + 1 } }
+action Top { when x = 1 x' = top }
+action Out { when x = 2 x' = top + 4 }
+"""
+
+
+def test_domain_test_is_left_out_only_for_a_constant_in_the_domain():
+    # `0` and `top` are constants in the domain; `x + 1` varies and
+    # `top + 4` folds to a constant outside it
+    bound = build(_DOMAIN, {"top": 3})
+    source = _explore_module(bound)[1]
+    assert source.count(" not in D") == 2
+    with pytest.raises(EvalError) as err:
+        explore(bound)
+    assert str(err.value) == "action Out at 6:25: value 7 assigned to x is outside its domain"
+    assert err.value.trace.states == [(0,), (1,), (2,)]
+    assert_explore_matches_reference(bound, 100)
