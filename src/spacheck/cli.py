@@ -374,7 +374,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="stop with an error past N states (default 1,000,000); exploring"
                  " takes about 280 bytes per state (math.spa, max_num_q=300)",
         )
-        p.add_argument("--max-depth", type=int, default=None, metavar="N")
+        p.add_argument(
+            "--max-depth", type=int, default=None, metavar="N",
+            help="stop with an error once a state deeper than N steps from the"
+                 " initial states is reached (default: no limit)",
+        )
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="stop with an error once the check has run this long",
@@ -388,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="explore and export the state graph as DOT")
     common(graph)
-    graph.add_argument("--dot", metavar="PATH", required=True)
+    graph.add_argument("--dot", metavar="PATH", required=True,
+                       help="write the state graph as DOT to PATH")
     return parser
 
 

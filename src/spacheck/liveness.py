@@ -21,8 +21,9 @@ all edges.  A counterexample's prefix comes from the scipy BFS that
 decided the verdict, with deterministic tie-breaking (shortest entry first,
 lowest state index on ties); only its loop is found in plain Python, by a
 linear DFS.  A predicate column comes from the same compiler as guards and
-invariants, `semantics._compile_expr`, given this module's table of column
-source templates (numpy calls) instead of the scalar one, and is generated
+invariants, `semantics._compile_expr`, given the table of column source
+templates (numpy calls, `semantics._COLUMN_OPS`) instead of the scalar one,
+shared with the level-synchronous explore, and is generated
 once per predicate; when the column evaluation raises EvalError, the scalar
 evaluator decides each state.
 
@@ -38,17 +39,14 @@ the verdicts and traces are the search's.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from .model import (
-    INT_MAX,
-    INT_MIN,
     AlwaysEventually,
     Eventually,
     Expr,
@@ -58,7 +56,7 @@ from .model import (
     format_value,
 )
 from .explorer import Deadline, StateGraph, Trace, Verdict, check_invariant, discovery_path
-from .semantics import EvalError, _expr_function, eval_const_set
+from .semantics import _COLUMN_OPS, EvalError, _expr_function, eval_const_set
 
 
 # --- cached numeric view of a graph -------------------------------------------
@@ -177,54 +175,6 @@ def _analysis(graph: StateGraph) -> _Analysis:
 
 
 # --- predicate columns -----------------------------------------------------------
-
-
-def _extremes(v) -> tuple:
-    if isinstance(v, np.ndarray):
-        return (int(v.min()), int(v.max())) if v.size else ()
-    return (int(v),)
-
-
-def _column_arith(fn: Callable) -> Callable:
-    """Factory, for the column table, of the function that applies `+`,
-    `-` or `*` to two operands.  Each is monotone in each operand (`*` is
-    bilinear), so its exact results at the corners of the operands' ranges
-    bound every element's; when a corner leaves 64 bits it raises EvalError
-    instead of wrapping around."""
-    def make(where: str, line: int, col: int) -> Callable:
-        def arith(left, right):
-            corners = [fn(x, y) for x in _extremes(left) for y in _extremes(right)]
-            if any(not INT_MIN <= v <= INT_MAX for v in corners):
-                raise EvalError("integer overflow", where, line, col)
-            return fn(left, right)
-        return arith
-    return make
-
-
-def _column_member(item, *elems):
-    acc = item == elems[0]
-    for v in elems[1:]:
-        acc = np.logical_or(acc, item == v)
-    return acc
-
-
-# `semantics._compile_expr`'s operator table for fn(columns, binders), where
-# columns[i] holds variable i of every stored state, so the source `s[i]` is
-# a column: the result is a column, or a scalar when it does not depend on
-# the state.  Both sides of and/or/implies/if are evaluated on every state.
-_COLUMN_OPS = {
-    "globals": {"np": np, "column_member": _column_member},
-    "not": "np.logical_not({0})",
-    "and": "np.logical_and({0}, {1})",
-    "or": "np.logical_or({0}, {1})",
-    "implies": "np.logical_or(np.logical_not({0}), {1})",
-    "if": "np.where({0}, {1}, {2})",
-    "range": "np.logical_and({1} <= ({t} := {0}), {t} <= {2})",
-    "member": ("column_member({0}, {1})", ", "),
-    "+": ("{f}({0}, {1})", _column_arith(operator.add)),
-    "-": ("{f}({0}, {1})", _column_arith(operator.sub)),
-    "*": ("{f}({0}, {1})", _column_arith(operator.mul)),
-}
 
 
 def _pred_column(graph: StateGraph, pred: Expr, where: str, binders: dict) -> np.ndarray:

@@ -6,7 +6,9 @@ conditions and `any` sets inline: one function per action for `successors`,
 and for `explore` one generated breadth-first loop that holds every
 action's code and interns each successor where it is made.  Exploring a
 state space then runs straight-line Python rather than AST walks or calls
-per operator.
+per operator.  A spec whose states pack into an int key also compiles to
+one numpy function per action over a whole column of keys, which
+`explore` runs on wide BFS levels (see `_column_plan`).
 Evaluation is strict except for `and`/`or`, which short-circuit.  Variables
 not assigned on an executed action path keep their values (implicit frame),
 so an action with guards only - no body - yields the unchanged state as its
@@ -20,7 +22,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Optional
+
+import numpy as np
 
 from .model import (
     INT_MAX,
@@ -392,9 +397,9 @@ def validate(bound: BoundSpec) -> list:
 # binders: a variable is `s[3]`, a binder an entry of a binder dict or, in
 # action code, a local variable, a literal or constant its repr, and
 # operators come from a table of source templates.  `_SCALAR_OPS` is the
-# table for one state tuple; `liveness` has the table for a list of state
-# columns, where `s[3]` is a whole column.  Generated functions then run
-# that text.
+# table for one state tuple, `_COLUMN_OPS` the table for state columns, where
+# `s[3]` is a whole column: liveness predicates and the level-synchronous
+# explore use it.  Generated functions then run that text.
 
 _VARIES = object()  # the value of an expression that depends on the state
 
@@ -449,6 +454,54 @@ _SCALAR_OPS = {
     "+": (_checked("+"), _overflow),
     "-": (_checked("-"), _overflow),
     "*": (_checked("*"), _overflow),
+}
+
+
+def _extremes(v) -> tuple:
+    if isinstance(v, np.ndarray):
+        return (int(v.min()), int(v.max())) if v.size else ()
+    return (int(v),)
+
+
+def _column_arith(fn: Callable) -> Callable:
+    """Factory, for the column table, of the function that applies `+`,
+    `-` or `*` to two operands.  Each is monotone in each operand (`*` is
+    bilinear), so its exact results at the corners of the operands' ranges
+    bound every element's; when a corner leaves 64 bits it raises EvalError
+    instead of wrapping around."""
+    def make(where: str, line: int, col: int) -> Callable:
+        def arith(left, right):
+            corners = [fn(x, y) for x in _extremes(left) for y in _extremes(right)]
+            if any(not INT_MIN <= v <= INT_MAX for v in corners):
+                raise EvalError("integer overflow", where, line, col)
+            return fn(left, right)
+        return arith
+    return make
+
+
+def _column_member(item, *elems):
+    acc = item == elems[0]
+    for v in elems[1:]:
+        acc = np.logical_or(acc, item == v)
+    return acc
+
+
+# The table for columns: `s[i]` is variable i in many states at once, as a
+# numpy column, and the result is a column, or a scalar when it does not
+# depend on the state.  Both sides of and/or/implies/if are evaluated on
+# every state.
+_COLUMN_OPS = {
+    "globals": {"np": np, "column_member": _column_member},
+    "not": "np.logical_not({0})",
+    "and": "np.logical_and({0}, {1})",
+    "or": "np.logical_or({0}, {1})",
+    "implies": "np.logical_or(np.logical_not({0}), {1})",
+    "if": "np.where({0}, {1}, {2})",
+    "range": "np.logical_and({1} <= ({t} := {0}), {t} <= {2})",
+    "member": ("column_member({0}, {1})", ", "),
+    "+": ("{f}({0}, {1})", _column_arith(operator.add)),
+    "-": ("{f}({0}, {1})", _column_arith(operator.sub)),
+    "*": ("{f}({0}, {1})", _column_arith(operator.mul)),
 }
 
 
@@ -886,20 +939,25 @@ _GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
 
 # The breadth-first loop: states are expanded in index order, each state's
 # edges closing its CSR row, and the index where each BFS level starts is
-# appended once that level is complete.  `d` is the depth of the successors
-# made, and `lend` where the level being expanded ends: the states from
-# `lend` on are at depth d.  The loop records no discovery tree; `explore`
-# derives it from the edges and levels afterwards.  It returns the limit it
-# stopped at, or None once every state is expanded.
+# appended once that level is complete.  It starts at the start of the
+# level being expanded, levels[-2], with `rows` enumerating the states from
+# there.  `d` is the depth of the successors made, and `lend` where the
+# level being expanded ends: the states from `lend` on are at depth d.  The
+# loop records no discovery tree; `explore` derives it from the edges and
+# levels afterwards.  It returns the limit it stopped at, "level" at the
+# start of a level at least `wide` states wide, or None once every state is
+# expanded.
 _RUN_HEAD = """\
-    def run(max_states, max_depth, deadline):
-        d = 1
+    def run(max_states, max_depth, deadline, rows, wide):
+        d = len(levels) - 1
         lend = levels[-1]
-        for i, s in enumerate(states):  # `states` grows as the loop runs
+        for i, s in rows:  # `states` grows as the loop runs
             if i == lend:
                 d += 1
                 lend = len(states)
                 add_level(lend)
+                if lend - i >= wide:
+                    return "level"
 """
 _RUN_TAIL = """\
             add_start(len(edge_dst))
@@ -954,12 +1012,17 @@ def _explore_module(bound: BoundSpec) -> tuple:
 
 
 def _explore_function(bound: BoundSpec, graph) -> Callable:
-    """run(max_states, max_depth, deadline), which expands the states of
-    `graph` in index order until all are expanded (it returns None) or a
-    limit is passed: it returns "depth" or "states" once a state's new
-    successors pass `max_depth` or `max_states`, and "time" when `deadline`
-    has expired at a multiple of 1,024 expanded states.  An EvalError
-    leaves the row of the state being expanded open in `edge_start`.
+    """run(max_states, max_depth, deadline, rows, wide), which expands the
+    states of `graph` in index order from the start of its last level,
+    levels[-2], with `rows` enumerating (index, state) from there.  It runs
+    until all are expanded (it returns None), a limit is passed, or a level
+    at least `wide` states wide is to start: it returns "depth" or "states"
+    once a state's new successors pass `max_depth` or `max_states`, "time"
+    when `deadline` has expired at a multiple of 1,024 expanded states, and
+    "level" with that level's end appended to `levels` and none of its
+    states expanded, so that a call with rows from there resumes it.  An
+    EvalError leaves the row of the state being expanded open in
+    `edge_start`.
 
     Each successor is interned where it is made, its edge appended in the
     order of `successors`; a new state is appended to `states` and nothing
@@ -974,6 +1037,350 @@ def _explore_function(bound: BoundSpec, graph) -> Callable:
         return ns, module["explore"]
     ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
     return factory(**{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
+
+
+# --- level-synchronous expansion of finite-domain specs ------------------------
+
+# When every variable is a bool or has a domain, a state packs into one int
+# key: each variable's code, the position of its value in the sorted domain,
+# in a bit field of its own.  `explore` can then expand a whole BFS level at
+# once: one generated function per action maps a column of keys to its
+# successor keys, using the column table, so its cost is a few numpy calls
+# per action and level rather than Python code per state.  Keys stay below
+# 2**62: non-negative int64s with a bit to spare.
+_KEY_BITS = 62
+
+# An action makes at most this many successor slots: one per path through
+# its `any` choices and the `if`s with an `any` inside.  A spec with a larger
+# action is explored one state at a time; each slot costs every state of a
+# level a column of the successor matrix, whether the path is taken or not.
+# With one action whose `any v in 1..S` may make a successor twice, over
+# 1,024 states and their 1,024 x S successors (2 cores, Python 3.11, numpy
+# 2.4), columns took 0.75, 0.85, 1.1, 1.2 and 2.1 times the loop's explore
+# time at S = 4, 8, 16, 32 and 64.
+_MAX_SLOTS = 16
+
+# A level's successor slots are made in chunks of at most _CHUNK_ROWS states
+# and _CHUNK_CELLS slots, so the successor matrix and its mask take at most
+# 9 MB and each column an action makes at most 512 KB, however many slots go
+# unused.  The chunks' edges are then joined and interned as one level:
+# traced with tracemalloc, a level's memory peaks at 65-85 bytes per edge,
+# of which the graph keeps 30-45 (edges, new states, index).  That does not
+# set the peak of explore, which for panels at K = 5 and 6 (widest levels
+# 58,900 and 513,792 edges) is within 1% of the state-by-state loop's.
+_CHUNK_ROWS = 1 << 16
+_CHUNK_CELLS = 1 << 20
+
+
+class _Codec:
+    """Where one variable sits in a state key: its code, the position of its
+    value in the sorted domain (false and true for a bool without a domain),
+    in `bits` bits from bit `shift`.  A domain that is an int range keeps
+    no table: a code is the value minus `lo`."""
+
+    _DTYPES = {"int": np.int64, "bool": bool, "string": object}
+
+    def __init__(self, values: list, kind: str, checked: bool, shift: int):
+        self.shift = shift
+        self.bits = (len(values) - 1).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.field = self.mask << shift
+        self.checked = checked  # a declared domain, which assigned values must be in
+        self.lo = self.hi = self.table = self.codes = None
+        if kind == "int" and values[-1] - values[0] + 1 == len(values):
+            self.lo, self.hi = values[0], values[-1]
+        else:
+            self.table = np.array(values, dtype=self._DTYPES[kind])
+            self.codes = {v: c for c, v in enumerate(values)}
+
+    def code(self, value) -> Optional[int]:
+        """The code of one value, or None outside the domain."""
+        if self.lo is None:
+            return self.codes.get(value)
+        return value - self.lo if self.lo <= value <= self.hi else None
+
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The values held in `keys`, as a column."""
+        codes = (keys >> self.shift) & self.mask
+        return codes + self.lo if self.lo is not None else self.table[codes]
+
+    def encode(self, values) -> np.ndarray:
+        """The codes of `values`, shifted into place; a value outside the
+        domain gets some code."""
+        if self.lo is not None:
+            return (np.asarray(values, np.int64) - self.lo) << self.shift
+        return np.searchsorted(self.table, np.asarray(values, self.table.dtype)) << self.shift
+
+    def outside(self, values) -> np.ndarray:
+        """Where `values` fall outside the domain."""
+        if self.lo is not None:
+            return np.logical_or(np.less(values, self.lo), np.greater(values, self.hi))
+        values = np.asarray(values, self.table.dtype)
+        at = np.minimum(np.searchsorted(self.table, values), len(self.table) - 1)
+        return self.table[at] != values
+
+
+def _key_codecs(bound: BoundSpec) -> Optional[list]:
+    """One `_Codec` per variable, or None when some variable is neither a
+    bool nor has a domain, or the key would pass _KEY_BITS bits."""
+    codecs, shift = [], 0
+    for v in bound.spec.variables:
+        if v.domain is not None:
+            values = sorted(eval_const_set(v.domain, bound, f"var {v.name}"))
+        elif v.kind == "bool":
+            values = [False, True]
+        else:
+            return None
+        if not values:
+            return None
+        codecs.append(_Codec(values, v.kind, v.domain is not None, shift))
+        shift += codecs[-1].bits
+        if shift > _KEY_BITS:
+            return None
+    return codecs
+
+
+class _KeyColumns(dict):
+    """Variable index -> its values in a column of state keys, decoded on
+    the first read."""
+
+    def __init__(self, keys: np.ndarray, codecs: list):
+        super().__init__()
+        self.keys, self.codecs = keys, codecs
+
+    def __missing__(self, i: int) -> np.ndarray:
+        column = self[i] = self.codecs[i].decode(self.keys)
+        return column
+
+
+class _NotColumnar(Exception):
+    """An action with more than _MAX_SLOTS successor slots."""
+
+
+def _first_copies(out: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> None:
+    """Keep, in each row of slots lo to hi - 1, only the first valid slot
+    of each key, as `dict.fromkeys` keeps an action's first copy of a
+    successor: a stable sort of each row, in which an invalid slot holds a
+    negative key of its own, puts each repeat right after an earlier copy."""
+    rows = np.flatnonzero(np.count_nonzero(ok[:, lo:hi], axis=1) > 1)
+    block = np.where(ok[rows, lo:hi], out[rows, lo:hi], np.arange(lo - hi, 0))
+    order = np.argsort(block, axis=1, kind="stable")
+    block = np.take_along_axis(block, order, axis=1)
+    repeat = np.zeros(block.shape, dtype=bool)
+    np.equal(block[:, 1:], block[:, :-1], out=repeat[:, 1:])
+    first = np.empty_like(repeat)
+    np.put_along_axis(first, order, ~repeat, axis=1)
+    ok[rows, lo:hi] &= first
+
+
+class _ColumnAction:
+    """The path list of one action, as the lines of a generated function
+    `f(K, s, out, ok)` over a column of state keys `K` and their decoded
+    values `s` (a `_KeyColumns`): each path through the action's body is one
+    successor slot, whose key column goes to `out[:, slot]` and whose mask
+    (the guards and the path's conditions) to `ok[:, slot]`.
+
+    Three facts make the paths static.  Expressions read only the pre-state,
+    and `validate` allows one assignment per variable and path, so an
+    assignment is one column and no later statement of its path sees it.
+    An `any` set names constants and enclosing binders only, so its choices
+    enumerate statically, in `_compile_set` order, each a path with the
+    binder a constant.  An `if` with no `any` inside stays on its path: each
+    slot it assigns becomes `np.where(cond, then, else)`, with the pre-state
+    value for a branch that does not assign it; an `if` with an `any` inside
+    splits the path in two, under the condition and its negation.
+
+    Every expression is evaluated on every state, so an integer overflow
+    anywhere raises EvalError, as does a value outside its domain on a path
+    where the assignment is taken (`mask & outside(value)`): the caller then
+    expands those states one at a time, which raises the error where it
+    really happens, if it does.  `ends` holds each path's (conditions,
+    assignments) once the action is compiled."""
+
+    def __init__(self, bound: BoundSpec, action: ActionDef, codecs: list, mod: _Module):
+        self.bound, self.codecs, self.mod = bound, codecs, mod
+        self.where = f"action {action.name}"
+        self.lines: list = []
+        self.masks: dict = {(): "True"}
+        self.ends: list = []
+        guards = tuple(self.local(self.expr(g, {})[0]) for g in action.guards)
+        self.walk(action.body, {}, guards, {})
+
+    def view(self, binders: dict) -> SimpleNamespace:
+        """The bound spec as `_source` sees it, with the binders' static
+        values as constants."""
+        return SimpleNamespace(var_index=self.bound.var_index,
+                               constants={**self.bound.constants, **binders})
+
+    def expr(self, e: Expr, binders: dict) -> tuple:
+        """(column source, constant value or _VARIES) of `e`."""
+        src, value, _ = _source(e, self.view(binders), self.where, self.mod, {}, _COLUMN_OPS)
+        return src, value
+
+    def local(self, src: str) -> str:
+        name = self.mod.fresh("c")
+        self.lines.append(f"    {name} = {src}")
+        return name
+
+    def mask(self, terms: tuple) -> str:
+        """A local, or literal, holding the conjunction of `terms`."""
+        if terms not in self.masks:
+            if len(terms) > 1:
+                src = f"np.logical_and({self.mask(terms[:-1])}, {terms[-1]})"
+            else:
+                src = terms[0]
+            self.masks[terms] = src if src.isidentifier() else self.local(src)
+        return self.masks[terms]
+
+    def walk(self, stmts: list, binders: dict, terms: tuple, vals: dict) -> None:
+        """Add the paths of `stmts` under the conditions `terms`, with the
+        assignments `vals` (slot -> (source, constant or _VARIES)) made
+        before them, to `ends`."""
+        for k, st in enumerate(stmts):
+            if isinstance(st, Assign):
+                self.assign(st, binders, terms, vals)
+                continue
+            rest = stmts[k + 1:]
+            if isinstance(st, If):
+                c = self.local(self.expr(st.cond, binders)[0])
+                branches = ((st.then, terms + (c,)),
+                            (st.orelse, terms + (f"np.logical_not({c})",)))
+                if _contains_any([st]):
+                    for body, conds in branches:
+                        self.walk(body + rest, binders, conds, dict(vals))
+                    return
+                then, orelse = (self.branch(body, binders, conds) for body, conds in branches)
+                for i in sorted(then.keys() | orelse.keys()):
+                    a, b = (x[i][0] if i in x else f"s[{i}]" for x in (then, orelse))
+                    vals[i] = (self.local(f"np.where({c}, {a}, {b})"), _VARIES)
+                continue
+            for v in _make_set_function(st.over, self.view(binders), self.where)(None, {}):
+                self.walk(st.body + rest, {**binders, st.binder: v}, terms, dict(vals))
+            return
+        self.ends.append((terms, vals))
+        if len(self.ends) > _MAX_SLOTS:
+            raise _NotColumnar
+
+    def branch(self, stmts: list, binders: dict, terms: tuple) -> dict:
+        """The assignments of `stmts`, which hold no `any`: one path."""
+        vals: dict = {}
+        ends, self.ends = self.ends, []
+        self.walk(stmts, binders, terms, vals)
+        self.ends = ends
+        return vals
+
+    def assign(self, st: Assign, binders: dict, terms: tuple, vals: dict) -> None:
+        i = self.bound.var_index[st.target]
+        codec = self.codecs[i]
+        src, value = self.expr(st.value, binders)
+        if value is _VARIES:
+            src = self.local(src)
+            bad = f"B{i}({src})" if codec.checked else None
+        else:
+            bad = None if codec.code(value) is not None else "True"
+        if bad is not None:
+            taken = self.mask(terms)
+            test = taken if bad == "True" else bad if taken == "True" else \
+                f"np.logical_and({taken}, {bad})"
+            err = self.mod.bind("X", partial(EvalError, "a value outside its domain",
+                                             self.where, st.line, st.col))
+            self.lines.append(f"    if np.any({test}): raise {err}()")
+        vals[i] = (src, value)
+
+    def key(self, vals: dict) -> str:
+        """The source of the successor keys of a path with assignments `vals`."""
+        full = keep = (1 << _KEY_BITS) - 1
+        const, parts = 0, []
+        for i, (src, value) in sorted(vals.items()):
+            codec = self.codecs[i]
+            keep &= ~codec.field
+            if value is _VARIES:
+                parts.append(f"E{i}({src})")
+            else:
+                const |= (codec.code(value) or 0) << codec.shift
+        return " | ".join(["K" if keep == full else f"(K & {keep})"]
+                          + ([str(const)] if const else []) + parts)
+
+
+class _ColumnPlan:
+    """A spec's level-synchronous form: `codecs` pack states into keys, and
+    `expand` makes the successors of a column of keys with one generated
+    function per action (see `_ColumnAction`)."""
+
+    def __init__(self, codecs: list, functions: list, slot_action: list):
+        self.codecs = codecs
+        self.bits = sum(codec.bits for codec in codecs)  # keys are below 2**bits
+        self.functions = functions
+        self.slot_action = np.array(slot_action, dtype=np.int64)  # the action of each slot
+
+    def keys(self, states: list) -> np.ndarray:
+        """The keys of `states`."""
+        keys = np.zeros(len(states), dtype=np.int64)
+        for i, codec in enumerate(self.codecs):
+            if codec.bits:
+                keys |= codec.encode([s[i] for s in states])
+        return keys
+
+    def states(self, keys: np.ndarray) -> list:
+        """The state tuples of `keys`."""
+        return list(zip(*(codec.decode(keys).tolist() for codec in self.codecs)))
+
+    def expand(self, keys: np.ndarray) -> tuple:
+        """(targets, actions, counts) of the states `keys`: their successor
+        keys and the action of each, in edge order (states in order, then
+        actions in declaration order, then each action's successors in
+        enumeration order, repeats dropped), and the number of edges out of
+        each state.  Raises EvalError where some state may raise it."""
+        parts = []
+        rows = max(1, min(_CHUNK_ROWS, _CHUNK_CELLS // max(1, self.slot_action.size)))
+        for lo in range(0, keys.size, rows):
+            chunk = keys[lo:lo + rows]
+            out = np.empty((chunk.size, self.slot_action.size), dtype=np.int64)
+            ok = np.empty(out.shape, dtype=bool)
+            columns = _KeyColumns(chunk, self.codecs)
+            for f in self.functions:
+                f(chunk, columns, out, ok)
+            parts.append((out[ok], np.broadcast_to(self.slot_action, ok.shape)[ok],
+                          np.count_nonzero(ok, axis=1)))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _make_column_plan(bound: BoundSpec) -> Optional[_ColumnPlan]:
+    codecs = _key_codecs(bound)
+    if codecs is None:
+        return None
+    mod = _Module(_COLUMN_OPS["globals"])
+    mod.ns["first_copies"] = _first_copies
+    for i, codec in enumerate(codecs):
+        mod.ns[f"E{i}"], mod.ns[f"B{i}"] = codec.encode, codec.outside
+    main, slot_action = [], []
+    try:
+        for a, action in enumerate(bound.spec.actions):
+            x = _ColumnAction(bound, action, codecs, mod)
+            lo = len(slot_action)
+            ends = []
+            for p, (terms, vals) in enumerate(x.ends, lo):
+                ends.append(f"    ok[:, {p}] = {x.mask(terms)}")  # may add to x.lines
+                ends.append(f"    out[:, {p}] = {x.key(vals)}")
+            slot_action += [a] * len(x.ends)
+            if _contains_any(action.body):
+                ends.append(f"    first_copies(out, ok, {lo}, {len(slot_action)})")
+            main += [f"def a{a}(K, s, out, ok):", *x.lines, *ends, "    return\n"]
+        ns = mod.run("\n".join(main), f"<columns {bound.spec.name}>")
+    except (_NotColumnar, EvalError, RecursionError):
+        return None
+    return _ColumnPlan(codecs, [ns[f"a{a}"] for a in range(len(bound.spec.actions))],
+                       slot_action)
+
+
+def _column_plan(bound: BoundSpec) -> Optional[_ColumnPlan]:
+    """The level-synchronous form of `bound`, made once per bound spec, or
+    None when a state does not fit a key (see `_key_codecs`) or an action
+    has too many paths or an `any` set that cannot be evaluated."""
+    return _generated(bound._generated, bound.spec, ("columns",),
+                      partial(_make_column_plan, bound))
 
 
 # --- initial states and successors ---------------------------------------------

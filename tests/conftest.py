@@ -6,7 +6,8 @@ import sys
 import pytest
 from hypothesis import settings
 
-from spacheck import bind_constants, explore, parse_spec, validate
+from spacheck import (EvalError, ExploreLimits, LimitError, bind_constants, explore, explorer,
+                      parse_spec, validate)
 
 # `HYPOTHESIS_PROFILE=ci` fuzzes harder where time is cheap: tests that ask
 # for `max(N, settings().max_examples)` examples draw 1,000, and none has a
@@ -49,6 +50,33 @@ def build(source: str, constants=None):
 def build_graph(source: str, constants=None):
     bound = build(source, constants)
     return bound, explore(bound)
+
+
+_ARRAYS = ("levels", "edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
+
+
+def explore_with(bound, wide: int, **limits) -> tuple:
+    """`explore`'s outcome with every level at least `wide` states wide
+    expanded as columns: ("graph", fields), ("limit", message, fields of
+    the partial graph or None), or ("error", message, trace states, trace
+    actions).  The fields are the states, `index`, `initial` and the seven
+    arrays, as lists."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", wide)
+        try:
+            graph = explore(bound, ExploreLimits(**limits))
+        except EvalError as e:
+            return ("error", str(e), e.trace.states, e.trace.actions)
+        except LimitError as e:
+            return ("limit", str(e), _fields(e.graph))
+    return ("graph", _fields(graph))
+
+
+def _fields(graph):
+    if graph is None:
+        return None
+    return {"states": graph.states, "index": graph.index, "initial": graph.initial,
+            **{name: list(getattr(graph, name)) for name in _ARRAYS}}
 
 
 @pytest.fixture(scope="session")

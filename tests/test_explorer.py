@@ -2,12 +2,14 @@
 
 import ast
 import re
+import sys
 import time
 
+import numpy as np
 import pytest
 
 import oracles
-from conftest import build, build_graph
+from conftest import build, build_graph, explore_with
 from spacheck import (
     EvalError,
     ExploreLimits,
@@ -24,10 +26,11 @@ from spacheck import (
     replay_trace,
     validate,
 )
+from spacheck import explorer, semantics
 from spacheck.explorer import Deadline
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import _explore_module
+from spacheck.semantics import _column_plan, _explore_module
 
 
 def parse_expr(text: str):
@@ -559,3 +562,137 @@ def test_explore_loop_appends_only_the_state_for_a_new_state(math_src):
             "add_state", "add_level", "add_start", "add_dst", "add_action"}
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not names & {"parent", "parent_action", "depth"}
+
+
+# --- wide levels expanded as columns --------------------------------------------
+
+
+def count_runs(monkeypatch) -> list:
+    """The calls of the generated loop's `run` that `explore` makes from
+    now on, each as the index of the state it starts at."""
+    calls = []
+    make = explorer._explore_function
+
+    def counting(bound, graph):
+        run = make(bound, graph)
+
+        def counted(*args):
+            calls.append(graph.levels[-2])
+            return run(*args)
+        return counted
+
+    monkeypatch.setattr(explorer, "_explore_function", counting)
+    return calls
+
+
+# Three counters 0..7: level d holds the states with a + b + c = d, so levels 8
+# to 13 (42, 46, 48, 48, 46 and 42 states) are wide when 40 states are.
+# States 0 to 119 are in levels 0 to 7, and level 8 is states 120 to 161.
+_CUBE = """spec cube
+var a : int domain 0..7 init 0
+var b : int domain 0..7 init 0
+var c : int domain 0..7 init 0
+action A { when a < 7 a' = a + 1 }
+action B { when b < 7 b' = b + 1 }
+action C { when c < 7 c' = c + 1 }
+"""
+
+
+@pytest.mark.parametrize("rows", [semantics._CHUNK_ROWS, 5, 1])
+def test_wide_levels_go_to_columns_and_back_to_the_loop(rows, monkeypatch):
+    bound = build(_CUBE)
+    monkeypatch.setattr(semantics, "_CHUNK_ROWS", rows)  # a level in chunks of `rows` states
+    calls = count_runs(monkeypatch)
+    outcome = explore_with(bound, 40)
+    # the loop returns at level 8, and is called again for level 14
+    assert calls == [0, 120 + 42 * 2 + 46 * 2 + 48 * 2]
+    assert outcome[1]["levels"][:10] == [0, 1, 4, 10, 20, 35, 56, 84, 120, 162]
+    assert outcome == explore_with(bound, sys.maxsize)
+
+
+@pytest.mark.parametrize("limits,message", [
+    ({"max_states": 170}, "state limit of 170 exceeded"),
+    ({"max_depth": 8}, "depth limit of 8 exceeded"),
+], ids=["max_states", "max_depth"])
+def test_limit_inside_a_wide_level(limits, message, monkeypatch):
+    """Level 8's new states would pass the limit, so the loop expands it and
+    stops at the state where it always stops."""
+    bound = build(_CUBE)
+    calls = count_runs(monkeypatch)
+    outcome = explore_with(bound, 40, **limits)
+    assert len(calls) == 2
+    assert outcome[:2] == ("limit", message)
+    assert 120 < len(outcome[2]["edge_start"]) - 1 < 162  # stopped inside level 8
+    assert outcome == explore_with(bound, sys.maxsize, **limits)
+
+
+class StopAtCall(Deadline):
+    """A deadline that expires at its `at`-th check."""
+
+    def expired(self) -> bool:
+        self.at -= 1
+        return self.at <= 0
+
+
+# Four levels of 1,024 states each: the loop checks the deadline after each
+# level's last state, and the columns after each level.
+_LAYERS = """spec layers
+var x : int domain 0..1023 init in 0..1023
+var y : int domain 0..3 init 0
+action Step { when y < 3 y' = y + 1 }
+"""
+
+
+def test_time_limit_between_wide_levels(monkeypatch):
+    bound = build(_LAYERS)
+    calls = count_runs(monkeypatch)
+    outcome = explore_with(bound, explorer._WIDE, deadline=StopAtCall(0.5, 2))
+    assert calls == []  # every level is wide: no state is expanded alone
+    assert outcome[:2] == (
+        "limit", "time limit of 0.5 s exceeded while exploring (3072 states, depth 1)")
+    assert len(outcome[2]["edge_start"]) == 2049
+    assert outcome == explore_with(bound, sys.maxsize, deadline=StopAtCall(0.5, 2))
+    # with no limit, the last wide level has no edge at all
+    assert explore_with(bound, explorer._WIDE) == explore_with(bound, sys.maxsize)
+
+
+def chain(n: int) -> str:
+    return (f"spec chain\nvar x : int domain 0..{n} init 0\n"
+            f"action Up {{ when x < {n} x' = x + 1 }}\n"
+            f"action Wrap {{ when x = {n} x' = 0 }}\n")
+
+
+def test_specs_without_a_wide_level_run_the_loop_once(math_src, monkeypatch):
+    # math has variables without a domain; the chain has keys, but every
+    # level is one state wide
+    for bound, plan in ((build(math_src, {"max_num_q": 5}), False), (build(chain(300)), True)):
+        assert (_column_plan(bound) is not None) == plan
+        calls = count_runs(monkeypatch)
+        outcome = explore_with(bound, explorer._WIDE)
+        assert len(calls) == 1
+        assert outcome == explore_with(bound, sys.maxsize)
+
+
+def test_overflow_on_an_untaken_path_sends_each_level_to_the_loop(monkeypatch):
+    """x + K overflows for x > 0 in the columns, which evaluate both
+    branches, but the branch is never taken."""
+    bound = build("spec t\nvar x : int domain 0..1023 init in 0..1023\nvar f : bool init false\n"
+                  "action A { if x > 1023 { x' = x + 9223372036854775807 } else { f' = true } }\n")
+    assert _column_plan(bound) is not None
+    calls = count_runs(monkeypatch)
+    outcome = explore_with(bound, explorer._WIDE)
+    # the columns fail at both levels, each 1,024 states wide
+    assert calls == [0, 1024]
+    assert outcome[1]["levels"] == [0, 1024, 2048]
+    assert outcome == explore_with(bound, sys.maxsize)
+
+
+@pytest.mark.parametrize("bits", [4, 62], ids=["packed", "np.unique"])
+def test_unique_matches_numpy(bits):
+    rng = np.random.default_rng(bits)
+    for size in (0, 1, 2, 1000):
+        keys = rng.integers(0, 1 << bits, size, dtype=np.int64)
+        got = explorer._unique(keys.copy(), bits)
+        want = np.unique(keys, return_index=True, return_inverse=True)
+        for x, y in zip(got, want):
+            assert x.tolist() == y.reshape(-1).tolist()

@@ -27,7 +27,6 @@ from spacheck import (
 from spacheck import liveness, model
 from spacheck.explorer import Deadline, LimitError, Verdict, discovery_path
 from spacheck.liveness import (
-    _COLUMN_OPS,
     _bfs_prefix,
     _cycle_through,
     _pred_column,
@@ -35,7 +34,7 @@ from spacheck.liveness import (
 )
 from spacheck.model import INT_MAX, INT_MIN, format_value, state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import EvalError
+from spacheck.semantics import _COLUMN_OPS, EvalError
 
 
 def parse_expr(text: str):

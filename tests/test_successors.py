@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import itertools
 import re
+import sys
 from typing import Optional
 
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build
+from conftest import build, explore_with
 from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
+from spacheck import explorer, semantics
 from spacheck.model import Binary, Cond, Lit, Name, Node
-from spacheck.semantics import EvalError, _explore_module, _successor_source
+from spacheck.semantics import EvalError, _column_plan, _explore_module, _successor_source
 
 INT_MAX = 2**63 - 1  # adding it to any positive value overflows
 
@@ -59,17 +61,18 @@ _INTS = ("x0", "x1", "x2")
 
 
 @st.composite
-def deep_specs(draw):
+def deep_specs(draw, all_domains: bool = False):
     """Source text of a spec whose actions nest `if` and `any` three deep,
     with sequential and nested `any`, statements after an `if` that holds an
     `any`, assignments to variables with a domain (and values outside it),
     and products that overflow ahead of conditions that would overflow too.
     Each statement is on its own line, so every EvalError names a distinct
-    location."""
+    location.  With `all_domains`, every int variable has a domain, so the
+    spec's states pack into keys."""
     binder_ids = itertools.count()
     lines = ["spec deep"]
     for name in _INTS:
-        domain = " domain 0..3" if draw(st.booleans()) else ""
+        domain = " domain 0..3" if all_domains or draw(st.booleans()) else ""
         init = draw(st.sampled_from(("init 0", "init 1", "init in {0, 2}")))
         lines.append(f"var {name} : int{domain} {init}")
     lines.append("var f : bool init in {true, false}")
@@ -490,3 +493,126 @@ def test_domain_test_is_left_out_only_for_a_constant_in_the_domain():
     assert str(err.value) == "action Out at 6:25: value 7 assigned to x is outside its domain"
     assert err.value.trace.states == [(0,), (1,), (2,)]
     assert_explore_matches_reference(bound, 100)
+
+
+# --- whole levels expanded as columns, against the loop and the reference --------
+
+
+# Every int variable has a domain.  Choices that make one successor several
+# times (A, when f is false or x0 < 2), `if`s nested in an `any` and in an
+# `if`, and a domain violation on a taken path after the first level (B at
+# x0 = 3, x1 = 3).
+_COLUMNS = """spec columns
+var x0 : int domain 0..3 init in {0, 2}
+var x1 : int domain 0..3 init 0
+var f : bool init in {true, false}
+action A {
+    any c0 in {0, 1, 2} {
+        if f {
+            if x0 < 2 {
+                x0' = x0 + 1
+            } else {
+                x1' = c0
+            }
+        } else {
+            x1' = 1
+        }
+    }
+}
+action B {
+    if x0 = 3 {
+        x1' = x1 + 1
+    } else {
+        if f {
+            f' = false
+        } else {
+            x0' = 3
+        }
+    }
+}
+"""
+_COLUMN_EXAMPLES = [
+    _COLUMNS,
+    _COLUMNS.replace("x1' = x1 + 1", "x1' = 2"),  # no violation: the full graph
+    _COLUMNS.replace("x1' = x1 + 1", "x1' = x1 - 3"),  # a violation below the domain
+    _PATHS.replace("int init", "int domain 0..3 init"),
+    _ERRORS.replace("x0 : int init", "x0 : int domain 0..3 init"),
+]
+
+
+def test_column_examples_have_a_column_plan():
+    for source in _COLUMN_EXAMPLES:
+        assert _column_plan(build(source)) is not None
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@example(_COLUMN_EXAMPLES[0], 5, 2)
+@example(_COLUMN_EXAMPLES[1], 7, 1)
+@example(_COLUMN_EXAMPLES[2], 3, 2)
+@example(_COLUMN_EXAMPLES[3], 1, 0)
+@example(_COLUMN_EXAMPLES[4], 9, 3)
+@given(deep_specs(all_domains=True), st.integers(1, 40), st.integers(0, 5))
+def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_depth):
+    """With every level expanded as columns, `explore` gives the loop's
+    graph, error or partial graph, and the reference BFS's; a level whose
+    columns raise EvalError or would pass a limit is expanded by the loop,
+    also when only a later chunk of the level raises EvalError."""
+    bound = build(source)
+    for limits in ({"max_states": 200}, {"max_states": max_states},
+                   {"max_states": 200, "max_depth": max_depth}):
+        loop = explore_with(bound, sys.maxsize, **limits)
+        assert explore_with(bound, 1, **limits) == loop
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_CHUNK_ROWS", 1)  # a chunk per state
+            assert explore_with(bound, 1, **limits) == loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", 1)
+        assert_explore_matches_reference(bound, 200)
+        assert_explore_matches_reference(bound, max_states)
+
+
+# A string domain, int domains that are not ranges, a bool with a domain, and
+# an `if` expression over strings; Bad assigns 8, outside k's domain.
+_KINDS = """spec kinds
+var r : string domain {"b", "", "a"} init ""
+var k : int domain {9, 1, 5} init 1
+var on : bool domain {true} init true
+var f : bool init in {true, false}
+action Say {
+    any w in {"a", "b"} {
+        if f {
+            r' = w
+        } else {
+            r' = if r = "" then "a" else r
+        }
+    }
+}
+action Step {
+    when k /= 9
+    if k = 1 {
+        k' = 5
+    } else {
+        k' = k + 4
+    }
+}
+action Flip {
+    f' = not f
+    on' = on
+}
+action Bad {
+    when r = "b" and k = 9 and not f
+    k' = k - 1
+}
+"""
+
+
+@pytest.mark.parametrize("bad", [True, False], ids=["violation", "graph"])
+def test_string_and_sparse_domains_in_columns(bad):
+    bound = build(_KINDS if bad else _KINDS.replace("k' = k - 1", "k' = 1"))
+    assert _column_plan(bound) is not None
+    outcome = explore_with(bound, 1)
+    assert outcome[0] == ("error" if bad else "graph")
+    assert outcome == explore_with(bound, sys.maxsize)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", 1)
+        assert_explore_matches_reference(bound, 100)
