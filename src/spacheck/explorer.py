@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,9 +20,12 @@ import numpy as np
 
 from .model import Expr, SpecModel, State, Value
 from .semantics import (
+    _COLUMN_OPS,
     BoundSpec,
     EvalError,
     _column_plan,
+    _expr_function,
+    _KeyColumns,
     _explore_function,
     _scan_function,
     action_successors,
@@ -70,6 +74,46 @@ class ExploreLimits:
     deadline: Optional[Deadline] = None
 
 
+class KeyStates(Sequence):
+    """The states of a graph explored as columns (see `_explore_levels`):
+    their int64 keys in index order, one `array('q')` entry per state, with
+    `plan` (a `semantics._column_plan`) to decode them.  A state reads as
+    the same tuple the loop would have stored, made when it is read;
+    iterating decodes the keys a chunk at a time, and a slice is a list.
+    It equals a list of the same states in the same order."""
+
+    _CHUNK = 1 << 12  # states decoded at once while iterating
+
+    def __init__(self, keys: array, plan):
+        self.keys = keys
+        self.plan = plan
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.plan.states(np.array(self.keys[i], dtype=np.int64))
+        return self.plan.state(self.keys[i])
+
+    def __iter__(self):
+        for lo in range(0, len(self.keys), self._CHUNK):
+            yield from self[lo:lo + self._CHUNK]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, KeyStates)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"KeyStates({list(self)!r})"
+
+    def columns(self) -> _KeyColumns:
+        """Variable index -> its value in every state, as a numpy column
+        decoded on the first read."""
+        return _KeyColumns(np.frombuffer(self.keys, dtype=np.int64), self.plan.codecs)
+
+
 @dataclass
 class StateGraph:
     """The explored reachable state space.
@@ -78,7 +122,11 @@ class StateGraph:
     depth d) is the index range levels[d] to levels[d + 1].  A state is
     identified by its value tuple, which requires a validated spec:
     `validate` fixes each slot's kind, so Python's `True == 1` can never
-    equate two distinct states.
+    equate two distinct states.  `states` is a list of those tuples, or,
+    when explore expanded some level as columns and did not go back to the
+    loop, a `KeyStates`, which stores each state as its int64 key alone
+    and reads as the same tuples.  `index` maps each state to its index;
+    explore drops its own, so it is built on the first read.
 
     Edges are flat int arrays in CSR form: the edges out of state i are
     positions edge_start[i] to edge_start[i + 1] of `edge_dst` (target
@@ -95,8 +143,7 @@ class StateGraph:
     """
 
     bound: BoundSpec
-    states: list  # index -> State
-    index: dict  # State -> index
+    states: Sequence  # index -> State: a list, or a KeyStates
     initial: list  # indices of initial states: 0 to len(initial) - 1
     levels: array  # where each BFS level starts, then n_states
     edge_start: array  # n + 1 row offsets into edge_dst and edge_action
@@ -106,10 +153,18 @@ class StateGraph:
     parent_action: array  # index -> action index of the parent edge, -1 for initial
     depth: array  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
+    _index: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def spec(self) -> SpecModel:
         return self.bound.spec
+
+    @property
+    def index(self) -> dict:
+        """State -> index, built on the first read."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.states)}
+        return self._index
 
     @property
     def n_states(self) -> int:
@@ -166,12 +221,14 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     where it is made and its edge appended, in the order of
     semantics.successors, so two explorations of the same BoundSpec produce
     identical graphs.  When every variable is a bool or has a domain, so
-    that a state packs into a 62-bit key, a level at least _WIDE states
-    wide is expanded at once instead, as numpy columns of keys (see
-    `_explore_levels`), into the same rows and states.  Exploring keeps
+    that a state packs into a 62-bit key, the first level at least _WIDE
+    states wide and every level after it are expanded at once instead, as
+    numpy columns of keys, into the same rows and states, and the graph
+    keeps the keys as its states (see `_explore_levels`).  Exploring keeps
     only the states, the edges and the level starts; `parent`,
     `parent_action` and `depth` are derived from them afterwards (see
-    `_derive_tree`), on the limit and error paths too.
+    `_derive_tree`), on the limit and error paths too, and the loop's
+    state -> index dict is dropped.
     States are keyed by their value tuples, so `bound` must have passed
     `validate`.  Raises EvalError (with the discovery trace of the offending
     state attached), LimitError (with the graph explored so far, except at
@@ -187,7 +244,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         raise LimitError(f"state limit of {max_states} exceeded")
 
     graph = StateGraph(
-        bound=bound, states=init, index={s: k for k, s in enumerate(init)},
+        bound=bound, states=init,
         initial=list(range(len(init))), levels=array("q", [0, len(init)]),
         edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
         parent=array("q"), parent_action=array("q"), depth=array("q"),
@@ -200,6 +257,8 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         # The state being expanded is the one whose CSR row is still open.
         e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
         raise
+    finally:
+        graph._index = None
     _derive_tree(graph)
     if stopped == "depth":
         raise LimitError(f"depth limit of {max_depth} exceeded", graph)
@@ -212,13 +271,14 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     return graph
 
 
-# A BFS level at least this many states wide is expanded as numpy columns
-# when the spec has a column plan (see `semantics._column_plan`); narrower
-# levels run through the generated loop one state at a time.  On
-# panels-wide (15 actions; 2 cores, Python 3.11, numpy 2.4), a column level
-# costs 0.5-0.7 ms plus about 2 us a state and the loop 9-14 us a state:
-# medians of 100 column expansions of the first 1 to 1,000 states of one
-# level break even with the loop at about 60 states.
+# The first BFS level at least this many states wide, and every level after
+# it, is expanded as numpy columns when the spec has a column plan (see
+# `semantics._column_plan`); the levels before it run through the generated
+# loop one state at a time.  On panels-wide (15 actions; 2 cores, Python
+# 3.11, numpy 2.4), a column level costs 0.5-0.7 ms plus about 2 us a state
+# and the loop 9-14 us a state: medians of 100 column expansions of the
+# first 1 to 1,000 states of one level break even with the loop at about 60
+# states.
 _WIDE = 64
 
 
@@ -233,56 +293,63 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     """Expand every state of `graph`, as `run` does (see
     `semantics._explore_function`), and return what it returns.
 
-    Without a column plan, `run` expands them all.  With one, each level at
-    least _WIDE states wide is expanded as columns of state keys, and `run`
-    expands the others, returning here at the start of each wide level.
-    The graph comes out the same either way: a column level numbers its new
-    states in order of their first edge, as the loop does.  A level goes to
-    `run` instead, which raises the error or stops at the limit where the
-    loop would, when its columns raise EvalError or its new states would
-    pass `max_states` or `max_depth`.  The deadline is checked after a
-    column level in which a 1,024th state was expanded, as the loop checks
-    it after each 1,024th state."""
+    Without a column plan, `run` expands them all.  With one, `run` stops
+    at the first level at least _WIDE states wide.  From there on the
+    graph's states are their keys (a `KeyStates`: the list of tuples and
+    the loop's dict are dropped), and every level, however narrow, is
+    expanded as columns of keys.  When a level's columns raise EvalError or
+    its new states would pass `max_states` or `max_depth`, the states go
+    back to a list of tuples, and a loop over that list, with a dict built
+    from it once, expands that level and all the rest; it raises the error
+    or stops at the limit where it always does.  So explore changes how it
+    stores states at most once each way.  The graph comes out the same
+    either way: a column level numbers its new states in order of their
+    first edge, as the loop does.  The deadline is checked after a column
+    level in which a 1,024th state was expanded, as the loop checks it
+    after each 1,024th state."""
     max_states, max_depth, deadline = limits.max_states, limits.max_depth, limits.deadline
-    if plan is None:
-        return run(max_states, max_depth, deadline, enumerate(graph.states), sys.maxsize)
-    states, levels = graph.states, graph.levels
-    ids = _KeyIndex()
-    keys = np.empty(0, dtype=np.int64)  # the keys of the last keys.size states in `ids`
-    while True:
-        start, end = levels[-2], levels[-1]
-        if end - start >= _WIDE:
-            if ids.size < end:  # states that `run` added
-                keys = plan.keys(states[ids.size:end])
-                ids.add(keys, ids.size)
-            new = _expand_level(graph, plan, ids, keys[keys.size - (end - start):],
-                                len(levels) - 1, limits)
-            if new is not None:
-                keys = new
-                if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
-                    return "time"
-                if len(states) == end:
-                    return None
-                levels.append(len(states))
-                continue
-        stopped = run(max_states, max_depth, deadline, _rows(states, start), _WIDE)
+    levels = graph.levels
+    if plan is None or levels[-1] - levels[-2] < _WIDE:
+        wide = sys.maxsize if plan is None else _WIDE
+        stopped = run(max_states, max_depth, deadline, enumerate(graph.states), wide)
         if stopped != "level":
             return stopped
+    frontier = plan.keys(graph.states)
+    ids = _KeyIndex()
+    ids.add(frontier, 0)
+    keys = array("q")
+    keys.frombytes(frontier.view(np.uint8))
+    graph.states, graph._index = KeyStates(keys, plan), None
+    frontier = frontier[levels[-2]:]
+    while True:
+        start, end = levels[-2], levels[-1]
+        new = _expand_level(graph, plan, ids, frontier, len(levels) - 1, limits)
+        if new is None:
+            graph.states = list(graph.states)
+            return _explore_function(graph.bound, graph)(
+                max_states, max_depth, deadline, _rows(graph.states, start), sys.maxsize)
+        if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
+            return "time"
+        if not new.size:
+            return None
+        levels.append(len(keys))
+        frontier = new
 
 
-def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, keys: np.ndarray, depth: int,
+def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, frontier: np.ndarray, depth: int,
                   limits: ExploreLimits) -> Optional[np.ndarray]:
-    """Expand the states with `keys`, the last `keys.size` states of
-    `graph`, as columns: append their CSR rows and the new states, numbered
-    in order of their first edge, with their keys to `ids`.  Returns the
-    new states' keys, or None, with `graph` and `ids` as they were, when
-    the columns raise EvalError or the new states, at `depth`, would pass a
-    limit."""
+    """Expand the states with keys `frontier`, the last `frontier.size`
+    states of `graph`, whose states are a `KeyStates`, as columns: append
+    their CSR rows and the new states' keys, numbered in order of their
+    first edge, to `graph` and to `ids`.  Returns the new states' keys, or
+    None, with `graph` and `ids` as they were, when the columns raise
+    EvalError or the new states, at `depth`, would pass a limit."""
     try:
-        targets, actions, counts = plan.expand(keys)
+        targets, actions, counts = plan.expand(frontier)
     except EvalError:
         return None
-    n = len(graph.states)
+    keys = graph.states.keys
+    n = len(keys)
     unique, first, inverse = _unique(targets, plan.bits)
     index = ids.find(unique)
     new = np.flatnonzero(index < 0)
@@ -298,28 +365,24 @@ def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, keys: np.ndarray, dep
         (np.cumsum(counts) + len(graph.edge_dst)).astype(np.int64, copy=False).view(np.uint8))
     graph.edge_dst.frombytes(index[inverse].view(np.uint8))
     graph.edge_action.frombytes(actions.view(np.uint8))
-    new_states = plan.states(fresh)
-    graph.states.extend(new_states)
-    graph.index.update(zip(new_states, range(n, n + len(new_states))))
+    keys.frombytes(fresh.view(np.uint8))
     return fresh
 
 
 class _KeyIndex:
-    """State key -> state index, for states 0 to size - 1, as sorted runs
-    of numpy arrays, no Python object per state: each run is at most half
-    as long as the one before it, so a key is looked up in O(log n) runs,
-    and each key is merged into O(log n) runs in all."""
+    """State key -> state index, for the states added, as sorted runs of
+    numpy arrays, no Python object per state: each run is at most half as
+    long as the one before it, so a key is looked up in O(log n) runs, and
+    each key is merged into O(log n) runs in all."""
 
     def __init__(self):
-        self.size = 0
         self.runs: list = []  # (sorted keys, their state indices), longest first
 
     def add(self, keys: np.ndarray, first: int) -> None:
         """Add `keys` as the states numbered from `first` on."""
-        self.size = first + keys.size
         if not keys.size:
             return
-        run = (keys, np.arange(first, self.size))
+        run = (keys, np.arange(first, first + keys.size))
         while self.runs and self.runs[-1][0].size <= 2 * run[0].size:
             last = self.runs.pop()
             run = (np.concatenate([last[0], run[0]]), np.concatenate([last[1], run[1]]))
@@ -424,7 +487,7 @@ def check_invariant(
     shortest discovery path to the first violating state in BFS order."""
     where = f"property {name}"
     try:
-        i = _scan_function(pred, graph.bound, where)(graph.states, binders or {})
+        i = _first_violation(graph, pred, where, binders or {})
     except EvalError as e:
         return Verdict(name=name, kind="invariant", status="error", detail=str(e))
     if i >= 0:
@@ -437,6 +500,24 @@ def check_invariant(
         name=name, kind="invariant", status="pass",
         detail=f"holds in all {graph.n_states} states",
     )
+
+
+def _first_violation(graph: StateGraph, pred: Expr, where: str, binders: dict) -> int:
+    """The index of the first state where `pred` is false, or -1.  States
+    stored as keys are tested at once, as one column over all of them;
+    when that raises EvalError, and always for a list of tuples, a scan
+    tests one state after another, so an earlier violation wins over a
+    later EvalError, which the scan raises at its state."""
+    if isinstance(graph.states, KeyStates):
+        try:
+            held = _expr_function(pred, graph.bound, where, _COLUMN_OPS)(
+                graph.states.columns(), binders)
+        except EvalError:
+            pass
+        else:
+            false = np.flatnonzero(np.logical_not(np.broadcast_to(held, graph.n_states)))
+            return int(false[0]) if false.size else -1
+    return _scan_function(pred, graph.bound, where)(graph.states, binders)
 
 
 def check_deadlock(graph: StateGraph) -> Verdict:

@@ -55,7 +55,15 @@ from .model import (
     TemporalProperty,
     format_value,
 )
-from .explorer import Deadline, StateGraph, Trace, Verdict, check_invariant, discovery_path
+from .explorer import (
+    Deadline,
+    KeyStates,
+    StateGraph,
+    Trace,
+    Verdict,
+    check_invariant,
+    discovery_path,
+)
 from .semantics import _COLUMN_OPS, EvalError, _expr_function, eval_const_set
 
 
@@ -63,9 +71,10 @@ from .semantics import _COLUMN_OPS, EvalError, _expr_function, eval_const_set
 
 
 class _Columns(dict):
-    """Variable index -> the variable's value in every stored state, as a
-    numpy column; each is built on its first read, so a check pays only for
-    the variables its predicates name."""
+    """Variable index -> the variable's value in every state of a list, as
+    a numpy column; each is built on its first read, so a check pays only
+    for the variables its predicates name.  States stored as keys decode
+    their columns instead (`KeyStates.columns`)."""
 
     _DTYPES = {"int": np.int64, "bool": bool}
 
@@ -89,7 +98,8 @@ class _Analysis:
     def __init__(self, graph: StateGraph):
         n = graph.n_states
         self.n = n
-        self.columns = _Columns(graph)
+        states = graph.states
+        self.columns = states.columns() if isinstance(states, KeyStates) else _Columns(graph)
         dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int32),
                         np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
@@ -207,12 +217,21 @@ def _pred_column(graph: StateGraph, pred: Expr, where: str, binders: dict) -> np
 class _FailInfo:
     quiescent_hits: np.ndarray  # reached quiescent states, ascending
     scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
-    scc_members: dict  # each of scc_hits -> frozenset of its SCC
+    labels: Optional[np.ndarray]  # SCC label of each state, when scc_hits has any
     # The BFS that found the reached states, from the virtual source n (None
     # when the search did not need one): visiting order, and each state's
     # BFS parent (n for a start).
     order: Optional[np.ndarray] = None
     pred: Optional[np.ndarray] = None
+
+    def on_scc(self, i: int) -> bool:
+        """Whether state i is one of `scc_hits`."""
+        at = np.searchsorted(self.scc_hits, i)
+        return bool(at < self.scc_hits.size and self.scc_hits[at] == i)
+
+    def scc_of(self, i: int) -> frozenset:
+        """The states of the nontrivial SCC of state i, one of `scc_hits`."""
+        return frozenset(np.flatnonzero(self.labels[:-1] == self.labels[i]).tolist())
 
 
 def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
@@ -250,19 +269,13 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     quiescent_hits = np.flatnonzero(ana.quiescent & reached)
 
-    scc_members: dict = {}
+    labels = None
     core = reached & ana.cyclic
     if (core[ana.back_src] & core[ana.back_dst]).any():
         _, labels = csgraph.connected_components(
             ana.restricted(core), directed=True, connection="strong"
         )
         scc_hits = np.flatnonzero((np.bincount(labels)[labels] >= 2)[:ana.n])
-        hit_labels = labels[scc_hits]
-        by_label = np.argsort(hit_labels, kind="stable")
-        cuts = np.flatnonzero(np.diff(hit_labels[by_label])) + 1
-        for comp in np.split(scc_hits[by_label], cuts):
-            mem = frozenset(comp.tolist())
-            scc_members.update(dict.fromkeys(mem, mem))
     else:
         scc_hits = np.empty(0, dtype=np.int64)
 
@@ -271,7 +284,7 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     if order is not None:
         order = order[np.append(restrict, True)[order]]
         pred[:ana.n][~restrict] = pred[ana.n]  # scipy's "no parent"
-    return _FailInfo(quiescent_hits, scc_hits, scc_members, order, pred)
+    return _FailInfo(quiescent_hits, scc_hits, labels, order, pred)
 
 
 # --- lasso extraction (failure path only) ------------------------------------------
@@ -357,8 +370,8 @@ def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> T
     indices = list(prefix)
     actions = [_edge_label(graph, u, v) for u, v in zip(indices, indices[1:])]
     loop_start = len(indices) - 1
-    if entry in info.scc_members:
-        cycle = _cycle_through(graph, entry, info.scc_members[entry])
+    if info.on_scc(entry):
+        cycle = _cycle_through(graph, entry, info.scc_of(entry))
         for node in cycle[1:]:
             actions.append(_edge_label(graph, indices[-1], node))
             indices.append(node)
@@ -401,8 +414,8 @@ def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",
     prefix = _bfs_prefix(info)
     entry = prefix[-1]
     trace = _assemble(graph, prefix, info, entry)
-    kind_of_loop = "stutters forever at quiescent state" if entry not in info.scc_members \
-        else "cycles forever from state"
+    kind_of_loop = "cycles forever from state" if info.on_scc(entry) \
+        else "stutters forever at quiescent state"
     return Verdict(
         name=name, kind="eventually", status="fail", trace=trace,
         detail=f"never reaches the target: {kind_of_loop} {entry}",
@@ -461,13 +474,14 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
             name=name, kind="always_eventually", status="pass",
             detail="the target recurs on every admitted behavior",
         )
-    candidates = list(info.quiescent_hits) + list(info.scc_hits)
-    entry = min(candidates, key=lambda i: (graph.depth[i], i))
-    prefix, _ = discovery_path(graph, int(entry))
-    trace = _assemble(graph, prefix, info, int(entry))
+    # The shallowest candidate, the lowest index among those: states are
+    # numbered in BFS order, so that is the lowest index of all.
+    entry = int(np.concatenate((info.quiescent_hits, info.scc_hits)).min())
+    prefix, _ = discovery_path(graph, entry)
+    trace = _assemble(graph, prefix, info, entry)
     return Verdict(
         name=name, kind="always_eventually", status="fail", trace=trace,
-        detail=f"after state {int(entry)} the target never holds again",
+        detail=f"after state {entry} the target never holds again",
     )
 
 

@@ -1099,6 +1099,11 @@ class _Codec:
             return self.codes.get(value)
         return value - self.lo if self.lo <= value <= self.hi else None
 
+    def value(self, key: int):
+        """The value held in one key, as a Python value."""
+        code = (key >> self.shift) & self.mask
+        return code + self.lo if self.lo is not None else self.table.item(code)
+
     def decode(self, keys: np.ndarray) -> np.ndarray:
         """The values held in `keys`, as a column."""
         codes = (keys >> self.shift) & self.mask
@@ -1324,6 +1329,10 @@ class _ColumnPlan:
     def states(self, keys: np.ndarray) -> list:
         """The state tuples of `keys`."""
         return list(zip(*(codec.decode(keys).tolist() for codec in self.codecs)))
+
+    def state(self, key: int) -> tuple:
+        """The state tuple of one key."""
+        return tuple(codec.value(key) for codec in self.codecs)
 
     def expand(self, keys: np.ndarray) -> tuple:
         """(targets, actions, counts) of the states `keys`: their successor

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import build, build_graph, explore_with
+from conftest import build, build_graph, corpus_path, explore_with
 from spacheck import (
     EvalError,
     ExploreLimits,
@@ -26,8 +26,8 @@ from spacheck import (
     replay_trace,
     validate,
 )
-from spacheck import explorer, semantics
-from spacheck.explorer import Deadline
+from spacheck import cli, explorer, semantics
+from spacheck.explorer import Deadline, KeyStates
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
 from spacheck.semantics import _column_plan, _explore_module
@@ -182,6 +182,62 @@ def test_earlier_violation_beats_later_overflow():
         assert replay_trace(bound, v.trace) is None
     with pytest.raises(EvalError, match="overflow"):
         oracles.evaluate(prop.shape.pred, graph.states[2], {}, bound)
+
+
+_SAFE = ("spec t\nvar x : int domain 0..3 init 0\n"
+         "action Inc { when x < 3 x' = x + 1 }\n")
+
+
+@pytest.mark.parametrize("pred,want", [
+    # x + K is INT_MAX at x = 1 and leaves 64 bits at x = 2 and 3, so the
+    # column raises EvalError and the scan finds state 1 first
+    ("x < 1 or x + 9223372036854775806 < 0", "violated at state 1"),
+    # the scan raises at state 2, where x + K first leaves 64 bits
+    ("x < 2 or x + 9223372036854775806 < 0", "property Safe at 4:28: integer overflow"),
+    ("x < 2", "violated at state 2"),
+    ("x < 4", "holds in all 4 states"),
+    ("x > 5", "violated at state 0"),
+    ("true", "holds in all 4 states"),  # one value, not a column
+], ids=["overflow-after-violation", "overflow-first", "violated", "holds", "first", "constant"])
+def test_invariant_on_keys_matches_the_scan(pred, want, monkeypatch):
+    """States stored as keys test the invariant as one column, and a scan
+    decides when the column raises EvalError: the verdict and trace are the
+    scan's over a list of the same states."""
+    bound = build(_SAFE + f"invariant Safe: {pred}\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", 1)
+        keyed = explore(bound)
+    listed = explore(bound)
+    assert isinstance(keyed.states, KeyStates) and type(listed.states) is list
+    assert keyed == listed
+    prop = bound.spec.properties[0]
+    verdicts = [check_invariant(g, prop.shape.pred, name="Safe") for g in (keyed, listed)]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].detail == want
+    if verdicts[0].trace is not None:
+        assert replay_trace(bound, verdicts[0].trace) is None
+    if "+" not in pred:
+        # the column decides alone
+        monkeypatch.setattr(explorer, "_scan_function", None)
+        assert check_invariant(keyed, prop.shape.pred, name="Safe") == verdicts[0]
+
+
+def test_column_explore_leaves_the_index_unbuilt():
+    bound = build(_CUBE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", 40)
+        graph = explore(bound)
+    assert isinstance(graph.states, KeyStates)
+    assert graph._index is None
+    index = graph.index
+    assert graph.index is index  # built once
+    assert list(index) == list(graph.states)
+    assert list(index.values()) == list(range(graph.n_states)) == list(range(512))
+    assert set(index) == {(a, b, c) for a in range(8) for b in range(8) for c in range(8)}
+    # the loop's own dict is dropped too
+    graph = explore(build(chain(10)))
+    assert type(graph.states) is list and graph._index is None
+    assert graph.index == {(x,): x for x in range(11)}
 
 
 # --- deadlock ------------------------------------------------------------------
@@ -599,14 +655,16 @@ action C { when c < 7 c' = c + 1 }
 
 
 @pytest.mark.parametrize("rows", [semantics._CHUNK_ROWS, 5, 1])
-def test_wide_levels_go_to_columns_and_back_to_the_loop(rows, monkeypatch):
+def test_the_first_wide_level_and_every_later_one_go_to_columns(rows, monkeypatch):
     bound = build(_CUBE)
     monkeypatch.setattr(semantics, "_CHUNK_ROWS", rows)  # a level in chunks of `rows` states
     calls = count_runs(monkeypatch)
     outcome = explore_with(bound, 40)
-    # the loop returns at level 8, and is called again for level 14
-    assert calls == [0, 120 + 42 * 2 + 46 * 2 + 48 * 2]
+    # the loop returns at level 8; levels 8 to 21, the narrow ones from 14
+    # on too, are columns
+    assert calls == [0]
     assert outcome[1]["levels"][:10] == [0, 1, 4, 10, 20, 35, 56, 84, 120, 162]
+    assert isinstance(outcome[1]["states"], KeyStates)
     assert outcome == explore_with(bound, sys.maxsize)
 
 
@@ -662,6 +720,25 @@ def chain(n: int) -> str:
             f"action Wrap {{ when x = {n} x' = 0 }}\n")
 
 
+def test_math_with_domains_is_math_in_columns(monkeypatch):
+    """`examples/math_domains.spa`, the quiz with a domain for each int and
+    string variable, is explored as columns into math.spa's graph, and its
+    report is math.spa's."""
+    monkeypatch.setattr(explorer, "_WIDE", 1)
+    constants = {"max_num_q": 5}
+    keyed = build(corpus_path("math_domains.spa").read_text(encoding="utf-8"), constants)
+    listed = build(corpus_path("math.spa").read_text(encoding="utf-8"), constants)
+    assert _column_plan(keyed) is not None and _column_plan(listed) is None
+    assert isinstance(explore(keyed).states, KeyStates)
+    assert explore_with(keyed, 1) == explore_with(listed, 1)
+    reports = []
+    for name in ("math_domains.spa", "math.spa"):
+        report, code = cli.run_check(cli.RunConfig(str(corpus_path(name)), constants))
+        assert code == 0
+        reports.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', "", cli.emit_json(report)))
+    assert reports[0] == reports[1]
+
+
 def test_specs_without_a_wide_level_run_the_loop_once(math_src, monkeypatch):
     # math has variables without a domain; the chain has keys, but every
     # level is one state wide
@@ -681,9 +758,11 @@ def test_overflow_on_an_untaken_path_sends_each_level_to_the_loop(monkeypatch):
     assert _column_plan(bound) is not None
     calls = count_runs(monkeypatch)
     outcome = explore_with(bound, explorer._WIDE)
-    # the columns fail at both levels, each 1,024 states wide
-    assert calls == [0, 1024]
+    # the columns fail at the first level, 1,024 states wide, and the loop
+    # expands it and the next one, also 1,024 states wide
+    assert calls == [0]
     assert outcome[1]["levels"] == [0, 1024, 2048]
+    assert type(outcome[1]["states"]) is list
     assert outcome == explore_with(bound, sys.maxsize)
 
 

@@ -393,6 +393,24 @@ def test_lasso_loops_violate_target_and_are_fair(math_src, buggy_src):
             assert len(set(loop)) >= 2  # a real cycle of state-changing edges
 
 
+@pytest.mark.parametrize("spin,states,loop_action", [
+    ("when x >= 2 x' = 5 - x", [(0,), (1,)], None),  # 1 is quiescent, 2 and 3 a cycle
+    ("when x = 1 or x = 3 x' = 4 - x", [(0,), (1,), (3,)], "Spin"),  # 2 is quiescent
+], ids=["quiescent", "cycle"])
+def test_always_eventually_enters_at_the_shallowest_candidate(spin, states, loop_action):
+    """The lasso enters the shallowest state that can stay outside the
+    target forever, quiescent or on a cycle, the lowest index on ties."""
+    bound, graph = build_graph(
+        "spec t\nvar x : int init 0\n"
+        "action Go { when x = 0 any v in {1, 2} { x' = v } }\n"
+        f"action Spin {{ {spin} }}\n")
+    assert [s[0] for s in graph.states] == [0, 1, 2, 3]
+    v = check_always_eventually(graph, parse_expr("x = 0"))
+    assert v.detail == "after state 1 the target never holds again"
+    assert (v.trace.states, v.trace.loop_start, v.trace.loop_action) == (states, 1, loop_action)
+    assert replay_trace(bound, v.trace) is None
+
+
 def test_string_set_predicate_vectorizes(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     v = check_always_eventually(graph, parse_expr('result in {"Right", "Wrong"}'))
@@ -441,6 +459,11 @@ def test_eventually_monotone_under_weakening(math_src):
 # --- SCC info ---------------------------------------------------------------------
 
 
+def scc_members(info) -> dict:
+    """Each of a search's `scc_hits` -> the states of its SCC."""
+    return {i: info.scc_of(i) for i in info.scc_hits.tolist()}
+
+
 def state_mask(graph, indices):
     mask = np.zeros(graph.n_states, dtype=bool)
     mask[list(indices)] = True
@@ -451,7 +474,7 @@ def test_clock_is_one_nontrivial_scc(clock_src):
     bound, graph = build_graph(clock_src)
     mask = state_mask(graph, range(graph.n_states))
     info = _search_fail(graph, mask, mask, within_restriction=False)
-    assert set(info.scc_members.values()) == {frozenset(range(24))}
+    assert set(scc_members(info).values()) == {frozenset(range(24))}
     assert info.scc_hits.size == 24
 
 
@@ -459,12 +482,12 @@ def test_math_has_no_nontrivial_scc(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     mask = state_mask(graph, range(graph.n_states))
     info = _search_fail(graph, mask, mask, within_restriction=False)
-    assert info.scc_members == {}
+    assert scc_members(info) == {}
     assert info.scc_hits.size == 0
     # restricting to a subset keeps it that way
     mask2 = state_mask(graph, range(0, graph.n_states, 2))
     info2 = _search_fail(graph, mask2, mask2, within_restriction=False)
-    assert info2 is None or info2.scc_members == {}
+    assert info2 is None or scc_members(info2) == {}
 
 
 MATH_TERMINATING = """action Terminating {
@@ -529,7 +552,7 @@ def assert_search_matches_reference(graph, rng, trials):
             assert got is not None, (trial, within)
             assert got.quiescent_hits.tolist() == want[0], (trial, within)
             assert got.scc_hits.tolist() == want[1], (trial, within)
-            assert got.scc_members == want[2], (trial, within)
+            assert scc_members(got) == want[2], (trial, within)
 
 
 @pytest.mark.parametrize("which", ["restart", "clock"])
@@ -542,7 +565,7 @@ def test_search_fail_matches_reference_on_cyclic_graphs(which, math_src, clock_s
         bound, graph = build_graph(clock_src)
     everything = state_mask(graph, range(graph.n_states))
     full = _search_fail(graph, everything, everything, within_restriction=False)
-    assert set(full.scc_members.values()) == {frozenset(range(graph.n_states))}
+    assert set(scc_members(full).values()) == {frozenset(range(graph.n_states))}
     assert_search_matches_reference(graph, random.Random(4), 300)
 
 
@@ -608,7 +631,7 @@ def test_search_fail_matches_reference_on_equal_depth_cycle():
     assert list(graph.depth) == [0, 1, 1]
     everything = state_mask(graph, range(graph.n_states))
     full = _search_fail(graph, everything, everything, within_restriction=False)
-    assert set(full.scc_members.values()) == {frozenset({1, 2})}
+    assert set(scc_members(full).values()) == {frozenset({1, 2})}
     assert_search_matches_reference(graph, random.Random(6), 100)
 
 
@@ -620,7 +643,7 @@ def test_fail_info_survives_later_searches(math_src):
     info = _search_fail(graph, everything, initial, within_restriction=True)
     fields = ("quiescent_hits", "scc_hits", "order", "pred")
     before = {f: getattr(info, f).copy() for f in fields}
-    members, prefix = dict(info.scc_members), _bfs_prefix(info)
+    members, prefix = scc_members(info), _bfs_prefix(info)
     rng = random.Random(8)
     for _ in range(20):
         restrict, starts = random_masks(graph, rng)
@@ -628,7 +651,7 @@ def test_fail_info_survives_later_searches(math_src):
             _search_fail(graph, restrict, starts, within)
     for f in fields:
         assert np.array_equal(getattr(info, f), before[f]), f
-    assert info.scc_members == members
+    assert scc_members(info) == members
     assert _bfs_prefix(info) == prefix
 
 
@@ -657,7 +680,7 @@ def assert_mask_walk_matches_reference(graph, rng, steps):
         assert got is not None, step
         assert got.quiescent_hits.tolist() == want[0], step
         assert got.scc_hits.tolist() == want[1], step
-        assert got.scc_members == want[2], step
+        assert scc_members(got) == want[2], step
         if within:
             _, parents = oracles.bfs_within(
                 graph, np.flatnonzero(starts).tolist(), set(np.flatnonzero(restrict).tolist())
@@ -1105,7 +1128,8 @@ def test_cycle_through_is_linear_on_panels(trial):
         restrict, starts = random_masks(graph, rng)
     info = _search_fail(graph, restrict, starts, within_restriction=True)
     entry = _bfs_prefix(info)[-1]
-    members = info.scc_members[entry]
+    assert info.on_scc(entry)
+    members = info.scc_of(entry)
     with pytest.raises(RuntimeError, match="step cap"):
         oracles.first_cycle_through(graph, entry, members, step_cap=100_000)
     t0 = time.perf_counter()

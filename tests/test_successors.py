@@ -3,10 +3,14 @@ the next-state relation (`oracles.step`), and the shapes of action that
 Python's own compiler limits make hard to generate."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import itertools
+import os
 import re
 import sys
+import tempfile
 from typing import Optional
 
 import pytest
@@ -17,7 +21,7 @@ import oracles
 from conftest import build, explore_with
 from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
-from spacheck import explorer, semantics
+from spacheck import cli, explorer, semantics
 from spacheck.model import Binary, Cond, Lit, Name, Node
 from spacheck.semantics import EvalError, _column_plan, _explore_module, _successor_source
 
@@ -556,7 +560,8 @@ def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_
     """With every level expanded as columns, `explore` gives the loop's
     graph, error or partial graph, and the reference BFS's; a level whose
     columns raise EvalError or would pass a limit is expanded by the loop,
-    also when only a later chunk of the level raises EvalError."""
+    also when only a later chunk of the level raises EvalError.  The
+    reports of `spacheck check` and its DOT output are the loop's too."""
     bound = build(source)
     for limits in ({"max_states": 200}, {"max_states": max_states},
                    {"max_states": 200, "max_depth": max_depth}):
@@ -569,6 +574,39 @@ def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_
         mp.setattr(explorer, "_WIDE", 1)
         assert_explore_matches_reference(bound, 200)
         assert_explore_matches_reference(bound, max_states)
+    source += _PROPERTIES
+    assert check_outputs(source, 1) == check_outputs(source, sys.maxsize)
+
+
+# Every kind of verdict over the variables of `deep_specs`, a `forall` too,
+# so that the reports compare invariant and liveness verdicts and traces
+# over states stored as keys with those over tuples.
+_PROPERTIES = """invariant Small: x0 + x1 < 5
+property Settles: eventually (x2 = 3)
+property Answers: (f) leadsto (x0 = 0)
+property Recurs: always eventually (not f)
+property Each: forall v in 0..3 : eventually (x1 = v)
+"""
+
+
+def check_outputs(source: str, wide: int) -> tuple:
+    """`spacheck check --json --dot` on `source` with every level at least
+    `wide` states wide expanded as columns: the exit code, the JSON report
+    with `elapsed_ms` stripped, the DOT file and what went to stderr."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", wide)
+        spec, dot = os.path.join(tmp, "deep.spa"), os.path.join(tmp, "deep.dot")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write(source)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", spec, "--json", "--dot", dot])
+        graph = None
+        if os.path.exists(dot):
+            with open(dot, encoding="utf-8") as fh:
+                graph = fh.read()
+    report = re.sub(r'"elapsed_ms": [0-9.e+-]+', "", out.getvalue())
+    return code, report, graph, err.getvalue().replace(tmp, "")
 
 
 # A string domain, int domains that are not ranges, a bool with a domain, and
