@@ -24,8 +24,8 @@ from .semantics import (
     BoundSpec,
     EvalError,
     _column_plan,
+    _Columns,
     _expr_function,
-    _KeyColumns,
     _explore_function,
     _scan_function,
     action_successors,
@@ -80,7 +80,8 @@ class KeyStates(Sequence):
     `plan` (a `semantics._column_plan`) to decode them.  A state reads as
     the same tuple the loop would have stored, made when it is read;
     iterating decodes the keys a chunk at a time, and a slice is a list.
-    It equals a list of the same states in the same order."""
+    It equals a list of the same states in the same order.  Value columns
+    come from `StateGraph.columns`, which decodes them from the keys."""
 
     _CHUNK = 1 << 12  # states decoded at once while iterating
 
@@ -108,11 +109,6 @@ class KeyStates(Sequence):
     def __repr__(self) -> str:
         return f"KeyStates({list(self)!r})"
 
-    def columns(self) -> _KeyColumns:
-        """Variable index -> its value in every state, as a numpy column
-        decoded on the first read."""
-        return _KeyColumns(np.frombuffer(self.keys, dtype=np.int64), self.plan.codecs)
-
 
 @dataclass
 class StateGraph:
@@ -125,8 +121,9 @@ class StateGraph:
     equate two distinct states.  `states` is a list of those tuples, or,
     when explore expanded some level as columns and did not go back to the
     loop, a `KeyStates`, which stores each state as its int64 key alone
-    and reads as the same tuples.  `index` maps each state to its index;
-    explore drops its own, so it is built on the first read.
+    and reads as the same tuples.  Which of the two holds the states is
+    known to this module alone: `columns` gives the states' values as
+    numpy columns from either.
 
     Edges are flat int arrays in CSR form: the edges out of state i are
     positions edge_start[i] to edge_start[i + 1] of `edge_dst` (target
@@ -153,18 +150,20 @@ class StateGraph:
     parent_action: array  # index -> action index of the parent edge, -1 for initial
     depth: array  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
-    _index: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def spec(self) -> SpecModel:
         return self.bound.spec
 
-    @property
-    def index(self) -> dict:
-        """State -> index, built on the first read."""
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.states)}
-        return self._index
+    def columns(self) -> _Columns:
+        """Variable index -> the variable's value in every state, in index
+        order, as a numpy column made on its first read: decoded from the
+        keys of a `KeyStates`, or read from the tuples of a list."""
+        states = self.states
+        if isinstance(states, KeyStates):
+            return states.plan.columns(np.frombuffer(states.keys, dtype=np.int64))
+        dtypes = [_Columns._DTYPES[v.kind] for v in self.spec.variables]
+        return _Columns(lambda i: np.array([s[i] for s in states], dtype=dtypes[i]))
 
     @property
     def n_states(self) -> int:
@@ -227,8 +226,8 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     keeps the keys as its states (see `_explore_levels`).  Exploring keeps
     only the states, the edges and the level starts; `parent`,
     `parent_action` and `depth` are derived from them afterwards (see
-    `_derive_tree`), on the limit and error paths too, and the loop's
-    state -> index dict is dropped.
+    `_derive_tree`), on the limit and error paths too.  The loop's
+    state -> index dict is explore's own: the graph does not keep it.
     States are keyed by their value tuples, so `bound` must have passed
     `validate`.  Raises EvalError (with the discovery trace of the offending
     state attached), LimitError (with the graph explored so far, except at
@@ -249,7 +248,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
         parent=array("q"), parent_action=array("q"), depth=array("q"),
     )
-    run = _explore_function(bound, graph)
+    run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
     try:
         stopped = _explore_levels(graph, run, _column_plan(bound), limits)
     except EvalError as e:
@@ -257,8 +256,6 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         # The state being expanded is the one whose CSR row is still open.
         e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
         raise
-    finally:
-        graph._index = None
     _derive_tree(graph)
     if stopped == "depth":
         raise LimitError(f"depth limit of {max_depth} exceeded", graph)
@@ -293,20 +290,19 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     """Expand every state of `graph`, as `run` does (see
     `semantics._explore_function`), and return what it returns.
 
-    Without a column plan, `run` expands them all.  With one, `run` stops
-    at the first level at least _WIDE states wide.  From there on the
-    graph's states are their keys (a `KeyStates`: the list of tuples and
-    the loop's dict are dropped), and every level, however narrow, is
-    expanded as columns of keys.  When a level's columns raise EvalError or
-    its new states would pass `max_states` or `max_depth`, the states go
-    back to a list of tuples, and a loop over that list, with a dict built
-    from it once, expands that level and all the rest; it raises the error
-    or stops at the limit where it always does.  So explore changes how it
-    stores states at most once each way.  The graph comes out the same
-    either way: a column level numbers its new states in order of their
-    first edge, as the loop does.  The deadline is checked after a column
-    level in which a 1,024th state was expanded, as the loop checks it
-    after each 1,024th state."""
+    Without a column plan, `run` expands them all.  With one, `run` stops at
+    the first level at least _WIDE states wide.  From there on the graph's
+    states are their keys (a `KeyStates`, in place of the list of tuples),
+    and every level, however narrow, is expanded as columns of keys.  When a
+    level's columns raise EvalError or its new states would pass
+    `max_states` or `max_depth`, the states go back to a list of tuples, and
+    a loop over that list, with a dict built from it once, expands that
+    level and all the rest; it raises the error or stops at the limit where
+    it always does.  So explore changes how it stores states at most once
+    each way.  The graph comes out the same either way: a column level
+    numbers its new states in order of their first edge, as the loop
+    does.  The deadline is checked after a column level in which a 1,024th
+    state was expanded, as the loop checks it after each 1,024th state."""
     max_states, max_depth, deadline = limits.max_states, limits.max_depth, limits.deadline
     levels = graph.levels
     if plan is None or levels[-1] - levels[-2] < _WIDE:
@@ -319,14 +315,15 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     ids.add(frontier, 0)
     keys = array("q")
     keys.frombytes(frontier.view(np.uint8))
-    graph.states, graph._index = KeyStates(keys, plan), None
+    graph.states = KeyStates(keys, plan)
     frontier = frontier[levels[-2]:]
     while True:
         start, end = levels[-2], levels[-1]
         new = _expand_level(graph, plan, ids, frontier, len(levels) - 1, limits)
         if new is None:
             graph.states = list(graph.states)
-            return _explore_function(graph.bound, graph)(
+            index = {s: i for i, s in enumerate(graph.states)}
+            return _explore_function(graph.bound, graph, index)(
                 max_states, max_depth, deadline, _rows(graph.states, start), sys.maxsize)
         if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
             return "time"
@@ -511,7 +508,7 @@ def _first_violation(graph: StateGraph, pred: Expr, where: str, binders: dict) -
     if isinstance(graph.states, KeyStates):
         try:
             held = _expr_function(pred, graph.bound, where, _COLUMN_OPS)(
-                graph.states.columns(), binders)
+                graph.columns(), binders)
         except EvalError:
             pass
         else:

@@ -57,7 +57,6 @@ from .model import (
 )
 from .explorer import (
     Deadline,
-    KeyStates,
     StateGraph,
     Trace,
     Verdict,
@@ -70,36 +69,17 @@ from .semantics import _COLUMN_OPS, EvalError, _expr_function, eval_const_set
 # --- cached numeric view of a graph -------------------------------------------
 
 
-class _Columns(dict):
-    """Variable index -> the variable's value in every state of a list, as
-    a numpy column; each is built on its first read, so a check pays only
-    for the variables its predicates name.  States stored as keys decode
-    their columns instead (`KeyStates.columns`)."""
-
-    _DTYPES = {"int": np.int64, "bool": bool}
-
-    def __init__(self, graph: StateGraph):
-        super().__init__()
-        self.states = graph.states
-        self.kinds = [v.kind for v in graph.spec.variables]
-
-    def __missing__(self, i: int) -> np.ndarray:
-        column = self[i] = np.array([s[i] for s in self.states],
-                                    dtype=self._DTYPES.get(self.kinds[i], object))
-        return column
-
-
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: per-variable value
-    columns (on demand), quiescence flags, the states on a full-graph cycle,
-    the initial mask, and one CSR matrix of the state-changing edges that
-    `restricted` rewrites in place for every search."""
+    columns (`StateGraph.columns`, whichever way the graph stores its
+    states), quiescence flags, the states on a full-graph cycle, the initial
+    mask, and one CSR matrix of the state-changing edges that `restricted`
+    rewrites in place for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
         self.n = n
-        states = graph.states
-        self.columns = states.columns() if isinstance(states, KeyStates) else _Columns(graph)
+        self.columns = graph.columns()
         dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int32),
                         np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))

@@ -688,6 +688,15 @@ def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
     return fn(None, {})
 
 
+def _domain(bound: BoundSpec, v) -> Optional[frozenset]:
+    """The members of variable `v`'s declared domain, evaluated once per
+    bound spec, or None for a variable without one."""
+    if v.domain is None:
+        return None
+    return _generated(bound._generated, v.domain, ("domain",), lambda: frozenset(
+        eval_const_set(v.domain, bound, f"var {v.name}")))
+
+
 # --- action compilation ------------------------------------------------------
 
 # Action code nests no deeper than this many indentation levels or `for`
@@ -766,10 +775,7 @@ class _ActionSource:
         self.where = f"action {action.name}"
         self.mod = mod
         self.pending: list = []  # (name, statements, tail, binders) of helpers to generate
-        self.domains = {}
-        for i, v in enumerate(bound.spec.variables):
-            if v.domain is not None:
-                self.domains[i] = frozenset(eval_const_set(v.domain, bound, f"var {v.name}"))
+        self.domains = [_domain(bound, v) for v in bound.spec.variables]
         nvars = len(bound.spec.variables)
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
@@ -858,8 +864,9 @@ class _ActionSource:
                 lines.append(f"{pad}w{i} = {src}")
                 written.add(i)
                 # A value that folds to a constant in the domain needs no test.
-                if i in self.domains and (value is _VARIES or value not in self.domains[i]):
-                    dom = self.mod.bind("D", self.domains[i])
+                dom = self.domains[i]
+                if dom is not None and (value is _VARIES or value not in dom):
+                    dom = self.mod.bind("D", dom)
                     err = self.mod.bind("X", partial(
                         _domain_error, st.target, self.where, st.line, st.col))
                     lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
@@ -930,9 +937,9 @@ def _successor_functions(bound: BoundSpec) -> list:
         _successor_function(bound, a) for a in bound.spec.actions])
 
 
-# The graph containers the explore module's factory takes, and the names it
-# binds to their methods.
-_GRAPH_ARGS = ("index", "states", "levels", "edge_start", "edge_dst", "edge_action")
+# The graph containers the explore module's factory takes after the
+# interning dict, and the names it binds to their methods.
+_GRAPH_ARGS = ("states", "levels", "edge_start", "edge_dst", "edge_action")
 _GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
                 "add_level = levels.append", "add_start = edge_start.append",
                 "add_dst = edge_dst.append", "add_action = edge_action.append"]
@@ -978,8 +985,8 @@ _RUN_TAIL = """\
 
 def _explore_module(bound: BoundSpec) -> tuple:
     """(namespace, source) of the module that explores `bound`: one function
-    `explore(<graph containers>, <namespace names>)` whose `run` expands
-    the states of that graph (see `_explore_function`)."""
+    `explore(index, <graph containers>, <namespace names>)` whose `run`
+    expands the states of that graph (see `_explore_function`)."""
     mod = _Module()
     actions = []
     for a, action in enumerate(bound.spec.actions):
@@ -1005,30 +1012,31 @@ def _explore_module(bound: BoundSpec) -> tuple:
             lines.append(f"    def {name}(s):")
             lines.extend(group)
             calls.append(f"            {name}(s)")
-    params = ", ".join([*_GRAPH_ARGS, *mod.ns])
+    params = ", ".join(["index", *_GRAPH_ARGS, *mod.ns])
     source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + "\n".join(calls),
                         _RUN_TAIL])
     return mod.ns, source
 
 
-def _explore_function(bound: BoundSpec, graph) -> Callable:
+def _explore_function(bound: BoundSpec, graph, index: dict) -> Callable:
     """run(max_states, max_depth, deadline, rows, wide), which expands the
-    states of `graph` in index order from the start of its last level,
-    levels[-2], with `rows` enumerating (index, state) from there.  It runs
-    until all are expanded (it returns None), a limit is passed, or a level
-    at least `wide` states wide is to start: it returns "depth" or "states"
-    once a state's new successors pass `max_depth` or `max_states`, "time"
-    when `deadline` has expired at a multiple of 1,024 expanded states, and
-    "level" with that level's end appended to `levels` and none of its
-    states expanded, so that a call with rows from there resumes it.  An
-    EvalError leaves the row of the state being expanded open in
-    `edge_start`.
+    states of `graph`, which `index` maps to their indices, in index order
+    from the start of its last level, levels[-2], with `rows` enumerating
+    (index, state) from there.  It runs until all are expanded (it returns
+    None), a limit is passed, or a level at least `wide` states wide is to
+    start: it returns "depth" or "states" once a state's new successors pass
+    `max_depth` or `max_states`, "time" when `deadline` has expired at a
+    multiple of 1,024 expanded states, and "level" with that level's end
+    appended to `levels` and none of its states expanded, so that a call
+    with rows from there resumes it.  An EvalError leaves the row of the
+    state being expanded open in `edge_start`.
 
-    Each successor is interned where it is made, its edge appended in the
-    order of `successors`; a new state is appended to `states` and nothing
-    else, and the start of each BFS level to `levels`.  The module is
-    compiled once per bound spec; its `explore` runs once per graph and
-    binds the graph's containers and the module's names as closure cells."""
+    Each successor is interned in `index` where it is made, its edge
+    appended in the order of `successors`; a new state is appended to
+    `states` and nothing else, and the start of each BFS level to `levels`.
+    The module is compiled once per bound spec; its `explore` runs once per
+    graph and binds `index`, the graph's containers and the module's names
+    as closure cells."""
     def make():
         ns, source = _explore_module(bound)
         code = compile(source, f"<explore {bound.spec.name}>", "exec")
@@ -1036,7 +1044,7 @@ def _explore_function(bound: BoundSpec, graph) -> Callable:
         exec(code, module)
         return ns, module["explore"]
     ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
-    return factory(**{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
+    return factory(index, **{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
 
 
 # --- level-synchronous expansion of finite-domain specs ------------------------
@@ -1072,13 +1080,27 @@ _CHUNK_ROWS = 1 << 16
 _CHUNK_CELLS = 1 << 20
 
 
+class _Columns(dict):
+    """Variable index -> the variable's value in every state of a set, as a
+    numpy column made by `make(i)` on its first read, so a check pays only
+    for the variables its predicates name."""
+
+    _DTYPES = {"int": np.int64, "bool": bool, "string": object}  # by variable kind
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, i: int) -> np.ndarray:
+        column = self[i] = self.make(i)
+        return column
+
+
 class _Codec:
     """Where one variable sits in a state key: its code, the position of its
     value in the sorted domain (false and true for a bool without a domain),
     in `bits` bits from bit `shift`.  A domain that is an int range keeps
     no table: a code is the value minus `lo`."""
-
-    _DTYPES = {"int": np.int64, "bool": bool, "string": object}
 
     def __init__(self, values: list, kind: str, checked: bool, shift: int):
         self.shift = shift
@@ -1090,7 +1112,7 @@ class _Codec:
         if kind == "int" and values[-1] - values[0] + 1 == len(values):
             self.lo, self.hi = values[0], values[-1]
         else:
-            self.table = np.array(values, dtype=self._DTYPES[kind])
+            self.table = np.array(values, dtype=_Columns._DTYPES[kind])
             self.codes = {v: c for c, v in enumerate(values)}
 
     def code(self, value) -> Optional[int]:
@@ -1131,7 +1153,7 @@ def _key_codecs(bound: BoundSpec) -> Optional[list]:
     codecs, shift = [], 0
     for v in bound.spec.variables:
         if v.domain is not None:
-            values = sorted(eval_const_set(v.domain, bound, f"var {v.name}"))
+            values = sorted(_domain(bound, v))
         elif v.kind == "bool":
             values = [False, True]
         else:
@@ -1143,19 +1165,6 @@ def _key_codecs(bound: BoundSpec) -> Optional[list]:
         if shift > _KEY_BITS:
             return None
     return codecs
-
-
-class _KeyColumns(dict):
-    """Variable index -> its values in a column of state keys, decoded on
-    the first read."""
-
-    def __init__(self, keys: np.ndarray, codecs: list):
-        super().__init__()
-        self.keys, self.codecs = keys, codecs
-
-    def __missing__(self, i: int) -> np.ndarray:
-        column = self[i] = self.codecs[i].decode(self.keys)
-        return column
 
 
 class _NotColumnar(Exception):
@@ -1181,7 +1190,7 @@ def _first_copies(out: np.ndarray, ok: np.ndarray, lo: int, hi: int) -> None:
 class _ColumnAction:
     """The path list of one action, as the lines of a generated function
     `f(K, s, out, ok)` over a column of state keys `K` and their decoded
-    values `s` (a `_KeyColumns`): each path through the action's body is one
+    values `s` (a `_Columns`): each path through the action's body is one
     successor slot, whose key column goes to `out[:, slot]` and whose mask
     (the guards and the path's conditions) to `ok[:, slot]`.
 
@@ -1334,6 +1343,10 @@ class _ColumnPlan:
         """The state tuple of one key."""
         return tuple(codec.value(key) for codec in self.codecs)
 
+    def columns(self, keys: np.ndarray) -> _Columns:
+        """The values held in `keys`, each variable's decoded on its first read."""
+        return _Columns(lambda i: self.codecs[i].decode(keys))
+
     def expand(self, keys: np.ndarray) -> tuple:
         """(targets, actions, counts) of the states `keys`: their successor
         keys and the action of each, in edge order (states in order, then
@@ -1346,7 +1359,7 @@ class _ColumnPlan:
             chunk = keys[lo:lo + rows]
             out = np.empty((chunk.size, self.slot_action.size), dtype=np.int64)
             ok = np.empty(out.shape, dtype=bool)
-            columns = _KeyColumns(chunk, self.codecs)
+            columns = self.columns(chunk)
             for f in self.functions:
                 f(chunk, columns, out, ok)
             parts.append((out[ok], np.broadcast_to(self.slot_action, ok.shape)[ok],
@@ -1406,8 +1419,8 @@ def initial_states(bound: BoundSpec) -> list:
             values = [_expr_function(v.init, bound, where)(None, {})]
         else:
             values = eval_const_set(v.init_set, bound, where)
-        if v.domain is not None:
-            dom = frozenset(eval_const_set(v.domain, bound, where))
+        dom = _domain(bound, v)
+        if dom is not None:
             for val in values:
                 if val not in dom:
                     raise EvalError(

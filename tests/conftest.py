@@ -52,6 +52,11 @@ def build_graph(source: str, constants=None):
     return bound, explore(bound)
 
 
+def index_of(graph) -> dict:
+    """State -> index over the states of `graph`."""
+    return {s: i for i, s in enumerate(graph.states)}
+
+
 _ARRAYS = ("levels", "edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
 
 
@@ -59,8 +64,8 @@ def explore_with(bound, wide: int, **limits) -> tuple:
     """`explore`'s outcome with every level at least `wide` states wide
     expanded as columns: ("graph", fields), ("limit", message, fields of
     the partial graph or None), or ("error", message, trace states, trace
-    actions).  The fields are the states, `index`, `initial` and the seven
-    arrays, as lists."""
+    actions).  The fields are the states, `initial` and the seven arrays,
+    as lists."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", wide)
         try:
@@ -75,7 +80,7 @@ def explore_with(bound, wide: int, **limits) -> tuple:
 def _fields(graph):
     if graph is None:
         return None
-    return {"states": graph.states, "index": graph.index, "initial": graph.initial,
+    return {"states": graph.states, "initial": graph.initial,
             **{name: list(getattr(graph, name)) for name in _ARRAYS}}
 
 

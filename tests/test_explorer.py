@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import build, build_graph, corpus_path, explore_with
+from conftest import build, build_graph, corpus_path, explore_with, index_of
 from spacheck import (
     EvalError,
     ExploreLimits,
@@ -31,6 +31,7 @@ from spacheck.explorer import Deadline, KeyStates
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
 from spacheck.semantics import _column_plan, _explore_module
+from test_successors import _KINDS
 
 
 def parse_expr(text: str):
@@ -82,8 +83,9 @@ def test_exploration_is_deterministic(math_src):
 def test_graph_structure_invariants(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     n = graph.n_states
-    assert sorted(graph.index.values()) == list(range(n))
-    assert all(graph.index[s] == i for i, s in enumerate(graph.states))
+    index = index_of(graph)
+    assert sorted(index.values()) == list(range(n))
+    assert all(index[s] == i for i, s in enumerate(graph.states))
     for i in range(n):
         for _, j in graph.out_edges(i):
             assert 0 <= j < n
@@ -223,21 +225,18 @@ def test_invariant_on_keys_matches_the_scan(pred, want, monkeypatch):
 
 
 def test_column_explore_leaves_the_index_unbuilt():
-    bound = build(_CUBE)
+    """The loop's state -> index dict is explore's own: no field of the
+    graph holds a dict, whichever store holds the states."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", 40)
-        graph = explore(bound)
-    assert isinstance(graph.states, KeyStates)
-    assert graph._index is None
-    index = graph.index
-    assert graph.index is index  # built once
-    assert list(index) == list(graph.states)
-    assert list(index.values()) == list(range(graph.n_states)) == list(range(512))
-    assert set(index) == {(a, b, c) for a in range(8) for b in range(8) for c in range(8)}
-    # the loop's own dict is dropped too
-    graph = explore(build(chain(10)))
-    assert type(graph.states) is list and graph._index is None
-    assert graph.index == {(x,): x for x in range(11)}
+        keyed = explore(build(_CUBE))
+    listed = explore(build(chain(10)))
+    assert isinstance(keyed.states, KeyStates) and type(listed.states) is list
+    for graph in (keyed, listed):
+        assert not [name for name, value in vars(graph).items() if isinstance(value, dict)]
+    assert len(keyed.states) == 512
+    assert set(keyed.states) == {(a, b, c) for a in range(8) for b in range(8) for c in range(8)}
+    assert listed.states == [(x,) for x in range(11)]
 
 
 # --- deadlock ------------------------------------------------------------------
@@ -629,8 +628,8 @@ def count_runs(monkeypatch) -> list:
     calls = []
     make = explorer._explore_function
 
-    def counting(bound, graph):
-        run = make(bound, graph)
+    def counting(bound, graph, index):
+        run = make(bound, graph, index)
 
         def counted(*args):
             calls.append(graph.levels[-2])
@@ -666,6 +665,29 @@ def test_the_first_wide_level_and_every_later_one_go_to_columns(rows, monkeypatc
     assert outcome[1]["levels"][:10] == [0, 1, 4, 10, 20, 35, 56, 84, 120, 162]
     assert isinstance(outcome[1]["states"], KeyStates)
     assert outcome == explore_with(bound, sys.maxsize)
+
+
+@pytest.mark.parametrize("source", [_KINDS.replace("k' = k - 1", "k' = 1"), _CUBE],
+                         ids=["kinds", "cube"])
+def test_columns_are_the_same_whichever_store_holds_the_states(source):
+    """`StateGraph.columns` decodes the keys of a graph explored as columns
+    into the columns it reads from the tuples of a list: the same values
+    and dtypes, strings in object columns.  The kinds have a string domain,
+    int domains that are not ranges and bools with and without a domain."""
+    bound = build(source)
+    graphs = []
+    for wide in (1, sys.maxsize):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explorer, "_WIDE", wide)
+            graphs.append(explore(bound))
+    keyed, listed = graphs
+    assert isinstance(keyed.states, KeyStates) and type(listed.states) is list
+    assert keyed == listed
+    dtypes = {"int": np.int64, "bool": bool, "string": object}
+    decoded, read = keyed.columns(), listed.columns()
+    for i, v in enumerate(bound.spec.variables):
+        assert decoded[i].dtype == read[i].dtype == dtypes[v.kind]
+        assert decoded[i].tolist() == read[i].tolist() == [s[i] for s in listed.states]
 
 
 @pytest.mark.parametrize("limits,message", [

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_graph, perfbench_workloads
+from conftest import build_graph, index_of, perfbench_workloads
 from spacheck import (
     ExploreLimits,
     bind_constants,
@@ -385,7 +385,7 @@ def test_lasso_loops_violate_target_and_are_fair(math_src, buggy_src):
             assert oracles.evaluate(target, s, {}, bound) is False
         loop = t.states[t.loop_start:]
         if len(loop) == 1 and t.loop_action is None:
-            i = graph.index[loop[0]]
+            i = index_of(graph)[loop[0]]
             assert i in oracles.graph_quiescent(graph)
         elif len(loop) == 1:
             pass  # self-loop action at a quiescent state

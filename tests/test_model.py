@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spacheck
-from conftest import build, build_graph
+from conftest import build, build_graph, index_of
 from spacheck import state_to_record
 
 
@@ -19,15 +19,17 @@ def test_state_identity_deterministic(math_src):
     s1 = (1, 0, 0, "", True, False, False)
     s2 = (1, 0, 0, "", True, False, False)
     assert s1 == s2 and hash(s1) == hash(s2)
-    assert graph.index[s1] == graph.index[s2] == graph.initial[0]
+    index = index_of(graph)
+    assert index[s1] == index[s2] == graph.initial[0]
 
 
 def test_state_identity_differs_on_any_field(clock_src):
     bound, graph = build_graph(clock_src)
     assert (1, "am") != (1, "pm")
     assert (1, "am") != (2, "am")
-    assert graph.index[(1, "am")] != graph.index[(1, "pm")]
-    assert graph.index[(1, "am")] != graph.index[(2, "am")]
+    index = index_of(graph)
+    assert index[(1, "am")] != index[(1, "pm")]
+    assert index[(1, "am")] != index[(2, "am")]
 
 
 def test_all_clock_states_have_distinct_keys(clock_src):
@@ -35,7 +37,8 @@ def test_all_clock_states_have_distinct_keys(clock_src):
     bound, graph = build_graph(clock_src)
     states = [(hr, p) for hr in range(1, 13) for p in ("am", "pm")]
     assert len(set(states)) == 24
-    assert sorted(graph.index[s] for s in states) == list(range(24))
+    index = index_of(graph)
+    assert sorted(index[s] for s in states) == list(range(24))
 
 
 def test_math_initial_record(math_src):
@@ -62,9 +65,10 @@ def test_record_key_consistency(clock_src):
     bound, graph = build_graph(clock_src)
     spec = bound.spec
     states = [(hr, p) for hr in range(1, 13) for p in ("am", "pm")]
+    index = index_of(graph)
     for a, b in itertools.combinations(states, 2):
         same_record = state_to_record(a, spec) == state_to_record(b, spec)
-        same_key = graph.index[a] == graph.index[b]
+        same_key = index[a] == index[b]
         assert same_record == same_key == (a == b)
 
 
@@ -75,10 +79,10 @@ def test_key_injective_on_reachable_corpus_states(clock_src, math_src, buggy_src
         (buggy_src, {"max_num_q": 3}),
     ):
         bound, graph = build_graph(src, consts)
-        keys = set(graph.index)
+        index = index_of(graph)
         records = {tuple(state_to_record(s, bound.spec).items()) for s in graph.states}
-        assert len(keys) == len(graph.states) == len(records)
-        assert [graph.index[s] for s in graph.states] == list(range(len(graph.states)))
+        assert len(index) == len(graph.states) == len(records)
+        assert [index[s] for s in graph.states] == list(range(len(graph.states)))
 
 
 @given(

@@ -11,12 +11,14 @@ from spacheck import (
     EvalError,
     action_successors,
     bind_constants,
+    explore,
     initial_states,
     parse_spec,
     successors,
     validate,
 )
-from spacheck.semantics import _make_expr_function, eval_const_set
+from spacheck import semantics
+from spacheck.semantics import _column_plan, _make_expr_function, eval_const_set
 from spacheck.model import INT_MAX, state_to_record
 from spacheck.parser import _Parser, tokenize
 
@@ -371,6 +373,30 @@ def test_domain_violation_is_an_error():
     with pytest.raises(EvalError, match="outside its domain"):
         for s in [(3,)]:
             action_successors(s, bound.spec.actions[0], bound)
+
+
+def test_each_domain_is_evaluated_once_per_bound_spec(monkeypatch):
+    """The initial states, the explore loop, the successor functions and
+    the column plan read one evaluation of each domain; an oversized domain
+    is still an error at its range."""
+    calls = []
+    evaluate = semantics.eval_const_set
+
+    def counted(setexpr, bound, where):
+        calls.append(where)
+        return evaluate(setexpr, bound, where)
+
+    monkeypatch.setattr(semantics, "eval_const_set", counted)
+    bound = build("spec t\nvar x : int domain 0..3 init 0\nvar f : bool init false\n"
+                  "action Up { when x < 3 x' = x + 1 }\naction Flip { f' = not f }\n")
+    assert explore(bound).n_states == 8
+    assert _column_plan(bound) is not None
+    assert successors((3, True), bound) == [("Flip", (3, False))]
+    assert calls == ["var x"]
+    big = build("spec t\nvar x : int domain 0..10000000 init 0\naction Up { x' = x }\n")
+    with pytest.raises(EvalError) as e:
+        explore(big)
+    assert str(e.value) == "var x at 2:20: range 0..10000000 exceeds the 1048576-element set limit"
 
 
 def test_if_without_else_keeps_values():
