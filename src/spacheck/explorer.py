@@ -14,6 +14,7 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ from .semantics import (
     _Columns,
     _expr_function,
     _explore_function,
-    _scan_function,
     action_successors,
     initial_states,
     successors,
@@ -150,6 +150,7 @@ class StateGraph:
     parent_action: array  # index -> action index of the parent edge, -1 for initial
     depth: array  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
+    _columns: Optional[_Columns] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def spec(self) -> SpecModel:
@@ -158,12 +159,49 @@ class StateGraph:
     def columns(self) -> _Columns:
         """Variable index -> the variable's value in every state, in index
         order, as a numpy column made on its first read: decoded from the
-        keys of a `KeyStates`, or read from the tuples of a list."""
-        states = self.states
-        if isinstance(states, KeyStates):
-            return states.plan.columns(np.frombuffer(states.keys, dtype=np.int64))
-        dtypes = [_Columns._DTYPES[v.kind] for v in self.spec.variables]
-        return _Columns(lambda i: np.array([s[i] for s in states], dtype=dtypes[i]))
+        keys of a `KeyStates`, or read from the tuples of a list.  The same
+        object on every call, so each column is made once per graph."""
+        if self._columns is None:
+            states, n = self.states, self.n_states
+            if isinstance(states, KeyStates):
+                self._columns = states.plan.columns(np.frombuffer(states.keys, dtype=np.int64))
+            else:
+                dtypes = [_Columns._DTYPES[v.kind] for v in self.spec.variables]
+                self._columns = _Columns(lambda i: np.fromiter(
+                    map(itemgetter(i), states), dtypes[i], count=n))
+        return self._columns
+
+    def holds(self, pred: Expr, where: str, binders: dict) -> np.ndarray:
+        """Whether `pred` holds in each state, as a bool column in index
+        order, which the caller must not write to.
+
+        One numpy expression over `columns()` decides every state at once
+        (see `semantics._COLUMN_OPS`), generated once per bound spec and
+        predicate.  When it raises EvalError (an overflow at a corner of
+        whole columns, perhaps in a branch that `and`, `or` or `if` would
+        never evaluate), the scalar evaluator decides one state after
+        another in index order, short-circuiting as specified, and raises
+        the located EvalError of the first state whose evaluation fails,
+        with `held` set to the values of the states before it."""
+        n = self.n_states
+        try:
+            held = _expr_function(pred, self.bound, where, _COLUMN_OPS)(self.columns(), binders)
+        except EvalError:
+            pass
+        else:
+            if isinstance(held, np.ndarray) and held.shape == (n,):
+                return held.astype(bool, copy=False)
+            return np.full(n, bool(held))
+        held = np.empty(n, dtype=bool)
+        i = 0
+        try:
+            f = _expr_function(pred, self.bound, where)
+            for i, s in enumerate(self.states):
+                held[i] = f(s, binders)
+        except EvalError as e:
+            e.held = held[:i]
+            raise
+        return held
 
     @property
     def n_states(self) -> int:
@@ -481,40 +519,28 @@ def check_invariant(
     binders: Optional[dict] = None,
 ) -> Verdict:
     """Pass iff `pred` holds in every stored state; on fail the trace is the
-    shortest discovery path to the first violating state in BFS order."""
-    where = f"property {name}"
+    shortest discovery path to the first violating state in BFS order.
+    `StateGraph.holds` decides the states; when it raises EvalError, a
+    violation in a state before the failing one wins over the error."""
+    error = None
     try:
-        i = _first_violation(graph, pred, where, binders or {})
+        held = graph.holds(pred, f"property {name}", binders or {})
     except EvalError as e:
-        return Verdict(name=name, kind="invariant", status="error", detail=str(e))
-    if i >= 0:
+        held, error = e.held, e
+    false = np.flatnonzero(np.logical_not(held))
+    if false.size:
+        i = int(false[0])
         return Verdict(
             name=name, kind="invariant", status="fail",
             trace=reconstruct_trace(graph, i),
             detail=f"violated at state {i}",
         )
+    if error is not None:
+        return Verdict(name=name, kind="invariant", status="error", detail=str(error))
     return Verdict(
         name=name, kind="invariant", status="pass",
         detail=f"holds in all {graph.n_states} states",
     )
-
-
-def _first_violation(graph: StateGraph, pred: Expr, where: str, binders: dict) -> int:
-    """The index of the first state where `pred` is false, or -1.  States
-    stored as keys are tested at once, as one column over all of them;
-    when that raises EvalError, and always for a list of tuples, a scan
-    tests one state after another, so an earlier violation wins over a
-    later EvalError, which the scan raises at its state."""
-    if isinstance(graph.states, KeyStates):
-        try:
-            held = _expr_function(pred, graph.bound, where, _COLUMN_OPS)(
-                graph.columns(), binders)
-        except EvalError:
-            pass
-        else:
-            false = np.flatnonzero(np.logical_not(np.broadcast_to(held, graph.n_states)))
-            return int(false[0]) if false.size else -1
-    return _scan_function(pred, graph.bound, where)(graph.states, binders)
 
 
 def check_deadlock(graph: StateGraph) -> Verdict:

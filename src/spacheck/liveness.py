@@ -20,12 +20,9 @@ set.  Each search rewrites the matrix in place, in one vectorised pass over
 all edges.  A counterexample's prefix comes from the scipy BFS that
 decided the verdict, with deterministic tie-breaking (shortest entry first,
 lowest state index on ties); only its loop is found in plain Python, by a
-linear DFS.  A predicate column comes from the same compiler as guards and
-invariants, `semantics._compile_expr`, given the table of column source
-templates (numpy calls, `semantics._COLUMN_OPS`) instead of the scalar one,
-shared with the level-synchronous explore, and is generated
-once per predicate; when the column evaluation raises EvalError, the scalar
-evaluator decides each state.
+linear DFS.  The checks here only consume bool columns: a predicate's
+value in every state comes from `StateGraph.holds`, which decides
+invariants too.
 
 A `forall` over eventually, leadsto or always eventually searches its first
 instance alone and sweeps the others, 64 at a time: each state holds a
@@ -63,23 +60,21 @@ from .explorer import (
     check_invariant,
     discovery_path,
 )
-from .semantics import _COLUMN_OPS, EvalError, _expr_function, eval_const_set
+from .semantics import EvalError, eval_const_set
 
 
 # --- cached numeric view of a graph -------------------------------------------
 
 
 class _Analysis:
-    """Numpy view of a StateGraph, built once per graph: per-variable value
-    columns (`StateGraph.columns`, whichever way the graph stores its
-    states), quiescence flags, the states on a full-graph cycle, the initial
-    mask, and one CSR matrix of the state-changing edges that `restricted`
-    rewrites in place for every search."""
+    """Numpy view of a StateGraph, built once per graph: quiescence flags,
+    the states on a full-graph cycle, the initial mask, and one CSR matrix
+    of the state-changing edges that `restricted` rewrites in place for
+    every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
         self.n = n
-        self.columns = graph.columns()
         dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int32),
                         np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
@@ -162,32 +157,6 @@ def _analysis(graph: StateGraph) -> _Analysis:
     if graph._analysis is None:
         graph._analysis = _Analysis(graph)
     return graph._analysis
-
-
-# --- predicate columns -----------------------------------------------------------
-
-
-def _pred_column(graph: StateGraph, pred: Expr, where: str, binders: dict) -> np.ndarray:
-    """Evaluate a predicate over every stored state.
-
-    Compiles it with the column table, once per bound spec and predicate.
-    When that raises EvalError (an integer overflow on some state, perhaps
-    one that `and`/`or`/`if` would never evaluate), it re-runs the scalar
-    evaluator on each state, which short-circuits exactly as specified and
-    raises a located EvalError only when the failing operation is really
-    evaluated.
-    """
-    ana = _analysis(graph)
-    try:
-        res = _expr_function(pred, graph.bound, where, _COLUMN_OPS)(ana.columns, binders)
-    except EvalError:
-        f = _expr_function(pred, graph.bound, where)
-        return np.fromiter(
-            (bool(f(s, binders)) for s in graph.states), dtype=bool, count=ana.n
-        )
-    if isinstance(res, np.ndarray) and res.shape == (ana.n,):
-        return res.astype(bool, copy=False)
-    return np.full(ana.n, bool(res))
 
 
 # --- fair-lasso search -----------------------------------------------------------
@@ -380,7 +349,7 @@ def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, pred, where, binders)
+        pv = graph.holds(pred, where, binders)
     except EvalError as e:
         return _verdict_error(name, "eventually", e)
     ana = _analysis(graph)
@@ -409,8 +378,8 @@ def check_leadsto(graph: StateGraph, p: Expr, q: Expr, *, name: str = "leadsto",
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, p, where, binders)
-        qv = _pred_column(graph, q, where, binders)
+        pv = graph.holds(p, where, binders)
+        qv = graph.holds(q, where, binders)
     except EvalError as e:
         return _verdict_error(name, "leadsto", e)
     restrict = ~qv
@@ -442,7 +411,7 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
     binders = binders or {}
     where = f"property {name}"
     try:
-        pv = _pred_column(graph, pred, where, binders)
+        pv = graph.holds(pred, where, binders)
     except EvalError as e:
         return _verdict_error(name, "always_eventually", e)
     restrict = ~pv
@@ -558,7 +527,7 @@ def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
     covered = len(instances)
     for k, binders in enumerate(instances):
         try:
-            columns = [_pred_column(graph, e, where, binders) for e in preds]
+            columns = [graph.holds(e, where, binders) for e in preds]
         except EvalError:
             covered = k
             break

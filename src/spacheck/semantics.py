@@ -59,7 +59,8 @@ class EvalError(Exception):
 
     Carries the source location, the owning action/property, and optionally
     the state under evaluation; the explorer attaches the discovery trace of
-    the offending state before re-raising.
+    the offending state before re-raising, and `StateGraph.holds` the
+    predicate's values in the states before it, as `held`.
     """
 
     def __init__(self, message: str, where: str = "", line: int = 0, col: int = 0,
@@ -71,6 +72,7 @@ class EvalError(Exception):
         self.col = col
         self.state = state
         self.trace = None
+        self.held = None
 
     def __str__(self) -> str:
         loc = f"{self.where} at {self.line}:{self.col}" if self.where else f"{self.line}:{self.col}"
@@ -112,8 +114,8 @@ class BoundSpec:
     spec: SpecModel
     constants: dict  # name -> Value
     var_index: dict = field(init=False, compare=False, repr=False)
-    # Generated code, made on first use: successor code, invariant scans,
-    # predicate functions, domains and init sets.
+    # Generated code, made on first use: successor code, predicate
+    # functions, domains and init sets.
     _generated: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -398,8 +400,9 @@ def validate(bound: BoundSpec) -> list:
 # action code, a local variable, a literal or constant its repr, and
 # operators come from a table of source templates.  `_SCALAR_OPS` is the
 # table for one state tuple, `_COLUMN_OPS` the table for state columns, where
-# `s[3]` is a whole column: liveness predicates and the level-synchronous
-# explore use it.  Generated functions then run that text.
+# `s[3]` is a whole column: predicates over a graph (`StateGraph.holds`)
+# and the level-synchronous explore use it.  Generated functions then run
+# that text.
 
 _VARIES = object()  # the value of an expression that depends on the state
 
@@ -654,21 +657,6 @@ def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OP
     return _generated(bound._generated, e, (where, id(ops)),
                       partial(_within_depth, e, where,
                               partial(_make_expr_function, e, bound, where, ops)))
-
-
-def _scan_function(pred: Expr, bound: BoundSpec, where: str) -> Callable:
-    """scan(states, b) -> the index of the first of `states` where `pred`
-    is false, or -1."""
-    def make():
-        mod = _Module()
-        test = _compile_expr(pred, bound, where, mod)
-        return mod.run("def scan(states, b):\n"
-                       "    for i, s in enumerate(states):\n"
-                       f"        if not {test}:\n"
-                       "            return i\n"
-                       "    return -1\n", f"<{where}>")["scan"]
-    return _generated(bound._generated, pred, (where, "scan"),
-                      partial(_within_depth, pred, where, make))
 
 
 def _make_set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:

@@ -202,9 +202,10 @@ _SAFE = ("spec t\nvar x : int domain 0..3 init 0\n"
     ("true", "holds in all 4 states"),  # one value, not a column
 ], ids=["overflow-after-violation", "overflow-first", "violated", "holds", "first", "constant"])
 def test_invariant_on_keys_matches_the_scan(pred, want, monkeypatch):
-    """States stored as keys test the invariant as one column, and a scan
-    decides when the column raises EvalError: the verdict and trace are the
-    scan's over a list of the same states."""
+    """Either store tests the invariant as one column, and the scalar
+    evaluator decides state by state when the column raises EvalError: the
+    verdict and trace are the same over keys as over a list of the same
+    states."""
     bound = build(_SAFE + f"invariant Safe: {pred}\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", 1)
@@ -219,9 +220,16 @@ def test_invariant_on_keys_matches_the_scan(pred, want, monkeypatch):
     if verdicts[0].trace is not None:
         assert replay_trace(bound, verdicts[0].trace) is None
     if "+" not in pred:
-        # the column decides alone
-        monkeypatch.setattr(explorer, "_scan_function", None)
-        assert check_invariant(keyed, prop.shape.pred, name="Safe") == verdicts[0]
+        # the column decides alone, on either store
+        evaluator = explorer._expr_function
+
+        def column_only(e, bound, where, ops=None):
+            assert ops is explorer._COLUMN_OPS, "the scalar evaluator ran"
+            return evaluator(e, bound, where, ops)
+
+        monkeypatch.setattr(explorer, "_expr_function", column_only)
+        for graph in (keyed, listed):
+            assert check_invariant(graph, prop.shape.pred, name="Safe") == verdicts[0]
 
 
 def test_column_explore_leaves_the_index_unbuilt():

@@ -3,6 +3,7 @@ binder expansion, and agreement with the brute-force lasso oracle."""
 
 import dataclasses
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -12,24 +13,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_graph, index_of, perfbench_workloads
+from conftest import build, build_graph, index_of, perfbench_workloads
 from spacheck import (
     ExploreLimits,
     bind_constants,
     check_always_eventually,
     check_eventually,
+    check_invariant,
     check_leadsto,
     check_property,
     explore,
     replay_trace,
     validate,
 )
-from spacheck import liveness, model
-from spacheck.explorer import Deadline, LimitError, Verdict, discovery_path
+from spacheck import explorer, liveness, model, semantics
+from spacheck.explorer import (
+    Deadline,
+    KeyStates,
+    LimitError,
+    StateGraph,
+    Verdict,
+    discovery_path,
+)
 from spacheck.liveness import (
     _bfs_prefix,
     _cycle_through,
-    _pred_column,
     _search_fail,
 )
 from spacheck.model import INT_MAX, INT_MIN, format_value, state_to_record
@@ -339,9 +347,9 @@ def test_column_table_agrees_with_scalar_table(differential_graphs, data, which,
         want = pred_values(graph, bound, pred, {"k": k})
     except EvalError:
         with pytest.raises(EvalError):
-            _pred_column(graph, pred, "<test>", {"k": k})
+            graph.holds(pred, "<test>", {"k": k})
         return
-    got = _pred_column(graph, pred, "<test>", {"k": k})
+    got = graph.holds(pred, "<test>", {"k": k})
     assert got.dtype == bool
     assert got.tolist() == want, text
 
@@ -593,7 +601,7 @@ def test_predicate_columns_are_built_on_first_read(math_src):
     """A predicate builds the value columns of the variables it names and no
     others, and the verdicts are the oracle's."""
     bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
-    columns = liveness._analysis(graph).columns
+    columns = graph.columns()
     assert dict(columns) == {}
     num, enabled = bound.var_index["num"], bound.var_index["input_enabled"]
     target = parse_expr("num = 2")
@@ -607,6 +615,74 @@ def test_predicate_columns_are_built_on_first_read(math_src):
     assert sorted(columns) == sorted([num, enabled])
     for i, column in columns.items():
         assert column.tolist() == [s[i] for s in graph.states]
+
+
+# x counts 0..5, and y never changes: the states are x = 0..5 in index
+# order, stored as keys when every level is expanded as columns.
+_COUNTER = ("spec counter\nvar x : int domain 0..5 init 0\nvar y : bool init false\n"
+            "action Inc { when x < 5 x' = x + 1 }\n")
+
+
+def explore_counter(wide: int):
+    bound = build(_COUNTER)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", wide)
+        graph = explore(bound)
+    assert isinstance(graph.states, KeyStates) == (wide == 1)
+    return bound, graph
+
+
+@pytest.mark.parametrize("wide", [1, sys.maxsize], ids=["keys", "list"])
+def test_value_columns_are_built_once_per_graph(wide, monkeypatch):
+    """`StateGraph.columns` is one object per graph: an invariant and a
+    liveness check that name the same variable build its column once, and
+    no other."""
+    bound, graph = explore_counter(wide)
+    built = []
+    missing = semantics._Columns.__missing__
+
+    def counted(columns, i):
+        built.append(i)
+        return missing(columns, i)
+
+    monkeypatch.setattr(semantics._Columns, "__missing__", counted)
+    assert graph.columns() is graph.columns()
+    assert check_invariant(graph, parse_expr("x <= 5")).status == "pass"
+    assert check_eventually(graph, parse_expr("x = 5")).status == "pass"
+    assert built == [bound.var_index["x"]]
+
+
+# Two operations that overflow in different states, each behind a
+# short-circuit: `*` from x = 3 on, `+` from x = 2 on.  The columns overflow
+# at their corners, so the scalar evaluator decides state by state, and the
+# first state that fails (x = 2) names `+`, though `*` comes first.
+_OVERFLOWS = ("(x < 3 or x * 4611686018427387904 > 0)"
+              " and (x < 2 or x + 9223372036854775806 > 0)")
+
+
+@pytest.mark.parametrize("wide", [1, sys.maxsize], ids=["keys", "list"])
+def test_fallback_reports_the_first_state_that_fails(wide):
+    """Every check reports the error of the lowest-indexed state whose
+    evaluation fails, and an invariant violated in a state before it
+    reports the violation."""
+    _, graph = explore_counter(wide)
+    pred = parse_expr(_OVERFLOWS)
+    want = f"property P at 1:{_OVERFLOWS.index('+') + 1}: integer overflow"
+    with pytest.raises(EvalError) as raised:
+        graph.holds(pred, "property P", {})
+    assert str(raised.value) == want
+    assert raised.value.held.tolist() == [True, True]
+    verdicts = [
+        check_invariant(graph, pred, name="P"),
+        check_eventually(graph, pred, name="P"),
+        check_leadsto(graph, parse_expr("x = 0"), pred, name="P"),
+        check_always_eventually(graph, pred, name="P"),
+    ]
+    assert [(v.status, v.detail) for v in verdicts] == [("error", want)] * 4
+    violated = parse_expr(f"x /= 1 and {_OVERFLOWS}")
+    v = check_invariant(graph, violated, name="P")
+    assert (v.status, v.detail) == ("fail", "violated at state 1")
+    assert replay_trace(graph.bound, v.trace) is None
 
 
 EQUAL_DEPTH_CYCLE = """spec flip
@@ -1005,7 +1081,7 @@ def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
     """Failing `eventually` and `leadsto` traces, over random target and
     premise columns, start with the reference prefix and loop from its end."""
     columns = {}
-    monkeypatch.setattr(liveness, "_pred_column", lambda g, pred, where, b: columns[pred])
+    monkeypatch.setattr(StateGraph, "holds", lambda g, pred, where, b: columns[pred])
     initial = state_mask(graph, graph.initial)
     for trial in range(trials):
         restrict, starts = random_masks(graph, rng)
