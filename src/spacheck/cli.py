@@ -118,23 +118,20 @@ def _load(config: RunConfig):
     try:
         source = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise _Located(EXIT_ERROR, f"{config.spec_path}: not UTF-8 text (byte {e.start})") from None
+        raise _Located(f"{config.spec_path}: not UTF-8 text (byte {e.start})") from None
     # The newline translation of a text-mode open().
     source = source.replace("\r\n", "\n").replace("\r", "\n")
     try:
         spec = parse_spec(source)
     except ParseError as e:
-        raise _Located(EXIT_ERROR, f"{config.spec_path}:{e}") from None
+        raise _Located(f"{config.spec_path}:{e}") from None
     try:
         bound = bind_constants(spec, config.constants)
     except BindError as e:
         raise UsageError(str(e)) from None
     errors = validate(bound)
     if errors:
-        raise _Located(
-            EXIT_ERROR,
-            "\n".join(f"{config.spec_path}: {err}" for err in errors),
-        )
+        raise _Located("\n".join(f"{config.spec_path}: {err}" for err in errors))
     if config.dot_path:
         _check_writable(config.dot_path)
     try:
@@ -143,9 +140,9 @@ def _load(config: RunConfig):
         lines = [f"{config.spec_path}: {e}"]
         if e.trace is not None:
             lines.append(render_trace(e.trace, bound.spec))
-        raise _Located(EXIT_ERROR, "\n".join(lines)) from None
+        raise _Located("\n".join(lines)) from None
     except LimitError as e:
-        raise _Located(EXIT_ERROR, f"{config.spec_path}: {e}") from None
+        raise _Located(f"{config.spec_path}: {e}") from None
     return bound, graph
 
 
@@ -163,10 +160,7 @@ def _check_writable(path: str) -> None:
 
 
 class _Located(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """A spec error, reported with its location and EXIT_ERROR."""
 
 
 def _load_or_report(config: RunConfig):
@@ -178,8 +172,8 @@ def _load_or_report(config: RunConfig):
         print(f"error: {e}", file=sys.stderr)
         return None, None, EXIT_USAGE
     except _Located as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return None, None, e.code
+        print(f"error: {e}", file=sys.stderr)
+        return None, None, EXIT_ERROR
     except RecursionError:
         print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
         return None, None, EXIT_ERROR

@@ -9,6 +9,7 @@ a self-loop is quiescent but not deadlocked.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from array import array
@@ -273,7 +274,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     """
     if limits is None:
         limits = ExploreLimits()
-    init = list(dict.fromkeys(initial_states(bound)))
+    init = initial_states(bound)
     if not init:
         raise EvalError("spec has no initial states", "init")
     max_states, max_depth = limits.max_states, limits.max_depth
@@ -309,19 +310,15 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
 # The first BFS level at least this many states wide, and every level after
 # it, is expanded as numpy columns when the spec has a column plan (see
 # `semantics._column_plan`); the levels before it run through the generated
-# loop one state at a time.  On panels-wide (15 actions; 2 cores, Python
-# 3.11, numpy 2.4), a column level costs 0.5-0.7 ms plus about 2 us a state
-# and the loop 9-14 us a state: medians of 100 column expansions of the
-# first 1 to 1,000 states of one level break even with the loop at about 60
-# states.
+# loop one state at a time.  A column level costs 0.5-0.7 ms plus about 2 us
+# a state and the loop 9-14 us a state (panels-wide, 15 actions): they break
+# even at about 60 states.  So the switch pays on deep, narrow graphs:
+# `examples/math_domains.spa` at n = 40 (111 of its 120 levels hold under 64
+# states) explores in 12 ms with it and 34 ms with columns from level 0, and
+# at n = 100 in 70 and 97 ms; on panels-wide the two measure the same, 45
+# and 47 ms.  Explore CPU time, medians of 15 interleaved rounds (2 cores,
+# Python 3.11, numpy 2.4).
 _WIDE = 64
-
-
-def _rows(states: list, start: int):
-    """(index, state) pairs of `states` from `start` on, as the list grows."""
-    rows = iter(states)
-    rows.__setstate__(start)
-    return enumerate(rows, start)
 
 
 def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Optional[str]:
@@ -362,7 +359,8 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
             graph.states = list(graph.states)
             index = {s: i for i, s in enumerate(graph.states)}
             return _explore_function(graph.bound, graph, index)(
-                max_states, max_depth, deadline, _rows(graph.states, start), sys.maxsize)
+                max_states, max_depth, deadline,
+                enumerate(itertools.islice(graph.states, start, None), start), sys.maxsize)
         if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
             return "time"
         if not new.size:

@@ -693,16 +693,6 @@ def _domain(bound: BoundSpec, v) -> Optional[frozenset]:
 _MAX_INDENT = 40
 _MAX_LOOPS = 10
 
-# The explore loop holds all action code inline when it is at most this many
-# lines; otherwise the loop calls group functions, each holding consecutive
-# actions of at most this many lines in all (or one longer action).  Explore
-# times in-process (CPU time, medians of 20 interleaved rounds, 2 cores,
-# Python 3.11): math-dag (59 lines) 0.26 s inline, 0.34 s in groups of at
-# most 50 lines, 0.34 s with one call per action; math-cyclic (73 lines)
-# 0.27, 0.34 and 0.33 s; panels-wide (15 actions, 195 lines) 0.52 s inline,
-# 0.46 s in groups of at most 100 lines, 0.51 s with one call per action.
-_MAX_INLINE = 100
-
 # How a generated statement sequence ends: falling through (an `if` branch
 # that holds no `any`), making the successor, or yielding (the paths of an
 # `if` with an `any` inside, to the loop that runs the statements after it).
@@ -754,7 +744,7 @@ class _ActionSource:
     run in a loop over it.  Statements that would nest too deep move into a
     helper called in their place.  Generators and helpers are nested
     functions `k<n>(...)` of the binders in scope that share the slot
-    locals; `helpers` says whether the action has any.
+    locals.
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
@@ -779,9 +769,8 @@ class _ActionSource:
         pad = "    " * depth
         body: list = []
         self.block(body, set(), action.body, _EMIT, depth, 0, {})
-        self.helpers = bool(self.pending)
         # A helper shares the slot locals, so they must all be bound here.
-        copied = slots if self.helpers else slots - self.always(action.body)
+        copied = slots if self.pending else slots - self.always(action.body)
         lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(copied))
         if collect:
             lines.append(f"{pad}out = []")
@@ -913,16 +902,16 @@ def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
     return mod, "\n".join(["def succ(s):", "    out = ()", *src.lines, f"    return {end}\n"])
 
 
-def _successor_function(bound: BoundSpec, action: ActionDef) -> Callable:
-    mod, main = _successor_source(bound, action)
-    return mod.run(main, f"<action {action.name}>")["succ"]
-
-
 def _successor_functions(bound: BoundSpec) -> list:
     """One generated successor function per action, in declaration order;
     generated on the bound spec's first use."""
-    return _generated(bound._generated, bound.spec, ("succ",), lambda: [
-        _successor_function(bound, a) for a in bound.spec.actions])
+    def make():
+        out = []
+        for action in bound.spec.actions:
+            mod, main = _successor_source(bound, action)
+            out.append(mod.run(main, f"<action {action.name}>")["succ"])
+        return out
+    return _generated(bound._generated, bound.spec, ("succ",), make)
 
 
 # The graph containers the explore module's factory takes after the
@@ -986,23 +975,9 @@ def _explore_module(bound: BoundSpec) -> tuple:
         actions.append(_action_source(bound, action, mod, intern, 3))
     lines = ["    " + line for line in _GRAPH_NAMES]
     lines += ["    " + line for d in mod.defs for line in d.splitlines()]
-    calls = []
-    if sum(len(x.lines) for x in actions) <= _MAX_INLINE and not any(x.helpers for x in actions):
-        calls = [line for x in actions for line in x.lines]
-    else:
-        groups: list = []
-        for x in actions:
-            if not groups or len(groups[-1]) + len(x.lines) > _MAX_INLINE:
-                groups.append([])
-            groups[-1].extend(line[4:] for line in x.lines)
-        for group in groups:
-            name = mod.fresh("g")
-            lines.append(f"    def {name}(s):")
-            lines.extend(group)
-            calls.append(f"            {name}(s)")
     params = ", ".join(["index", *_GRAPH_ARGS, *mod.ns])
-    source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + "\n".join(calls),
-                        _RUN_TAIL])
+    body = "\n".join(line for x in actions for line in x.lines)
+    source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + body, _RUN_TAIL])
     return mod.ns, source
 
 
@@ -1398,8 +1373,9 @@ def _column_plan(bound: BoundSpec) -> Optional[_ColumnPlan]:
 
 def initial_states(bound: BoundSpec) -> list:
     """Enumerate the Cartesian product of every variable's init clause, in
-    lexicographic declaration order.  Values are checked against declared
-    domains; a violation is an EvalError."""
+    lexicographic declaration order: distinct states, since each clause's
+    values are distinct.  Values are checked against declared domains; a
+    violation is an EvalError."""
     per_var = []
     for v in bound.spec.variables:
         where = f"var {v.name}"
@@ -1422,11 +1398,9 @@ def initial_states(bound: BoundSpec) -> list:
 def action_successors(state: State, action: ActionDef, bound: BoundSpec) -> list:
     """Successor states of one action: empty when a guard is false, otherwise
     one state per executed path and `any` choice, in enumeration order, with
-    duplicates merged."""
-    for a, fn in zip(bound.spec.actions, _successor_functions(bound)):
-        if a.name == action.name:
-            return list(fn(state))
-    return list(_successor_function(bound, action)(state))
+    duplicates merged.  `action` is one of the spec's, found by name."""
+    k = [a.name for a in bound.spec.actions].index(action.name)
+    return list(_successor_functions(bound)[k](state))
 
 
 def successors(state: State, bound: BoundSpec) -> list:

@@ -357,35 +357,12 @@ def test_eval_error_of_a_later_action_beats_a_limit_at_the_same_state(limits):
     assert err.value.trace.actions == ["Start"]
 
 
-def grouped_precedence_spec():
+def long_precedence_spec():
     """The precedence spec with Boom overflowing (see above) and forty idle
-    actions between Fan and Boom: too much code for the explore loop to hold
-    inline, so the actions sit in group functions, Boom in a later one than
-    Fan."""
+    actions between Fan and Boom: over 100 lines of action code in the
+    explore loop."""
     idle = "".join(f"action Idle{k} {{ when x = 9 x' = x + {k} }}\n" for k in range(40))
     return build(_PRECEDENCE.replace("boom", "true").replace("action Boom", idle + "action Boom"))
-
-
-@pytest.mark.parametrize("limits", [ExploreLimits(max_states=4), ExploreLimits(max_depth=1)],
-                         ids=["max_states", "max_depth"])
-def test_eval_error_of_a_later_group_beats_a_limit_at_the_same_state(limits):
-    bound = grouped_precedence_spec()
-    tree = ast.parse(_explore_module(bound)[1])
-    groups = [ast.unparse(node) for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and re.fullmatch(r"g\d+", node.name)]
-    names = [a.name for a in bound.spec.actions]
-
-    def group_of(action: str) -> int:
-        return next(k for k, g in enumerate(groups)
-                    if f"add_action({names.index(action)})" in g)
-
-    assert len(groups) >= 3
-    assert group_of("Fan") < group_of("Boom")
-    with pytest.raises(EvalError, match="overflow") as err:
-        explore(bound, limits)
-    assert "action Boom" in str(err.value)
-    assert err.value.trace.states == [(0,), (1,)]
-    assert err.value.trace.actions == ["Start"]
 
 
 @pytest.mark.parametrize("limits,message", [
@@ -612,7 +589,7 @@ def test_explore_loop_appends_only_the_state_for_a_new_state(math_src):
     """The loop keeps no discovery tree: the one statement it runs for a new
     state appends it to `states`, and it appends only states, edges and
     level starts."""
-    for bound in (build(math_src, {"max_num_q": 3}), grouped_precedence_spec()):
+    for bound in (build(math_src, {"max_num_q": 3}), long_precedence_spec()):
         tree = ast.parse(_explore_module(bound)[1])
         new_state = [node for node in ast.walk(tree)
                      if isinstance(node, ast.If) and ast.unparse(node.test) == "j == m"]

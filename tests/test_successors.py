@@ -341,6 +341,46 @@ def test_ten_nested_anys_inline_in_the_loop():
     check_shape(nested_anys, 10, [(0,), (10,), (20,)])
 
 
+def helpers_in_two_actions() -> str:
+    """A spec whose two actions each need helpers: A nests 45 `if`s, past
+    `_MAX_INDENT`, and B nests 12 `any`s, past `_MAX_LOOPS`.  Every variable
+    has a domain, so its graph can be kept as keys."""
+    ifs = "x' = x + 1"
+    for _ in range(45):
+        ifs = f"if x < 45 {{\n{ifs}\n}} else {{\ny' = 0\n}}"
+    anys = "y' = y + " + " + ".join(f"c{k}" for k in range(12))
+    for k in reversed(range(12)):
+        anys = f"any c{k} in {{{int(k == 0)}}} {{\n{anys}\n}}"
+    return ("spec t\nvar x : int domain 0..3 init 0\nvar y : int domain 0..3 init 0\n"
+            f"action A {{\nwhen x < 3\n{ifs}\n}}\naction B {{\nwhen y < 3\n{anys}\n}}\n")
+
+
+@pytest.mark.parametrize("wide", [sys.maxsize, 1], ids=["loop", "keys"])
+def test_actions_with_helpers_sit_inline_in_the_loop(wide):
+    """Over 100 lines of action code, two actions with helpers among them,
+    sit in the explore loop itself: its only functions are `explore`, `run`
+    and the helpers, which `run` defines.  The graph is the reference BFS's,
+    explored by the loop alone and kept as keys from level 0."""
+    bound = build(helpers_in_two_actions())
+    for action in bound.spec.actions:
+        mod, main = _successor_source(bound, action)
+        assert "def k" in mod.source(main), action.name
+    tree = ast.parse(_explore_module(bound)[1])
+    run = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert run.end_lineno - run.lineno > 100
+    helpers = [node.name for node in ast.walk(run)
+               if isinstance(node, ast.FunctionDef) and node is not run]
+    assert len(helpers) >= 2 and all(re.fullmatch(r"k\d+", name) for name in helpers)
+    functions = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert sorted(functions) == sorted(["explore", "run", *helpers])
+    assert not any(re.fullmatch(r"g\d+", name) for name in functions)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", wide)
+        assert isinstance(explore(bound).states, explorer.KeyStates) == (wide == 1)
+        assert_explore_matches_reference(bound, 1000)
+
+
 def test_twenty_five_sequential_anys():
     check_shape(sequential_anys, 25, [(0,) * 25, tuple(range(25))])
 
