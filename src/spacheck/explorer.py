@@ -10,6 +10,7 @@ a self-loop is quiescent but not deadlocked.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 from array import array
@@ -30,7 +31,7 @@ from .semantics import (
     _expr_function,
     _explore_function,
     action_successors,
-    initial_states,
+    initial_values,
     successors,
 )
 
@@ -270,16 +271,20 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     States are keyed by their value tuples, so `bound` must have passed
     `validate`.  Raises EvalError (with the discovery trace of the offending
     state attached), LimitError (with the graph explored so far, except at
-    the initial states), or EvalError on zero initial states.
+    the initial states), or EvalError on zero initial states.  The initial
+    states are counted from each variable's values before any is built, so
+    `max_states` bounds them too.
     """
     if limits is None:
         limits = ExploreLimits()
-    init = initial_states(bound)
-    if not init:
+    per_var = initial_values(bound)
+    n_init = math.prod(len(values) for values in per_var)
+    if not n_init:
         raise EvalError("spec has no initial states", "init")
     max_states, max_depth = limits.max_states, limits.max_depth
-    if len(init) > max_states:
+    if n_init > max_states:
         raise LimitError(f"state limit of {max_states} exceeded")
+    init = [tuple(combo) for combo in itertools.product(*per_var)]
 
     graph = StateGraph(
         bound=bound, states=init,
@@ -572,7 +577,8 @@ def replay_trace(bound: BoundSpec, trace: Trace) -> Optional[int]:
     """
     if not trace.states:
         return 0
-    if trace.states[0] not in initial_states(bound):
+    first, per_var = trace.states[0], initial_values(bound)
+    if len(first) != len(per_var) or any(v not in vs for v, vs in zip(first, per_var)):
         return 0
     by_name = {a.name: a for a in bound.spec.actions}
     for i, label in enumerate(trace.actions):

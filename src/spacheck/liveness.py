@@ -9,7 +9,9 @@ edge to a different state - and stutter there forever.  A self-loop edge is
 a stuttering step, so a fair cycle needs at least two distinct states; that
 makes refuting a liveness property a search for a reachable nontrivial
 strongly connected component, or a reachable quiescent state, inside the
-region where the target predicate fails.
+region where the target predicate fails.  All three shapes are one leads-to
+search that differs only in its starts (Lamport, Specifying Systems, ch. 8):
+`eventually P` is `Init ~> P`, and `always eventually P` is `TRUE ~> P`.
 
 Pass/fail decisions run on numpy/scipy (compiled SCC and reachability over
 one CSR matrix per graph, and predicate columns over all states at once).
@@ -17,12 +19,12 @@ A search restricted to a set of states gives every state outside it a row
 of self-loops, so the compiled BFS and SCC passes reach such a state only
 as a leaf or a singleton SCC, and the search ANDs what they return with the
 set.  Each search rewrites the matrix in place, in one vectorised pass over
-all edges.  A counterexample's prefix comes from the scipy BFS that
-decided the verdict, with deterministic tie-breaking (shortest entry first,
-lowest state index on ties); only its loop is found in plain Python, by a
-linear DFS.  The checks here only consume bool columns: a predicate's
-value in every state comes from `StateGraph.holds`, which decides
-invariants too.
+all edges.  A counterexample's prefix is the discovery path to a start,
+then the path of the scipy BFS that decided the verdict, with deterministic
+tie-breaking (shortest entry first, lowest state index on ties); only its
+loop is found in plain Python, by a linear DFS.  The checks here only
+consume bool columns: a predicate's value in every state comes from
+`StateGraph.holds`, which decides invariants too.
 
 A `forall` over eventually, leadsto or always eventually searches its first
 instance alone and sweeps the others, 64 at a time: each state holds a
@@ -48,6 +50,7 @@ from .model import (
     Eventually,
     Expr,
     Invariant,
+    KIND_OF_SHAPE,
     LeadsTo,
     TemporalProperty,
     format_value,
@@ -68,9 +71,9 @@ from .semantics import EvalError, eval_const_set
 
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: quiescence flags,
-    the states on a full-graph cycle, the initial mask, and one CSR matrix
-    of the state-changing edges that `restricted` rewrites in place for
-    every search."""
+    the states on a full-graph cycle, and one CSR matrix of the
+    state-changing edges that `restricted` rewrites in place for every
+    search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -125,8 +128,6 @@ class _Analysis:
         else:
             self.cyclic = np.zeros(n, dtype=bool)  # no back edge: a DAG
         self.can_stay = self.quiescent | self.cyclic
-        self.initial_mask = np.zeros(n, dtype=bool)
-        self.initial_mask[graph.initial] = True
         self.plan = None  # a _SweepPlan, built by the first sweep
 
     def restricted(self, mask: np.ndarray, starts: Optional[np.ndarray] = None):
@@ -167,11 +168,10 @@ class _FailInfo:
     quiescent_hits: np.ndarray  # reached quiescent states, ascending
     scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
     labels: Optional[np.ndarray]  # SCC label of each state, when scc_hits has any
-    # The BFS that found the reached states, from the virtual source n (None
-    # when the search did not need one): visiting order, and each state's
-    # BFS parent (n for a start).
-    order: Optional[np.ndarray] = None
-    pred: Optional[np.ndarray] = None
+    # The BFS that found the reached states, from the virtual source n:
+    # visiting order, and each state's BFS parent (n for a start).
+    order: np.ndarray
+    pred: np.ndarray
 
     def on_scc(self, i: int) -> bool:
         """Whether state i is one of `scc_hits`."""
@@ -183,14 +183,11 @@ class _FailInfo:
         return frozenset(np.flatnonzero(self.labels[:-1] == self.labels[i]).tolist())
 
 
-def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
-                 within_restriction: bool) -> Optional[_FailInfo]:
-    """Find admitted behaviors that stay in `restrict` forever.
-
-    Starting states are `starts & restrict`; when `within_restriction` is
-    true the path from a start must itself stay inside the restriction
-    (otherwise every stored state counts as reachable, which is already true
-    of the full graph).  Returns None when no such behavior exists.
+def _search_fail(graph: StateGraph, restrict: np.ndarray,
+                 starts: np.ndarray) -> Optional[_FailInfo]:
+    """Find admitted behaviors that reach a state of `starts & restrict`
+    and from there stay in `restrict` forever.  Returns None when no such
+    behavior exists.
 
     A nontrivial SCC of the restricted graph lies inside a nontrivial SCC of
     the full graph, and one that holds a reached state is wholly reached; so
@@ -206,16 +203,11 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
     starts = starts & restrict
     if not starts.any() or not (restrict & ana.can_stay).any():
         return None
-    order = pred = None
-    if within_restriction:
-        order, pred = csgraph.breadth_first_order(
-            ana.restricted(restrict, starts), ana.n, directed=True, return_predecessors=True
-        )
-        reached = pred[:ana.n] >= 0  # a start's parent is n
-        reached &= restrict
-    else:
-        reached = restrict
-
+    order, pred = csgraph.breadth_first_order(
+        ana.restricted(restrict, starts), ana.n, directed=True, return_predecessors=True
+    )
+    reached = pred[:ana.n] >= 0  # a start's parent is n
+    reached &= restrict
     quiescent_hits = np.flatnonzero(ana.quiescent & reached)
 
     labels = None
@@ -230,9 +222,8 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray, starts: np.ndarray,
 
     if quiescent_hits.size == 0 and scc_hits.size == 0:
         return None
-    if order is not None:
-        order = order[np.append(restrict, True)[order]]
-        pred[:ana.n][~restrict] = pred[ana.n]  # scipy's "no parent"
+    order = order[np.append(restrict, True)[order]]
+    pred[:ana.n][~restrict] = pred[ana.n]  # scipy's "no parent"
     return _FailInfo(quiescent_hits, scc_hits, labels, order, pred)
 
 
@@ -335,71 +326,85 @@ def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> T
     )
 
 
-# --- the four checks ----------------------------------------------------------
+# --- one leads-to search for every liveness shape ------------------------------
 
 
 def _verdict_error(name: str, kind: str, exc: EvalError) -> Verdict:
     return Verdict(name=name, kind=kind, status="error", detail=str(exc))
 
 
+def _preds(shape) -> tuple:
+    """The predicates a search for a liveness `shape` reads: the premise,
+    for leadsto, then the target."""
+    return (shape.lhs, shape.rhs) if isinstance(shape, LeadsTo) else (shape.pred,)
+
+
+def _starts(shape, premise: np.ndarray, restrict: np.ndarray, n0: int) -> np.ndarray:
+    """Where the search for `shape` starts, inside `restrict`: the initial
+    states 0..n0-1 for eventually (`Init ~> P`), the `premise` states for
+    leadsto, and every state for always eventually (`TRUE ~> P`), which is
+    `restrict` itself.  The columns are bools, or the sweep's uint64 words
+    with one bit per instance; `premise` is read for leadsto only."""
+    if isinstance(shape, AlwaysEventually):
+        return restrict
+    if isinstance(shape, LeadsTo):
+        return premise & restrict
+    starts = np.zeros_like(restrict)
+    starts[:n0] = restrict[:n0]
+    return starts
+
+
+# Each shape's pass detail, and its fail detail over `start`, `entry` and `loop`.
+_DETAILS = {
+    Eventually: ("every admitted behavior reaches the target",
+                 "never reaches the target: {loop} {entry}"),
+    LeadsTo: ("every premise state leads to the conclusion",
+              "state {start} satisfies the premise but can avoid the conclusion forever"),
+    AlwaysEventually: ("the target recurs on every admitted behavior",
+                       "after state {entry} the target never holds again"),
+}
+
+
+def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
+    """Search for a behavior that reaches a start of `shape` (see `_starts`)
+    and then avoids the target forever.  The counterexample's prefix is the
+    discovery path to the search's first state, then the search's BFS path
+    from there to the loop: for eventually that first state is initial, and
+    for always eventually the BFS path is the loop's entry alone, the lowest
+    index that can stay forever."""
+    kind = KIND_OF_SHAPE[type(shape)]
+    try:
+        columns = [graph.holds(e, f"property {name}", binders) for e in _preds(shape)]
+    except EvalError as e:
+        return _verdict_error(name, kind, e)
+    restrict = ~columns[-1]
+    starts = _starts(shape, columns[0], restrict, len(graph.initial))
+    info = _search_fail(graph, restrict, starts)
+    passed, failed = _DETAILS[type(shape)]
+    if info is None:
+        return Verdict(name=name, kind=kind, status="pass", detail=passed)
+    path = _bfs_prefix(info)
+    start, entry = path[0], path[-1]
+    head, _ = discovery_path(graph, start)
+    trace = _assemble(graph, head[:-1] + path, info, entry)
+    loop = "cycles forever from state" if info.on_scc(entry) \
+        else "stutters forever at quiescent state"
+    return Verdict(name=name, kind=kind, status="fail", trace=trace,
+                   detail=failed.format(start=start, entry=entry, loop=loop))
+
+
 def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",
                      binders: Optional[dict] = None) -> Verdict:
     """Pass iff every admitted behavior from every initial state reaches a
     state satisfying `pred`."""
-    binders = binders or {}
-    where = f"property {name}"
-    try:
-        pv = graph.holds(pred, where, binders)
-    except EvalError as e:
-        return _verdict_error(name, "eventually", e)
-    ana = _analysis(graph)
-    restrict = ~pv
-    info = _search_fail(graph, restrict, ana.initial_mask, within_restriction=True)
-    if info is None:
-        return Verdict(
-            name=name, kind="eventually", status="pass",
-            detail="every admitted behavior reaches the target",
-        )
-    prefix = _bfs_prefix(info)
-    entry = prefix[-1]
-    trace = _assemble(graph, prefix, info, entry)
-    kind_of_loop = "cycles forever from state" if info.on_scc(entry) \
-        else "stutters forever at quiescent state"
-    return Verdict(
-        name=name, kind="eventually", status="fail", trace=trace,
-        detail=f"never reaches the target: {kind_of_loop} {entry}",
-    )
+    return _check_live(graph, Eventually(pred=pred), name, binders or {})
 
 
 def check_leadsto(graph: StateGraph, p: Expr, q: Expr, *, name: str = "leadsto",
                   binders: Optional[dict] = None) -> Verdict:
     """Pass iff from every reachable state satisfying `p`, every admitted
     continuation reaches a state satisfying `q`."""
-    binders = binders or {}
-    where = f"property {name}"
-    try:
-        pv = graph.holds(p, where, binders)
-        qv = graph.holds(q, where, binders)
-    except EvalError as e:
-        return _verdict_error(name, "leadsto", e)
-    restrict = ~qv
-    obligations = pv & restrict
-    info = _search_fail(graph, restrict, obligations, within_restriction=True)
-    if info is None:
-        return Verdict(
-            name=name, kind="leadsto", status="pass",
-            detail="every premise state leads to the conclusion",
-        )
-    tail = _bfs_prefix(info)  # begins at the witnessing premise state
-    entry = tail[-1]
-    witness = tail[0]
-    head, _ = discovery_path(graph, witness)
-    prefix = head[:-1] + tail
-    trace = _assemble(graph, prefix, info, entry)
-    return Verdict(
-        name=name, kind="leadsto", status="fail", trace=trace,
-        detail=f"state {witness} satisfies the premise but can avoid the conclusion forever",
-    )
+    return _check_live(graph, LeadsTo(lhs=p, rhs=q), name, binders or {})
 
 
 def check_always_eventually(graph: StateGraph, pred: Expr, *,
@@ -408,30 +413,7 @@ def check_always_eventually(graph: StateGraph, pred: Expr, *,
     """Pass iff every admitted behavior visits `pred`-states infinitely
     often.  The counterexample prefix may pass through `pred`-states; only
     the loop must avoid them."""
-    binders = binders or {}
-    where = f"property {name}"
-    try:
-        pv = graph.holds(pred, where, binders)
-    except EvalError as e:
-        return _verdict_error(name, "always_eventually", e)
-    restrict = ~pv
-    # Every stored state is reachable, so any anchor inside the restriction
-    # refutes the property; no path-within-restriction requirement here.
-    info = _search_fail(graph, restrict, restrict.copy(), within_restriction=False)
-    if info is None:
-        return Verdict(
-            name=name, kind="always_eventually", status="pass",
-            detail="the target recurs on every admitted behavior",
-        )
-    # The shallowest candidate, the lowest index among those: states are
-    # numbered in BFS order, so that is the lowest index of all.
-    entry = int(np.concatenate((info.quiescent_hits, info.scc_hits)).min())
-    prefix, _ = discovery_path(graph, entry)
-    trace = _assemble(graph, prefix, info, entry)
-    return Verdict(
-        name=name, kind="always_eventually", status="fail", trace=trace,
-        detail=f"after state {entry} the target never holds again",
-    )
+    return _check_live(graph, AlwaysEventually(pred=pred), name, binders or {})
 
 
 # --- many `forall` instances at once ------------------------------------------
@@ -518,9 +500,8 @@ def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
     if ana.plan is None:
         ana.plan = _SweepPlan(graph, ana)
     plan, n = ana.plan, ana.n
-    # For leadsto the premise's columns, then the target's: the per-instance
-    # check evaluates them in this order, so it meets the same EvalError.
-    preds = (shape.lhs, shape.rhs) if isinstance(shape, LeadsTo) else (shape.pred,)
+    # In the per-instance search's order, so it meets the same EvalError.
+    preds = _preds(shape)
     packed = np.zeros((len(preds), n, 8), dtype=np.uint8)
     byte = np.zeros((len(preds), n), dtype=np.uint8)
     bit = np.empty(n, dtype=np.uint8)
@@ -550,14 +531,8 @@ def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
     allowed = words[-1]
     np.invert(allowed, out=allowed)
     allowed &= valid
-    if isinstance(shape, AlwaysEventually):
-        reach = allowed  # every stored state is reachable
-    elif isinstance(shape, LeadsTo):
-        reach = words[0]
-        reach &= allowed  # the obligations
-    else:
-        reach = np.zeros(n, dtype=np.uint64)
-        reach[:plan.levels[1]] = allowed[:plan.levels[1]]  # level 0: the initial states
+    reach = _starts(shape, words[0], allowed, len(graph.initial))
+    # Starts at every allowed state (always eventually) have nothing to spread to.
     flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach)
     flags |= np.bitwise_or.reduce(reach[plan.quiescent])
     flags |= np.bitwise_or.reduce(reach[plan.cycle_src] & reach[plan.cycle_dst])

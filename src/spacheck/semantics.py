@@ -1376,6 +1376,13 @@ def initial_states(bound: BoundSpec) -> list:
     lexicographic declaration order: distinct states, since each clause's
     values are distinct.  Values are checked against declared domains; a
     violation is an EvalError."""
+    return [tuple(combo) for combo in itertools.product(*initial_values(bound))]
+
+
+def initial_values(bound: BoundSpec) -> list:
+    """Each variable's distinct initial values, in declaration order: the
+    factors of `initial_states`, checked against declared domains as it
+    checks them, without building their product."""
     per_var = []
     for v in bound.spec.variables:
         where = f"var {v.name}"
@@ -1392,7 +1399,7 @@ def initial_states(bound: BoundSpec) -> list:
                         where, v.line, v.col,
                     )
         per_var.append(values)
-    return [tuple(combo) for combo in itertools.product(*per_var)]
+    return per_var
 
 
 def action_successors(state: State, action: ActionDef, bound: BoundSpec) -> list:

@@ -4,6 +4,7 @@ import ast
 import re
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,42 @@ def test_state_limit_counts_the_initial_states():
     with pytest.raises(LimitError, match="state limit of 2 exceeded"):
         explore(bound, ExploreLimits(max_states=2))
     assert explore(bound, ExploreLimits(max_states=3)).n_states == 3
+
+
+# 1500 * 1500 initial states: about 200 MB as a list of tuples.
+_WIDE_INIT = ("spec t\nvar x : int init in 1..1500\nvar y : int init in 1..1500\n"
+              "action A { when false }")
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory Python allocates while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_limit_is_checked_before_the_initial_states_are_built():
+    bound = build(_WIDE_INIT)
+
+    def run():
+        with pytest.raises(LimitError, match="state limit of 10 exceeded"):
+            explore(bound, ExploreLimits(max_states=10))
+
+    assert traced_peak(run) < 5_000_000
+
+
+def test_replay_checks_the_first_state_slot_by_slot():
+    bound = build(_WIDE_INIT)
+    verdicts = []
+    peak = traced_peak(lambda: verdicts.extend(
+        replay_trace(bound, Trace(states=[s], actions=[]))
+        for s in [(1500, 1), (1501, 1), (1, 0), (1,), (1, 1, 1)]
+    ))
+    assert verdicts == [None, 0, 0, 0, 0]
+    assert peak < 5_000_000
 
 
 def test_action_nested_past_the_recursion_limit_is_a_located_error():

@@ -481,7 +481,7 @@ def state_mask(graph, indices):
 def test_clock_is_one_nontrivial_scc(clock_src):
     bound, graph = build_graph(clock_src)
     mask = state_mask(graph, range(graph.n_states))
-    info = _search_fail(graph, mask, mask, within_restriction=False)
+    info = _search_fail(graph, mask, mask)
     assert set(scc_members(info).values()) == {frozenset(range(24))}
     assert info.scc_hits.size == 24
 
@@ -489,12 +489,12 @@ def test_clock_is_one_nontrivial_scc(clock_src):
 def test_math_has_no_nontrivial_scc(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     mask = state_mask(graph, range(graph.n_states))
-    info = _search_fail(graph, mask, mask, within_restriction=False)
+    info = _search_fail(graph, mask, mask)
     assert scc_members(info) == {}
     assert info.scc_hits.size == 0
     # restricting to a subset keeps it that way
     mask2 = state_mask(graph, range(0, graph.n_states, 2))
-    info2 = _search_fail(graph, mask2, mask2, within_restriction=False)
+    info2 = _search_fail(graph, mask2, mask2)
     assert info2 is None or scc_members(info2) == {}
 
 
@@ -522,17 +522,14 @@ def restart_src(math_src):
     return math_src.replace(MATH_TERMINATING, MATH_RESTART)
 
 
-def reference_search(graph, restrict, starts, within_restriction):
+def reference_search(graph, restrict, starts):
     """_search_fail's result rebuilt from the oracles' own restricted BFS and
     Tarjan SCCs, as (quiescent_hits, scc_hits, scc_members) or None."""
     allowed = {int(i) for i in np.flatnonzero(restrict)}
     sources = [int(i) for i in np.flatnonzero(starts) if int(i) in allowed]
     if not sources:
         return None
-    if within_restriction:
-        reached = oracles.restricted_reach(graph, sources, allowed)
-    else:
-        reached = allowed
+    reached = oracles.restricted_reach(graph, sources, allowed)
     quiescent_hits = sorted(reached & oracles.graph_quiescent(graph))
     members = {}
     adj = oracles._changing_adj(graph, allowed)
@@ -551,16 +548,17 @@ def assert_search_matches_reference(graph, rng, trials):
         restrict = np.array([rng.random() < density for _ in range(graph.n_states)])
         reach = rng.choice([0.05, 0.2, 0.5])
         starts = np.array([rng.random() < reach for _ in range(graph.n_states)])
-        for within in (True, False):
-            got = _search_fail(graph, restrict, starts, within)
-            want = reference_search(graph, restrict, starts, within)
+        # random starts, and every allowed state, as always eventually starts
+        for everywhere, some in enumerate((starts, restrict)):
+            got = _search_fail(graph, restrict, some)
+            want = reference_search(graph, restrict, some)
             if want is None:
-                assert got is None, (trial, within)
+                assert got is None, (trial, everywhere)
                 continue
-            assert got is not None, (trial, within)
-            assert got.quiescent_hits.tolist() == want[0], (trial, within)
-            assert got.scc_hits.tolist() == want[1], (trial, within)
-            assert scc_members(got) == want[2], (trial, within)
+            assert got is not None, (trial, everywhere)
+            assert got.quiescent_hits.tolist() == want[0], (trial, everywhere)
+            assert got.scc_hits.tolist() == want[1], (trial, everywhere)
+            assert scc_members(got) == want[2], (trial, everywhere)
 
 
 @pytest.mark.parametrize("which", ["restart", "clock"])
@@ -572,7 +570,7 @@ def test_search_fail_matches_reference_on_cyclic_graphs(which, math_src, clock_s
     else:
         bound, graph = build_graph(clock_src)
     everything = state_mask(graph, range(graph.n_states))
-    full = _search_fail(graph, everything, everything, within_restriction=False)
+    full = _search_fail(graph, everything, everything)
     assert set(scc_members(full).values()) == {frozenset(range(graph.n_states))}
     assert_search_matches_reference(graph, random.Random(4), 300)
 
@@ -706,7 +704,7 @@ def test_search_fail_matches_reference_on_equal_depth_cycle():
     bound, graph = build_graph(EQUAL_DEPTH_CYCLE)
     assert list(graph.depth) == [0, 1, 1]
     everything = state_mask(graph, range(graph.n_states))
-    full = _search_fail(graph, everything, everything, within_restriction=False)
+    full = _search_fail(graph, everything, everything)
     assert set(scc_members(full).values()) == {frozenset({1, 2})}
     assert_search_matches_reference(graph, random.Random(6), 100)
 
@@ -716,15 +714,15 @@ def test_fail_info_survives_later_searches(math_src):
     bound, graph = build_graph(restart_src(math_src), {"max_num_q": 3})
     everything = state_mask(graph, range(graph.n_states))
     initial = state_mask(graph, graph.initial)
-    info = _search_fail(graph, everything, initial, within_restriction=True)
+    info = _search_fail(graph, everything, initial)
     fields = ("quiescent_hits", "scc_hits", "order", "pred")
     before = {f: getattr(info, f).copy() for f in fields}
     members, prefix = scc_members(info), _bfs_prefix(info)
     rng = random.Random(8)
     for _ in range(20):
         restrict, starts = random_masks(graph, rng)
-        for within in (True, False):
-            _search_fail(graph, restrict, starts, within)
+        for some in (starts, restrict):
+            _search_fail(graph, restrict, some)
     for f in fields:
         assert np.array_equal(getattr(info, f), before[f]), f
     assert scc_members(info) == members
@@ -735,7 +733,7 @@ def assert_mask_walk_matches_reference(graph, rng, steps):
     """Searches in the pattern of `forall` instances, which reuse one CSR,
     rewritten for each search, and differ in a few states: each step flips
     1-3 states of `restrict` or `starts`, or now and then draws fresh masks,
-    and some steps search without the path requirement (the SCC-core call).
+    and some steps start at every allowed state, as always eventually does.
     Each result, and each BFS tree, equals the oracles'."""
     n = graph.n_states
     restrict, starts = random_masks(graph, rng)
@@ -747,9 +745,9 @@ def assert_mask_walk_matches_reference(graph, rng, steps):
             flipped = restrict if roll < 0.7 else starts
             for i in rng.sample(range(n), min(n, rng.randint(1, 3))):
                 flipped[i] = not flipped[i]
-        within = rng.random() < 0.8
-        got = _search_fail(graph, restrict, starts, within)
-        want = reference_search(graph, restrict, starts, within)
+        some = starts if rng.random() < 0.8 else restrict
+        got = _search_fail(graph, restrict, some)
+        want = reference_search(graph, restrict, some)
         if want is None:
             assert got is None, step
             continue
@@ -757,13 +755,12 @@ def assert_mask_walk_matches_reference(graph, rng, steps):
         assert got.quiescent_hits.tolist() == want[0], step
         assert got.scc_hits.tolist() == want[1], step
         assert scc_members(got) == want[2], step
-        if within:
-            _, parents = oracles.bfs_within(
-                graph, np.flatnonzero(starts).tolist(), set(np.flatnonzero(restrict).tolist())
-            )
-            tree = {int(v): int(got.pred[v]) for v in got.order[1:]}
-            assert tree == {v: n if u is None else u for v, u in parents.items()}, step
-            assert set(np.flatnonzero(got.pred >= 0).tolist()) == set(tree), step
+        _, parents = oracles.bfs_within(
+            graph, np.flatnonzero(some).tolist(), set(np.flatnonzero(restrict).tolist())
+        )
+        tree = {int(v): int(got.pred[v]) for v in got.order[1:]}
+        assert tree == {v: n if u is None else u for v, u in parents.items()}, step
+        assert set(np.flatnonzero(got.pred >= 0).tolist()) == set(tree), step
 
 
 @pytest.mark.parametrize("which", ["restart", "clock", "panels", "random"])
@@ -1050,7 +1047,7 @@ def random_masks(graph, rng):
 def reference_prefix(graph, restrict, starts):
     """The lasso prefix of a failing search, rebuilt from the oracles' own
     BFS over the graph's edges; None when no behavior stays in `restrict`."""
-    want = reference_search(graph, restrict, starts, True)
+    want = reference_search(graph, restrict, starts)
     if want is None:
         return None
     allowed = {int(i) for i in np.flatnonzero(restrict)}
@@ -1064,7 +1061,7 @@ def assert_prefixes_match_reference(graph, rng, trials):
     n = graph.n_states
     for trial in range(trials):
         restrict, starts = random_masks(graph, rng)
-        info = _search_fail(graph, restrict, starts, within_restriction=True)
+        info = _search_fail(graph, restrict, starts)
         want = reference_prefix(graph, restrict, starts)
         assert (info is None) == (want is None), trial
         if info is None:
@@ -1078,8 +1075,9 @@ def assert_prefixes_match_reference(graph, rng, trials):
 
 
 def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
-    """Failing `eventually` and `leadsto` traces, over random target and
-    premise columns, start with the reference prefix and loop from its end."""
+    """Failing `eventually`, `leadsto` and `always eventually` traces, over
+    random target and premise columns, start with the reference prefix and
+    loop from its end."""
     columns = {}
     monkeypatch.setattr(StateGraph, "holds", lambda g, pred, where, b: columns[pred])
     initial = state_mask(graph, graph.initial)
@@ -1107,6 +1105,19 @@ def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
             assert v.detail.startswith(f"state {want[0]} "), trial
             head, _ = discovery_path(graph, want[0])
             prefix = head[:-1] + want
+            assert v.trace.loop_start == len(prefix) - 1, trial
+            assert v.trace.states[:len(prefix)] == [graph.states[i] for i in prefix], trial
+            assert replay_trace(graph.bound, v.trace) is None, trial
+
+        want = reference_prefix(graph, restrict, restrict)
+        v = check_always_eventually(graph, "target")
+        if want is None:
+            assert v.status == "pass", trial
+        else:
+            assert v.status == "fail", trial
+            assert want == [want[-1]], trial  # every allowed state is a start
+            assert v.detail == f"after state {want[-1]} the target never holds again", trial
+            prefix, _ = discovery_path(graph, want[-1])
             assert v.trace.loop_start == len(prefix) - 1, trial
             assert v.trace.states[:len(prefix)] == [graph.states[i] for i in prefix], trial
             assert replay_trace(graph.bound, v.trace) is None, trial
@@ -1202,7 +1213,7 @@ def test_cycle_through_is_linear_on_panels(trial):
     rng = random.Random(10)
     for _ in range(trial + 1):
         restrict, starts = random_masks(graph, rng)
-    info = _search_fail(graph, restrict, starts, within_restriction=True)
+    info = _search_fail(graph, restrict, starts)
     entry = _bfs_prefix(info)[-1]
     assert info.on_scc(entry)
     members = info.scc_of(entry)
