@@ -76,9 +76,11 @@ def _parse_const_value(name: str, text: str) -> Value:
         return True
     if text == "false":
         return False
-    if re.fullmatch(r"-?\d+", text):
-        v = int(text)
-        if v < INT_MIN or v > INT_MAX:
+    number = re.fullmatch(r"(-?)0*(\d+)", text)
+    if number:
+        # The lexer's rule: int() takes at most 4,300 digits; INT_MAX has 19.
+        sign, digits = number.groups()
+        if len(digits) > 19 or not INT_MIN <= (v := int(sign + digits)) <= INT_MAX:
             raise UsageError(f"constant value {text} out of 64-bit range")
         return v
     if len(text) >= 2 and text.startswith('"') and text.endswith('"'):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Expr, SpecModel, State, Value
+from .model import Expr, SpecModel, State, Value, value_kind
 from .semantics import (
     _COLUMN_OPS,
     BoundSpec,
@@ -573,19 +573,26 @@ def replay_trace(bound: BoundSpec, trace: Trace) -> Optional[int]:
     Returns None when the trace replays, otherwise the first failing index:
     0 when the first state is not an initial state, i > 0 when the step into
     states[i] is not produced by the named action, and len(states) when the
-    lasso's loop-closing edge does not hold.
+    lasso's loop-closing edge does not hold.  A state with too few or too
+    many values, or one of the wrong kind (True for 1), fails at its index.
     """
-    if not trace.states:
-        return 0
-    first, per_var = trace.states[0], initial_values(bound)
-    if len(first) != len(per_var) or any(v not in vs for v, vs in zip(first, per_var)):
+    kinds = [var.kind for var in bound.spec.variables]
+
+    def malformed(state) -> bool:
+        # Values of different kinds can compare equal: True == 1.
+        try:
+            return [value_kind(v) for v in state] != kinds
+        except TypeError:  # not a value at all
+            return True
+
+    if not trace.states or malformed(trace.states[0]) or any(
+            v not in vs for v, vs in zip(trace.states[0], initial_values(bound))):
         return 0
     by_name = {a.name: a for a in bound.spec.actions}
     for i, label in enumerate(trace.actions):
         action = by_name.get(label)
-        if action is None:
-            return i + 1
-        if trace.states[i + 1] not in action_successors(trace.states[i], action, bound):
+        if action is None or malformed(trace.states[i + 1]) or \
+                trace.states[i + 1] not in action_successors(trace.states[i], action, bound):
             return i + 1
     if trace.loop_start is not None:
         last = trace.states[-1]

@@ -22,7 +22,8 @@ set.  Each search rewrites the matrix in place, in one vectorised pass over
 all edges.  A counterexample's prefix is the discovery path to a start,
 then the path of the scipy BFS that decided the verdict, with deterministic
 tie-breaking (shortest entry first, lowest state index on ties); only its
-loop is found in plain Python, by a linear DFS.  The checks here only
+loop is found in plain Python, by a linear DFS that reads SCC membership
+off the search's SCC labels as a bool column.  The checks here only
 consume bool columns: a predicate's value in every state comes from
 `StateGraph.holds`, which decides invariants too.
 
@@ -32,8 +33,9 @@ uint64 word with one bit per instance, and the bits spread along the
 explorer's BFS levels, then along the back edges, until they stop moving
 (the multi-source BFS of Then et al., VLDB 2014).  The sweep passes an
 instance whose reached states hold no quiescent state and no back edge
-between two states on a cycle; every other instance is searched alone, so
-the verdicts and traces are the search's.
+between two states on a cycle; every other instance, and every instance
+whose predicate cannot be evaluated, is searched alone, so the verdicts and
+traces are the search's.
 """
 
 from __future__ import annotations
@@ -178,9 +180,10 @@ class _FailInfo:
         at = np.searchsorted(self.scc_hits, i)
         return bool(at < self.scc_hits.size and self.scc_hits[at] == i)
 
-    def scc_of(self, i: int) -> frozenset:
-        """The states of the nontrivial SCC of state i, one of `scc_hits`."""
-        return frozenset(np.flatnonzero(self.labels[:-1] == self.labels[i]).tolist())
+    def scc_of(self, i: int) -> np.ndarray:
+        """The bool column of the states on the nontrivial SCC of state i,
+        one of `scc_hits`."""
+        return self.labels[:-1] == self.labels[i]
 
 
 def _search_fail(graph: StateGraph, restrict: np.ndarray,
@@ -236,35 +239,38 @@ def _bfs_prefix(info: _FailInfo) -> list:
 
     The BFS is FIFO, so its levels are contiguous in `order` and the
     positions of the parents never decrease along it; each level ends where
-    the parents leave the level before."""
+    the parents leave the level before, and the walk stops at the first
+    level that holds a candidate."""
     order, pred = info.order, info.pred
     n = pred.size - 1
-    position = np.empty(n + 1, dtype=np.int64)
-    position[order] = np.arange(order.size)
+    position = np.empty(n + 1, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
     parent_position = position[pred[order[1:]]]
-    bounds = [0, 1]  # level 0 is the virtual source
-    while bounds[-1] < order.size:
-        bounds.append(int(np.searchsorted(parent_position, bounds[-1])) + 1)
-    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    candidates = np.concatenate((info.quiescent_hits, info.scc_hits))
-    entry = int(candidates[np.lexsort((candidates, level[position[candidates]]))[0]])
-    path = [entry]
+    hit = np.zeros(order.size, dtype=bool)
+    hit[position[info.quiescent_hits]] = True
+    hit[position[info.scc_hits]] = True
+    lo, hi = 0, 1  # level 0 is the virtual source
+    while not hit[lo:hi].any():
+        lo, hi = hi, int(np.searchsorted(parent_position, hi)) + 1
+    path = [int(order[lo:hi][hit[lo:hi]].min())]
     while pred[path[-1]] != n:
         path.append(int(pred[path[-1]]))
     path.reverse()
     return path
 
 
-def _edge_label(graph: StateGraph, u: int, v: int) -> str:
+def _edge_label(graph: StateGraph, u: int, v: int) -> Optional[str]:
+    """The label of the first edge u -> v, or None when there is none."""
     for label, t in graph.out_edges(u):
         if t == v:
             return label
-    raise AssertionError(f"no edge {u} -> {v}")
+    return None
 
 
-def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
-    """Depth-first walk over state-changing edges inside one SCC; returns the
-    first cycle through `entry`, preferring lower state indices.
+def _cycle_through(graph: StateGraph, entry: int, members: np.ndarray) -> list:
+    """Depth-first walk over state-changing edges inside one SCC, whose
+    states are the bool column `members`; returns the first cycle through
+    `entry`, preferring lower state indices.
 
     A state whose subtree is exhausted is never entered again.  Until the
     cycle is found, every path from such a state to `entry` passes through a
@@ -275,7 +281,7 @@ def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
     start, dst = graph.edge_start, graph.edge_dst
 
     def nbrs(u: int) -> list:
-        return sorted({v for v in dst[start[u]:start[u + 1]] if v != u and v in members})
+        return sorted({v for v in dst[start[u]:start[u + 1]] if v != u and members[v]})
 
     path = [entry]
     entered = {entry}  # on the path, or exhausted
@@ -297,32 +303,22 @@ def _cycle_through(graph: StateGraph, entry: int, members: frozenset) -> list:
     raise AssertionError("nontrivial SCC must contain a cycle")
 
 
-def _self_loop_label(graph: StateGraph, i: int) -> Optional[str]:
-    for label, t in graph.out_edges(i):
-        if t == i:
-            return label
-    return None
-
-
 def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> Trace:
     """Build the lasso trace: `prefix` ends at `entry`; the loop is either a
     perpetual stutter at a quiescent entry or a cycle through its SCC."""
     indices = list(prefix)
-    actions = [_edge_label(graph, u, v) for u, v in zip(indices, indices[1:])]
     loop_start = len(indices) - 1
     if info.on_scc(entry):
-        cycle = _cycle_through(graph, entry, info.scc_of(entry))
-        for node in cycle[1:]:
-            actions.append(_edge_label(graph, indices[-1], node))
-            indices.append(node)
-        loop_action = _edge_label(graph, indices[-1], entry)
-    else:
-        loop_action = _self_loop_label(graph, entry)
+        indices += _cycle_through(graph, entry, info.scc_of(entry))[1:]
+    steps = list(zip(indices, indices[1:] + [entry]))
+    labels = [_edge_label(graph, u, v) for u, v in steps]
+    # Only the stutter at a quiescent entry may lack an edge.
+    assert all(a is not None or u == v for a, (u, v) in zip(labels, steps))
     return Trace(
         states=[graph.states[i] for i in indices],
-        actions=actions,
+        actions=labels[:-1],
         loop_start=loop_start,
-        loop_action=loop_action,
+        loop_action=labels[-1],
     )
 
 
@@ -483,19 +479,19 @@ def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray) -> np.uint64
     return moved
 
 
-def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
-    """Decide up to `_BLOCK` instances of an eventually, leadsto or always
-    eventually `shape`, one per binder dict in `instances`, in one sweep.
+def _sweep(graph: StateGraph, shape, where: str, instances: list) -> list:
+    """Sweep up to `_BLOCK` instances of an eventually, leadsto or always
+    eventually `shape`, one per binder dict in `instances`, at once.
 
     Bit k of a state's word says, in `allowed`, that instance k's target
     fails there, and in `reach`, that instance k's `_search_fail` reaches
     it.  The tests on the reach are the search's own: a reached quiescent
     state refutes the instance, and a back edge between two reached states
-    on a full-graph cycle calls for its SCC pass.  Returns (covered,
-    flagged): the sweep decides the first `covered` instances, and those at
-    the positions `flagged` (ascending) need the per-instance search, which
-    fails them, passes them or reports their error.  An EvalError in
-    instance k's columns ends the sweep before k and flags k."""
+    on a full-graph cycle calls for its SCC pass.  Returns the ascending
+    positions of the instances that need the per-instance search, which
+    fails them, passes them or reports their error; the sweep passes the
+    others.  An instance whose columns raise EvalError keeps its bits clear
+    and is one of those returned."""
     ana = _analysis(graph)
     if ana.plan is None:
         ana.plan = _SweepPlan(graph, ana)
@@ -505,43 +501,35 @@ def _sweep(graph: StateGraph, shape, where: str, instances: list) -> tuple:
     packed = np.zeros((len(preds), n, 8), dtype=np.uint8)
     byte = np.zeros((len(preds), n), dtype=np.uint8)
     bit = np.empty(n, dtype=np.uint8)
-    covered = len(instances)
+    # Bits past the last instance, and those of an instance in error, stay
+    # clear, so they start no back-edge round.
+    valid = 0
     for k, binders in enumerate(instances):
         try:
             columns = [graph.holds(e, where, binders) for e in preds]
+            valid |= 1 << k
         except EvalError:
-            covered = k
-            break
+            columns = []
         for acc, column in zip(byte, columns):
             # A uint8 multiply by 2**j is a shift by j; numpy's uint8 shift
             # loop is about 10 times slower.
             np.multiply(column.view(np.uint8), np.uint8(1 << (k & 7)), out=bit)
             acc |= bit
-        if k & 7 == 7:
+        if k & 7 == 7 or k == len(instances) - 1:
             packed[:, :, k >> 3] = byte
             byte[:] = 0
-    if covered & 7:
-        packed[:, :, covered >> 3] = byte
     del byte, bit
-    if covered == 0:
-        return 1, [0]
-    # Bits past the last instance stay clear, so they start no back-edge round.
-    valid = np.packbits(np.arange(_BLOCK) < covered, bitorder="little").view(np.uint64)[0]
     words = packed.view(np.uint64)[:, :, 0]  # one row of n words per column
     allowed = words[-1]
     np.invert(allowed, out=allowed)
-    allowed &= valid
+    allowed &= np.uint64(valid)
     reach = _starts(shape, words[0], allowed, len(graph.initial))
     # Starts at every allowed state (always eventually) have nothing to spread to.
     flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach)
     flags |= np.bitwise_or.reduce(reach[plan.quiescent])
     flags |= np.bitwise_or.reduce(reach[plan.cycle_src] & reach[plan.cycle_dst])
-    bits = np.unpackbits(np.array([flags], dtype=np.uint64).view(np.uint8), bitorder="little")
-    flagged = np.flatnonzero(bits[:covered]).tolist()
-    if covered < len(instances):
-        flagged.append(covered)
-        covered += 1
-    return covered, flagged
+    flags = int(flags) | ~valid  # and every instance in error
+    return [k for k in range(len(instances)) if flags >> k & 1]
 
 
 def check_property(graph: StateGraph, prop: TemporalProperty,
@@ -550,8 +538,8 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
     kernel check per member of S, in order, and a fail names the first
     witnessing value.  The first instance of an eventually, leadsto or
     always eventually property is searched on its own; if it passes,
-    `_sweep` decides the rest `_BLOCK` at a time, and the per-instance
-    search runs only on those it flags, so the verdict is that of searching
+    `_sweep` takes the rest `_BLOCK` at a time, and the per-instance search
+    runs only on those it returns, so the verdict is that of searching
     every instance.  Raises LimitError when `deadline` has passed before a
     sweep or a search."""
     where = f"property {prop.name}"
@@ -574,13 +562,13 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
         if deadline is not None and deadline.expired():
             raise deadline.error(f"checking property {prop.name}")
 
-    i = 0
-    while i < len(instances):
-        if i == 0 or isinstance(prop.shape, Invariant):
-            covered, flagged = 1, [0]
+    step = 1 if isinstance(prop.shape, Invariant) else _BLOCK
+    for i in [0, *range(1, len(instances), step)]:
+        if i == 0 or step == 1:
+            flagged = [0]
         else:
             check_time()
-            covered, flagged = _sweep(graph, prop.shape, where, instances[i:i + _BLOCK])
+            flagged = _sweep(graph, prop.shape, where, instances[i:i + step])
         for k in flagged:
             check_time()
             v = _check_shape(graph, prop, instances[i + k])
@@ -589,7 +577,6 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
                     v.binder = values[i + k]
                     v.detail = f"{bname} = {format_value(v.binder)}: {v.detail}"
                 return v
-        i += covered
     detail = "holds"
     if prop.binder is not None:
         detail = f"holds for all {len(instances)} binder values"

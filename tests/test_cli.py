@@ -108,12 +108,25 @@ def test_missing_constant_exit_three(capsys):
         (("check", CLOCK, "--timeout", "-1"), "--timeout must be positive"),
         (("check", CLOCK, "--timeout", "nan"), "--timeout must be positive"),
         (("check", CLOCK, "--timeout", "soon"), "invalid float value"),
+        # past Python's 4,300-digit limit on int()
+        (("check", MATH, "--const", "max_num_q=" + "1" * 5000), "out of 64-bit range"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert needle in err
+
+
+def test_leading_zeros_of_a_constant_are_dropped(capsys):
+    # 4,400 zeros put the text past Python's digit limit, not its value
+    _, want, _ = run_json(capsys, "check", MATH, "--const", "max_num_q=3", "--json")
+    code, got, _ = run_json(capsys, "check", MATH, "--const", "max_num_q=" + "0" * 4400 + "3",
+                            "--json")
+    assert code == 0
+    assert got["states"] == 24
+    del want["elapsed_ms"], got["elapsed_ms"]
+    assert got == want
 
 
 def test_parse_error_exit_two(capsys, tmp_path):

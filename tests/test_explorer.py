@@ -310,6 +310,10 @@ def test_replay_detects_any_perturbation(buggy_src):
     record["num"] += 1
     mutated.states[mid] = tuple(record[v.name] for v in bound.spec.variables)
     assert replay_trace(bound, mutated) == mid
+    # the same values with each bool as an int, which compares equal
+    mutated.states[mid] = tuple(int(v) if isinstance(v, bool) else v for v in trace.states[mid])
+    assert mutated.states[mid] == trace.states[mid]
+    assert replay_trace(bound, mutated) == mid
 
 
 def test_replay_single_state_trace_checks_initial(math_src):
@@ -320,6 +324,9 @@ def test_replay_single_state_trace_checks_initial(math_src):
     other[0] = 2  # num=2 is not initial
     bad = Trace(states=[tuple(other)], actions=[])
     assert replay_trace(bound, bad) == 0
+    other[0] = True  # num=1 as a bool, which compares equal
+    assert tuple(other) == good.states[0]
+    assert replay_trace(bound, Trace(states=[tuple(other)], actions=[])) == 0
 
 
 def test_replay_rejects_unknown_action(math_src):

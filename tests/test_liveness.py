@@ -468,8 +468,10 @@ def test_eventually_monotone_under_weakening(math_src):
 
 
 def scc_members(info) -> dict:
-    """Each of a search's `scc_hits` -> the states of its SCC."""
-    return {i: info.scc_of(i) for i in info.scc_hits.tolist()}
+    """Each of a search's `scc_hits` -> the states of its SCC, read off the
+    bool column `scc_of` returns."""
+    return {i: frozenset(np.flatnonzero(info.scc_of(i)).tolist())
+            for i in info.scc_hits.tolist()}
 
 
 def state_mask(graph, indices):
@@ -873,12 +875,13 @@ def test_forall_sweep_matches_per_instance_search(count, monkeypatch):
     assert cyclic == {True, False}
     assert statuses == {"pass", "fail"}
     assert min(count - 1, liveness._BLOCK) in [len(args[-1]) for args, _ in sweeps]
-    assert any(flagged for _, (_, flagged) in sweeps)
+    assert any(flagged for _, flagged in sweeps)
 
 
-def test_forall_sweep_stops_at_a_mid_block_overflow(monkeypatch):
-    # the columns of the instance x = INT_MAX overflow; the sweep decides
-    # the instances before it and leaves it to the per-instance search
+def test_forall_sweep_flags_a_mid_block_overflow_in_place(monkeypatch):
+    # the columns of the instance x = INT_MAX, position 35 of the second
+    # block, overflow; the sweep still takes the whole block and leaves
+    # that instance to the per-instance search
     sweeps = spy(monkeypatch, "_sweep")
     statuses = set()
     for seed in range(12):
@@ -886,7 +889,8 @@ def test_forall_sweep_stops_at_a_mid_block_overflow(monkeypatch):
             oracles.gen_forall_spec(seed, 129, overflow_at=100))
         statuses |= {v.status for v in verdicts}
     assert "error" in statuses
-    assert any(len(args[-1]) == 64 and covered == 36 for args, (covered, _) in sweeps)
+    assert any(len(args[-1]) == 64 and args[-1][35]["x"] == INT_MAX and 35 in flagged
+               for args, flagged in sweeps)
 
 
 # x runs from 0 into one of 1..N (all BFS level 1) and up the chain to N:
@@ -935,7 +939,7 @@ def test_forall_sweep_overflow_reaches_the_error(monkeypatch):
     _, [verdict] = assert_foralls_match_reference(src, {"top": 9})
     assert verdict.status == "error"
     assert verdict.binder == int_max
-    assert [result for _, result in sweeps] == [(41, [40])]
+    assert [flagged for _, flagged in sweeps] == [[40]]
 
 
 DETOUR = """spec detour
@@ -1167,9 +1171,11 @@ def assert_cycles_match_reference(graph, allowed):
         if len(comp) < 2:
             continue
         members = frozenset(comp)
+        column = np.zeros(graph.n_states, dtype=bool)
+        column[comp] = True
         for entry in comp:
             want = oracles.first_cycle_through(graph, entry, members)
-            assert _cycle_through(graph, entry, members) == want, (entry, members)
+            assert _cycle_through(graph, entry, column) == want, (entry, members)
 
 
 def random_digraph(rng, n):
@@ -1216,11 +1222,12 @@ def test_cycle_through_is_linear_on_panels(trial):
     info = _search_fail(graph, restrict, starts)
     entry = _bfs_prefix(info)[-1]
     assert info.on_scc(entry)
-    members = info.scc_of(entry)
+    column = info.scc_of(entry)
+    members = frozenset(np.flatnonzero(column).tolist())
     with pytest.raises(RuntimeError, match="step cap"):
         oracles.first_cycle_through(graph, entry, members, step_cap=100_000)
     t0 = time.perf_counter()
-    cycle = _cycle_through(graph, entry, members)
+    cycle = _cycle_through(graph, entry, column)
     assert time.perf_counter() - t0 < 1.0
     assert cycle[0] == entry and len(set(cycle)) == len(cycle) >= 2
     assert set(cycle) <= members
