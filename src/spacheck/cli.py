@@ -321,8 +321,7 @@ def emit_json(report: Report) -> str:
 def emit_dot(graph: StateGraph) -> str:
     """Graphviz export: one node per state (index order), one labeled edge
     per transition; initial states use a distinct shape."""
-    spec = graph.spec
-    initial = set(graph.initial)
+    spec, initial = graph.spec, graph.initial
 
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')

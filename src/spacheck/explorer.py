@@ -9,6 +9,7 @@ a self-loop is quiescent but not deadlocked.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -134,29 +135,32 @@ class StateGraph:
     and new states in the same order as one expanded state by state, so
     the graph does not show which way a level went.
 
-    `parent` links give a shortest discovery path from some initial state
-    to every non-initial state, and `depth` is that path's length.  Explore
-    derives them and `parent_action` from the edges and levels once its
-    loop ends: a state's parent edge is the first edge into it, the one
-    whose target is above every earlier target.
+    The discovery tree is `parent` alone: it links every non-initial state
+    to its predecessor on a shortest discovery path from some initial
+    state, and explore derives it from the edges and levels once its loop
+    ends (see `_derive_tree`).  A state's parent edge is the first edge
+    into it, so its label is `edge_label(parent[v], v)`, and its depth is
+    the level that holds it; the initial states are level 0.
     """
 
     bound: BoundSpec
     states: Sequence  # index -> State: a list, or a KeyStates
-    initial: list  # indices of initial states: 0 to len(initial) - 1
     levels: array  # where each BFS level starts, then n_states
     edge_start: array  # n + 1 row offsets into edge_dst and edge_action
     edge_dst: array  # target index of each edge
     edge_action: array  # action index of each edge
     parent: array  # index -> predecessor index, -1 for an initial state
-    parent_action: array  # index -> action index of the parent edge, -1 for initial
-    depth: array  # index -> BFS depth, 0 for initial states
     _analysis: object = field(default=None, compare=False, repr=False)
     _columns: Optional[_Columns] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def spec(self) -> SpecModel:
         return self.bound.spec
+
+    @property
+    def initial(self) -> range:
+        """The indices of the initial states: level 0."""
+        return range(self.levels[1])
 
     def columns(self) -> _Columns:
         """Variable index -> the variable's value in every state, in index
@@ -220,6 +224,10 @@ class StateGraph:
         return [(actions[a].name, j)
                 for a, j in zip(self.edge_action[lo:hi], self.edge_dst[lo:hi])]
 
+    def edge_label(self, u: int, v: int) -> Optional[str]:
+        """The action name of the first edge u -> v, or None if there is none."""
+        return next((label for label, t in self.out_edges(u) if t == v), None)
+
 
 @dataclass
 class Trace:
@@ -264,12 +272,11 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     states wide and every level after it are expanded at once instead, as
     numpy columns of keys, into the same rows and states, and the graph
     keeps the keys as its states (see `_explore_levels`).  Exploring keeps
-    only the states, the edges and the level starts; `parent`,
-    `parent_action` and `depth` are derived from them afterwards (see
-    `_derive_tree`), on the limit and error paths too.  The loop's
-    state -> index dict is explore's own: the graph does not keep it.
-    States are keyed by their value tuples, so `bound` must have passed
-    `validate`.  Raises EvalError (with the discovery trace of the offending
+    only the states, the edges and the level starts; `parent` is derived
+    from them afterwards (see `_derive_tree`), on the limit and error paths
+    too.  The loop's state -> index dict is explore's own: the graph does
+    not keep it.  States are keyed by their value tuples, so `bound` must
+    have passed `validate`.  Raises EvalError (with the discovery trace of the offending
     state attached), LimitError (with the graph explored so far, except at
     the initial states), or EvalError on zero initial states.  The initial
     states are counted from each variable's values before any is built, so
@@ -287,10 +294,8 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     init = [tuple(combo) for combo in itertools.product(*per_var)]
 
     graph = StateGraph(
-        bound=bound, states=init,
-        initial=list(range(len(init))), levels=array("q", [0, len(init)]),
-        edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"),
-        parent=array("q"), parent_action=array("q"), depth=array("q"),
+        bound=bound, states=init, levels=array("q", [0, len(init)]),
+        edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"), parent=array("q"),
     )
     run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
     try:
@@ -307,8 +312,9 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         raise LimitError(f"state limit of {max_states} exceeded", graph)
     if stopped == "time":
         last = len(graph.edge_start) - 2  # the last state expanded
+        depth = bisect.bisect_right(graph.levels, last) - 1
         raise limits.deadline.error(
-            f"exploring ({len(graph.states)} states, depth {graph.depth[last]})", graph)
+            f"exploring ({len(graph.states)} states, depth {depth})", graph)
     return graph
 
 
@@ -461,17 +467,17 @@ def _unique(keys: np.ndarray, bits: int) -> tuple:
 
 
 def _derive_tree(graph: StateGraph) -> None:
-    """Fill `parent`, `parent_action` and `depth` from the edges and level
-    starts of a graph explored in full or in part, and end `levels` at
-    `n_states`.
+    """Fill `parent` from the edges and level starts of a graph explored in
+    full or in part, and end `levels` at `n_states`.
 
     A new state is numbered len(states) right before its first edge is
     appended, so edge e discovers a state exactly when its target is above
     every earlier edge's target and every initial state: the tree edges
-    discover the states past the initial ones in index order.  The arrays
-    are fresh `array('q')` buffers written through numpy views, so no
-    second copy of them stays alive."""
-    n, n0 = graph.n_states, len(graph.initial)
+    discover the states past the initial ones in index order, and each
+    one's parent is the row its tree edge lies in.  `parent` is a fresh
+    `array('q')` buffer written through a numpy view, so no second copy of
+    it stays alive."""
+    n, n0 = graph.n_states, graph.levels[1]
     if graph.levels[-1] < n:
         graph.levels.append(n)  # a partial graph: the last level is open
     dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
@@ -482,36 +488,28 @@ def _derive_tree(graph: StateGraph) -> None:
         np.maximum.accumulate(above, out=above)
     tree = np.flatnonzero(dst > above)
     del above
-    graph.parent, graph.parent_action = array("q", [-1]) * n, array("q", [-1]) * n
-    graph.depth = array("q", [0]) * n
+    graph.parent = array("q", [-1]) * n
     rows = np.searchsorted(np.frombuffer(graph.edge_start, dtype=np.int64), tree, "right")
     rows -= 1  # the row of an edge, the open row included
     np.frombuffer(graph.parent, dtype=np.int64)[n0:] = rows
-    np.frombuffer(graph.parent_action, dtype=np.int64)[n0:] = \
-        np.frombuffer(graph.edge_action, dtype=np.int64)[tree]
-    levels = np.frombuffer(graph.levels, dtype=np.int64)
-    np.frombuffer(graph.depth, dtype=np.int64)[:] = \
-        np.repeat(np.arange(levels.size - 1), np.diff(levels))
 
 
-def discovery_path(graph: StateGraph, target: int) -> tuple:
-    """Shortest discovery path from an initial state to `target`, following
-    parent links: (state indices, action names between them)."""
-    actions_of = graph.spec.actions
+def discovery_path(graph: StateGraph, target: int) -> list:
+    """The indices of the states on the shortest discovery path from an
+    initial state to `target`, following parent links.  The step from
+    `parent[v]` to `v` is the first edge between them, `edge_label`'s."""
     indices = [target]
-    actions = []
     while graph.parent[indices[-1]] >= 0:
-        actions.append(actions_of[graph.parent_action[indices[-1]]].name)
         indices.append(graph.parent[indices[-1]])
     indices.reverse()
-    actions.reverse()
-    return indices, actions
+    return indices
 
 
 def reconstruct_trace(graph: StateGraph, target: int) -> Trace:
     """The discovery path to `target` as a trace."""
-    indices, actions = discovery_path(graph, target)
-    return Trace(states=[graph.states[i] for i in indices], actions=actions)
+    indices = discovery_path(graph, target)
+    return Trace(states=[graph.states[i] for i in indices],
+                 actions=[graph.edge_label(u, v) for u, v in zip(indices, indices[1:])])
 
 
 def check_invariant(
@@ -575,6 +573,9 @@ def replay_trace(bound: BoundSpec, trace: Trace) -> Optional[int]:
     states[i] is not produced by the named action, and len(states) when the
     lasso's loop-closing edge does not hold.  A state with too few or too
     many values, or one of the wrong kind (True for 1), fails at its index.
+    When there are not len(states) - 1 actions, the first step that one of
+    the two lists lacks fails; a `loop_start` that is not an int index into
+    `states`, or a `loop_action` without one, fails at len(states).
     """
     kinds = [var.kind for var in bound.spec.variables]
 
@@ -589,20 +590,24 @@ def replay_trace(bound: BoundSpec, trace: Trace) -> Optional[int]:
             v not in vs for v, vs in zip(trace.states[0], initial_values(bound))):
         return 0
     by_name = {a.name: a for a in bound.spec.actions}
-    for i, label in enumerate(trace.actions):
+    steps = min(len(trace.actions), len(trace.states) - 1)
+    for i, label in enumerate(trace.actions[:steps]):
         action = by_name.get(label)
         if action is None or malformed(trace.states[i + 1]) or \
                 trace.states[i + 1] not in action_successors(trace.states[i], action, bound):
             return i + 1
-    if trace.loop_start is not None:
-        last = trace.states[-1]
-        target = trace.states[trace.loop_start]
-        if trace.loop_action is not None:
-            action = by_name.get(trace.loop_action)
-            if action is None or target not in action_successors(last, action, bound):
-                return len(trace.states)
-        else:
-            # A pure stutter loop is only admitted forever at a quiescent state.
-            if target != last or not _is_quiescent(last, bound):
-                return len(trace.states)
-    return None
+    if len(trace.actions) != len(trace.states) - 1:
+        return steps + 1
+    start, end = trace.loop_start, len(trace.states)
+    if start is None:
+        return None if trace.loop_action is None else end
+    if isinstance(start, bool) or not isinstance(start, int) or not 0 <= start < end:
+        return end
+    last, target = trace.states[-1], trace.states[start]
+    if trace.loop_action is None:
+        # A pure stutter loop is only admitted forever at a quiescent state.
+        closes = target == last and _is_quiescent(last, bound)
+    else:
+        action = by_name.get(trace.loop_action)
+        closes = action is not None and target in action_successors(last, action, bound)
+    return None if closes else end

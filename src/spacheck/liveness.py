@@ -72,10 +72,10 @@ from .semantics import EvalError, eval_const_set
 
 
 class _Analysis:
-    """Numpy view of a StateGraph, built once per graph: quiescence flags,
-    the states on a full-graph cycle, and one CSR matrix of the
-    state-changing edges that `restricted` rewrites in place for every
-    search."""
+    """Numpy view of a StateGraph, built once per graph: each state's BFS
+    level, quiescence flags, the states on a full-graph cycle, and one CSR
+    matrix of the state-changing edges that `restricted` rewrites in place
+    for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
@@ -101,10 +101,11 @@ class _Analysis:
         m = self.dst.size
         sc_deg = np.bincount(self.src, minlength=n)
         self.quiescent = sc_deg == 0
-        # Around a cycle the BFS depth rises by at most 1 per edge and returns
+        # Around a cycle the BFS level rises by at most 1 per edge and returns
         # to where it started, so every cycle has an edge that does not rise.
-        depth = np.frombuffer(graph.depth, dtype=np.int64)
-        back = depth[self.dst] <= depth[self.src]
+        levels = np.frombuffer(graph.levels, dtype=np.int64)
+        self.level = np.repeat(np.arange(levels.size - 1, dtype=np.int32), np.diff(levels))
+        back = self.level[self.dst] <= self.level[self.src]
         self.back_src, self.back_dst = self.src[back], self.dst[back]
         # Row n is a virtual source with one entry per state: the state
         # itself when it is a start of the search, else a self-loop at n.
@@ -259,14 +260,6 @@ def _bfs_prefix(info: _FailInfo) -> list:
     return path
 
 
-def _edge_label(graph: StateGraph, u: int, v: int) -> Optional[str]:
-    """The label of the first edge u -> v, or None when there is none."""
-    for label, t in graph.out_edges(u):
-        if t == v:
-            return label
-    return None
-
-
 def _cycle_through(graph: StateGraph, entry: int, members: np.ndarray) -> list:
     """Depth-first walk over state-changing edges inside one SCC, whose
     states are the bool column `members`; returns the first cycle through
@@ -311,7 +304,7 @@ def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> T
     if info.on_scc(entry):
         indices += _cycle_through(graph, entry, info.scc_of(entry))[1:]
     steps = list(zip(indices, indices[1:] + [entry]))
-    labels = [_edge_label(graph, u, v) for u, v in steps]
+    labels = [graph.edge_label(u, v) for u, v in steps]
     # Only the stutter at a quiescent entry may lack an edge.
     assert all(a is not None or u == v for a, (u, v) in zip(labels, steps))
     return Trace(
@@ -381,7 +374,7 @@ def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
         return Verdict(name=name, kind=kind, status="pass", detail=passed)
     path = _bfs_prefix(info)
     start, entry = path[0], path[-1]
-    head, _ = discovery_path(graph, start)
+    head = discovery_path(graph, start)
     trace = _assemble(graph, head[:-1] + path, info, entry)
     loop = "cycles forever from state" if info.on_scc(entry) \
         else "stutters forever at quiescent state"
@@ -429,16 +422,16 @@ class _SweepPlan:
     per graph in int32 (and views of the graph's own arrays).
 
     Level d (BFS depth d) is the index range levels[d]:levels[d + 1], as
-    explore recorded it (`graph.levels`).  A forward edge goes one level deeper.
+    explore recorded it (`graph.levels`), and `_Analysis.level` holds each
+    state's d.  A forward edge goes one level deeper.
     Every state past level 0 has one from its BFS parent (`graph.parent`);
     the others are `extra_src`/`extra_dst`, and since `_Analysis.src` is
     sorted, those out of level d are positions extra_out[d]:extra_out[d + 1]."""
 
     def __init__(self, graph: StateGraph, ana: _Analysis):
-        self.depth = np.frombuffer(graph.depth, dtype=np.int64)
         self.parent = np.frombuffer(graph.parent, dtype=np.int64)
         self.levels = np.frombuffer(graph.levels, dtype=np.int64).astype(np.int32)
-        next_level = self.levels[1:][self.depth]  # where each state's level ends
+        next_level = self.levels[1:][ana.level]  # where each state's level ends
         extra = ana.dst >= next_level[ana.src]
         extra &= ana.src != self.parent.astype(np.int32)[ana.dst]
         self.extra_src, self.extra_dst = ana.src[extra], ana.dst[extra]
@@ -475,7 +468,7 @@ def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray) -> np.uint64
         moved = np.bitwise_or.reduce(grown)
         if not moved:
             break
-        first = int(plan.depth[ana.back_dst[grown != 0]].min()) + 1
+        first = int(ana.level[ana.back_dst[grown != 0]].min()) + 1
     return moved
 
 

@@ -57,15 +57,34 @@ def index_of(graph) -> dict:
     return {s: i for i, s in enumerate(graph.states)}
 
 
-_ARRAYS = ("levels", "edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
+def graph_fields(graph, levels: bool = False):
+    """The fields of `graph` in the shape of `oracles.explore_reference`,
+    None for no graph: the states, `initial` and the edge arrays and
+    `parent` as lists, with each state's parent action, the action index
+    of `edge_label(parent[v], v)`, and its depth, the level that holds it
+    in `levels` (-1 and 0 for an initial state).  With `levels`, `levels`
+    too."""
+    if graph is None:
+        return None
+    names = [a.name for a in graph.spec.actions]
+    parent, starts = list(graph.parent), list(graph.levels)
+    fields = {"states": graph.states, "initial": list(graph.initial),
+              "edge_start": list(graph.edge_start), "edge_dst": list(graph.edge_dst),
+              "edge_action": list(graph.edge_action), "parent": parent,
+              "parent_action": [-1 if u < 0 else names.index(graph.edge_label(u, v))
+                                for v, u in enumerate(parent)],
+              "depth": [d for d, (lo, hi) in enumerate(zip(starts, starts[1:]))
+                        for _ in range(lo, hi)]}
+    if levels:
+        fields["levels"] = starts
+    return fields
 
 
 def explore_with(bound, wide: int, **limits) -> tuple:
     """`explore`'s outcome with every level at least `wide` states wide
     expanded as columns: ("graph", fields), ("limit", message, fields of
     the partial graph or None), or ("error", message, trace states, trace
-    actions).  The fields are the states, `initial` and the seven arrays,
-    as lists."""
+    actions).  The fields are `graph_fields`', `levels` among them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", wide)
         try:
@@ -73,15 +92,8 @@ def explore_with(bound, wide: int, **limits) -> tuple:
         except EvalError as e:
             return ("error", str(e), e.trace.states, e.trace.actions)
         except LimitError as e:
-            return ("limit", str(e), _fields(e.graph))
-    return ("graph", _fields(graph))
-
-
-def _fields(graph):
-    if graph is None:
-        return None
-    return {"states": graph.states, "initial": graph.initial,
-            **{name: list(getattr(graph, name)) for name in _ARRAYS}}
+            return ("limit", str(e), graph_fields(e.graph, levels=True))
+    return ("graph", graph_fields(graph, levels=True))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import build, build_graph, corpus_path, explore_with, index_of
+from conftest import build, build_graph, corpus_path, explore_with, graph_fields, index_of
 from spacheck import (
     EvalError,
     ExploreLimits,
@@ -72,13 +72,7 @@ def test_math_matches_fixpoint_oracle(math_src, clock_src):
 def test_exploration_is_deterministic(math_src):
     bound1, g1 = build_graph(math_src, {"max_num_q": 3})
     bound2, g2 = build_graph(math_src, {"max_num_q": 3})
-    assert g1.states == g2.states
-    assert g1.edge_start == g2.edge_start
-    assert g1.edge_dst == g2.edge_dst
-    assert g1.edge_action == g2.edge_action
-    assert g1.parent == g2.parent
-    assert g1.parent_action == g2.parent_action
-    assert g1.initial == g2.initial
+    assert graph_fields(g1, levels=True) == graph_fields(g2, levels=True)
 
 
 def test_graph_structure_invariants(math_src):
@@ -90,11 +84,12 @@ def test_graph_structure_invariants(math_src):
     for i in range(n):
         for _, j in graph.out_edges(i):
             assert 0 <= j < n
+    parent_action = graph_fields(graph)["parent_action"]
     for i in range(n):
         if graph.parent[i] < 0:
             assert i in graph.initial
         else:
-            pred, label = graph.parent[i], bound.spec.actions[graph.parent_action[i]].name
+            pred, label = graph.parent[i], bound.spec.actions[parent_action[i]].name
             assert pred < i
             assert any(t == i for a, t in graph.out_edges(pred) if a == label)
 
@@ -292,7 +287,7 @@ def test_trace_not_longer_than_depth(math_src):
     for i in range(graph.n_states):
         if graph.parent[i] >= 0:
             depth[i] = depth[graph.parent[i]] + 1
-    assert list(graph.depth) == depth
+    assert graph_fields(graph)["depth"] == depth
     for i in range(graph.n_states):
         assert len(reconstruct_trace(graph, i).states) == depth[i] + 1
 
@@ -336,6 +331,39 @@ def test_replay_rejects_unknown_action(math_src):
     s0, s1 = graph.states[root], graph.states[target]
     assert replay_trace(bound, Trace(states=[s0, s1], actions=["Nope"])) == 1
     assert replay_trace(bound, Trace(states=[s0, s1], actions=[label])) is None
+
+
+def test_replay_fails_at_the_first_step_one_list_lacks(clock_src):
+    bound = build(clock_src)
+    s = [(12, "am"), (1, "am"), (2, "am")]
+    assert replay_trace(bound, Trace(states=s, actions=["Next", "Next"])) is None
+    # too few actions: the step into the first state without one fails
+    assert replay_trace(bound, Trace(states=[(12, "am"), (5, "pm")], actions=[])) == 1
+    assert replay_trace(bound, Trace(states=s, actions=["Next"])) == 2
+    # too many: the first action without a state to step into fails
+    assert replay_trace(bound, Trace(states=[(12, "am")], actions=["Next"])) == 1
+    assert replay_trace(bound, Trace(states=s, actions=["Next"] * 3)) == 3
+    # unless an earlier step fails first
+    assert replay_trace(bound, Trace(states=[(12, "am"), (5, "pm"), (6, "pm")],
+                                     actions=["Next"])) == 1
+
+
+def test_replay_fails_a_loop_start_that_is_not_an_index(clock_src):
+    bound = build(clock_src)
+    # 12 am, then the 24 hours from 1 am, which Next closes into a loop
+    states = [(12, "am"), (1, "am")]
+    while len(states) < 25:
+        states.append(oracles.clock_move(states[-1]))
+    lasso = Trace(states=states, actions=["Next"] * 24, loop_start=1, loop_action="Next")
+    assert replay_trace(bound, lasso) is None
+    for start in (True, -24, 25, 1.0, "1"):
+        lasso.loop_start = start
+        assert replay_trace(bound, lasso) == 25, start
+    # a loop action without a loop
+    lasso.loop_start = None
+    assert replay_trace(bound, lasso) == 25
+    lasso.loop_action = None
+    assert replay_trace(bound, lasso) is None
 
 
 # --- which of a limit and an evaluation error wins ------------------------------------
@@ -494,12 +522,15 @@ def first_edge_tree(graph) -> tuple:
 
 
 def tree_of(graph) -> tuple:
-    return list(graph.parent), list(graph.parent_action), list(graph.depth)
+    """(parent, parent action, depth), as `graph_fields` derives them."""
+    fields = graph_fields(graph)
+    return fields["parent"], fields["parent_action"], fields["depth"]
 
 
 def assert_tree_and_levels(graph) -> None:
-    assert tree_of(graph) == first_edge_tree(graph)
-    depth = list(graph.depth)
+    tree = tree_of(graph)
+    assert tree == first_edge_tree(graph)
+    depth = tree[2]
     starts = [i for i in range(1, graph.n_states) if depth[i] != depth[i - 1]]
     assert list(graph.levels) == [0, *starts, graph.n_states]
     assert depth == sorted(depth)
@@ -517,7 +548,7 @@ action Back { when x = 4 x' = 0 }
 def test_tree_with_several_initial_states_and_an_edge_into_one():
     bound, graph = build_graph(_TWO_ROOTS)
     assert graph.states == [(2,), (0,), (3,), (1,), (4,)]
-    assert graph.initial == [0, 1]
+    assert list(graph.initial) == [0, 1]
     assert tree_of(graph) == ([-1, -1, 0, 1, 2], [-1, -1, 0, 0, 0], [0, 0, 1, 1, 2])
     assert list(graph.levels) == [0, 2, 4, 5]
     assert graph.out_edges(4) == [("Back", 1)]
@@ -542,6 +573,8 @@ def test_tree_with_actions_and_an_any_sharing_a_target_a_self_loop_and_no_edge()
     assert graph.out_edges(1) == [("Stay", 1)]
     assert graph.out_edges(2) == []
     assert tree_of(graph) == ([-1, 0, 0], [-1, 0, 2], [0, 1, 1])
+    assert [graph.edge_label(0, 1), graph.edge_label(1, 1), graph.edge_label(1, 0)] == [
+        "A", "Stay", None]
     assert list(graph.levels) == [0, 1, 3]
     assert_tree_and_levels(graph)
 

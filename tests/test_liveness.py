@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build, build_graph, index_of, perfbench_workloads
+from conftest import build, build_graph, graph_fields, index_of, perfbench_workloads
 from spacheck import (
     ExploreLimits,
     bind_constants,
@@ -704,7 +704,7 @@ def test_search_fail_matches_reference_on_equal_depth_cycle():
     # states 1 and 2 share BFS depth 1, so both edges of their 2-cycle keep
     # the depth: the only cycle's back edges are level ones
     bound, graph = build_graph(EQUAL_DEPTH_CYCLE)
-    assert list(graph.depth) == [0, 1, 1]
+    assert graph_fields(graph)["depth"] == [0, 1, 1]
     everything = state_mask(graph, range(graph.n_states))
     full = _search_fail(graph, everything, everything)
     assert set(scc_members(full).values()) == {frozenset({1, 2})}
@@ -1107,7 +1107,7 @@ def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
         else:
             assert v.status == "fail", trial
             assert v.detail.startswith(f"state {want[0]} "), trial
-            head, _ = discovery_path(graph, want[0])
+            head = discovery_path(graph, want[0])
             prefix = head[:-1] + want
             assert v.trace.loop_start == len(prefix) - 1, trial
             assert v.trace.states[:len(prefix)] == [graph.states[i] for i in prefix], trial
@@ -1121,7 +1121,7 @@ def assert_lassos_match_reference(graph, rng, trials, monkeypatch):
             assert v.status == "fail", trial
             assert want == [want[-1]], trial  # every allowed state is a start
             assert v.detail == f"after state {want[-1]} the target never holds again", trial
-            prefix, _ = discovery_path(graph, want[-1])
+            prefix = discovery_path(graph, want[-1])
             assert v.trace.loop_start == len(prefix) - 1, trial
             assert v.trace.states[:len(prefix)] == [graph.states[i] for i in prefix], trial
             assert replay_trace(graph.bound, v.trace) is None, trial

@@ -11,14 +11,13 @@ import os
 import re
 import sys
 import tempfile
-from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build, explore_with
+from conftest import build, explore_with, graph_fields
 from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
 from spacheck import cli, explorer, semantics
@@ -209,17 +208,6 @@ def test_successors_match_interpreter_on_deep_specs(source):
 
 
 # --- the generated explore loop against a reference BFS -------------------------
-
-_ARRAYS = ("edge_start", "edge_dst", "edge_action", "parent", "parent_action", "depth")
-
-
-def graph_fields(graph) -> Optional[dict]:
-    if graph is None:
-        return None
-    fields = {"states": graph.states, "initial": graph.initial}
-    fields.update((name, list(getattr(graph, name))) for name in _ARRAYS)
-    return fields
-
 
 def explore_outcome(bound, max_states: int) -> tuple:
     """`explore`'s result in the shape of `oracles.explore_reference`: a
