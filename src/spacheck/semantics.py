@@ -693,11 +693,6 @@ def _domain(bound: BoundSpec, v) -> Optional[frozenset]:
 _MAX_INDENT = 40
 _MAX_LOOPS = 10
 
-# How a generated statement sequence ends: falling through (an `if` branch
-# that holds no `any`), making the successor, or yielding (the paths of an
-# `if` with an `any` inside, to the loop that runs the statements after it).
-_FALL, _EMIT, _YIELD = "fall", "emit", "yield"
-
 
 def _contains_any(stmts: list) -> bool:
     for st in stmts:
@@ -739,12 +734,12 @@ class _ActionSource:
     successor twice, so only those collect their successors in `out` and
     run `emit` over them deduplicated.
 
-    An `if` with an `any` inside, followed by more statements, becomes a
-    generator that yields once per path through it, and those statements
-    run in a loop over it.  Statements that would nest too deep move into a
-    helper called in their place.  Generators and helpers are nested
-    functions `k<n>(...)` of the binders in scope that share the slot
-    locals.
+    The statements after an `if` with an `any` inside move into a helper
+    that runs them and then the rest of the action, and every path through
+    the `if` ends with a call of it: each path runs them in full before the
+    next path starts.  Statements that would nest too deep move into a
+    helper called in their place.  Helpers are nested functions `k<n>(...)`
+    of the binders in scope that share the slot locals.
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
@@ -758,8 +753,8 @@ class _ActionSource:
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
         collect = emit is None or _contains_any(action.body)
-        self.emit = [f"t = ({fields})" if slots else "t = s"]
-        self.emit += ["out.append(t)"] if collect else emit
+        made = [f"t = ({fields})" if slots else "t = s"]
+        made += ["out.append(t)"] if collect else emit
 
         lines = []
         if action.guards:
@@ -768,7 +763,7 @@ class _ActionSource:
             depth += 1
         pad = "    " * depth
         body: list = []
-        self.block(body, set(), action.body, _EMIT, depth, 0, {})
+        self.block(body, set(), action.body, made, depth, 0, {})
         # A helper shares the slot locals, so they must all be bound here.
         copied = slots if self.pending else slots - self.always(action.body)
         lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(copied))
@@ -818,19 +813,20 @@ class _ActionSource:
                 out |= self.slots(st.body)
         return out
 
-    def helper(self, stmts: list, tail: str, b: dict) -> str:
-        """A call of a helper that runs `stmts`, then `tail`, with the
-        binders `b`; it is a generator when `tail` yields."""
+    def helper(self, stmts: list, tail: list, b: dict) -> str:
+        """A call of a helper that runs `stmts`, then the lines `tail`, with
+        the binders `b`."""
         name = self.mod.fresh("k")
         self.pending.append((name, stmts, tail, b))
         return f"{name}({_binder_args(b)})"
 
-    def block(self, lines: list, written: set, stmts: list, tail: str, depth: int,
+    def block(self, lines: list, written: set, stmts: list, tail: list, depth: int,
               loops: int, b: dict) -> None:
-        """Append the lines that run `stmts` and then `tail` at indentation
-        `depth`, inside `loops` nested loops, with the binders `b` in scope
-        (see `_compile_expr`); `written` collects the slots those lines
-        assign."""
+        """Append the lines that run `stmts` and then the lines `tail` at
+        indentation `depth`, inside `loops` nested loops, with the binders
+        `b` in scope (see `_compile_expr`); `written` collects the slots
+        those lines assign.  An `if` with no `any` inside falls through to
+        the next statement: its branches end with no tail."""
         pad = "    " * depth
         start = len(lines)
         for k, st in enumerate(stmts):
@@ -849,22 +845,22 @@ class _ActionSource:
                     lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
                 continue
             if depth >= _MAX_INDENT or loops >= _MAX_LOOPS:
-                call = self.helper(stmts[k:], tail, b)
-                lines.append(f"{pad}yield from {call}" if tail == _YIELD else pad + call)
+                lines.append(pad + self.helper(stmts[k:], tail, b))
                 return
             rest = stmts[k + 1:]
-            if isinstance(st, If) and rest and _contains_any([st]):
-                lines.append(f"{pad}for _ in {self.helper([st], _YIELD, b)}:")
-                self.block(lines, written, rest, tail, depth + 1, loops + 1, b)
-                return
             if isinstance(st, If):
-                branch_tail = tail if _contains_any([st]) else _FALL
                 lines.append(f"{pad}if {self.expr(st.cond, b)}:")
+                if not _contains_any([st]):
+                    branch_tail = []
+                elif rest:
+                    branch_tail = [self.helper(rest, tail, b)]
+                else:
+                    branch_tail = tail
                 self.block(lines, written, st.then, branch_tail, depth + 1, loops, b)
-                if st.orelse or branch_tail != _FALL:
+                if st.orelse or branch_tail:
                     lines.append(f"{pad}else:")
                     self.block(lines, written, st.orelse, branch_tail, depth + 1, loops, b)
-                if branch_tail == _FALL:
+                if not branch_tail:
                     continue
                 return
             choices = _compile_set(st.over, self.bound, self.where, self.mod, b)
@@ -876,11 +872,8 @@ class _ActionSource:
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
                        {**b, st.binder: value})
             return
-        if tail == _EMIT:
-            lines.extend(pad + line for line in self.emit)
-        elif tail == _YIELD:
-            lines.append(f"{pad}yield")
-        elif len(lines) == start:
+        lines.extend(pad + line for line in tail)
+        if len(lines) == start:
             lines.append(f"{pad}pass")
 
 
@@ -961,9 +954,11 @@ _RUN_TAIL = """\
 
 
 def _explore_module(bound: BoundSpec) -> tuple:
-    """(namespace, source) of the module that explores `bound`: one function
+    """(module, source) of the module that explores `bound`: one function
     `explore(index, <graph containers>, <namespace names>)` whose `run`
-    expands the states of that graph (see `_explore_function`)."""
+    expands the states of that graph (see `_explore_function`).  The
+    module's helper functions sit inside `explore`, where the names they
+    read are closure cells."""
     mod = _Module()
     actions = []
     for a, action in enumerate(bound.spec.actions):
@@ -975,10 +970,11 @@ def _explore_module(bound: BoundSpec) -> tuple:
         actions.append(_action_source(bound, action, mod, intern, 3))
     lines = ["    " + line for line in _GRAPH_NAMES]
     lines += ["    " + line for d in mod.defs for line in d.splitlines()]
+    mod.defs = []
     params = ", ".join(["index", *_GRAPH_ARGS, *mod.ns])
     body = "\n".join(line for x in actions for line in x.lines)
     source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + body, _RUN_TAIL])
-    return mod.ns, source
+    return mod, source
 
 
 def _explore_function(bound: BoundSpec, graph, index: dict) -> Callable:
@@ -1001,11 +997,8 @@ def _explore_function(bound: BoundSpec, graph, index: dict) -> Callable:
     graph and binds `index`, the graph's containers and the module's names
     as closure cells."""
     def make():
-        ns, source = _explore_module(bound)
-        code = compile(source, f"<explore {bound.spec.name}>", "exec")
-        module: dict = {}
-        exec(code, module)
-        return ns, module["explore"]
+        mod, source = _explore_module(bound)
+        return mod.ns, mod.run(source, f"<explore {bound.spec.name}>")["explore"]
     ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
     return factory(index, **{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
 

@@ -110,6 +110,7 @@ def test_missing_constant_exit_three(capsys):
         (("check", CLOCK, "--timeout", "soon"), "invalid float value"),
         # past Python's 4,300-digit limit on int()
         (("check", MATH, "--const", "max_num_q=" + "1" * 5000), "out of 64-bit range"),
+        (("check", CLOCK, "--max-depth", "0"), "error: --max-depth must be positive\n"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, needle):
@@ -135,6 +136,31 @@ def test_parse_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "bad.spa:" in err
+
+
+def test_expression_if_without_then_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.spa"
+    bad.write_text("spec t\nvar x : int init 0\n\naction A {\n    x' = if x = 0 x else 1\n}\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:5:19: expected 'then' but found 'x'\n"
+
+
+def test_bool_and_string_constants_bind_and_are_echoed(capsys, tmp_path):
+    spec = tmp_path / "consts.spa"
+    spec.write_text('spec consts\nconst flag : bool\nconst label : string\n'
+                    'var on : bool init flag\nvar name : string init label\n'
+                    'action Stay {\nwhen on = flag\n}\n')
+    for flag in ("true", "false"):
+        code, out, err = run(capsys, "check", str(spec), "--const", f"flag={flag}",
+                             "--const", 'label="a b"')
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f'constants: flag={flag}, label="a b"'
+        assert out.splitlines()[3] == "deadlock: pass - no deadlock in 1 states"
+        _, doc, _ = run_json(capsys, "check", str(spec), "--const", f"flag={flag}",
+                                "--const", 'label="a b"', "--json")
+        assert doc["constants"] == {"flag": flag == "true", "label": "a b"}
 
 
 def test_integer_literal_past_python_digit_limit_exit_two(capsys, tmp_path):
@@ -203,6 +229,27 @@ def test_deep_spec_exit_two(capsys, tmp_path, source, stream, message):
     else:
         assert err == ""
         assert message in out.splitlines(), out
+
+
+def test_initial_value_outside_its_domain_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.spa"
+    bad.write_text("spec t\nvar y : bool init false\nvar z : bool init true\n"
+                   "var x : int domain 0..3 init 5\naction A {\nwhen y\n}\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: var x at 4:1: initial value 5 of x is outside its domain\n"
+
+
+def test_forall_binder_set_past_the_set_limit_exit_two(capsys, tmp_path):
+    spec = tmp_path / "big.spa"
+    spec.write_text("spec t\nvar x : int init 0\naction A {\nx' = 1 - x\n}\n\n"
+                    "property P: forall k in 1..2000000 : eventually (x = k)\n")
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, err) == (2, "")
+    assert out.splitlines()[2:] == [
+        "deadlock: pass - no deadlock in 2 states",
+        "P: error - property P at 7:25: range 1..2000000 exceeds the 1048576-element set limit"]
 
 
 def test_limit_error_exit_two(capsys):

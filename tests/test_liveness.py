@@ -456,6 +456,14 @@ def test_real_overflow_in_predicate_is_an_error(math_src):
     assert "overflow" in v.detail
 
 
+def test_forall_binder_set_past_the_set_limit_is_an_error():
+    bound, graph = build_graph("spec t\nvar x : int init 0\naction A {\nx' = 1 - x\n}\n\n"
+                               "property P: forall k in 1..2000000 : eventually (x = k)\n")
+    v = check_property(graph, bound.spec.properties[0])
+    assert (v.status, v.detail) == (
+        "error", "property P at 7:25: range 1..2000000 exceeds the 1048576-element set limit")
+
+
 def test_eventually_monotone_under_weakening(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 5})
     strict = check_eventually(graph, parse_expr("num = 3")).status

@@ -144,6 +144,50 @@ def test_validate_requires_variable_and_action():
     assert any("at least one action" in e for e in errs)
 
 
+_KINDS_HEAD = "spec t\nvar x : int init 0\nvar b : bool init false\n"
+
+
+# One spec per message: each gives exactly that error, at that location.
+@pytest.mark.parametrize("source,message", [
+    (_KINDS_HEAD + "action A {\nwhen not x\n}\n",
+     "action A at 5:6: 'not' needs a bool operand, got int"),
+    (_KINDS_HEAD + "action A {\nwhen x and b\n}\n",
+     "action A at 5:6: 'and' needs bool operands, got int"),
+    (_KINDS_HEAD + "action A {\nwhen b < x\n}\n",
+     "action A at 5:6: ordering '<' needs int operands, got bool"),
+    (_KINDS_HEAD + "action A {\nx' = x + b\n}\n",
+     "action A at 5:10: arithmetic '+' needs int operands, got bool"),
+    (_KINDS_HEAD + "action A {\nwhen b in 1..3\n}\n",
+     "action A at 5:8: 'in' tests a bool against a set of int"),
+    (_KINDS_HEAD + "action A {\nx' = if x then 1 else 2\n}\n",
+     "action A at 5:9: if-condition must be bool, got int"),
+    (_KINDS_HEAD + "action A {\nx' = if b then 1 else true\n}\n",
+     "action A at 5:6: if-branches disagree: then is int, else is bool"),
+    (_KINDS_HEAD + "action A {\nwhen x in 1..b\n}\n",
+     "action A at 5:14: range bound must be int, got bool"),
+    (_KINDS_HEAD + "action A {\nwhen x in {1, true}\n}\n",
+     "action A at 5:11: set literal mixes value kinds"),
+    (_KINDS_HEAD + "var x : int init 1\naction A {\nwhen b\n}\n",
+     "declaration x at 4:1: duplicate declaration of x"),
+    (_KINDS_HEAD + "action A {\nwhen b\n}\naction A {\nwhen x = 0\n}\n",
+     "action A at 7:1: duplicate action name A"),
+    (_KINDS_HEAD + "action A {\nwhen b\n}\ninvariant P: x = 0\ninvariant P: b\n",
+     "property P at 8:1: duplicate property name P"),
+    ("spec t\nvar x : int domain {true} init 0\naction A {\nwhen x = 0\n}\n",
+     "var x at 2:20: domain of x has kind bool, expected int"),
+    ("spec t\nvar x : int init true\naction A {\nwhen true\n}\n",
+     "var x at 2:18: init of x has kind bool, expected int"),
+    ("spec t\nvar x : int init in {true, false}\naction A {\nwhen true\n}\n",
+     "var x at 2:21: init set of x has kind bool, expected int"),
+    (_KINDS_HEAD + "action A {\nany k in {1} {\nk' = 1\n}\n}\n",
+     "action A at 6:1: cannot assign to non-variable k"),
+], ids=["not", "bool_op", "ordering", "arithmetic", "in", "if_condition", "if_branches",
+        "range_bound", "set_literal", "declaration", "action_name", "property_name",
+        "domain_kind", "init_kind", "init_set_kind", "non_variable"])
+def test_validate_message(source, message):
+    assert errors_of(source) == [message]
+
+
 # --- expression and set evaluation -----------------------------------------------
 
 
@@ -373,6 +417,15 @@ def test_domain_violation_is_an_error():
     with pytest.raises(EvalError, match="outside its domain"):
         for s in [(3,)]:
             action_successors(s, bound.spec.actions[0], bound)
+
+
+def test_initial_value_outside_its_domain_is_an_error():
+    bound = build("spec t\nvar y : bool init false\nvar z : bool init true\n"
+                  "var x : int domain 0..3 init 5\naction A {\nwhen y\n}\n")
+    for make in (initial_states, explore):
+        with pytest.raises(EvalError) as e:
+            make(bound)
+        assert str(e.value) == "var x at 4:1: initial value 5 of x is outside its domain"
 
 
 def test_each_domain_is_evaluated_once_per_bound_spec(monkeypatch):

@@ -377,6 +377,27 @@ def test_thirty_sequential_ifs_each_with_an_any():
     check_shape(sequential_ifs_with_any, 30, [(0,) * 30, (1,) * 30])
 
 
+@pytest.mark.parametrize("n", [3, 30])
+def test_statements_after_an_if_with_an_any_run_as_helper_calls(n):
+    """Every path through an `if` that holds an `any` ends with a call of a
+    helper that runs the statements after it: no generated action code, in
+    the explore loop or a reference successor function, yields."""
+    bound = build(sequential_ifs_with_any(n))
+    sources = [_explore_module(bound)[1]]
+    for action in bound.spec.actions:
+        mod, main = _successor_source(bound, action)
+        sources.append(mod.source(main))
+    for source in sources:
+        assert "def k" in source
+        assert not [node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    graph = explore(bound)
+    assert (graph.states, [graph.out_edges(i) for i in range(graph.n_states)]) \
+        == oracle_graph(bound)
+    assert [successors(s, bound) for s in graph.states] \
+        == [oracles.step(bound, s) for s in graph.states]
+
+
 # --- expressions nested past what one Python expression can hold ---------------------
 
 # Every `D` below becomes one deep expression whose value is `x` for x >= 0.
@@ -670,6 +691,29 @@ action Bad {
     k' = k - 1
 }
 """
+
+
+def bools(n: int) -> str:
+    """n bool variables; the actions set the lowest and flip the highest,
+    the last bit of the key when n is 62."""
+    decls = "".join(f"var b{k} : bool init false\n" for k in range(n))
+    return (f"spec t\n{decls}action Set {{\nwhen not b0\nb0' = true\n}}\n"
+            f"action Flip {{\nany v in {{true, false}} {{\nb{n - 1}' = v\n}}\n}}\n")
+
+
+@pytest.mark.parametrize("n,keys", [(62, True), (63, False)])
+def test_a_key_holds_62_bools(n, keys):
+    """A bool takes one bit of a key and keys stay below 2**62: 62 bools
+    are explored as columns and 63 by the loop, each into the reference
+    BFS's graph."""
+    bound = build(bools(n))
+    assert (_column_plan(bound) is not None) == keys
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_WIDE", 1)
+        graph = explore(bound)
+        assert isinstance(graph.states, explorer.KeyStates) == keys
+        assert graph.n_states == 4
+        assert_explore_matches_reference(bound, 100)
 
 
 @pytest.mark.parametrize("bad", [True, False], ids=["violation", "graph"])
