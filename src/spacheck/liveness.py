@@ -18,14 +18,15 @@ one CSR matrix per graph, and predicate columns over all states at once).
 A search restricted to a set of states gives every state outside it a row
 of self-loops, so the compiled BFS and SCC passes reach such a state only
 as a leaf or a singleton SCC, and the search ANDs what they return with the
-set.  Each search rewrites the matrix in place, in one vectorised pass over
-all edges.  A counterexample's prefix is the discovery path to a start,
-then the path of the scipy BFS that decided the verdict, with deterministic
-tie-breaking (shortest entry first, lowest state index on ties); only its
-loop is found in plain Python, by a linear DFS that reads SCC membership
-off the search's SCC labels as a bool column.  The checks here only
-consume bool columns: a predicate's value in every state comes from
-`StateGraph.holds`, which decides invariants too.
+set.  Each search rewrites the matrix in place once, in one vectorised pass
+over all edges, and its BFS and its SCC pass both read that matrix.  A
+counterexample's prefix is the discovery path to a start, then the path of
+the scipy BFS that decided the verdict, with deterministic tie-breaking
+(shortest entry first, lowest state index on ties); only its loop is found
+in plain Python, by a linear DFS that reads SCC membership off the search's
+SCC labels as a bool column.  The checks here only consume bool columns: a
+predicate's value in every state comes from `StateGraph.holds`, which
+decides invariants too.
 
 A `forall` over eventually, leadsto or always eventually searches its first
 instance alone and sweeps the others, 64 at a time: each state holds a
@@ -71,33 +72,59 @@ from .semantics import EvalError, eval_const_set
 # --- cached numeric view of a graph -------------------------------------------
 
 
+# A graph whose rows hold at most this many edges is deduped by shifted
+# compares (`_changing_edges`), any other by a sort of all its edges.  Over
+# m = 300,000 and 3,000,000 random edges, a shifted compare took 0.9-2.5 ns
+# an edge and the sort 62-98 ns (2 cores, Python 3.11, numpy 2.4), so the 31
+# compares of rows of 32 cost less than the sort.
+_SHIFT_ROWS = 32
+
+
+def _changing_edges(edge_start: np.ndarray, edge_dst: np.ndarray) -> tuple:
+    """(src, dst) as int32 of the state-changing edges of the CSR graph
+    `edge_start`/`edge_dst`: the first copy of each (source, target) pair
+    with source != target, in edge order, so that a BFS over them assigns
+    the parents a BFS over the graph's own edges would.  Two actions may
+    lead to the same state, but scipy's strong components loop forever on
+    a repeated edge (seen in scipy 1.17).
+
+    A repeat lies in the row of its first copy, so with d the longest row,
+    the k-th of d - 1 compares of all edges finds those equal to the edge
+    k positions before them, in the same row when both have one source."""
+    degree = np.diff(edge_start)
+    n = degree.size
+    src = np.repeat(np.arange(n, dtype=np.int32), degree)
+    keep = src != edge_dst
+    d = int(degree.max(initial=0))
+    if d <= _SHIFT_ROWS:
+        for k in range(1, d):
+            hit = np.flatnonzero(edge_dst[k:] == edge_dst[:-k])
+            hit = hit[np.take(src, hit) == np.take(src, hit + k)]
+            keep[hit + k] = False
+    else:
+        key = src.astype(np.int64)
+        key *= n
+        key += edge_dst
+        first = np.zeros(src.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        del key
+        keep &= first
+    kept = np.flatnonzero(keep)
+    return np.take(src, kept), np.take(edge_dst, kept).astype(np.int32)
+
+
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: each state's BFS
     level, quiescence flags, the states on a full-graph cycle, and one CSR
     matrix of the state-changing edges that `restricted` rewrites in place
-    for every search."""
+    once for every search."""
 
     def __init__(self, graph: StateGraph):
         n = graph.n_states
         self.n = n
-        dst = np.frombuffer(graph.edge_dst, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int32),
-                        np.diff(np.frombuffer(graph.edge_start, dtype=np.int64)))
-        # The first copy of each state-changing (source, target) pair, in edge
-        # order, so that a BFS over the rows assigns the parents a BFS over
-        # the graph's own edges would.  Two actions may lead to the same
-        # state, but scipy's strong components loop forever on a repeated
-        # edge (seen in scipy 1.17).
-        key = src.astype(np.int64)
-        key *= n
-        key += dst
-        _, first = np.unique(key, return_index=True)
-        del key
-        first.sort()
-        first = first[src[first] != dst[first]]
-        self.src = src[first]
-        self.dst = dst[first].astype(np.int32)
-        del src, dst, first  # freed before the matrix is allocated
+        self.src, self.dst = _changing_edges(
+            np.frombuffer(graph.edge_start, dtype=np.int64),
+            np.frombuffer(graph.edge_dst, dtype=np.int64))
         m = self.dst.size
         sc_deg = np.bincount(self.src, minlength=n)
         self.quiescent = sc_deg == 0
@@ -105,8 +132,9 @@ class _Analysis:
         # to where it started, so every cycle has an edge that does not rise.
         levels = np.frombuffer(graph.levels, dtype=np.int64)
         self.level = np.repeat(np.arange(levels.size - 1, dtype=np.int32), np.diff(levels))
-        back = self.level[self.dst] <= self.level[self.src]
-        self.back_src, self.back_dst = self.src[back], self.dst[back]
+        back = np.flatnonzero(np.take(self.level, self.dst) <= np.take(self.level, self.src))
+        self.back_src, self.back_dst = np.take(self.src, back), np.take(self.dst, back)
+        del back
         # Row n is a virtual source with one entry per state: the state
         # itself when it is a start of the search, else a self-loop at n.
         # The matrix starts out as the whole graph, with no starts.
@@ -133,13 +161,13 @@ class _Analysis:
         self.can_stay = self.quiescent | self.cyclic
         self.plan = None  # a _SweepPlan, built by the first sweep
 
-    def restricted(self, mask: np.ndarray, starts: Optional[np.ndarray] = None):
+    def restricted(self, mask: np.ndarray, starts: np.ndarray):
         """The state-changing edges as an (n+1)-node CSR graph in which every
         state outside `mask` has a row of self-loops: a path or cycle can
         enter such a state but never leave it, so a search sees it only as a
         leaf or a singleton SCC, and a caller ANDs its result with `mask`.
         The virtual source n has an edge to each of `starts`, in ascending
-        order.
+        order; nothing leads back to it.
 
         The matrix is rewritten in place by every call, so no caller may keep
         it, or a view of its arrays, beyond its own use."""
@@ -151,9 +179,8 @@ class _Analysis:
         np.multiply(self._targets, self._inside, out=self._targets)
         np.add(self._targets, self.src, out=self._targets)
         self._virtual.fill(self.n)
-        if starts is not None:
-            at = np.flatnonzero(starts)
-            self._virtual[at] = at
+        at = np.flatnonzero(starts)
+        self._virtual[at] = at
         return self._csr
 
 
@@ -170,7 +197,9 @@ def _analysis(graph: StateGraph) -> _Analysis:
 class _FailInfo:
     quiescent_hits: np.ndarray  # reached quiescent states, ascending
     scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
-    labels: Optional[np.ndarray]  # SCC label of each state, when scc_hits has any
+    # The SCC label of each node of the search's matrix (n + 1 of them), when
+    # its SCC pass ran; only those of `scc_hits` are read.
+    labels: Optional[np.ndarray]
     # The BFS that found the reached states, from the virtual source n:
     # visiting order, and each state's BFS parent (n for a start).
     order: np.ndarray
@@ -193,22 +222,26 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
     and from there stay in `restrict` forever.  Returns None when no such
     behavior exists.
 
-    A nontrivial SCC of the restricted graph lies inside a nontrivial SCC of
-    the full graph, and one that holds a reached state is wholly reached; so
-    the SCC pass runs only over reached states on a full-graph cycle, and
-    only when some back edge (see `_Analysis`) lies among them.
+    The BFS and the SCC pass read one matrix, rewritten once (see
+    `_Analysis.restricted`).  The reached states are closed under the edges
+    inside `restrict`, so a nontrivial SCC that holds a reached state is
+    wholly reached, and it lies on a full-graph cycle: the pass runs only
+    when some back edge (see `_Analysis`) joins two reached states on a
+    full-graph cycle, and the search keeps the SCCs it finds among the
+    reached states.
 
     The BFS also visits states outside `restrict` that an edge leads to, but
-    only as leaves (see `_Analysis.restricted`): the states inside keep the
-    order and the parents of a BFS that never left the restriction, and a
-    failing search drops the others from `order` and `pred`.
+    only as leaves: the states inside keep the order and the parents of a
+    BFS that never left the restriction, and a failing search drops the
+    others from `order` and `pred`.
     """
     ana = _analysis(graph)
     starts = starts & restrict
     if not starts.any() or not (restrict & ana.can_stay).any():
         return None
+    matrix = ana.restricted(restrict, starts)
     order, pred = csgraph.breadth_first_order(
-        ana.restricted(restrict, starts), ana.n, directed=True, return_predecessors=True
+        matrix, ana.n, directed=True, return_predecessors=True
     )
     reached = pred[:ana.n] >= 0  # a start's parent is n
     reached &= restrict
@@ -216,11 +249,10 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
 
     labels = None
     core = reached & ana.cyclic
-    if (core[ana.back_src] & core[ana.back_dst]).any():
-        _, labels = csgraph.connected_components(
-            ana.restricted(core), directed=True, connection="strong"
-        )
-        scc_hits = np.flatnonzero((np.bincount(labels)[labels] >= 2)[:ana.n])
+    if (np.take(core, ana.back_src) & np.take(core, ana.back_dst)).any():
+        _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
+        nontrivial = np.bincount(labels)[labels[:ana.n]] >= 2
+        scc_hits = np.flatnonzero(nontrivial & reached)
     else:
         scc_hits = np.empty(0, dtype=np.int64)
 

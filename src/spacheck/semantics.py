@@ -693,6 +693,15 @@ def _domain(bound: BoundSpec, v) -> Optional[frozenset]:
 _MAX_INDENT = 40
 _MAX_LOOPS = 10
 
+# Action code runs at most this many helper calls deep; an action whose code
+# could go deeper is an error when it is generated.  Python stops at 1,000
+# frames by default, and the caller's frames count too: bisecting the longest
+# run of `if`s with an `any` inside that explores (each one helper deeper),
+# a plain script ran the action code 6 frames deep, `spacheck check` 12 and
+# a pytest test about 50 (Python 3.11).  The rest is left for the calls an
+# expression makes.
+_MAX_CALLS = 900
+
 
 def _contains_any(stmts: list) -> bool:
     for st in stmts:
@@ -739,7 +748,10 @@ class _ActionSource:
     the `if` ends with a call of it: each path runs them in full before the
     next path starts.  Statements that would nest too deep move into a
     helper called in their place.  Helpers are nested functions `k<n>(...)`
-    of the binders in scope that share the slot locals.
+    of the binders in scope that share the slot locals.  A helper runs one
+    frame deeper than the deepest function whose lines call it, and an
+    action whose helpers would run more than `_MAX_CALLS` deep raises a
+    located EvalError.
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
@@ -748,6 +760,12 @@ class _ActionSource:
         self.where = f"action {action.name}"
         self.mod = mod
         self.pending: list = []  # (name, statements, tail, binders) of helpers to generate
+        # Each helper's depth, the helper frames on the stack while it runs,
+        # and the helper each call line calls; `calls` is the depth of the
+        # function whose lines are being made.
+        self.depth: dict = {}
+        self.callee: dict = {}
+        self.calls = 0
         self.domains = [_domain(bound, v) for v in bound.spec.variables]
         nvars = len(bound.spec.variables)
         slots = self.slots(action.body)
@@ -771,6 +789,15 @@ class _ActionSource:
             lines.append(f"{pad}out = []")
         while self.pending:  # a loop, not recursion: helpers may be many
             name, stmts, tail, binders = self.pending.pop()
+            # Last in, first out: every function that calls this helper, in
+            # its own lines or in the tail of a helper made after it, is made.
+            self.calls = self.depth[name]
+            if self.calls > _MAX_CALLS:
+                raise EvalError(_TOO_DEEP, self.where, action.line, action.col)
+            for line in tail:  # run inside this helper, or deeper
+                if line in self.callee:
+                    after = self.callee[line]
+                    self.depth[after] = max(self.depth[after], self.calls + 1)
             helper: list = []
             written: set = set()
             self.block(helper, written, stmts, tail, depth + 1, 0, binders)
@@ -818,7 +845,10 @@ class _ActionSource:
         the binders `b`."""
         name = self.mod.fresh("k")
         self.pending.append((name, stmts, tail, b))
-        return f"{name}({_binder_args(b)})"
+        call = f"{name}({_binder_args(b)})"
+        self.depth[name] = self.calls + 1
+        self.callee[call] = name
+        return call
 
     def block(self, lines: list, written: set, stmts: list, tail: list, depth: int,
               loops: int, b: dict) -> None:

@@ -231,6 +231,20 @@ def test_deep_spec_exit_two(capsys, tmp_path, source, stream, message):
         assert message in out.splitlines(), out
 
 
+def test_helper_calls_past_the_limit_exit_two(capsys, tmp_path):
+    # 1,001 `if`s in a row, each with an `any` inside: the action's code
+    # would run 1,000 helper calls deep
+    n = 1001
+    decls = "".join(f"var v{k} : int init 0\n" for k in range(n))
+    body = "".join(f"if v{k} = 0 {{\nany c{k} in {{1}} {{\nv{k}' = c{k}\n}}\n}}\n"
+                   for k in range(n))
+    deep = tmp_path / "deep.spa"
+    deep.write_text(f"spec t\n{decls}action A {{\n{body}}}\n")
+    code, out, err = run(capsys, "check", str(deep))
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep}: action A at {n + 2}:1: {_TOO_DEEP}\n"
+
+
 def test_initial_value_outside_its_domain_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.spa"
     bad.write_text("spec t\nvar y : bool init false\nvar z : bool init true\n"

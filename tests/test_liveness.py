@@ -1297,3 +1297,135 @@ def test_corpus_verdicts_match_lasso_oracle(math_src, clock_src, buggy_src):
         clock_src, {},
         ["hr = 1", "hr = 12", "period = \"am\"", "hr < 13", "hr = 13"],
     )
+
+
+# --- the analysis's dedupe and the search's one matrix ---------------------------
+
+
+def first_changing_copies(rows: list) -> list:
+    """The first copy of each (source, target) pair with source != target,
+    in edge order."""
+    seen = {}
+    for u, row in enumerate(rows):
+        for v in row:
+            if u != v:
+                seen.setdefault((u, v))
+    return list(seen)
+
+
+def csr_of(rows: list) -> tuple:
+    """The (edge_start, edge_dst) int64 arrays of `rows`."""
+    edge_start = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return edge_start, np.array([v for row in rows for v in row], dtype=np.int64)
+
+
+def matrix_pairs_repeat(matrix) -> bool:
+    """Whether a row of the CSR `matrix` holds one column twice, not
+    counting its self-loops."""
+    for r in range(matrix.shape[0]):
+        cols = matrix.indices[matrix.indptr[r]:matrix.indptr[r + 1]].tolist()
+        cols = [c for c in cols if c != r]
+        if len(cols) != len(set(cols)):
+            return True
+    return False
+
+
+def test_changing_edges_keep_the_first_copy_of_each_pair(monkeypatch):
+    """The dedupe, on random rows with repeated targets and self-loops, some
+    too long for the shifted compares: the first copy of each pair, in edge
+    order, and a matrix with no repeated entry but self-loops.  scipy's SCC
+    pass is replaced, so a wrong dedupe fails here instead of hanging it."""
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    monkeypatch.setattr(liveness.csgraph, "connected_components",
+                        lambda m, **k: (m.shape[0], np.arange(m.shape[0])))
+    rng = random.Random(8)
+    lengths = [0, 1, 2, 3, 10, liveness._SHIFT_ROWS, liveness._SHIFT_ROWS + 1, 80]
+    shifted = fallback = 0
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        # few distinct targets per row, so repeats and self-loops are common
+        rows = [[rng.randrange(n) if rng.random() < 0.5 else u + rng.randrange(3) - 1
+                 for _ in range(rng.choice(lengths))] for u in range(n)]
+        rows = [[min(max(v, 0), n - 1) for v in row] for row in rows]
+        if trial % 3 == 0:  # rows short enough to be compared shifted
+            rows = [row[:liveness._SHIFT_ROWS] for row in rows]
+        edge_start, edge_dst = csr_of(rows)
+        sorts.clear()
+        src, dst = liveness._changing_edges(edge_start, edge_dst)
+        longest = max(map(len, rows))
+        assert sorts == ([1] if longest > liveness._SHIFT_ROWS else []), trial
+        shifted += not sorts
+        fallback += bool(sorts)
+        want = first_changing_copies(rows)
+        assert (src.dtype, dst.dtype) == (np.int32, np.int32)
+        assert list(zip(src.tolist(), dst.tolist())) == want, trial
+        graph = SimpleNamespace(n_states=n, edge_start=edge_start, edge_dst=edge_dst,
+                                levels=np.array([0, n], dtype=np.int64))
+        ana = liveness._Analysis(graph)
+        assert not matrix_pairs_repeat(ana._csr), trial
+        mask = np.array([rng.random() < 0.7 for _ in range(n)])
+        starts = np.array([rng.random() < 0.3 for _ in range(n)])
+        assert not matrix_pairs_repeat(ana.restricted(mask, starts)), trial
+    assert shifted > 50 and fallback > 50
+
+
+def test_the_analysis_of_the_benchmark_workloads_sorts_nothing(monkeypatch):
+    """Every row of the benchmark's graphs is short enough for the shifted
+    compares: the analysis runs no global sort."""
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    for name in ["math-dag", "math-cyclic", "panels-wide"]:
+        w = perfbench_workloads().WORKLOADS[name](1)
+        bound, graph = build_graph(w.source, w.constants)
+        liveness._analysis(graph)
+        assert sorts == [], name
+
+
+# States 1 <-> 2 and 3 <-> 4 are two 2-cycles, entered from 0.
+TWO_CYCLES = """spec two_cycles
+var x : int init 0
+action Enter {
+    when x = 0
+    any v in {1, 3} {
+        x' = v
+    }
+}
+action Low {
+    when x = 1 or x = 2
+    x' = 3 - x
+}
+action High {
+    when x >= 3
+    x' = 7 - x
+}
+"""
+
+
+def test_search_scc_pass_reads_the_bfs_matrix(monkeypatch):
+    """A failing search rewrites the matrix once, for its BFS and its SCC
+    pass: with two disjoint cycles in `restrict` and starts that reach one,
+    the SCC pass sees both, but the search keeps only the reached one."""
+    bound, graph = build_graph(TWO_CYCLES)
+    low, high = (index_of(graph)[(v,)] for v in (1, 3))
+    liveness._analysis(graph)
+    calls = []
+    restricted = liveness._Analysis.restricted
+    monkeypatch.setattr(liveness._Analysis, "restricted",
+                        lambda self, *a: calls.append(a) or restricted(self, *a))
+    restrict = state_mask(graph, range(1, graph.n_states))
+    starts = state_mask(graph, [low])
+    info = _search_fail(graph, restrict, starts)
+    assert len(calls) == 1
+    assert info.labels is not None  # the SCC pass ran
+    pair = frozenset({low, index_of(graph)[(2,)]})
+    assert scc_members(info) == dict.fromkeys(pair, pair)
+    assert info.quiescent_hits.size == 0
+    want = reference_search(graph, restrict, starts)
+    assert (info.quiescent_hits.tolist(), info.scc_hits.tolist(), scc_members(info)) \
+        == (want[0], want[1], {i: want[2][i] for i in want[1]})
+    # the other cycle is nontrivial in the very same labels
+    assert info.labels[high] == info.labels[index_of(graph)[(4,)]]
+    assert np.bincount(info.labels)[info.labels[high]] == 2

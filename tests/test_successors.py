@@ -398,6 +398,87 @@ def test_statements_after_an_if_with_an_any_run_as_helper_calls(n):
         == [oracles.step(bound, s) for s in graph.states]
 
 
+# An `if` with an `any` inside and statements after it, inside another one:
+# the inner one's helper calls the outer one's, so both run 2 helpers deep.
+# With `twice`, both branches of the outer `if` hold one, 3 helpers in all.
+def nested_helper_calls(twice: bool) -> str:
+    inner = "if y = 0 {{\nany c in {{1, 2}} {{\ny' = c\n}}\n}}\nx' = {}\n"
+    orelse = f"}} else {{\n{inner.format(2)}" if twice else ""
+    return ("spec t\nvar x : int init 0\nvar y : int init 0\nvar z : int init 0\n"
+            f"action A {{\nwhen z = 0\nif x = 0 {{\n{inner.format(1)}{orelse}}}\nz' = 1\n}}\n")
+
+
+def helper_frames(bound, states) -> int:
+    """The most helper frames (`k<n>`) on the stack at once while the
+    reference successor functions run on each of `states`."""
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and re.fullmatch(r"k\d+", frame.f_code.co_name):
+            depth = 0
+            while frame is not None:
+                depth += bool(re.fullmatch(r"k\d+", frame.f_code.co_name))
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        for s in states:
+            successors(s, bound)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+@pytest.mark.parametrize("source,frames", [
+    (sequential_ifs_with_any(4), 3),
+    (nested_helper_calls(False), 2),
+    (nested_helper_calls(True), 2),
+    (nested_anys(25), 2),  # split at 10 and 20 nested loops
+], ids=["sequential", "nested", "nested_twice", "loops"])
+def test_helper_depth_is_the_deepest_call(source, frames, monkeypatch):
+    """The smallest `_MAX_CALLS` an action's code can be generated under is
+    the most helper frames its reference successor function has on the
+    stack at once, over every reachable state."""
+    bound = build(source)
+    graph = explore(bound)
+    assert helper_frames(bound, graph.states) == frames
+    action = bound.spec.actions[0]
+    monkeypatch.setattr(semantics, "_MAX_CALLS", frames)
+    _successor_source(bound, action)
+    monkeypatch.setattr(semantics, "_MAX_CALLS", frames - 1)
+    with pytest.raises(EvalError) as raised:
+        _successor_source(bound, action)
+    assert str(raised.value) == f"action A at {action.line}:{action.col}: {semantics._TOO_DEEP}"
+
+
+def test_helper_calls_up_to_the_limit_explore():
+    # n sequential `if`s with an `any` inside run n - 1 helpers deep
+    bound = build(sequential_ifs_with_any(semantics._MAX_CALLS + 1))
+    graph = explore(bound)
+    assert graph.n_states == 2
+    assert successors(graph.states[0], bound) == [("A", graph.states[1])]
+    deeper = build(sequential_ifs_with_any(semantics._MAX_CALLS + 2))
+    with pytest.raises(EvalError):
+        _successor_source(deeper, deeper.spec.actions[0])
+
+
+def test_helper_calls_past_the_limit_are_a_located_error():
+    """An action whose helpers would run deeper than Python allows is an
+    error at the action, from explore and from the reference successors,
+    not a RecursionError while it runs."""
+    n = 1001
+    bound = build(sequential_ifs_with_any(n))
+    want = f"action A at {n + 2}:1: {semantics._TOO_DEEP}"
+    with pytest.raises(EvalError) as raised:
+        explore(bound)
+    assert str(raised.value) == want
+    with pytest.raises(EvalError) as raised:
+        successors((0,) * n, bound)
+    assert str(raised.value) == want
+
+
 # --- expressions nested past what one Python expression can hold ---------------------
 
 # Every `D` below becomes one deep expression whose value is `x` for x >= 0.
