@@ -712,6 +712,40 @@ def _contains_any(stmts: list) -> bool:
     return False
 
 
+def _binder_targets(stmts: list, binder: str) -> set:
+    """The variables that every path through `stmts` assigns exactly the
+    value of `binder`."""
+    out = set()
+    for st in stmts:
+        if isinstance(st, Assign):
+            if isinstance(st.value, Name) and st.value.name == binder:
+                out.add(st.target)
+        elif isinstance(st, If):
+            out |= _binder_targets(st.then, binder) & _binder_targets(st.orelse, binder)
+        else:
+            out |= _binder_targets(st.body, binder)
+    return out
+
+
+def _distinct_choices(action: ActionDef) -> bool:
+    """Whether no two paths of `action` can make one successor: every `any`
+    in it has a variable that every path through its body assigns exactly
+    its binder.  Two paths first part at some `any`, with two of its
+    choices, which are distinct (`_compile_set`); each then assigns its own
+    choice to that variable, and `validate` allows no second assignment to
+    it on the path.  An action with no `any` has one path."""
+    def walk(stmts: list) -> bool:
+        for st in stmts:
+            if isinstance(st, If):
+                if not (walk(st.then) and walk(st.orelse)):
+                    return False
+            elif isinstance(st, AnyChoice):
+                if not (_binder_targets(st.body, st.binder) and walk(st.body)):
+                    return False
+        return True
+    return walk(action.body)
+
+
 def _domain_error(var: str, where: str, line: int, col: int, value, state) -> EvalError:
     return EvalError(
         f"value {value!r} assigned to {var} is outside its domain", where, line, col, state
@@ -723,8 +757,9 @@ class _ActionSource:
     function whose locals include the state `s`, run `emit` once for each
     distinct successor `t` of `s` that the action makes, in enumeration
     order.  With no `emit`, they append every successor to a list `out`
-    made once the guards hold, and the caller deduplicates it when the
-    action has an `any`.  The names the code needs are added to `mod`.
+    made once the guards hold, and the caller deduplicates it unless
+    `distinct` (see `_distinct_choices`).  The names the code needs are
+    added to `mod`.
 
     The lines check the guards in order, in one `if`, then run the body as
     straight-line code with one local `w<i>` for each slot `i` the body
@@ -739,19 +774,21 @@ class _ActionSource:
     that line without assigning or restoring it.  Guards, assignments,
     conditions and `any` sets are `_compile_expr` source, inline; an
     assigned value is tested against its slot's domain unless it folds to
-    a constant inside it.  Only an action with an `any` can make one
-    successor twice, so only those collect their successors in `out` and
-    run `emit` over them deduplicated.
+    a constant inside it.  Only an action whose `any` choices may collide
+    can make one successor twice, so only those collect their successors
+    in `out` and run `emit` over them deduplicated; the others run `emit`
+    where each successor is made.
 
     The statements after an `if` with an `any` inside move into a helper
     that runs them and then the rest of the action, and every path through
     the `if` ends with a call of it: each path runs them in full before the
     next path starts.  Statements that would nest too deep move into a
     helper called in their place.  Helpers are nested functions `k<n>(...)`
-    of the binders in scope that share the slot locals.  A helper runs one
-    frame deeper than the deepest function whose lines call it, and an
-    action whose helpers would run more than `_MAX_CALLS` deep raises a
-    located EvalError.
+    of the binders in scope that share the slot locals; `emit` may rebind
+    `m`, the caller's state count, which a helper that runs `emit` shares
+    too.  A helper runs one frame deeper than the deepest function whose
+    lines call it, and an action whose helpers would run more than
+    `_MAX_CALLS` deep raises a located EvalError.
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
@@ -770,9 +807,12 @@ class _ActionSource:
         nvars = len(bound.spec.variables)
         slots = self.slots(action.body)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
-        collect = emit is None or _contains_any(action.body)
+        self.distinct = _distinct_choices(action)
+        collect = emit is None or not self.distinct
         made = [f"t = ({fields})" if slots else "t = s"]
         made += ["out.append(t)"] if collect else emit
+        # the lines that make a successor, and the locals they rebind
+        self.made, self.rebinds = made, set() if collect else {"m"}
 
         lines = []
         if action.guards:
@@ -803,7 +843,7 @@ class _ActionSource:
             self.block(helper, written, stmts, tail, depth + 1, 0, binders)
             lines.append(f"{pad}def {name}({_binder_args(binders)}):")
             if written:
-                lines.append(f"{pad}    nonlocal " + ", ".join(f"w{i}" for i in sorted(written)))
+                lines.append(f"{pad}    nonlocal " + ", ".join(sorted(written)))
             lines.extend(helper)
         lines.extend(body)
         if collect and emit is not None:
@@ -854,9 +894,9 @@ class _ActionSource:
               loops: int, b: dict) -> None:
         """Append the lines that run `stmts` and then the lines `tail` at
         indentation `depth`, inside `loops` nested loops, with the binders
-        `b` in scope (see `_compile_expr`); `written` collects the slots
-        those lines assign.  An `if` with no `any` inside falls through to
-        the next statement: its branches end with no tail."""
+        `b` in scope (see `_compile_expr`); `written` collects the shared
+        locals those lines assign.  An `if` with no `any` inside falls
+        through to the next statement: its branches end with no tail."""
         pad = "    " * depth
         start = len(lines)
         for k, st in enumerate(stmts):
@@ -865,7 +905,7 @@ class _ActionSource:
                 src, value, _ = _source(st.value, self.bound, self.where, self.mod, b,
                                         _SCALAR_OPS)
                 lines.append(f"{pad}w{i} = {src}")
-                written.add(i)
+                written.add(f"w{i}")
                 # A value that folds to a constant in the domain needs no test.
                 dom = self.domains[i]
                 if dom is not None and (value is _VARIES or value not in dom):
@@ -898,11 +938,13 @@ class _ActionSource:
             lines.append(f"{pad}for {value} in {choices}:")
             for i in sorted(self.slots(st.body) - self.always(st.body + rest)):
                 lines.append(f"{pad}    w{i} = s[{i}]")
-                written.add(i)
+                written.add(f"w{i}")
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
                        {**b, st.binder: value})
             return
         lines.extend(pad + line for line in tail)
+        if tail is self.made:
+            written |= self.rebinds
         if len(lines) == start:
             lines.append(f"{pad}pass")
 
@@ -918,10 +960,12 @@ def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
 def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
     """(module, main source) of `succ(s)`, which returns the action's
     distinct successors of state `s` in enumeration order: the reference
-    next-state function that `successors` and `replay_trace` run."""
+    next-state function that `successors` and `replay_trace` run.  It
+    deduplicates them only when two paths may make one successor (see
+    `_distinct_choices`)."""
     mod = _Module()
     src = _action_source(bound, action, mod, None, 1)
-    end = "dict.fromkeys(out)" if _contains_any(action.body) else "out"
+    end = "out" if src.distinct else "dict.fromkeys(out)"
     return mod, "\n".join(["def succ(s):", "    out = ()", *src.lines, f"    return {end}\n"])
 
 
@@ -948,35 +992,39 @@ _GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
 # edges closing its CSR row, and the index where each BFS level starts is
 # appended once that level is complete.  It starts at the start of the
 # level being expanded, levels[-2], with `rows` enumerating the states from
-# there.  `d` is the depth of the successors made, and `lend` where the
-# level being expanded ends: the states from `lend` on are at depth d.  The
-# loop records no discovery tree; `explore` derives it from the edges and
-# levels afterwards.  It returns the limit it stopped at, "level" at the
-# start of a level at least `wide` states wide, or None once every state is
-# expanded.
+# there.  `m` is the number of states, `d` the depth of the successors
+# made, and `lend` where the level being expanded ends: the states from
+# `lend` on are at depth d.  Past `cap` the states pass a limit: past
+# `lend` when d passes `max_depth` (`deep`), else past `max_states`, which
+# no state before `lend` passes.  The loop records no discovery tree;
+# `explore` derives it from the edges and levels afterwards.  It returns
+# the limit it stopped at, "level" at the start of a level at least `wide`
+# states wide, or None once every state is expanded.
 _RUN_HEAD = """\
     def run(max_states, max_depth, deadline, rows, wide):
+        m = len(states)
         d = len(levels) - 1
         lend = levels[-1]
+        deep = max_depth is not None and d > max_depth
+        cap = lend if deep else max_states
         for i, s in rows:  # `states` grows as the loop runs
             if i == lend:
                 d += 1
-                lend = len(states)
+                lend = m
                 add_level(lend)
                 if lend - i >= wide:
                     return "level"
+                deep = max_depth is not None and d > max_depth
+                cap = lend if deep else max_states
 """
 _RUN_TAIL = """\
             add_start(len(edge_dst))
             # Checked once the state is expanded, so an EvalError at this
             # state wins over a limit it reaches, and a limit over a later
-            # EvalError.  Past `lend` are the states this level has made,
-            # so the first state to make one meets the limits first.
-            if len(states) > lend:
-                if max_depth is not None and d > max_depth:
-                    return "depth"
-                if len(states) > max_states:
-                    return "states"
+            # EvalError; the first state to make a state past `cap` meets
+            # the limit first.
+            if m > cap:
+                return "depth" if deep else "states"
             if deadline is not None and not (i + 1) & 1023 and deadline.expired():
                 return "time"
     return run
@@ -992,10 +1040,10 @@ def _explore_module(bound: BoundSpec) -> tuple:
     mod = _Module()
     actions = []
     for a, action in enumerate(bound.spec.actions):
-        intern = ["m = len(states)",
-                  "j = intern(t, m)",
+        intern = ["j = intern(t, m)",
                   "if j == m:",
                   "    add_state(t)",
+                  "    m += 1",
                   f"add_dst(j); add_action({a})"]
         actions.append(_action_source(bound, action, mod, intern, 3))
     lines = ["    " + line for line in _GRAPH_NAMES]
@@ -1195,7 +1243,10 @@ class _ColumnAction:
     where the assignment is taken (`mask & outside(value)`): the caller then
     expands those states one at a time, which raises the error where it
     really happens, if it does.  `ends` holds each path's (conditions,
-    assignments) once the action is compiled."""
+    assignments) once the action is compiled.  Two paths can make one
+    successor only when the action's `any` choices may collide; only then
+    does the plan keep just the first copy of each (`_first_copies`, see
+    `_distinct_choices`)."""
 
     def __init__(self, bound: BoundSpec, action: ActionDef, codecs: list, mod: _Module):
         self.bound, self.codecs, self.mod = bound, codecs, mod
@@ -1373,7 +1424,7 @@ def _make_column_plan(bound: BoundSpec) -> Optional[_ColumnPlan]:
                 ends.append(f"    ok[:, {p}] = {x.mask(terms)}")  # may add to x.lines
                 ends.append(f"    out[:, {p}] = {x.key(vals)}")
             slot_action += [a] * len(x.ends)
-            if _contains_any(action.body):
+            if not _distinct_choices(action):
                 ends.append(f"    first_copies(out, ok, {lo}, {len(slot_action)})")
             main += [f"def a{a}(K, s, out, ok):", *x.lines, *ends, "    return\n"]
         ns = mod.run("\n".join(main), f"<columns {bound.spec.name}>")

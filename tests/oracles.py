@@ -241,17 +241,19 @@ def step(bound, state) -> list:
     return out
 
 
-def explore_reference(bound, max_states: int) -> tuple:
+def explore_reference(bound, max_states: int, max_depth=None) -> tuple:
     """Breadth-first exploration over `step` alone, as `explore` defines it:
     states numbered in discovery order, each expanded in index order, the
-    state limit checked once a state's successors are all interned.
+    depth limit and then the state limit checked once a state's successors
+    are all interned.
 
     Returns ("graph", fields), where fields holds `states`, `initial` and
     the six per-state and per-edge arrays as lists; ("error", message,
     trace states, trace actions) when expanding a state raises EvalError,
     with the discovery path to that state; or ("limit", message, fields)
-    when the states pass `max_states`, with the graph as it stood then
-    (None when the initial states alone pass it).  Initial values come
+    when a state deeper than `max_depth` is interned or the states pass
+    `max_states`, with the graph as it stood then (None when the initial
+    states alone pass it).  Initial values come
     from `evaluate` and `members`, in declaration order, as the Cartesian
     product.  Each new state's parent, parent action and depth are
     recorded when it is numbered."""
@@ -291,6 +293,8 @@ def explore_reference(bound, max_states: int) -> tuple:
             fields["edge_dst"].append(index[t])
             fields["edge_action"].append(a)
         fields["edge_start"].append(len(fields["edge_dst"]))
+        if max_depth is not None and fields["depth"][-1] > max_depth:
+            return ("limit", f"depth limit of {max_depth} exceeded", fields)
         if len(states) > max_states:
             return (*limit, fields)
     return ("graph", fields)

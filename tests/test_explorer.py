@@ -663,16 +663,16 @@ def test_time_limit_message_and_graph():
 
 
 def test_explore_loop_appends_only_the_state_for_a_new_state(math_src):
-    """The loop keeps no discovery tree: the one statement it runs for a new
-    state appends it to `states`, and it appends only states, edges and
-    level starts."""
+    """The loop keeps no discovery tree: the statements it runs for a new
+    state append it to `states` and count it in `m`, and it appends only
+    states, edges and level starts."""
     for bound in (build(math_src, {"max_num_q": 3}), long_precedence_spec()):
         tree = ast.parse(_explore_module(bound)[1])
         new_state = [node for node in ast.walk(tree)
                      if isinstance(node, ast.If) and ast.unparse(node.test) == "j == m"]
         assert len(new_state) == len(bound.spec.actions)
         for node in new_state:
-            assert [ast.unparse(x) for x in node.body] == ["add_state(t)"]
+            assert [ast.unparse(x) for x in node.body] == ["add_state(t)", "m += 1"]
             assert node.orelse == []
         calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert {c for c in calls if c.startswith("add_")} == {

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build, explore_with, graph_fields
+from conftest import build, corpus_text, explore_with, graph_fields
 from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
 from spacheck import cli, explorer, semantics
@@ -197,11 +197,37 @@ action A {
     }
 }
 """
+# A's two choices make one successor from the initial state, x0 = 1 and
+# x1 = 2: each assigns its binder, but to x0 on one path and to x1 on the
+# other.  B's choices cannot collide: each assigns its binder to x0.
+_COLLIDE = """spec collide
+var x0 : int domain 0..3 init 1
+var x1 : int domain 0..3 init 2
+var x2 : int domain 0..3 init 0
+var f : bool init false
+action A {
+    any r in {1, 2} {
+        if r = 1 {
+            x0' = r
+        } else {
+            x1' = r
+        }
+    }
+}
+action B {
+    any c in 0..3 {
+        x0' = c
+        x1' = 3 - c
+    }
+    f' = not f
+}
+"""
 
 
 @settings(max_examples=max(200, settings().max_examples), deadline=None)
 @example(_PATHS)
 @example(_ERRORS)
+@example(_COLLIDE)
 @given(deep_specs())
 def test_successors_match_interpreter_on_deep_specs(source):
     agree_from_initial(build(source))
@@ -209,11 +235,12 @@ def test_successors_match_interpreter_on_deep_specs(source):
 
 # --- the generated explore loop against a reference BFS -------------------------
 
-def explore_outcome(bound, max_states: int) -> tuple:
+def explore_outcome(bound, max_states: int, max_depth=None) -> tuple:
     """`explore`'s result in the shape of `oracles.explore_reference`: a
-    state limit carries the graph explored so far, its tree derived."""
+    state or depth limit carries the graph explored so far, its tree
+    derived."""
     try:
-        graph = explore(bound, ExploreLimits(max_states=max_states))
+        graph = explore(bound, ExploreLimits(max_states=max_states, max_depth=max_depth))
     except EvalError as e:
         return ("error", str(e), e.trace.states, e.trace.actions)
     except LimitError as e:
@@ -221,19 +248,23 @@ def explore_outcome(bound, max_states: int) -> tuple:
     return ("graph", graph_fields(graph))
 
 
-def assert_explore_matches_reference(bound, max_states: int) -> None:
-    assert explore_outcome(bound, max_states) == oracles.explore_reference(bound, max_states)
+def assert_explore_matches_reference(bound, max_states: int, max_depth=None) -> None:
+    assert explore_outcome(bound, max_states, max_depth) \
+        == oracles.explore_reference(bound, max_states, max_depth)
 
 
-# The random specs have at most a few dozen states, so the small limit
-# truncates many of them, in any level.
+# The random specs have at most a few dozen states, so the small limits
+# truncate many of them, in any level.
 @settings(max_examples=max(100, settings().max_examples), deadline=None)
-@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=12))
-def test_explore_matches_reference_bfs_on_random_specs(seed, max_states):
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=4))
+def test_explore_matches_reference_bfs_on_random_specs(seed, max_states, max_depth):
     bound = bind_constants(oracles.gen_spec(seed), {})
     assert validate(bound) == []
     assert_explore_matches_reference(bound, 10_000)
     assert_explore_matches_reference(bound, max_states)
+    assert_explore_matches_reference(bound, 10_000, max_depth)
+    assert_explore_matches_reference(bound, max_states, max_depth)
 
 
 # Unbounded counters make some deep specs infinite: those end at the state
@@ -685,6 +716,7 @@ def test_column_examples_have_a_column_plan():
 @example(_COLUMN_EXAMPLES[2], 3, 2)
 @example(_COLUMN_EXAMPLES[3], 1, 0)
 @example(_COLUMN_EXAMPLES[4], 9, 3)
+@example(_COLLIDE, 6, 1)
 @given(deep_specs(all_domains=True), st.integers(1, 40), st.integers(0, 5))
 def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_depth):
     """With every level expanded as columns, `explore` gives the loop's
@@ -807,3 +839,127 @@ def test_string_and_sparse_domains_in_columns(bad):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", 1)
         assert_explore_matches_reference(bound, 100)
+
+
+# --- successors deduplicated only where an action's choices can collide ----------
+
+_TWO_VARS = """spec t
+var x : int domain 0..3 init 0
+var y : int domain 0..3 init 0
+var f : bool init false
+action Step {
+    when x < 3
+    x' = x + 1
+}
+"""
+_DISTINCT = [
+    ("math_check", corpus_text("math_domains.spa"), {"max_num_q": 3}, "Check", True),
+    # nested `any`s, each assigning its own binder, the inner one inside an
+    # `if` with a statement after it
+    ("nested", _TWO_VARS + """action A {
+    any r in {0, 1} {
+        x' = r
+        if f {
+            any q in {r, 2} {
+                y' = q
+            }
+        } else {
+            y' = 3
+        }
+        f' = not f
+    }
+}
+""", {}, "A", True),
+    ("no_binder", _TWO_VARS + "action A {\n    any r in {1, 2} {\n        x' = 0\n    }\n}\n",
+     {}, "A", False),
+    # at x /= 0 both choices take the branch that does not assign r
+    ("one_branch", _TWO_VARS + """action A {
+    any r in {1, 2} {
+        if x = 0 {
+            y' = r
+        } else {
+            x' = 0
+        }
+    }
+}
+""", {}, "A", False),
+    ("other_slot", _COLLIDE, {}, "A", False),
+    # the outer `any` assigns its binder, the inner one does not
+    ("inner_no_binder", _TWO_VARS + """action A {
+    any r in {1, 2} {
+        x' = r
+        any q in {1, 2} {
+            y' = 0
+        }
+    }
+}
+""", {}, "A", False),
+    # the outer `any` assigns the inner binder: (1, 2) and (2, 2) collide
+    ("inner_set", _TWO_VARS + """action A {
+    any c1 in {1, 2} {
+        any c2 in {c1, 2} {
+            y' = c2
+        }
+    }
+}
+""", {}, "A", False),
+]
+
+
+@pytest.mark.parametrize("source,constants,name,distinct", [x[1:] for x in _DISTINCT],
+                         ids=[x[0] for x in _DISTINCT])
+def test_successors_are_deduplicated_only_where_choices_can_collide(
+        source, constants, name, distinct, monkeypatch):
+    """An action whose every `any` assigns its binder to one variable on
+    every path through its body makes distinct successors: the loop interns
+    them where they are made, with no `out` list, the reference `succ`
+    returns its list as it is, and the column plan keeps every slot.  The
+    graph is the reference BFS's either way, and columns give the loop's."""
+    copies = []
+    real = semantics._first_copies
+
+    def first_copies(*args):
+        copies.append(args[2:])  # the action's slots
+        real(*args)
+
+    monkeypatch.setattr(semantics, "_first_copies", first_copies)
+    bound = build(source, constants)
+    action = next(a for a in bound.spec.actions if a.name == name)
+    assert semantics._distinct_choices(action) == distinct
+    loop = _explore_module(bound)[1]
+    assert bool(re.search(r"\bout\b", loop)) == (not distinct)
+    assert ("dict.fromkeys(out)" in loop) == (not distinct)
+    mod, main = _successor_source(bound, action)
+    assert ("dict.fromkeys(out)" in mod.source(main)) == (not distinct)
+    agree_from_initial(bound)
+    assert_explore_matches_reference(bound, 200)
+    assert explore_with(bound, 1) == explore_with(bound, sys.maxsize)
+    assert bool(copies) == (not distinct)
+
+
+# Each choice assigns its binder to y, so the loop interns each where it is
+# made: at x = 2 the first choice makes a new state, then the second
+# overflows.
+_LATE_OVERFLOW = """spec late
+var x : int init 0
+var y : int init 0
+action A {
+    any r in {0, 1} {
+        y' = r
+        if r = 0 {
+            x' = x + 1
+        } else {
+            x' = x * 9223372036854775807
+        }
+    }
+}
+"""
+
+
+def test_an_error_after_an_interned_choice_is_the_reference_error():
+    bound = build(_LATE_OVERFLOW)
+    assert semantics._distinct_choices(bound.spec.actions[0])
+    got = explore_outcome(bound, 200)
+    assert got == oracles.explore_reference(bound, 200)
+    assert got == ("error", "action A at 10:20: integer overflow",
+                   [(0, 0), (1, 0), (2, 0)], ["A", "A"])
