@@ -10,6 +10,7 @@ a self-loop is quiescent but not deadlocked.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import math
 import sys
@@ -298,6 +299,14 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"), parent=array("q"),
     )
     run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
+    # Every object made before the expansion, the ~42,000 of importing numpy
+    # and scipy among them, is frozen out of the cyclic GC while it runs, so
+    # a full collection set off by the states it makes walks only those.
+    # Generation-0 passes still run and untrack the state tuples.  A caller
+    # that froze objects itself keeps them frozen.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
         stopped = _explore_levels(graph, run, _column_plan(bound), limits)
     except EvalError as e:
@@ -305,6 +314,9 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         # The state being expanded is the one whose CSR row is still open.
         e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
         raise
+    finally:
+        if freeze:
+            gc.unfreeze()
     _derive_tree(graph)
     if stopped == "depth":
         raise LimitError(f"depth limit of {max_depth} exceeded", graph)

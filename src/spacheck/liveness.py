@@ -30,9 +30,10 @@ decides invariants too.
 
 A `forall` over eventually, leadsto or always eventually searches its first
 instance alone and sweeps the others, 64 at a time: each state holds a
-uint64 word with one bit per instance, and the bits spread along the
-explorer's BFS levels, then along the back edges, until they stop moving
-(the multi-source BFS of Then et al., VLDB 2014).  The sweep passes an
+uint64 word with one bit per instance (built in one pass over a variable's
+column for a predicate `v = x` on the binder x), and the bits spread along
+the explorer's BFS levels, then along the back edges, until they stop
+moving (the multi-source BFS of Then et al., VLDB 2014).  The sweep passes an
 instance whose reached states hold no quiescent state and no back edge
 between two states on a cycle; every other instance, and every instance
 whose predicate cannot be evaluated, is searched alone, so the verdicts and
@@ -42,7 +43,7 @@ traces are the search's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -50,11 +51,13 @@ from scipy.sparse import csgraph
 
 from .model import (
     AlwaysEventually,
+    Binary,
     Eventually,
     Expr,
     Invariant,
     KIND_OF_SHAPE,
     LeadsTo,
+    Name,
     TemporalProperty,
     format_value,
 )
@@ -113,18 +116,24 @@ def _changing_edges(edge_start: np.ndarray, edge_dst: np.ndarray) -> tuple:
     return np.take(src, kept), np.take(edge_dst, kept).astype(np.int32)
 
 
+def _no_limit() -> None:
+    """The `check_time` of a check without a deadline."""
+
+
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: each state's BFS
     level, quiescence flags, the states on a full-graph cycle, and one CSR
     matrix of the state-changing edges that `restricted` rewrites in place
-    once for every search."""
+    once for every search.  `check_time` runs between the build's steps; it
+    raises the check's LimitError once its deadline has passed."""
 
-    def __init__(self, graph: StateGraph):
+    def __init__(self, graph: StateGraph, check_time: Callable = _no_limit):
         n = graph.n_states
         self.n = n
         self.src, self.dst = _changing_edges(
             np.frombuffer(graph.edge_start, dtype=np.int64),
             np.frombuffer(graph.edge_dst, dtype=np.int64))
+        check_time()
         m = self.dst.size
         sc_deg = np.bincount(self.src, minlength=n)
         self.quiescent = sc_deg == 0
@@ -135,6 +144,7 @@ class _Analysis:
         back = np.flatnonzero(np.take(self.level, self.dst) <= np.take(self.level, self.src))
         self.back_src, self.back_dst = np.take(self.src, back), np.take(self.dst, back)
         del back
+        check_time()
         # Row n is a virtual source with one entry per state: the state
         # itself when it is a start of the search, else a self-loop at n.
         # The matrix starts out as the whole graph, with no starts.
@@ -151,6 +161,7 @@ class _Analysis:
         self._targets = self._csr.indices[:m]
         self._virtual = self._csr.indices[m:]
         self._inside = np.empty(m, dtype=bool)
+        check_time()
         if self.back_src.size:
             _, labels = csgraph.connected_components(
                 self._csr, directed=True, connection="strong"
@@ -184,9 +195,9 @@ class _Analysis:
         return self._csr
 
 
-def _analysis(graph: StateGraph) -> _Analysis:
+def _analysis(graph: StateGraph, check_time: Callable = _no_limit) -> _Analysis:
     if graph._analysis is None:
-        graph._analysis = _Analysis(graph)
+        graph._analysis = _Analysis(graph, check_time)
     return graph._analysis
 
 
@@ -474,12 +485,14 @@ class _SweepPlan:
         self.cycle_src, self.cycle_dst = ana.back_src[on_cycle], ana.back_dst[on_cycle]
 
 
-def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray) -> np.uint64:
+def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray,
+            check_time: Callable = _no_limit) -> np.uint64:
     """Close each bit of `reach` under the state-changing edges into states
     that hold the bit in `allowed`, in place: level by level along the
     forward edges, then along the back edges, and again from the level after
     the lowest one that grew, until no bit moves.  Returns the bits still
-    moving after `_SWEEP_ROUNDS` rounds; their reach is unfinished."""
+    moving after `_SWEEP_ROUNDS` rounds; their reach is unfinished.
+    `check_time` runs before each round after the first."""
     plan = ana.plan
     levels, out = plan.levels.tolist(), plan.extra_out.tolist()
     parent, src, dst = plan.parent, plan.extra_src, plan.extra_dst
@@ -501,10 +514,87 @@ def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray) -> np.uint64
         if not moved:
             break
         first = int(ana.level[ana.back_dst[grown != 0]].min()) + 1
+        check_time()
     return moved
 
 
-def _sweep(graph: StateGraph, shape, where: str, instances: list) -> list:
+def _binder_equality(graph: StateGraph, pred: Expr, binder: str) -> Optional[int]:
+    """The index of the state variable v when `pred` is `v = binder` or
+    `binder = v`, where `binder` names the `forall` binder, else None."""
+    if not (isinstance(pred, Binary) and pred.op == "="
+            and isinstance(pred.left, Name) and isinstance(pred.right, Name)):
+        return None
+    var_index = graph.bound.var_index
+    for var, other in ((pred.left.name, pred.right.name), (pred.right.name, pred.left.name)):
+        if other == binder and var in var_index:
+            return var_index[var]
+    return None
+
+
+def _equality_word(column: np.ndarray, values: list) -> np.ndarray:
+    """Each state's uint64 word whose bit k says that its value in
+    `column` equals values[k], in one pass over the column: a binary
+    search among the distinct values, each with the bits of the positions
+    that hold it."""
+    distinct, slot = np.unique(np.array(values, dtype=column.dtype), return_inverse=True)
+    bits = np.zeros(distinct.size, dtype=np.uint64)
+    np.bitwise_or.at(bits, slot.ravel(), np.uint64(1) << np.arange(len(values), dtype=np.uint64))
+    at = np.searchsorted(distinct, column)
+    np.minimum(at, distinct.size - 1, out=at)
+    word = np.take(bits, at)
+    word[np.take(distinct, at) != column] = 0
+    return word
+
+
+def _sweep_words(graph: StateGraph, preds: tuple, where: str, instances: list) -> tuple:
+    """The sweep's columns of `preds` over a block of up to `_BLOCK`
+    instances: one row of n uint64 words per predicate, whose bit k says
+    that the predicate holds in a state for instance k, and the int `valid`,
+    whose bit k says that instance k's columns were made.
+
+    A predicate `v = x` or `x = v`, with v a variable and x the binder
+    (whose values `validate` has made of v's kind), takes one pass over
+    v's column (`_equality_word`).  Any other is one `StateGraph.holds`
+    column per instance, packed bit by bit, in the per-instance search's
+    order, so it meets the same EvalError; an instance whose columns raise
+    keeps its bits clear in every row, and bits past the last instance stay
+    clear."""
+    n = graph.n_states
+    (binder,) = instances[0]
+    values = [binders[binder] for binders in instances]
+    by_value = {}  # row -> the variable whose column gives it in one pass
+    for j, e in enumerate(preds):
+        var = _binder_equality(graph, e, binder)
+        if var is not None:
+            by_value[j] = var
+    general = [j for j in range(len(preds)) if j not in by_value]
+    packed = np.zeros((len(preds), n, 8), dtype=np.uint8)
+    byte = np.zeros((len(general), n), dtype=np.uint8)
+    bit = np.empty(n, dtype=np.uint8)
+    valid = 0
+    for k, binders in enumerate(instances):
+        try:
+            columns = [graph.holds(preds[j], where, binders) for j in general]
+            valid |= 1 << k
+        except EvalError:
+            columns = []
+        for acc, column in zip(byte, columns):
+            # A uint8 multiply by 2**j is a shift by j; numpy's uint8 shift
+            # loop is about 10 times slower.
+            np.multiply(column.view(np.uint8), np.uint8(1 << (k & 7)), out=bit)
+            acc |= bit
+        if general and (k & 7 == 7 or k == len(instances) - 1):
+            packed[general, :, k >> 3] = byte
+            byte[:] = 0
+    del byte, bit
+    words = packed.view(np.uint64)[:, :, 0]  # one row of n words per predicate
+    for j, var in by_value.items():
+        np.bitwise_and(_equality_word(graph.columns()[var], values), np.uint64(valid),
+                       out=words[j])
+    return words, valid
+
+
+def _sweep(graph: StateGraph, shape, where: str, check_time: Callable, instances: list) -> list:
     """Sweep up to `_BLOCK` instances of an eventually, leadsto or always
     eventually `shape`, one per binder dict in `instances`, at once.
 
@@ -515,42 +605,21 @@ def _sweep(graph: StateGraph, shape, where: str, instances: list) -> list:
     on a full-graph cycle calls for its SCC pass.  Returns the ascending
     positions of the instances that need the per-instance search, which
     fails them, passes them or reports their error; the sweep passes the
-    others.  An instance whose columns raise EvalError keeps its bits clear
-    and is one of those returned."""
+    others.  An instance whose columns raise EvalError (see
+    `_sweep_words`) is one of those returned.  `check_time` runs between
+    the sweep's passes (see `_spread`)."""
     ana = _analysis(graph)
     if ana.plan is None:
         ana.plan = _SweepPlan(graph, ana)
-    plan, n = ana.plan, ana.n
-    # In the per-instance search's order, so it meets the same EvalError.
-    preds = _preds(shape)
-    packed = np.zeros((len(preds), n, 8), dtype=np.uint8)
-    byte = np.zeros((len(preds), n), dtype=np.uint8)
-    bit = np.empty(n, dtype=np.uint8)
-    # Bits past the last instance, and those of an instance in error, stay
-    # clear, so they start no back-edge round.
-    valid = 0
-    for k, binders in enumerate(instances):
-        try:
-            columns = [graph.holds(e, where, binders) for e in preds]
-            valid |= 1 << k
-        except EvalError:
-            columns = []
-        for acc, column in zip(byte, columns):
-            # A uint8 multiply by 2**j is a shift by j; numpy's uint8 shift
-            # loop is about 10 times slower.
-            np.multiply(column.view(np.uint8), np.uint8(1 << (k & 7)), out=bit)
-            acc |= bit
-        if k & 7 == 7 or k == len(instances) - 1:
-            packed[:, :, k >> 3] = byte
-            byte[:] = 0
-    del byte, bit
-    words = packed.view(np.uint64)[:, :, 0]  # one row of n words per column
+    plan = ana.plan
+    words, valid = _sweep_words(graph, _preds(shape), where, instances)
+    check_time()
     allowed = words[-1]
     np.invert(allowed, out=allowed)
     allowed &= np.uint64(valid)
     reach = _starts(shape, words[0], allowed, len(graph.initial))
     # Starts at every allowed state (always eventually) have nothing to spread to.
-    flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach)
+    flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach, check_time)
     flags |= np.bitwise_or.reduce(reach[plan.quiescent])
     flags |= np.bitwise_or.reduce(reach[plan.cycle_src] & reach[plan.cycle_dst])
     flags = int(flags) | ~valid  # and every instance in error
@@ -566,7 +635,8 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
     `_sweep` takes the rest `_BLOCK` at a time, and the per-instance search
     runs only on those it returns, so the verdict is that of searching
     every instance.  Raises LimitError when `deadline` has passed before a
-    sweep or a search."""
+    sweep or a search, or between the steps of the liveness analysis's
+    build or of a sweep."""
     where = f"property {prop.name}"
     if prop.binder is not None:
         bname, bset = prop.binder
@@ -588,12 +658,15 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
             raise deadline.error(f"checking property {prop.name}")
 
     step = 1 if isinstance(prop.shape, Invariant) else _BLOCK
+    if step != 1:
+        check_time()
+        _analysis(graph, check_time)  # built here, where the deadline reaches its steps
     for i in [0, *range(1, len(instances), step)]:
         if i == 0 or step == 1:
             flagged = [0]
         else:
             check_time()
-            flagged = _sweep(graph, prop.shape, where, instances[i:i + step])
+            flagged = _sweep(graph, prop.shape, where, check_time, instances[i:i + step])
         for k in flagged:
             check_time()
             v = _check_shape(graph, prop, instances[i + k])

@@ -1,6 +1,7 @@
 """Exploration, safety checks, deadlock, and trace machinery."""
 
 import ast
+import gc
 import re
 import sys
 import time
@@ -834,11 +835,14 @@ def test_specs_without_a_wide_level_run_the_loop_once(math_src, monkeypatch):
         assert outcome == explore_with(bound, sys.maxsize)
 
 
+# x + K overflows for x > 0 in the columns, which evaluate both branches,
+# but the branch is never taken.
+_FALLBACK = ("spec t\nvar x : int domain 0..1023 init in 0..1023\nvar f : bool init false\n"
+             "action A { if x > 1023 { x' = x + 9223372036854775807 } else { f' = true } }\n")
+
+
 def test_overflow_on_an_untaken_path_sends_each_level_to_the_loop(monkeypatch):
-    """x + K overflows for x > 0 in the columns, which evaluate both
-    branches, but the branch is never taken."""
-    bound = build("spec t\nvar x : int domain 0..1023 init in 0..1023\nvar f : bool init false\n"
-                  "action A { if x > 1023 { x' = x + 9223372036854775807 } else { f' = true } }\n")
+    bound = build(_FALLBACK)
     assert _column_plan(bound) is not None
     calls = count_runs(monkeypatch)
     outcome = explore_with(bound, explorer._WIDE)
@@ -859,3 +863,57 @@ def test_unique_matches_numpy(bits):
         want = np.unique(keys, return_index=True, return_inverse=True)
         for x, y in zip(got, want):
             assert x.tolist() == y.reshape(-1).tolist()
+
+
+# --- the cyclic GC during explore ----------------------------------------------------
+
+
+def frozen_during_expansion(monkeypatch) -> list:
+    """`gc.get_freeze_count()` at each call of `_explore_levels` from now on."""
+    counts, real = [], explorer._explore_levels
+
+    def counting(*args):
+        counts.append(gc.get_freeze_count())
+        return real(*args)
+
+    monkeypatch.setattr(explorer, "_explore_levels", counting)
+    return counts
+
+
+_OVERFLOW = "spec t\nvar x : int init 9223372036854775806\naction A { x' = x + 1 }\n"
+
+
+@pytest.mark.parametrize("source, limits, raises", [
+    (_LAYERS, {}, None),
+    (_OVERFLOW, {}, EvalError),
+    (_LAYERS, {"max_states": 3000}, LimitError),  # columns, then the loop, stop at the cap
+    (_LAYERS, {"max_depth": 2}, LimitError),
+    (_LAYERS, {"deadline": StopAtCall(0.5, 2)}, LimitError),
+    (_FALLBACK, {}, None),  # the columns raise, and the loop explores the rest
+], ids=["done", "error", "states", "depth", "time", "fallback"])
+def test_explore_unfreezes_what_it_froze(source, limits, raises, monkeypatch):
+    counts = frozen_during_expansion(monkeypatch)
+    before = gc.get_freeze_count()
+    if raises is None:
+        explore(build(source), ExploreLimits(**limits))
+    else:
+        with pytest.raises(raises):
+            explore(build(source), ExploreLimits(**limits))
+    assert gc.get_freeze_count() == before == 0
+    assert len(counts) == 1 and counts[0] > 0  # the expansion ran frozen
+
+
+def test_explore_leaves_a_callers_freeze_in_place(monkeypatch):
+    counts = frozen_during_expansion(monkeypatch)
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert before > 0
+        with pytest.raises(LimitError):
+            explore(build(_LAYERS), ExploreLimits(max_depth=2))
+        graph = explore(build(_LAYERS))
+        assert gc.get_freeze_count() == before
+        assert counts == [before, before]
+    finally:
+        gc.unfreeze()
+    assert graph.n_states == 4096

@@ -1045,6 +1045,168 @@ def test_deadline_after_the_first_block_stops_the_forall(math_src, monkeypatch):
     assert len(sweeps) == 1
 
 
+
+class ExpiresAfter(Deadline):
+    """A deadline whose first `checks` checks find it unexpired."""
+
+    def __init__(self, checks: int):
+        super().__init__(3600.0, 0.0)
+        self.checks = checks
+
+    def expired(self) -> bool:
+        self.checks -= 1
+        return self.checks < 0
+
+
+def test_deadline_interrupts_the_analysis_build_and_the_sweep_rounds():
+    # Cap's sweep needs back-edge rounds (see the round-cap test), and the
+    # analysis is built inside the check, so the deadline can expire between
+    # the build's steps and between the rounds.
+    top = liveness._SWEEP_ROUNDS + 5
+    targets = [top] + list(range(2, top))
+    src = CHAIN + (
+        f"property Cap: forall y in {{{', '.join(map(str, targets))}}} : (x = 1) leadsto (x = y)\n"
+    )
+    bound, graph = build_graph(src, {"top": top})
+    prop = prop_named(bound.spec, "Cap")
+    counter = ExpiresAfter(sys.maxsize)
+    verdict = check_property(graph, prop, counter)
+    assert verdict.status == "pass"
+    checks = sys.maxsize - counter.checks
+    where = set()
+    for k in range(checks):
+        fresh = dataclasses.replace(graph, _analysis=None)
+        with pytest.raises(LimitError) as err:
+            check_property(fresh, prop, ExpiresAfter(k))
+        assert str(err.value) == "time limit of 3600 s exceeded while checking property Cap"
+        where.add(err.traceback[-2].name)  # the function that checked the clock
+    assert {"__init__", "_spread", "_sweep", "check_property"} <= where
+    fresh = dataclasses.replace(graph, _analysis=None)
+    assert check_property(fresh, prop, ExpiresAfter(checks)) == verdict
+
+
+# --- `forall` blocks over `var = x` in one pass --------------------------------------
+
+
+def sweep_blocks(graph, prop) -> list:
+    """The blocks of binder dicts that `check_property` hands to `_sweep`."""
+    values = semantics.eval_const_set(prop.binder[1], graph.bound, "test")
+    instances = [{prop.binder[0]: v} for v in values]
+    return [instances[i:i + liveness._BLOCK] for i in range(1, len(instances), liveness._BLOCK)]
+
+
+def assert_one_pass_matches_holds(graph, prop, monkeypatch) -> int:
+    """With the one-pass matcher, `_sweep_words` gives the words and the
+    valid mask of the per-instance `holds` packing on every block, and
+    `check_property` its verdict, trace included.  Returns the number of
+    rows built in one pass."""
+    preds, where = liveness._preds(prop.shape), f"property {prop.name}"
+    blocks = sweep_blocks(graph, prop)
+    passes = spy(monkeypatch, "_equality_word")
+    got = [liveness._sweep_words(graph, preds, where, block) for block in blocks]
+    one_pass = len(passes)
+    verdict = check_property(dataclasses.replace(graph, _analysis=None), prop)
+    made = len(passes)
+    with monkeypatch.context() as m:
+        m.setattr(liveness, "_binder_equality", lambda *args: None)
+        want = [liveness._sweep_words(graph, preds, where, block) for block in blocks]
+        assert check_property(dataclasses.replace(graph, _analysis=None), prop) == verdict
+    assert len(passes) == made  # the holds packing made none
+    for (words, valid), (want_words, want_valid) in zip(got, want):
+        assert valid == want_valid
+        assert words.tolist() == want_words.tolist()
+    return one_pass
+
+
+def binder_equal(var, binder, binder_first=False):
+    sides = [model.Name(name=var), model.Name(name=binder)]
+    return model.Binary(op="=", left=sides[binder_first], right=sides[not binder_first])
+
+
+def test_one_pass_blocks_match_holds_on_random_specs(monkeypatch):
+    pools = {"int": [2, 0, 1000, 1], "bool": [True, False], "string": ["c", "zz", "a", "b"]}
+    kinds = set()
+    for seed in range(20):
+        spec = oracles.gen_spec(seed)
+        props = []
+        for v in spec.variables:
+            same = [w.name for w in spec.variables if w.kind == v.kind]
+            over = model.SetLit(elems=[model.Lit(value=x) for x in pools[v.kind]])
+            props += [(shape, over) for shape in [
+                model.Eventually(pred=binder_equal(v.name, "x")),
+                model.AlwaysEventually(pred=binder_equal(v.name, "x", binder_first=True)),
+                model.LeadsTo(lhs=binder_equal(v.name, "x"), rhs=binder_equal(same[-1], "x")),
+            ]]
+            kinds.add(v.kind)
+        spec.properties = [model.TemporalProperty(name=f"P{i}", shape=shape, binder=("x", over))
+                           for i, (shape, over) in enumerate(props)]
+        bound = bind_constants(spec, {})
+        assert validate(bound) == []
+        graph = explore(bound, ExploreLimits(max_states=200))
+        for prop in spec.properties:
+            rows = len(liveness._preds(prop.shape))
+            assert assert_one_pass_matches_holds(graph, prop, monkeypatch) == rows
+    assert kinds == {"int", "bool", "string"}
+
+
+@pytest.mark.parametrize("prop, n, one_pass", [
+    ("forall x in {5, 2, 9, 1, 3, 7} : eventually (num = x)", 9, 1),
+    ('forall r in {"Wrong", "", "Right", "Maybe"} : eventually (result = r)', 4, 1),
+    ("forall x in 1..5 : always eventually (x = num)", 5, 1),
+    ("forall x in {0, 3, 1000, 0 - 4, 2} : eventually (num = x)", 4, 1),
+    ("forall x in {1, 100000, 3, 0 - 5} : eventually (count_right = x)", 4, 1),
+    ("forall b in {true, false} : always eventually (input_enabled = b)", 2, 1),
+    ("forall x in 1..140 : eventually (num = x)", 140, 3),
+    ("forall x in 0..8 : (num = x) leadsto (count_right = x)", 8, 2),
+    ("forall x in 0..8 : (count_right = x) leadsto (count_wrong = x)", 8, 2),
+    ("forall x in 1..9 : (num = x) leadsto (count_right + count_wrong >= x)", 9, 1),
+], ids=["unsorted", "string", "binder first", "unheld", "sparse", "bool", "over 64",
+        "leadsto", "leadsto fails", "premise only"])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+def test_one_pass_blocks_match_holds_on_math(prop, n, one_pass, cyclic, math_src, monkeypatch):
+    src = (restart_src(math_src) if cyclic else math_src) + f"property P: {prop}\n"
+    bound, graph = build_graph(src, {"max_num_q": n})
+    p = prop_named(bound.spec, "P")
+    assert assert_one_pass_matches_holds(graph, p, monkeypatch) == one_pass
+
+
+def test_one_pass_premise_keeps_an_overflowing_instance_clear(monkeypatch):
+    # the target of y = 5, position 4 of the block, overflows, so that
+    # instance's premise bits, built in one pass, are cleared with its target's
+    members = [9] + list(range(1, 9)) + list(range(10, 60))
+    src = CHAIN + (
+        f"property Over: forall y in {{{', '.join(map(str, members))}}} :"
+        " (x = y) leadsto ((if y = 5 then x + 9223372036854775807 else x) > 0)\n"
+    )
+    bound, graph = build_graph(src, {"top": 60})
+    prop = prop_named(bound.spec, "Over")
+    assert assert_one_pass_matches_holds(graph, prop, monkeypatch) == 1
+    [block] = sweep_blocks(graph, prop)
+    words, valid = liveness._sweep_words(graph, liveness._preds(prop.shape), "property Over", block)
+    assert valid == (1 << len(block)) - 1 - (1 << 4)
+    assert not (words[0] >> np.uint64(4) & np.uint64(1)).any()
+    assert (words[0] >> np.uint64(5) & np.uint64(1)).any()  # y = 6 holds at x = 6
+    verdict = check_property(graph, prop)
+    assert (verdict.status, verdict.binder) == ("error", 5)
+
+
+def test_equality_word_matches_a_scan():
+    rng = random.Random(26)
+    pools = {
+        np.int64: [INT_MIN, INT_MIN + 1, -5, -1, 0, 1, 2, 3, 70_000, INT_MAX - 1, INT_MAX],
+        bool: [False, True],
+        object: ["", "a", "b", "Right", "Wrong"],
+    }
+    for dtype, pool in pools.items():
+        for _ in range(60):
+            column = np.array([rng.choice(pool) for _ in range(rng.randint(1, 300))], dtype=dtype)
+            values = rng.sample(pool, rng.randint(1, len(pool)))
+            want = np.zeros(column.size, dtype=np.uint64)
+            for k, v in enumerate(values):
+                want |= (column == v).astype(np.uint64) << np.uint64(k)
+            assert liveness._equality_word(column, values).tolist() == want.tolist(), values
+
+
 # --- lasso prefixes ------------------------------------------------------------------
 
 
