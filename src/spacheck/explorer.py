@@ -351,14 +351,15 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     Without a column plan, `run` expands them all.  With one, `run` stops at
     the first level at least _WIDE states wide.  From there on the graph's
     states are their keys (a `KeyStates`, in place of the list of tuples),
-    and every level, however narrow, is expanded as columns of keys.  When a
-    level's columns raise EvalError or its new states would pass
-    `max_states` or `max_depth`, the states go back to a list of tuples, and
-    a loop over that list, with a dict built from it once, expands that
-    level and all the rest; it raises the error or stops at the limit where
-    it always does.  So explore changes how it stores states at most once
-    each way.  The graph comes out the same either way: a column level
-    numbers its new states in order of their first edge, as the loop
+    and every level, however narrow, is expanded as columns of keys; a level
+    whose new states would pass `max_states` or `max_depth` is cut where the
+    loop stops (see `_expand_level`), so the graph stays a `KeyStates`.
+    When a level's columns raise EvalError, the states go back to a list of
+    tuples, and a loop over that list, with a dict built from it once,
+    expands that level and all the rest; it raises the error or stops at a
+    limit where it always does.  So explore changes how it stores states at
+    most once each way.  The graph comes out the same either way: a column
+    level numbers its new states in order of their first edge, as the loop
     does.  The deadline is checked after a column level in which a 1,024th
     state was expanded, as the loop checks it after each 1,024th state."""
     max_states, max_depth, deadline = limits.max_states, limits.max_depth, limits.deadline
@@ -377,13 +378,16 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     frontier = frontier[levels[-2]:]
     while True:
         start, end = levels[-2], levels[-1]
-        new = _expand_level(graph, plan, ids, frontier, len(levels) - 1, limits)
-        if new is None:
+        try:
+            new, stopped = _expand_level(graph, plan, ids, frontier, len(levels) - 1, limits)
+        except EvalError:
             graph.states = list(graph.states)
             index = {s: i for i, s in enumerate(graph.states)}
             return _explore_function(graph.bound, graph, index)(
                 max_states, max_depth, deadline,
                 enumerate(itertools.islice(graph.states, start, None), start), sys.maxsize)
+        if stopped is not None:
+            return stopped
         if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
             return "time"
         if not new.size:
@@ -393,36 +397,47 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
 
 
 def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, frontier: np.ndarray, depth: int,
-                  limits: ExploreLimits) -> Optional[np.ndarray]:
+                  limits: ExploreLimits) -> tuple:
     """Expand the states with keys `frontier`, the last `frontier.size`
     states of `graph`, whose states are a `KeyStates`, as columns: append
     their CSR rows and the new states' keys, numbered in order of their
-    first edge, to `graph` and to `ids`.  Returns the new states' keys, or
-    None, with `graph` and `ids` as they were, when the columns raise
-    EvalError or the new states, at `depth`, would pass a limit."""
-    try:
-        targets, actions, counts = plan.expand(frontier)
-    except EvalError:
-        return None
+    first edge, to `graph` and to `ids`.  Returns the new states' keys and
+    the limit met, "depth", "states" or None.  Raises EvalError, with
+    `graph` and `ids` as they were, when the columns do.
+
+    New states, at `depth`, pass a limit from index `cap` on: from the
+    level's start when `depth` passes `max_depth`, else from `max_states`.
+    The loop stops after the row that makes state `cap`, so when the level
+    would number a state `cap`, only its rows up to the one that holds that
+    state's first edge, and the new states first reached in them, are
+    appended."""
+    targets, actions, counts = plan.expand(frontier)
     keys = graph.states.keys
     n = len(keys)
     unique, first, inverse = _unique(targets, plan.bits)
     index = ids.find(unique)
     new = np.flatnonzero(index < 0)
-    if new.size and (n + new.size > limits.max_states
-                     or limits.max_depth is not None and depth > limits.max_depth):
-        return None
     new = new[np.argsort(first[new])]  # in order of their first edge
+    deep = limits.max_depth is not None and depth > limits.max_depth
+    cap = n if deep else limits.max_states
+    ends = np.cumsum(counts)  # where each row's edges end
+    stopped = None
+    if n + new.size > cap:
+        ends = ends[:np.searchsorted(ends, first[new[cap - n]], "right") + 1]
+        edges = int(ends[-1])
+        new = new[:np.searchsorted(first[new], edges)]
+        actions, inverse = actions[:edges], inverse[:edges]
+        stopped = "depth" if deep else "states"
     index[new] = np.arange(n, n + new.size)
     fresh = unique[new]
     ids.add(fresh, n)
     # frombytes takes the columns' buffers as bytes, without a copy
     graph.edge_start.frombytes(
-        (np.cumsum(counts) + len(graph.edge_dst)).astype(np.int64, copy=False).view(np.uint8))
+        (ends + len(graph.edge_dst)).astype(np.int64, copy=False).view(np.uint8))
     graph.edge_dst.frombytes(index[inverse].view(np.uint8))
     graph.edge_action.frombytes(actions.view(np.uint8))
     keys.frombytes(fresh.view(np.uint8))
-    return fresh
+    return fresh, stopped
 
 
 class _KeyIndex:

@@ -753,20 +753,30 @@ def test_columns_are_the_same_whichever_store_holds_the_states(source):
         assert decoded[i].tolist() == read[i].tolist() == [s[i] for s in listed.states]
 
 
-@pytest.mark.parametrize("limits,message", [
-    ({"max_states": 170}, "state limit of 170 exceeded"),
-    ({"max_depth": 8}, "depth limit of 8 exceeded"),
-], ids=["max_states", "max_depth"])
-def test_limit_inside_a_wide_level(limits, message, monkeypatch):
-    """Level 8's new states would pass the limit, so the loop expands it and
-    stops at the state where it always stops."""
+@pytest.mark.parametrize("limits,message,rows", [
+    ({"max_states": 170}, "state limit of 170 exceeded", range(122, 161)),
+    ({"max_states": 162}, "state limit of 162 exceeded", [121]),
+    ({"max_states": 163}, "state limit of 163 exceeded", [121]),
+    ({"max_depth": 8}, "depth limit of 8 exceeded", [121]),
+], ids=["max_states", "max_states_first_row", "max_states_first_row_end", "max_depth"])
+def test_limit_inside_a_wide_level(limits, message, rows, monkeypatch):
+    """Level 8's new states would pass the limit, so its columns keep the
+    rows up to the one where the loop stops, and the new states first
+    reached in them: the loop's partial graph, its states still keys.  The
+    first row of level 8, state 120, makes states 162 and 163, so it passes
+    a limit of 162 or 163 states, and of depth 8, on its own."""
     bound = build(_CUBE)
     calls = count_runs(monkeypatch)
     outcome = explore_with(bound, 40, **limits)
-    assert len(calls) == 2
+    assert calls == [0]  # the loop ran only the levels before level 8
     assert outcome[:2] == ("limit", message)
-    assert 120 < len(outcome[2]["edge_start"]) - 1 < 162  # stopped inside level 8
+    assert isinstance(outcome[2]["states"], KeyStates)
+    assert len(outcome[2]["edge_start"]) - 1 in rows  # stopped inside level 8
     assert outcome == explore_with(bound, sys.maxsize, **limits)
+    fields = dict(outcome[2])
+    del fields["levels"]
+    assert ("limit", message, fields) == oracles.explore_reference(
+        bound, limits.get("max_states", 10**6), limits.get("max_depth"))
 
 
 class StopAtCall(Deadline):
@@ -822,6 +832,23 @@ def test_math_with_domains_is_math_in_columns(monkeypatch):
         assert code == 0
         reports.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', "", cli.emit_json(report)))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("limit", ["max_states", "max_depth"])
+def test_a_limit_keeps_the_keys_of_math_with_domains(limit, monkeypatch):
+    """A limit met inside a column level of `examples/math_domains.spa`
+    leaves its partial graph in keys, and that graph is math.spa's."""
+    constants = {"max_num_q": 40}
+    keyed = build(corpus_path("math_domains.spa").read_text(encoding="utf-8"), constants)
+    listed = build(corpus_path("math.spa").read_text(encoding="utf-8"), constants)
+    full = explore(keyed)
+    limits = {"max_states": full.n_states - 500} if limit == "max_states" else \
+        {"max_depth": len(full.levels) - 20}
+    calls = count_runs(monkeypatch)
+    outcome = explore_with(keyed, explorer._WIDE, **limits)
+    assert len(calls) == 1  # the loop ran only the narrow levels at the start
+    assert outcome[0] == "limit" and isinstance(outcome[2]["states"], KeyStates)
+    assert outcome == explore_with(listed, explorer._WIDE, **limits)
 
 
 def test_specs_without_a_wide_level_run_the_loop_once(math_src, monkeypatch):

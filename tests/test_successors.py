@@ -721,8 +721,9 @@ def test_column_examples_have_a_column_plan():
 def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_depth):
     """With every level expanded as columns, `explore` gives the loop's
     graph, error or partial graph, and the reference BFS's; a level whose
-    columns raise EvalError or would pass a limit is expanded by the loop,
-    also when only a later chunk of the level raises EvalError.  The
+    columns raise EvalError is expanded by the loop, also when only a later
+    chunk of the level raises EvalError, and one whose new states would pass
+    a limit is cut where the loop stops.  The
     reports of `spacheck check` and its DOT output are the loop's too."""
     bound = build(source)
     for limits in ({"max_states": 200}, {"max_states": max_states},
