@@ -247,17 +247,17 @@ def _write_dot(path: str, graph: StateGraph) -> int:
 # --- rendering -----------------------------------------------------------------
 
 
-def render_trace(trace: Trace, spec: SpecModel, indent: str = "    ") -> str:
-    """Numbered states with action names between them; lassos end with a
-    `loop to state i` line."""
+def render_trace(trace: Trace, spec: SpecModel) -> str:
+    """Numbered states with action names between them, indented four
+    spaces; lassos end with a `loop to state i` line."""
     lines = []
     for i, state in enumerate(trace.states):
-        lines.append(f"{indent}state {i}: {format_state(state, spec)}")
+        lines.append(f"    state {i}: {format_state(state, spec)}")
         if i < len(trace.actions):
-            lines.append(f"{indent}  --[{trace.actions[i]}]-->")
+            lines.append(f"      --[{trace.actions[i]}]-->")
     if trace.loop_start is not None:
         closing = f" via {trace.loop_action}" if trace.loop_action else " (stutter)"
-        lines.append(f"{indent}loop to state {trace.loop_start}{closing}")
+        lines.append(f"    loop to state {trace.loop_start}{closing}")
     return "\n".join(lines)
 
 

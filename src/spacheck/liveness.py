@@ -155,8 +155,10 @@ class _Analysis:
         indices = np.empty(m + n, dtype=np.int32)
         indices[:m] = self.dst
         indices[m:] = n
+        # scipy's BFS and SCC passes never read the values: one shared 1.0
+        # (a zero-stride view) stands for all of them.
         self._csr = sparse.csr_matrix(
-            (np.ones(m + n), indices, indptr), shape=(n + 1, n + 1)
+            (np.broadcast_to(np.float64(1), (m + n,)), indices, indptr), shape=(n + 1, n + 1)
         )
         self._targets = self._csr.indices[:m]
         self._virtual = self._csr.indices[m:]

@@ -1546,6 +1546,15 @@ def test_the_analysis_of_the_benchmark_workloads_sorts_nothing(monkeypatch):
         assert sorts == [], name
 
 
+def test_the_analysis_matrix_keeps_no_value_per_entry():
+    """scipy's passes never read the matrix's values, so one zero-stride 1.0
+    stands for all of them, and the failing searches' rewrites keep it."""
+    bound, graph = build_graph(panels_source(1), {"levels": 3})
+    statuses = [check_property(graph, p).status for p in bound.spec.properties]
+    assert "fail" in statuses
+    assert liveness._analysis(graph)._csr.data.strides == (0,)
+
+
 # States 1 <-> 2 and 3 <-> 4 are two 2-cycles, entered from 0.
 TWO_CYCLES = """spec two_cycles
 var x : int init 0
