@@ -290,6 +290,7 @@ def _json_trace(trace: Optional[Trace], spec: SpecModel):
         "states": [state_to_record(s, spec) for s in trace.states],
         "actions": list(trace.actions),
         "loop_start": trace.loop_start,
+        "loop_action": trace.loop_action,
     }
 
 

@@ -123,9 +123,9 @@ class StateGraph:
     identified by its value tuple, which requires a validated spec:
     `validate` fixes each slot's kind, so Python's `True == 1` can never
     equate two distinct states.  `states` is a list of those tuples, or,
-    when explore expanded some level as columns and did not go back to the
-    loop, a `KeyStates`, which stores each state as its int64 key alone
-    and reads as the same tuples.  Which of the two holds the states is
+    when explore expanded some level as columns and none of them raised, a
+    `KeyStates`, which stores each state as its int64 key alone and reads
+    as the same tuples.  Which of the two holds the states is
     known to this module alone: `columns` gives the states' values as
     numpy columns from either.
 
@@ -272,14 +272,15 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     that a state packs into a 62-bit key, the first level at least _WIDE
     states wide and every level after it are expanded at once instead, as
     numpy columns of keys, into the same rows and states, and the graph
-    keeps the keys as its states (see `_explore_levels`).  Exploring keeps
-    only the states, the edges and the level starts; `parent` is derived
-    from them afterwards (see `_derive_tree`), on the limit and error paths
-    too.  The loop's state -> index dict is explore's own: the graph does
-    not keep it.  States are keyed by their value tuples, so `bound` must
-    have passed `validate`.  Raises EvalError (with the discovery trace of the offending
-    state attached), LimitError (with the graph explored so far, except at
-    the initial states), or EvalError on zero initial states.  The initial
+    keeps the keys as its states (see `_explore_levels`), unless a column
+    level raises EvalError.  Exploring keeps only the states, the edges and
+    the level starts; `parent` is derived from them afterwards (see
+    `_derive_tree`), on the limit and error paths too.  The loop's state ->
+    index dict is explore's own: the graph does not keep it.  States are
+    keyed by their value tuples, so `bound` must have passed `validate`.
+    Raises EvalError (with the discovery trace of the offending state
+    attached), LimitError (with the graph explored so far, except at the
+    initial states), or EvalError on zero initial states.  The initial
     states are counted from each variable's values before any is built, so
     `max_states` bounds them too.
     """
@@ -293,30 +294,32 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     if n_init > max_states:
         raise LimitError(f"state limit of {max_states} exceeded")
     init = [tuple(combo) for combo in itertools.product(*per_var)]
-
-    graph = StateGraph(
-        bound=bound, states=init, levels=array("q", [0, len(init)]),
-        edge_start=array("q", [0]), edge_dst=array("q"), edge_action=array("q"), parent=array("q"),
-    )
-    run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
-    # Every object made before the expansion, the ~42,000 of importing numpy
-    # and scipy among them, is frozen out of the cyclic GC while it runs, so
-    # a full collection set off by the states it makes walks only those.
-    # Generation-0 passes still run and untrack the state tuples.  A caller
-    # that froze objects itself keeps them frozen.
     freeze = not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
-    try:
-        stopped = _explore_levels(graph, run, _column_plan(bound), limits)
-    except EvalError as e:
-        _derive_tree(graph)
-        # The state being expanded is the one whose CSR row is still open.
-        e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
-        raise
-    finally:
+    for plan in (_column_plan(bound), None):  # None: again, after a column level raised
+        graph = StateGraph(bound=bound, states=list(init), levels=array("q", [0, len(init)]),
+                           edge_start=array("q", [0]), edge_dst=array("q"),
+                           edge_action=array("q"), parent=array("q"))
+        run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
+        # Every object made before the expansion, the ~42,000 of importing
+        # numpy and scipy among them, is frozen out of the cyclic GC while it
+        # runs, so a full collection set off by the states it makes walks
+        # only those.  Generation-0 passes still run and untrack the state
+        # tuples.  A caller that froze objects itself keeps them frozen.
         if freeze:
-            gc.unfreeze()
+            gc.freeze()
+        try:
+            stopped = _explore_levels(graph, run, plan, limits)
+        except EvalError as e:
+            _derive_tree(graph)
+            # The state being expanded is the one whose CSR row is still open.
+            e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
+            raise
+        finally:
+            if freeze:
+                gc.unfreeze()
+        del run  # and with it the loop's state -> index dict
+        if stopped != "columns":
+            break
     _derive_tree(graph)
     if stopped == "depth":
         raise LimitError(f"depth limit of {max_depth} exceeded", graph)
@@ -345,28 +348,27 @@ _WIDE = 64
 
 
 def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Optional[str]:
-    """Expand every state of `graph`, as `run` does (see
-    `semantics._explore_function`), and return what it returns.
+    """Expand every state of `graph`, which holds its initial states alone,
+    as `run` does (see `semantics._explore_function`), and return what it
+    returns, or "columns" when a column level raised EvalError.
 
-    Without a column plan, `run` expands them all.  With one, `run` stops at
-    the first level at least _WIDE states wide.  From there on the graph's
-    states are their keys (a `KeyStates`, in place of the list of tuples),
-    and every level, however narrow, is expanded as columns of keys; a level
-    whose new states would pass `max_states` or `max_depth` is cut where the
-    loop stops (see `_expand_level`), so the graph stays a `KeyStates`.
-    When a level's columns raise EvalError, the states go back to a list of
-    tuples, and a loop over that list, with a dict built from it once,
-    expands that level and all the rest; it raises the error or stops at a
-    limit where it always does.  So explore changes how it stores states at
-    most once each way.  The graph comes out the same either way: a column
-    level numbers its new states in order of their first edge, as the loop
-    does.  The deadline is checked after a column level in which a 1,024th
-    state was expanded, as the loop checks it after each 1,024th state."""
-    max_states, max_depth, deadline = limits.max_states, limits.max_depth, limits.deadline
+    Without a column plan, `run` expands them all.  With one, `run` stops
+    at the first level at least _WIDE states wide.  From there on the
+    graph's states are their keys (a `KeyStates`, in place of the list of
+    tuples), and every level, however narrow, is expanded as columns of
+    keys; a level whose new states would pass `max_states` or `max_depth` is
+    cut where the loop stops (see `_expand_level`), so the graph stays a
+    `KeyStates`.  Columns evaluate both sides of `if`, `and` and `or` in
+    every state, so they can raise where the loop does not; then `explore`
+    drops this graph and explores again with the loop alone.  So a graph's
+    store changes at most once, from tuples to keys, and the graph is the
+    loop's: a column level numbers its new states in order of their first
+    edge, as the loop does.  The deadline is checked after a column level in
+    which a 1,024th state was expanded, as the loop does after each 1,024th."""
     levels = graph.levels
-    if plan is None or levels[-1] - levels[-2] < _WIDE:
-        wide = sys.maxsize if plan is None else _WIDE
-        stopped = run(max_states, max_depth, deadline, enumerate(graph.states), wide)
+    if plan is None or levels[1] < _WIDE:
+        stopped = run(limits.max_states, limits.max_depth, limits.deadline,
+                      sys.maxsize if plan is None else _WIDE)
         if stopped != "level":
             return stopped
     frontier = plan.keys(graph.states)
@@ -381,14 +383,10 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
         try:
             new, stopped = _expand_level(graph, plan, ids, frontier, len(levels) - 1, limits)
         except EvalError:
-            graph.states = list(graph.states)
-            index = {s: i for i, s in enumerate(graph.states)}
-            return _explore_function(graph.bound, graph, index)(
-                max_states, max_depth, deadline,
-                enumerate(itertools.islice(graph.states, start, None), start), sys.maxsize)
+            return "columns"
         if stopped is not None:
             return stopped
-        if deadline is not None and start >> 10 != end >> 10 and deadline.expired():
+        if limits.deadline is not None and start >> 10 != end >> 10 and limits.deadline.expired():
             return "time"
         if not new.size:
             return None

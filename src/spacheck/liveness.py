@@ -122,10 +122,11 @@ def _no_limit() -> None:
 
 class _Analysis:
     """Numpy view of a StateGraph, built once per graph: each state's BFS
-    level, quiescence flags, the states on a full-graph cycle, and one CSR
-    matrix of the state-changing edges that `restricted` rewrites in place
-    once for every search.  `check_time` runs between the build's steps; it
-    raises the check's LimitError once its deadline has passed."""
+    level, quiescence flags, the states on a full-graph cycle and the back
+    edges between two of them, and one CSR matrix of the state-changing
+    edges that `restricted` rewrites in place once for every search.
+    `check_time` runs between the build's steps; it raises the check's
+    LimitError once its deadline has passed."""
 
     def __init__(self, graph: StateGraph, check_time: Callable = _no_limit):
         n = graph.n_states
@@ -172,6 +173,11 @@ class _Analysis:
         else:
             self.cyclic = np.zeros(n, dtype=bool)  # no back edge: a DAG
         self.can_stay = self.quiescent | self.cyclic
+        # The back edges between two states on a full-graph cycle; no copy when all are.
+        on_cycle = self.cyclic[self.back_src] & self.cyclic[self.back_dst]
+        self.cycle_src, self.cycle_dst = self.back_src, self.back_dst
+        if not on_cycle.all():
+            self.cycle_src, self.cycle_dst = self.back_src[on_cycle], self.back_dst[on_cycle]
         self.plan = None  # a _SweepPlan, built by the first sweep
 
     def restricted(self, mask: np.ndarray, starts: np.ndarray):
@@ -261,8 +267,7 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
     quiescent_hits = np.flatnonzero(ana.quiescent & reached)
 
     labels = None
-    core = reached & ana.cyclic
-    if (np.take(core, ana.back_src) & np.take(core, ana.back_dst)).any():
+    if (np.take(reached, ana.cycle_src) & np.take(reached, ana.cycle_dst)).any():
         _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
         nontrivial = np.bincount(labels)[labels[:ana.n]] >= 2
         scc_hits = np.flatnonzero(nontrivial & reached)
@@ -482,9 +487,6 @@ class _SweepPlan:
         self.extra_src, self.extra_dst = ana.src[extra], ana.dst[extra]
         self.extra_out = np.searchsorted(self.extra_src, self.levels).astype(np.int32)
         self.quiescent = np.flatnonzero(ana.quiescent).astype(np.int32)
-        # The back edges whose ends `_search_fail` tests before an SCC pass.
-        on_cycle = ana.cyclic[ana.back_src] & ana.cyclic[ana.back_dst]
-        self.cycle_src, self.cycle_dst = ana.back_src[on_cycle], ana.back_dst[on_cycle]
 
 
 def _spread(ana: _Analysis, allowed: np.ndarray, reach: np.ndarray,
@@ -623,7 +625,7 @@ def _sweep(graph: StateGraph, shape, where: str, check_time: Callable, instances
     # Starts at every allowed state (always eventually) have nothing to spread to.
     flags = np.uint64(0) if reach is allowed else _spread(ana, allowed, reach, check_time)
     flags |= np.bitwise_or.reduce(reach[plan.quiescent])
-    flags |= np.bitwise_or.reduce(reach[plan.cycle_src] & reach[plan.cycle_dst])
+    flags |= np.bitwise_or.reduce(reach[ana.cycle_src] & reach[ana.cycle_dst])
     flags = int(flags) | ~valid  # and every instance in error
     return [k for k in range(len(instances)) if flags >> k & 1]
 

@@ -990,24 +990,23 @@ _GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
 
 # The breadth-first loop: states are expanded in index order, each state's
 # edges closing its CSR row, and the index where each BFS level starts is
-# appended once that level is complete.  It starts at the start of the
-# level being expanded, levels[-2], with `rows` enumerating the states from
-# there.  `m` is the number of states, `d` the depth of the successors
-# made, and `lend` where the level being expanded ends: the states from
-# `lend` on are at depth d.  Past `cap` the states pass a limit: past
-# `lend` when d passes `max_depth` (`deep`), else past `max_states`, which
-# no state before `lend` passes.  The loop records no discovery tree;
-# `explore` derives it from the edges and levels afterwards.  It returns
-# the limit it stopped at, "level" at the start of a level at least `wide`
-# states wide, or None once every state is expanded.
+# appended once that level is complete.  It starts at state 0, with the
+# initial states alone in `states` and level 1 starting after them.  `m` is
+# the number of states, `d` the depth of the successors made, and `lend`
+# where the level being expanded ends: the states from `lend` on are at
+# depth d.  Past `cap` the states pass a limit: past `lend` when d passes
+# `max_depth` (`deep`), else past `max_states`, which no initial state
+# passes.  The loop records no discovery tree; `explore` derives it from the
+# edges and levels afterwards.  It returns the limit it stopped at, "level"
+# at the start of a level at least `wide` states wide, or None once every
+# state is expanded.
 _RUN_HEAD = """\
-    def run(max_states, max_depth, deadline, rows, wide):
-        m = len(states)
-        d = len(levels) - 1
-        lend = levels[-1]
+    def run(max_states, max_depth, deadline, wide):
+        m = lend = len(states)
+        d = 1
         deep = max_depth is not None and d > max_depth
         cap = lend if deep else max_states
-        for i, s in rows:  # `states` grows as the loop runs
+        for i, s in enumerate(states):  # `states` grows as the loop runs
             if i == lend:
                 d += 1
                 lend = m
@@ -1056,17 +1055,16 @@ def _explore_module(bound: BoundSpec) -> tuple:
 
 
 def _explore_function(bound: BoundSpec, graph, index: dict) -> Callable:
-    """run(max_states, max_depth, deadline, rows, wide), which expands the
-    states of `graph`, which `index` maps to their indices, in index order
-    from the start of its last level, levels[-2], with `rows` enumerating
-    (index, state) from there.  It runs until all are expanded (it returns
-    None), a limit is passed, or a level at least `wide` states wide is to
-    start: it returns "depth" or "states" once a state's new successors pass
-    `max_depth` or `max_states`, "time" when `deadline` has expired at a
-    multiple of 1,024 expanded states, and "level" with that level's end
-    appended to `levels` and none of its states expanded, so that a call
-    with rows from there resumes it.  An EvalError leaves the row of the
-    state being expanded open in `edge_start`.
+    """run(max_states, max_depth, deadline, wide), which expands the states
+    of `graph`, its initial states and those it finds, in index order from
+    state 0; `index` maps the initial states to their indices.  It runs
+    until all are expanded (it returns None), a limit is passed, or a level
+    at least `wide` states wide is to start: it returns "depth" or "states"
+    once a state's new successors pass `max_depth` or `max_states`, "time"
+    when `deadline` has expired at a multiple of 1,024 expanded states, and
+    "level" with that level's end appended to `levels` and none of its
+    states expanded.  An EvalError leaves the row of the state being
+    expanded open in `edge_start`.
 
     Each successor is interned in `index` where it is made, its edge
     appended in the order of `successors`; a new state is appended to

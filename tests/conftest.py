@@ -6,8 +6,8 @@ import sys
 import pytest
 from hypothesis import settings
 
-from spacheck import (EvalError, ExploreLimits, LimitError, bind_constants, explore, explorer,
-                      parse_spec, validate)
+from spacheck import (EvalError, ExploreLimits, LimitError, Trace, bind_constants, explore,
+                      explorer, parse_spec, validate)
 
 # `HYPOTHESIS_PROFILE=ci` fuzzes harder where time is cheap: tests that ask
 # for `max(N, settings().max_examples)` examples draw 1,000, and none has a
@@ -50,6 +50,16 @@ def build(source: str, constants=None):
 def build_graph(source: str, constants=None):
     bound = build(source, constants)
     return bound, explore(bound)
+
+
+def json_traces(report: dict, spec) -> list:
+    """The traces of a `--json` report's results, those that have one,
+    rebuilt as `Trace`s: each state is its record's values in variable
+    order."""
+    names = [v.name for v in spec.variables]
+    return [Trace([tuple(record[name] for name in names) for record in t["states"]],
+                  t["actions"], t["loop_start"], t["loop_action"])
+            for t in (result["trace"] for result in report["results"]) if t is not None]
 
 
 def index_of(graph) -> dict:

@@ -16,9 +16,9 @@ import traceback
 
 import numpy as np
 
-from conftest import corpus_path, corpus_text, perfbench_workloads
+from conftest import corpus_path, corpus_text, json_traces, perfbench_workloads
 from spacheck import (ExploreLimits, LimitError, RunConfig, bind_constants, cli, explore,
-                      liveness, parse_spec, replay_trace, run_check, successors)
+                      explorer, liveness, parse_spec, replay_trace, run_check, successors)
 from spacheck.explorer import KeyStates
 
 workloads = perfbench_workloads()
@@ -35,28 +35,18 @@ def _spec_file(source: str):
 
 def _cli_check(*args) -> tuple:
     """`spacheck check ARGS --json` in-process through `cli.main`, so that
-    argument parsing and `--timeout` run too: its exit code, its stdout,
-    and the Report it printed."""
-    reports, original, out = [], cli.run_check, io.StringIO()
-
-    def recording(config):
-        reports.append(original(config))
-        return reports[-1]
-
-    cli.run_check = recording
-    try:
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["check", *args, "--json"])
-    finally:
-        cli.run_check = original
-    return code, out.getvalue(), reports[0][0]
+    argument parsing and `--timeout` run too: its exit code and its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", *args, "--json"])
+    return code, out.getvalue()
 
 
 def _math_report(name: str, n: int) -> str:
     """`spacheck check` of the quiz `name` at n questions, which must pass
     all four checks: its JSON report with the elapsed time stripped."""
-    code, out, _ = _cli_check(str(corpus_path(name)), "--const", f"max_num_q={n}",
-                              "--timeout", "120")
+    code, out = _cli_check(str(corpus_path(name)), "--const", f"max_num_q={n}",
+                           "--timeout", "120")
     r = json.loads(out)
     assert (code, r["states"]) == (0, workloads.math_states(n)), (name, code, r["states"])
     assert [v["status"] for v in r["results"]] == ["pass"] * 4, (name, r["results"])
@@ -116,18 +106,19 @@ def panels(k=6, levels=4):
     """Level-synchronous explore: at K = 6 panels and L = 4 levels, BFS
     levels of up to 42,816 states expand as numpy columns over bit-packed
     state keys, with int64 shifts and masks by Python ints, which numpy
-    typed differently before NEP 50 (numpy 2.0).  Every counterexample
-    replays against the spec, the always eventually lasso among them, whose
-    prefix comes from the BFS of its own search."""
+    typed differently before NEP 50 (numpy 2.0).  Every counterexample,
+    read back from the JSON report, replays against the spec, the always
+    eventually lasso among them, whose prefix comes from the BFS of its own
+    search."""
     w = workloads.panels_workload(1, k=k, levels=levels)
     with _spec_file(w.source) as path:
-        code, out, report = _cli_check(path, "--const", f"levels={levels}", "--timeout", "300")
+        code, out = _cli_check(path, "--const", f"levels={levels}", "--timeout", "300")
     r = json.loads(out)
     assert code == 1, code
     assert (r["states"], r["transitions"]) == (w.states, w.transitions), r
     assert [(v["name"], v["status"]) for v in r["results"]] == list(w.verdicts), r["results"]
     bound = bind_constants(parse_spec(w.source), w.constants)
-    traces = [v.trace for v in report.results if v.trace is not None]
+    traces = json_traces(r, bound.spec)
     replays = [replay_trace(bound, t) for t in traces]
     assert traces and replays == [None] * len(traces), replays
     return f"{r['states']} states, {r['transitions']} transitions: {len(traces)} traces replay"
@@ -202,8 +193,31 @@ def key_store_limits(n=600, cap=700000):
     return f"{keyed.n_states} states in keys: math.spa's partial graph"
 
 
+def column_restart(x_max=2000, z_max=127):
+    """A column level that raises where the loop does not: at level 1,024,
+    `x * 2**53` overflows in a branch that no state takes.  Explore drops
+    the graph of its column levels and explores again from the initial
+    states with the loop alone, so the graph, in tuples, is the loop's."""
+    source = (f"spec late\nvar x : int domain 0..{x_max} init 0\n"
+              f"var z : int domain 0..{z_max} init in 0..{z_max}\n"
+              "var y : int domain 0..0 init 0\n"
+              f"action Up {{ when x < {x_max} x' = x + 1 }}\n"
+              "action B { if x > 5000 { y' = x * 9007199254740992 } else { y' = 0 } }\n")
+    bound = bind_constants(parse_spec(source), {})
+    assert explorer._column_plan(bound) is not None
+    graph, wide = explore(bound), explorer._WIDE
+    explorer._WIDE = sys.maxsize
+    try:
+        loop = explore(bound)
+    finally:
+        explorer._WIDE = wide
+    assert type(graph.states) is list, type(graph.states)
+    assert graph == loop
+    return f"{graph.n_states} states: the loop's graph after a column level raised"
+
+
 CHECKS = (reference_successors, repeated_edges, panels, math_quizzes, forall_one_pass,
-          math_buggy, key_store_limits)
+          math_buggy, key_store_limits, column_restart)
 
 
 def main() -> int:

@@ -317,10 +317,10 @@ def test_failing_invariant_json_trace(capsys, tmp_path):
     bad = [r for r in doc["results"] if r["name"] == "Bad"][0]
     assert bad["status"] == "fail"
     trace = bad["trace"]
-    assert list(trace) == ["states", "actions", "loop_start"]
+    assert list(trace) == ["states", "actions", "loop_start", "loop_action"]
     assert len(trace["states"]) == 1
     assert trace["actions"] == []
-    assert trace["loop_start"] is None
+    assert trace["loop_start"] is None and trace["loop_action"] is None
 
 
 def test_json_round_trips_value_kinds(capsys, tmp_path):

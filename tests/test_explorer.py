@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import build, build_graph, corpus_path, explore_with, graph_fields, index_of
@@ -874,11 +876,57 @@ def test_overflow_on_an_untaken_path_sends_each_level_to_the_loop(monkeypatch):
     calls = count_runs(monkeypatch)
     outcome = explore_with(bound, explorer._WIDE)
     # the columns fail at the first level, 1,024 states wide, and the loop
-    # expands it and the next one, also 1,024 states wide
+    # explores again from the start: that level and the next, also 1,024
+    # states wide
     assert calls == [0]
     assert outcome[1]["levels"] == [0, 1024, 2048]
     assert type(outcome[1]["states"]) is list
     assert outcome == explore_with(bound, sys.maxsize)
+
+
+def overflow_spec(top: int, width: int, over: int, taken: int) -> str:
+    """A key-stored spec of the `_FALLBACK` family: level d holds the
+    `width` states of each z with x = d and f false, and those with
+    x = d - 1 and f true.  Jump sets x to x + 2**63 - `over` when
+    x > `taken`, which overflows from x = `over` on, so the columns, which
+    evaluate it in every state, raise at level `over` whether a state takes
+    the branch or not."""
+    return (f"spec t\nvar x : int domain 0..{top} init 0\n"
+            f"var z : int domain 0..{width - 1} init in 0..{width - 1}\n"
+            "var f : bool init false\n"
+            f"action Up {{ when x < {top} x' = x + 1 }}\n"
+            f"action Jump {{ if x > {taken} {{ x' = x + {2**63 - over} }} else {{ f' = true }} }}\n")
+
+
+def without_levels(outcome: tuple) -> tuple:
+    """An `explore_with` outcome in the shape of `oracles.explore_reference`."""
+    if outcome[0] == "error" or outcome[-1] is None:
+        return outcome
+    return (*outcome[:-1], {k: v for k, v in outcome[-1].items() if k != "levels"})
+
+
+@settings(max_examples=max(40, settings().max_examples), deadline=None)
+@example(30, 40, 20, 30, 2000, 25)  # columns to level 20, then the loop from the start
+@example(30, 40, 5, 10, 2000, 25)  # columns to level 5, then the loop's overflow at x = 11
+@given(st.integers(1, 30), st.integers(1, 40), st.integers(1, 32), st.integers(0, 32),
+       st.integers(1, 3000), st.integers(0, 32))
+def test_a_column_level_that_raises_leaves_the_loop_to_explore(top, width, over, taken,
+                                                               max_states, max_depth):
+    """When a column level raises EvalError, explore starts over with the
+    loop alone: at every `_WIDE`, in full and at a state or depth limit,
+    its graph, partial graph or error is the loop's and the reference
+    BFS's.  When a state takes the branch, the loop's located EvalError is
+    raised with the loop's trace."""
+    bound = build(overflow_spec(top, width, over, taken))
+    assert _column_plan(bound) is not None
+    for limits in ({}, {"max_states": max_states}, {"max_depth": max_depth},
+                   {"max_states": max_states, "max_depth": max_depth}):
+        loop = explore_with(bound, sys.maxsize, **limits)
+        assert explore_with(bound, 1, **limits) == loop
+        assert explore_with(bound, 64, **limits) == loop
+        assert without_levels(loop) == oracles.explore_reference(
+            bound, limits.get("max_states", 10**6), limits.get("max_depth"))
+    assert explore_with(bound, 1)[0] == ("error" if taken < top else "graph")
 
 
 @pytest.mark.parametrize("bits", [4, 62], ids=["packed", "np.unique"])
@@ -916,7 +964,7 @@ _OVERFLOW = "spec t\nvar x : int init 9223372036854775806\naction A { x' = x + 1
     (_LAYERS, {"max_states": 3000}, LimitError),  # columns, then the loop, stop at the cap
     (_LAYERS, {"max_depth": 2}, LimitError),
     (_LAYERS, {"deadline": StopAtCall(0.5, 2)}, LimitError),
-    (_FALLBACK, {}, None),  # the columns raise, and the loop explores the rest
+    (_FALLBACK, {}, None),  # the columns raise, and the loop explores again
 ], ids=["done", "error", "states", "depth", "time", "fallback"])
 def test_explore_unfreezes_what_it_froze(source, limits, raises, monkeypatch):
     counts = frozen_during_expansion(monkeypatch)
@@ -927,7 +975,9 @@ def test_explore_unfreezes_what_it_froze(source, limits, raises, monkeypatch):
         with pytest.raises(raises):
             explore(build(source), ExploreLimits(**limits))
     assert gc.get_freeze_count() == before == 0
-    assert len(counts) == 1 and counts[0] > 0  # the expansion ran frozen
+    # The expansion ran frozen.  After the columns raise, the second one
+    # freezes no object more than the first: the first graph is gone.
+    assert counts == [counts[0]] * (2 if source is _FALLBACK else 1) and counts[0] > 0
 
 
 def test_explore_leaves_a_callers_freeze_in_place(monkeypatch):

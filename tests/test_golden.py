@@ -10,11 +10,13 @@ that the corpus has a spec with nested `if`s, self-loop-free edges and
 several failing liveness properties.
 """
 
+import json
 import re
 
 import pytest
 
-from conftest import ROOT, corpus_path
+from conftest import ROOT, build, corpus_path, json_traces
+from spacheck import replay_trace
 from spacheck.cli import main
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -59,3 +61,13 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     out, code = render(name, capsys, tmp_path)
     assert code == CASES[name][1]
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_json_traces_replay():
+    """Every failing trace of panels.json, rebuilt from its JSON, replays:
+    each of its four lassos names the action that closes its loop."""
+    bound = build((GOLDEN / "panels.spa").read_text(encoding="utf-8"), {"levels": 3})
+    traces = json_traces(json.loads((GOLDEN / "panels.json").read_text(encoding="utf-8")),
+                         bound.spec)
+    assert [t.loop_action for t in traces] == ["Adjust_2"] * 4
+    assert [replay_trace(bound, t) for t in traces] == [None] * 4

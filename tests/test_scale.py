@@ -15,6 +15,8 @@ SMALL = [
     # math_domains.spa at n = 100 expands its first column level once 2,112
     # states are found, and has 20,200 in all
     *[(scale.key_store_limits, {"n": 100, "cap": cap}) for cap in (2200, 10000, 20000)],
+    # level 1,024 still raises
+    (scale.column_restart, {"x_max": 1100, "z_max": 63}),
 ]
 
 
