@@ -2,19 +2,20 @@
 systems and model-check them for deadlock freedom, invariants, and liveness
 under weak fairness, with replayable counterexample traces."""
 
+import gc
 import os
 
-# numpy and scipy each load an OpenBLAS that starts a thread pool, one thread
-# per extra core, when it loads; each pool thread spins about 130 ms of CPU
-# right after it starts (2 cores, numpy 2.4, scipy 1.17; hosts with more
-# cores were not measured), and scipy's starts late enough to spin inside
-# the check.  The checker does no linear algebra, so while it imports them
-# OpenBLAS is asked for one thread, unless the caller set a number.  The
-# variable is removed again once the imports are done, so subprocesses see
-# the caller's environment.
+# While the modules load, OpenBLAS is asked for one thread, unless the caller
+# set a number, and the cyclic GC is paused; once they have loaded, every
+# object alive, the importer's own too, is frozen out of the GC for good.
+# The environment and whether the GC is enabled are restored, also when an
+# import raises, which freezes nothing.  README's "What `import spacheck`
+# does" says why.
 _SET_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ
 if _SET_THREADS:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+_GC_ENABLED = gc.isenabled()
+gc.disable()
 try:
     from .model import (
         SpecModel,
@@ -52,7 +53,10 @@ try:
         check_property,
     )
     from .cli import Report, RunConfig, emit_dot, emit_json, render_text, run_check
+    gc.freeze()
 finally:
+    if _GC_ENABLED:
+        gc.enable()
     if _SET_THREADS:
         del os.environ["OPENBLAS_NUM_THREADS"]
 

@@ -10,7 +10,6 @@ a self-loop is quiescent but not deadlocked.
 from __future__ import annotations
 
 import bisect
-import gc
 import itertools
 import math
 import sys
@@ -294,19 +293,11 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     if n_init > max_states:
         raise LimitError(f"state limit of {max_states} exceeded")
     init = [tuple(combo) for combo in itertools.product(*per_var)]
-    freeze = not gc.get_freeze_count()
     for plan in (_column_plan(bound), None):  # None: again, after a column level raised
         graph = StateGraph(bound=bound, states=list(init), levels=array("q", [0, len(init)]),
                            edge_start=array("q", [0]), edge_dst=array("q"),
                            edge_action=array("q"), parent=array("q"))
         run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
-        # Every object made before the expansion, the ~42,000 of importing
-        # numpy and scipy among them, is frozen out of the cyclic GC while it
-        # runs, so a full collection set off by the states it makes walks
-        # only those.  Generation-0 passes still run and untrack the state
-        # tuples.  A caller that froze objects itself keeps them frozen.
-        if freeze:
-            gc.freeze()
         try:
             stopped = _explore_levels(graph, run, plan, limits)
         except EvalError as e:
@@ -314,9 +305,6 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
             # The state being expanded is the one whose CSR row is still open.
             e.trace = reconstruct_trace(graph, len(graph.edge_start) - 1)
             raise
-        finally:
-            if freeze:
-                gc.unfreeze()
         del run  # and with it the loop's state -> index dict
         if stopped != "columns":
             break

@@ -42,6 +42,7 @@ traces are the search's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -535,30 +536,35 @@ def _binder_equality(graph: StateGraph, pred: Expr, binder: str) -> Optional[int
     return None
 
 
-def _equality_word(column: np.ndarray, values: list) -> np.ndarray:
-    """Each state's uint64 word whose bit k says that its value in
-    `column` equals values[k], in one pass over the column: a binary
-    search among the distinct values, each with the bits of the positions
-    that hold it."""
-    distinct, slot = np.unique(np.array(values, dtype=column.dtype), return_inverse=True)
-    bits = np.zeros(distinct.size, dtype=np.uint64)
-    np.bitwise_or.at(bits, slot.ravel(), np.uint64(1) << np.arange(len(values), dtype=np.uint64))
+def _value_slots(column: np.ndarray, values: list) -> tuple:
+    """`column` searched among a `forall`'s binder `values`: those, distinct
+    and sorted, and each state's index among them, or their count if none."""
+    distinct = np.unique(np.array(values, dtype=column.dtype))
     at = np.searchsorted(distinct, column)
-    np.minimum(at, distinct.size - 1, out=at)
-    word = np.take(bits, at)
-    word[np.take(distinct, at) != column] = 0
-    return word
+    at[np.take(distinct, at, mode="clip") != column] = distinct.size
+    return distinct, at
 
 
-def _sweep_words(graph: StateGraph, preds: tuple, where: str, instances: list) -> tuple:
+def _equality_word(slots: tuple, values: list) -> np.ndarray:
+    """Each state's uint64 word with bit k set where its value is values[k],
+    one of the `slots` values: a take from a bit table, whose last is none."""
+    distinct, at = slots
+    bits = np.zeros(distinct.size + 1, dtype=np.uint64)
+    np.bitwise_or.at(bits, np.searchsorted(distinct, np.array(values, dtype=distinct.dtype)),
+                     np.uint64(1) << np.arange(len(values), dtype=np.uint64))
+    return np.take(bits, at)
+
+
+def _sweep_words(graph: StateGraph, preds: tuple, where: str, slots, instances: list) -> tuple:
     """The sweep's columns of `preds` over a block of up to `_BLOCK`
     instances: one row of n uint64 words per predicate, whose bit k says
     that the predicate holds in a state for instance k, and the int `valid`,
     whose bit k says that instance k's columns were made.
 
     A predicate `v = x` or `x = v`, with v a variable and x the binder
-    (whose values `validate` has made of v's kind), takes one pass over
-    v's column (`_equality_word`).  Any other is one `StateGraph.holds`
+    (whose values `validate` has made of v's kind), is one take from
+    `slots(v)`, v's column searched once among all the binder values
+    (`_value_slots`, `_equality_word`).  Any other is one `StateGraph.holds`
     column per instance, packed bit by bit, in the per-instance search's
     order, so it meets the same EvalError; an instance whose columns raise
     keeps its bits clear in every row, and bits past the last instance stay
@@ -593,12 +599,13 @@ def _sweep_words(graph: StateGraph, preds: tuple, where: str, instances: list) -
     del byte, bit
     words = packed.view(np.uint64)[:, :, 0]  # one row of n words per predicate
     for j, var in by_value.items():
-        np.bitwise_and(_equality_word(graph.columns()[var], values), np.uint64(valid),
+        np.bitwise_and(_equality_word(slots(var), values), np.uint64(valid),
                        out=words[j])
     return words, valid
 
 
-def _sweep(graph: StateGraph, shape, where: str, check_time: Callable, instances: list) -> list:
+def _sweep(graph: StateGraph, shape, where: str, check_time: Callable, slots,
+           instances: list) -> list:
     """Sweep up to `_BLOCK` instances of an eventually, leadsto or always
     eventually `shape`, one per binder dict in `instances`, at once.
 
@@ -616,7 +623,7 @@ def _sweep(graph: StateGraph, shape, where: str, check_time: Callable, instances
     if ana.plan is None:
         ana.plan = _SweepPlan(graph, ana)
     plan = ana.plan
-    words, valid = _sweep_words(graph, _preds(shape), where, instances)
+    words, valid = _sweep_words(graph, _preds(shape), where, slots, instances)
     check_time()
     allowed = words[-1]
     np.invert(allowed, out=allowed)
@@ -654,6 +661,7 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
                 detail="vacuous: the binder set is empty",
             )
         instances = [{bname: v} for v in values]
+        slots = functools.cache(lambda var: _value_slots(graph.columns()[var], values))
     else:
         instances = [{}]
 
@@ -670,7 +678,7 @@ def check_property(graph: StateGraph, prop: TemporalProperty,
             flagged = [0]
         else:
             check_time()
-            flagged = _sweep(graph, prop.shape, where, check_time, instances[i:i + step])
+            flagged = _sweep(graph, prop.shape, where, check_time, slots, instances[i:i + step])
         for k in flagged:
             check_time()
             v = _check_shape(graph, prop, instances[i + k])

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,9 +17,9 @@ import traceback
 
 import numpy as np
 
-from conftest import corpus_path, corpus_text, json_traces, perfbench_workloads
-from spacheck import (ExploreLimits, LimitError, RunConfig, bind_constants, cli, explore,
-                      explorer, liveness, parse_spec, replay_trace, run_check, successors)
+from conftest import ROOT, corpus_path, corpus_text, json_traces, perfbench_workloads
+from spacheck import (ExploreLimits, LimitError, RunConfig, bind_constants, cli, emit_json,
+                      explore, explorer, liveness, parse_spec, replay_trace, run_check, successors)
 from spacheck.explorer import KeyStates
 
 workloads = perfbench_workloads()
@@ -216,8 +217,28 @@ def column_restart(x_max=2000, z_max=127):
     return f"{graph.n_states} states: the loop's graph after a column level raised"
 
 
+def cli_exit(n=600):
+    """`python -m spacheck check --json` in a process of its own, which
+    exits with the import's objects still frozen out of the cyclic GC: the
+    buggy quiz exits 1, and its stdout is the in-process report, its
+    deadlock trace of 3n + 3 states (1,803 at n = 600) included, byte for
+    byte once elapsed times are stripped."""
+    path = str(corpus_path("math_buggy.spa"))
+    report, code = run_check(RunConfig(path, {"max_num_q": n}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "spacheck", "check", path,
+                           "--const", f"max_num_q={n}", "--json"],
+                          env=env, capture_output=True, timeout=300)
+    assert (code, proc.returncode) == (1, 1), (code, proc.returncode, proc.stderr)
+    elapsed = re.compile(rb'"elapsed_ms": [0-9.e+-]+')
+    want = elapsed.sub(b"", (emit_json(report) + "\n").encode("utf-8"))
+    assert elapsed.sub(b"", proc.stdout) == want, (len(proc.stdout), len(want))
+    return f"exit 1 and the in-process report, {len(proc.stdout)} bytes, on stdout"
+
+
 CHECKS = (reference_successors, repeated_edges, panels, math_quizzes, forall_one_pass,
-          math_buggy, key_store_limits, column_restart)
+          math_buggy, key_store_limits, column_restart, cli_exit)
 
 
 def main() -> int:

@@ -1,6 +1,7 @@
 """Exploration, safety checks, deadlock, and trace machinery."""
 
 import ast
+import copy
 import gc
 import re
 import sys
@@ -943,18 +944,6 @@ def test_unique_matches_numpy(bits):
 # --- the cyclic GC during explore ----------------------------------------------------
 
 
-def frozen_during_expansion(monkeypatch) -> list:
-    """`gc.get_freeze_count()` at each call of `_explore_levels` from now on."""
-    counts, real = [], explorer._explore_levels
-
-    def counting(*args):
-        counts.append(gc.get_freeze_count())
-        return real(*args)
-
-    monkeypatch.setattr(explorer, "_explore_levels", counting)
-    return counts
-
-
 _OVERFLOW = "spec t\nvar x : int init 9223372036854775806\naction A { x' = x + 1 }\n"
 
 
@@ -966,31 +955,21 @@ _OVERFLOW = "spec t\nvar x : int init 9223372036854775806\naction A { x' = x + 1
     (_LAYERS, {"deadline": StopAtCall(0.5, 2)}, LimitError),
     (_FALLBACK, {}, None),  # the columns raise, and the loop explores again
 ], ids=["done", "error", "states", "depth", "time", "fallback"])
-def test_explore_unfreezes_what_it_froze(source, limits, raises, monkeypatch):
-    counts = frozen_during_expansion(monkeypatch)
-    before = gc.get_freeze_count()
-    if raises is None:
-        explore(build(source), ExploreLimits(**limits))
-    else:
-        with pytest.raises(raises):
-            explore(build(source), ExploreLimits(**limits))
-    assert gc.get_freeze_count() == before == 0
-    # The expansion ran frozen.  After the columns raise, the second one
-    # freezes no object more than the first: the first graph is gone.
-    assert counts == [counts[0]] * (2 if source is _FALLBACK else 1) and counts[0] > 0
-
-
-def test_explore_leaves_a_callers_freeze_in_place(monkeypatch):
-    counts = frozen_during_expansion(monkeypatch)
-    gc.freeze()
+def test_explore_leaves_the_gc_as_it_found_it(source, limits, raises):
+    # The import's freeze is the process's one GC policy (see `__init__.py`):
+    # explore freezes, thaws, pauses and resumes nothing.
+    was_enabled = gc.isenabled()
     try:
-        before = gc.get_freeze_count()
-        assert before > 0
-        with pytest.raises(LimitError):
-            explore(build(_LAYERS), ExploreLimits(max_depth=2))
-        graph = explore(build(_LAYERS))
-        assert gc.get_freeze_count() == before
-        assert counts == [before, before]
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            before = gc.get_freeze_count()
+            assert before > 0  # the import's freeze
+            fresh = ExploreLimits(**copy.deepcopy(limits))  # a deadline counts its checks
+            if raises is None:
+                explore(build(source), fresh)
+            else:
+                with pytest.raises(raises):
+                    explore(build(source), fresh)
+            assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
     finally:
-        gc.unfreeze()
-    assert graph.n_states == 4096
+        (gc.enable if was_enabled else gc.disable)()

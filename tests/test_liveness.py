@@ -2,6 +2,7 @@
 binder expansion, and agreement with the brute-force lasso oracle."""
 
 import dataclasses
+import functools
 import random
 import sys
 import time
@@ -1088,11 +1089,14 @@ def test_deadline_interrupts_the_analysis_build_and_the_sweep_rounds():
 # --- `forall` blocks over `var = x` in one pass --------------------------------------
 
 
-def sweep_blocks(graph, prop) -> list:
-    """The blocks of binder dicts that `check_property` hands to `_sweep`."""
+def sweep_blocks(graph, prop) -> tuple:
+    """The blocks of binder dicts that `check_property` hands to `_sweep`,
+    and the `slots` it hands with each."""
     values = semantics.eval_const_set(prop.binder[1], graph.bound, "test")
     instances = [{prop.binder[0]: v} for v in values]
-    return [instances[i:i + liveness._BLOCK] for i in range(1, len(instances), liveness._BLOCK)]
+    slots = functools.cache(lambda var: liveness._value_slots(graph.columns()[var], values))
+    blocks = [instances[i:i + liveness._BLOCK] for i in range(1, len(instances), liveness._BLOCK)]
+    return blocks, slots
 
 
 def assert_one_pass_matches_holds(graph, prop, monkeypatch) -> int:
@@ -1101,15 +1105,15 @@ def assert_one_pass_matches_holds(graph, prop, monkeypatch) -> int:
     `check_property` its verdict, trace included.  Returns the number of
     rows built in one pass."""
     preds, where = liveness._preds(prop.shape), f"property {prop.name}"
-    blocks = sweep_blocks(graph, prop)
+    blocks, slots = sweep_blocks(graph, prop)
     passes = spy(monkeypatch, "_equality_word")
-    got = [liveness._sweep_words(graph, preds, where, block) for block in blocks]
+    got = [liveness._sweep_words(graph, preds, where, slots, block) for block in blocks]
     one_pass = len(passes)
     verdict = check_property(dataclasses.replace(graph, _analysis=None), prop)
     made = len(passes)
     with monkeypatch.context() as m:
         m.setattr(liveness, "_binder_equality", lambda *args: None)
-        want = [liveness._sweep_words(graph, preds, where, block) for block in blocks]
+        want = [liveness._sweep_words(graph, preds, where, slots, block) for block in blocks]
         assert check_property(dataclasses.replace(graph, _analysis=None), prop) == verdict
     assert len(passes) == made  # the holds packing made none
     for (words, valid), (want_words, want_valid) in zip(got, want):
@@ -1181,8 +1185,9 @@ def test_one_pass_premise_keeps_an_overflowing_instance_clear(monkeypatch):
     bound, graph = build_graph(src, {"top": 60})
     prop = prop_named(bound.spec, "Over")
     assert assert_one_pass_matches_holds(graph, prop, monkeypatch) == 1
-    [block] = sweep_blocks(graph, prop)
-    words, valid = liveness._sweep_words(graph, liveness._preds(prop.shape), "property Over", block)
+    [block], slots = sweep_blocks(graph, prop)
+    words, valid = liveness._sweep_words(graph, liveness._preds(prop.shape), "property Over",
+                                         slots, block)
     assert valid == (1 << len(block)) - 1 - (1 << 4)
     assert not (words[0] >> np.uint64(4) & np.uint64(1)).any()
     assert (words[0] >> np.uint64(5) & np.uint64(1)).any()  # y = 6 holds at x = 6
@@ -1200,11 +1205,14 @@ def test_equality_word_matches_a_scan():
     for dtype, pool in pools.items():
         for _ in range(60):
             column = np.array([rng.choice(pool) for _ in range(rng.randint(1, 300))], dtype=dtype)
+            # a block's values among all the binder values the column was searched for
             values = rng.sample(pool, rng.randint(1, len(pool)))
+            block = rng.sample(values, rng.randint(1, len(values)))
             want = np.zeros(column.size, dtype=np.uint64)
-            for k, v in enumerate(values):
+            for k, v in enumerate(block):
                 want |= (column == v).astype(np.uint64) << np.uint64(k)
-            assert liveness._equality_word(column, values).tolist() == want.tolist(), values
+            slots = liveness._value_slots(column, values)
+            assert liveness._equality_word(slots, block).tolist() == want.tolist(), (values, block)
 
 
 # --- lasso prefixes ------------------------------------------------------------------

@@ -17,6 +17,7 @@ SMALL = [
     *[(scale.key_store_limits, {"n": 100, "cap": cap}) for cap in (2200, 10000, 20000)],
     # level 1,024 still raises
     (scale.column_restart, {"x_max": 1100, "z_max": 63}),
+    (scale.cli_exit, {"n": 40}),
 ]
 
 
