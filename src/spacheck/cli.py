@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .explorer import (
     Deadline,
@@ -111,7 +111,8 @@ def parse_const_args(pairs: list) -> dict:
 
 
 def _load(config: RunConfig):
-    """Parse, bind, and validate; returns (bound, graph)."""
+    """Parse, bind, validate and explore; returns (bound, graph).  Raises
+    UsageError, _Located, or explore's LimitError."""
     try:
         with open(config.spec_path, "rb") as fh:
             data = fh.read()
@@ -143,8 +144,6 @@ def _load(config: RunConfig):
         if e.trace is not None:
             lines.append(render_trace(e.trace, bound.spec))
         raise _Located("\n".join(lines)) from None
-    except LimitError as e:
-        raise _Located(f"{config.spec_path}: {e}") from None
     return bound, graph
 
 
@@ -165,21 +164,22 @@ class _Located(Exception):
     """A spec error, reported with its location and EXIT_ERROR."""
 
 
-def _load_or_report(config: RunConfig):
-    """`_load`, printing a usage or spec error to stderr; returns (bound,
-    graph, EXIT_OK), or (None, None, exit code) after an error."""
+def _reported(config: RunConfig, body: Callable):
+    """`body(bound, graph)` on the spec `config` names, which returns
+    (Report | None, exit code); or (None, exit code) after loading or
+    `body` raised a usage or spec error, printed to stderr."""
     try:
-        bound, graph = _load(config)
+        return body(*_load(config))
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None, None, EXIT_USAGE
+        error, code = str(e), EXIT_USAGE
     except _Located as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None, None, EXIT_ERROR
+        error, code = str(e), EXIT_ERROR
+    except LimitError as e:
+        error, code = f"{config.spec_path}: {e}", EXIT_ERROR
     except RecursionError:
-        print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
-        return None, None, EXIT_ERROR
-    return bound, graph, EXIT_OK
+        error, code = f"{config.spec_path}: {_TOO_DEEP}", EXIT_ERROR
+    print(f"error: {error}", file=sys.stderr)
+    return None, code
 
 
 def run_check(config: RunConfig):
@@ -187,61 +187,44 @@ def run_check(config: RunConfig):
     declared property in declaration order.  Returns (Report | None, exit
     code); error messages go to stderr."""
     t0 = time.perf_counter()
-    bound, graph, code = _load_or_report(config)
-    if graph is None:
-        return None, code
 
-    results = []
-    if not config.no_deadlock:
-        results.append(check_deadlock(graph))
-    try:
-        for prop in bound.spec.properties:
-            results.append(check_property(graph, prop, config.limits.deadline))
-    except RecursionError:
-        print(f"error: {config.spec_path}: {_TOO_DEEP}", file=sys.stderr)
-        return None, EXIT_ERROR
-    except LimitError as e:
-        print(f"error: {config.spec_path}: {e}", file=sys.stderr)
-        return None, EXIT_ERROR
-
-    if config.dot_path and _write_dot(config.dot_path, graph) != EXIT_OK:
-        return None, EXIT_USAGE
-
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    report = Report(
-        spec=bound.spec.name,
-        constants=dict(config.constants),
-        states=graph.n_states,
-        transitions=graph.n_transitions,
-        elapsed_ms=elapsed_ms,
-        results=results,
-        model=bound.spec,
-    )
-    if any(v.status == "error" for v in results):
-        return report, EXIT_ERROR
-    if any(v.status == "fail" for v in results):
-        return report, EXIT_FAIL
-    return report, EXIT_OK
+    def check(bound, graph):
+        results = [] if config.no_deadlock else [check_deadlock(graph)]
+        results += [check_property(graph, prop, config.limits.deadline)
+                    for prop in bound.spec.properties]
+        if config.dot_path:
+            _write_dot(config.dot_path, graph)
+        report = Report(
+            spec=bound.spec.name,
+            constants=dict(config.constants),
+            states=graph.n_states,
+            transitions=graph.n_transitions,
+            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+            results=results,
+            model=bound.spec,
+        )
+        statuses = {v.status for v in results}
+        return report, (EXIT_ERROR if "error" in statuses else
+                        EXIT_FAIL if "fail" in statuses else EXIT_OK)
+    return _reported(config, check)
 
 
 def run_graph(config: RunConfig) -> int:
     """Explore and export DOT only; checks are not run."""
-    _, graph, code = _load_or_report(config)
-    if graph is not None:
-        code = _write_dot(config.dot_path, graph)
-    return code
+    def export(bound, graph):
+        _write_dot(config.dot_path, graph)
+        return None, EXIT_OK
+    return _reported(config, export)[1]
 
 
-def _write_dot(path: str, graph: StateGraph) -> int:
-    """Write the DOT export; returns EXIT_OK, or EXIT_USAGE after printing
-    why the file cannot be written."""
+def _write_dot(path: str, graph: StateGraph) -> None:
+    """Write the DOT export; raises UsageError when the file cannot be
+    written."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(emit_dot(graph))
     except OSError as e:
-        print(f"error: cannot write {path}: {e.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # --- rendering -----------------------------------------------------------------

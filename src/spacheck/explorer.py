@@ -182,16 +182,19 @@ class StateGraph:
         order, which the caller must not write to.
 
         One numpy expression over `columns()` decides every state at once
-        (see `semantics._COLUMN_OPS`), generated once per bound spec and
-        predicate.  When it raises EvalError (an overflow at a corner of
+        (see `semantics._COLUMN_OPS`), generated once per bound spec,
+        predicate and binder names; `binders` (name -> value) are its
+        arguments.  When it raises EvalError (an overflow at a corner of
         whole columns, perhaps in a branch that `and`, `or` or `if` would
         never evaluate), the scalar evaluator decides one state after
         another in index order, short-circuiting as specified, and raises
         the located EvalError of the first state whose evaluation fails,
         with `held` set to the values of the states before it."""
         n = self.n_states
+        names, values = tuple(binders), tuple(binders.values())
         try:
-            held = _expr_function(pred, self.bound, where, _COLUMN_OPS)(self.columns(), binders)
+            f = _expr_function(pred, self.bound, where, _COLUMN_OPS, names)
+            held = f(self.columns(), *values)
         except EvalError:
             pass
         else:
@@ -201,9 +204,9 @@ class StateGraph:
         held = np.empty(n, dtype=bool)
         i = 0
         try:
-            f = _expr_function(pred, self.bound, where)
+            f = _expr_function(pred, self.bound, where, names=names)
             for i, s in enumerate(self.states):
-                held[i] = f(s, binders)
+                held[i] = f(s, *values)
         except EvalError as e:
             e.held = held[:i]
             raise

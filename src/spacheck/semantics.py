@@ -22,7 +22,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -396,8 +395,8 @@ def validate(bound: BoundSpec) -> list:
 # --- compilation to Python source -------------------------------------------------
 
 # An expression compiles to Python source text over a state `s` and its
-# binders: a variable is `s[3]`, a binder an entry of a binder dict or, in
-# action code, a local variable, a literal or constant its repr, and
+# binders: a variable is `s[3]`, a binder a parameter or local variable (or
+# in column code its value's repr), a literal or constant its repr, and
 # operators come from a table of source templates.  `_SCALAR_OPS` is the
 # table for one state tuple, `_COLUMN_OPS` the table for state columns, where
 # `s[3]` is a whole column: predicates over a graph (`StateGraph.holds`)
@@ -539,20 +538,21 @@ def _literal(v) -> tuple:
     return (f"({text})" if text.startswith("-") else text), v, 0
 
 
-def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b="b",
+def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: dict,
                   ops: dict = _SCALAR_OPS) -> str:
     """Python source that evaluates `e` over state `s` and the binders `b`;
     the names it needs are added to `mod`.  `ops` is the operator table.
 
-    `b` is the name of a binder dict, or, in action code, a dict from each
-    binder in scope to the local variable that holds its value."""
+    `b` maps each binder in scope to (source, value): the parameter or
+    local variable that holds it with _VARIES, or, where its value is
+    known, that value's literal and the value."""
     return _source(e, bound, where, mod, b, ops)[0]
 
 
-def _binder_args(b) -> str:
+def _binder_args(b: dict) -> str:
     """The parameters, after `s`, through which a helper function sees the
-    binders `b` (see `_compile_expr`)."""
-    return ", ".join(b.values()) if isinstance(b, dict) else b
+    binders `b` whose values vary (see `_compile_expr`)."""
+    return ", ".join(src for src, value in b.values() if value is _VARIES)
 
 
 def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -> tuple:
@@ -581,12 +581,10 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -
             return f"s[{bound.var_index[e.name]}]", _VARIES, 0
         if e.name in bound.constants:
             return _literal(bound.constants[e.name])
-        if isinstance(b, dict) and e.name in b:
-            return b[e.name], _VARIES, 0
+        if e.name in b:
+            return (*b[e.name], 0)
         err = mod.bind("U", _unresolved(e.name, where, e.line, e.col))
-        if isinstance(b, dict):
-            return f"{err}(s)", _VARIES, 1
-        return f"({b}[{e.name!r}] if {e.name!r} in {b} else {err}(s))", _VARIES, 1
+        return f"{err}(s)", _VARIES, 1
     if isinstance(e, Unary):
         x = sub(e.operand)
         return made(ops["not"].format(x[0]), x)
@@ -619,7 +617,7 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b="b") -> str:
+def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: dict) -> str:
     """Python source for the ordered distinct members of a set expression,
     as an iterable; a literal set of constants is folded to a tuple."""
     if isinstance(se, RangeSet):
@@ -644,26 +642,32 @@ def _generated(store: dict, e, key: tuple, make: Callable):
     return hit[1]
 
 
-def _make_expr_function(e: Expr, bound: BoundSpec, where: str,
-                        ops: dict = _SCALAR_OPS) -> Callable:
-    """fn(s, b) -> the value of `e` over state `s` and binder dict `b`."""
+def _make_expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS,
+                        names: tuple = ()) -> Callable:
+    """fn(s, *values) -> the value of `e` over state `s` with the binders
+    `names` at `values`.  Each binder is a parameter with a fresh name, so
+    no binder can hide a name of the generated code."""
     mod = _Module(ops["globals"])
-    src = _compile_expr(e, bound, where, mod, "b", ops)
-    return mod.run(f"def f(s, b):\n    return {src}\n", f"<{where}>")["f"]
+    b = {name: (mod.fresh("v"), _VARIES) for name in names}
+    src = _compile_expr(e, bound, where, mod, b, ops)
+    params = "".join(", " + p for p, _ in b.values())
+    return mod.run(f"def f(s{params}):\n    return {src}\n", f"<{where}>")["f"]
 
 
-def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS) -> Callable:
+def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OPS,
+                   names: tuple = ()) -> Callable:
     """`_make_expr_function`, generated once per bound spec."""
-    return _generated(bound._generated, e, (where, id(ops)),
+    return _generated(bound._generated, e, (where, id(ops), names),
                       partial(_within_depth, e, where,
-                              partial(_make_expr_function, e, bound, where, ops)))
+                              partial(_make_expr_function, e, bound, where, ops, names)))
 
 
-def _make_set_function(se: SetExpr, bound: BoundSpec, where: str) -> Callable:
-    """fn(s, b) -> the ordered distinct members of `se`, as a list."""
+def _make_set_function(se: SetExpr, bound: BoundSpec, where: str, b: dict) -> Callable:
+    """fn() -> the ordered distinct members of `se`, with the binders `b`
+    at their known values, as a list."""
     mod = _Module()
-    src = _compile_set(se, bound, where, mod)
-    return mod.run(f"def f(s, b):\n    return list({src})\n", f"<{where}>")["f"]
+    src = _compile_set(se, bound, where, mod, b)
+    return mod.run(f"def f(s=None):\n    return list({src})\n", f"<{where}>")["f"]
 
 
 def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
@@ -672,8 +676,8 @@ def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
     a > b); a literal keeps written order, first occurrence wins."""
     fn = _generated(bound._generated, setexpr, (where, "set"),
                     partial(_within_depth, setexpr, where,
-                            partial(_make_set_function, setexpr, bound, where)))
-    return fn(None, {})
+                            partial(_make_set_function, setexpr, bound, where, {})))
+    return fn()
 
 
 def _domain(bound: BoundSpec, v) -> Optional[frozenset]:
@@ -940,7 +944,7 @@ class _ActionSource:
                 lines.append(f"{pad}    w{i} = s[{i}]")
                 written.add(f"w{i}")
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
-                       {**b, st.binder: value})
+                       {**b, st.binder: (value, _VARIES)})
             return
         lines.extend(pad + line for line in tail)
         if tail is self.made:
@@ -1238,13 +1242,13 @@ class _ColumnAction:
 
     Every expression is evaluated on every state, so an integer overflow
     anywhere raises EvalError, as does a value outside its domain on a path
-    where the assignment is taken (`mask & outside(value)`): the caller then
-    expands those states one at a time, which raises the error where it
-    really happens, if it does.  `ends` holds each path's (conditions,
-    assignments) once the action is compiled.  Two paths can make one
-    successor only when the action's `any` choices may collide; only then
-    does the plan keep just the first copy of each (`_first_copies`, see
-    `_distinct_choices`)."""
+    where the assignment is taken (`mask & outside(value)`): `explore` then
+    drops that graph and explores again from the initial states with the
+    loop alone, which raises the error where it really happens, if it does.
+    `ends` holds each path's (conditions, assignments) once the action is
+    compiled.  Two paths can make one successor only when the action's `any`
+    choices may collide; only then does the plan keep just the first copy of
+    each (`_first_copies`, see `_distinct_choices`)."""
 
     def __init__(self, bound: BoundSpec, action: ActionDef, codecs: list, mod: _Module):
         self.bound, self.codecs, self.mod = bound, codecs, mod
@@ -1255,15 +1259,10 @@ class _ColumnAction:
         guards = tuple(self.local(self.expr(g, {})[0]) for g in action.guards)
         self.walk(action.body, {}, guards, {})
 
-    def view(self, binders: dict) -> SimpleNamespace:
-        """The bound spec as `_source` sees it, with the binders' static
-        values as constants."""
-        return SimpleNamespace(var_index=self.bound.var_index,
-                               constants={**self.bound.constants, **binders})
-
     def expr(self, e: Expr, binders: dict) -> tuple:
-        """(column source, constant value or _VARIES) of `e`."""
-        src, value, _ = _source(e, self.view(binders), self.where, self.mod, {}, _COLUMN_OPS)
+        """(column source, constant value or _VARIES) of `e`, with the
+        binders `binders` (name -> (literal, value))."""
+        src, value, _ = _source(e, self.bound, self.where, self.mod, binders, _COLUMN_OPS)
         return src, value
 
     def local(self, src: str) -> str:
@@ -1303,8 +1302,9 @@ class _ColumnAction:
                     a, b = (x[i][0] if i in x else f"s[{i}]" for x in (then, orelse))
                     vals[i] = (self.local(f"np.where({c}, {a}, {b})"), _VARIES)
                 continue
-            for v in _make_set_function(st.over, self.view(binders), self.where)(None, {}):
-                self.walk(st.body + rest, {**binders, st.binder: v}, terms, dict(vals))
+            for v in _make_set_function(st.over, self.bound, self.where, binders)():
+                self.walk(st.body + rest, {**binders, st.binder: _literal(v)[:2]}, terms,
+                          dict(vals))
             return
         self.ends.append((terms, vals))
         if len(self.ends) > _MAX_SLOTS:
@@ -1459,7 +1459,7 @@ def initial_values(bound: BoundSpec) -> list:
     for v in bound.spec.variables:
         where = f"var {v.name}"
         if v.init is not None:
-            values = [_expr_function(v.init, bound, where)(None, {})]
+            values = [_expr_function(v.init, bound, where)(None)]
         else:
             values = eval_const_set(v.init_set, bound, where)
         dom = _domain(bound, v)

@@ -223,9 +223,9 @@ def test_invariant_on_keys_matches_the_scan(pred, want, monkeypatch):
         # the column decides alone, on either store
         evaluator = explorer._expr_function
 
-        def column_only(e, bound, where, ops=None):
+        def column_only(e, bound, where, ops=None, names=()):
             assert ops is explorer._COLUMN_OPS, "the scalar evaluator ran"
-            return evaluator(e, bound, where, ops)
+            return evaluator(e, bound, where, ops, names)
 
         monkeypatch.setattr(explorer, "_expr_function", column_only)
         for graph in (keyed, listed):

@@ -1215,6 +1215,67 @@ def test_equality_word_matches_a_scan():
             assert liveness._equality_word(slots, block).tolist() == want.tolist(), (values, block)
 
 
+# Binders named like names of the generated code: the state `s`, numpy `np`,
+# the explore loop's state count `m`, the fresh names `v0` and `t0`, and `b`.
+# Every variable has a domain, so the graph can also be stored as keys.
+GENERATED_NAMES = """spec names
+var x : int domain 0..7 init 0
+var y : int domain 0..2 init 0
+action Jump {
+    when x < 6
+    any s in {1, 2} {
+        any m in 0..s {
+            x' = x + s
+            y' = m
+        }
+    }
+}
+action Reset {
+    when x >= 6
+    x' = 0
+    y' = 0
+}
+property Hit: forall np in 0..7 : eventually (x = np)
+property Above: forall s in 0..3 : eventually (x >= s)
+property Low: forall v0 in 0..2 : always eventually (y >= v0)
+property Lead: forall t0 in 0..3 : (x = t0) leadsto (y = t0)
+property Spread: forall b in 0..2 : (x >= b) leadsto (x < b or y >= b)
+property Fallback: forall s in 0..3 :
+    eventually (if x > 100 then x * 9223372036854775807 > s else x >= s)
+"""
+
+
+@pytest.mark.parametrize("wide", [1, sys.maxsize], ids=["keys", "tuples"])
+def test_binders_named_like_generated_code_match_the_oracle(wide, monkeypatch):
+    bound = build(GENERATED_NAMES)
+    with monkeypatch.context() as m:
+        m.setattr(explorer, "_WIDE", wide)
+        graph = explore(bound)
+    assert isinstance(graph.states, KeyStates) == (wide == 1)
+    reference = oracles.explore_reference(bound, 10**6)[1]
+    assert list(graph.states) == reference["states"]
+    oracle = {model.Eventually: oracles.oracle_eventually,
+              model.AlwaysEventually: oracles.oracle_always_eventually,
+              model.LeadsTo: oracles.oracle_leadsto}
+    statuses = set()
+    for prop in bound.spec.properties:
+        bname, bset = prop.binder
+        want = ("pass", None)
+        for v in semantics.eval_const_set(bset, bound, prop.name):
+            columns = [[bool(oracles.evaluate(e, s, {bname: v}, bound)) for s in graph.states]
+                       for e in liveness._preds(prop.shape)]
+            if not oracle[type(prop.shape)](graph, *columns):
+                want = ("fail", v)
+                break
+        verdict = check_property(graph, prop)
+        assert (verdict.status, verdict.binder) == want, prop.name
+        statuses.add(verdict.status)
+    assert statuses == {"pass", "fail"}
+    # the equality premise and target build their sweep words in one pass
+    assert assert_one_pass_matches_holds(graph, prop_named(bound.spec, "Hit"), monkeypatch)
+    assert assert_one_pass_matches_holds(graph, prop_named(bound.spec, "Lead"), monkeypatch)
+
+
 # --- lasso prefixes ------------------------------------------------------------------
 
 

@@ -35,7 +35,7 @@ def value_at(bound, text: str, record: dict):
     """`text`'s value at the state `record`, from a function generated for
     this call alone, so throwaway expressions stay out of the spec's cache."""
     state = tuple(record[v.name] for v in bound.spec.variables)
-    return _make_expr_function(parse_expr(text), bound, "<expr>")(state, {})
+    return _make_expr_function(parse_expr(text), bound, "<expr>")(state)
 
 
 def const_set(bound, text: str) -> list:
