@@ -122,8 +122,9 @@ def _load(config: RunConfig):
         source = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise _Located(f"{config.spec_path}: not UTF-8 text (byte {e.start})") from None
-    # The newline translation of a text-mode open().
-    source = source.replace("\r\n", "\n").replace("\r", "\n")
+    # The byte-order mark that open(encoding="utf-8-sig") drops, and the
+    # newline translation of a text-mode open().
+    source = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     try:
         spec = parse_spec(source)
     except ParseError as e:

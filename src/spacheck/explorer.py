@@ -1,6 +1,13 @@
 """Breadth-first construction of the reachable state graph, safety checking,
 deadlock detection, and counterexample trace handling.
 
+Explore runs a breadth-first loop that this module generates per spec
+around the actions' code from `semantics._action_source` (see `_RUN_HEAD`),
+and expands wide levels as columns of state keys (see `_explore_levels`).
+This module alone knows how explore numbers its states, appends CSR rows
+and level starts, meets a limit, checks the deadline, and hands a wide
+level to the columns.
+
 BFS keeps safety counterexamples shortest in steps.  Deadlock here is the
 pragmatic check - a state with no successor at all - which is distinct from
 liveness quiescence (no state-changing successor): a state whose only move is
@@ -18,7 +25,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,10 +34,12 @@ from .semantics import (
     _COLUMN_OPS,
     BoundSpec,
     EvalError,
+    _action_source,
     _column_plan,
     _Columns,
     _expr_function,
-    _explore_function,
+    _generated,
+    _Module,
     action_successors,
     initial_values,
     successors,
@@ -267,18 +276,18 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     Breadth-first: states are expanded in index order, which is discovery
     order, so each state's edges are appended as the next CSR row.  The
     loop that expands them is generated per spec, with the actions' code in
-    it (see `semantics._explore_function`): each successor is interned
-    where it is made and its edge appended, in the order of
-    semantics.successors, so two explorations of the same BoundSpec produce
-    identical graphs.  When every variable is a bool or has a domain, so
-    that a state packs into a 62-bit key, the first level at least _WIDE
-    states wide and every level after it are expanded at once instead, as
-    numpy columns of keys, into the same rows and states, and the graph
-    keeps the keys as its states (see `_explore_levels`), unless a column
-    level raises EvalError.  Exploring keeps only the states, the edges and
-    the level starts; `parent` is derived from them afterwards (see
-    `_derive_tree`), on the limit and error paths too.  The loop's state ->
-    index dict is explore's own: the graph does not keep it.  States are
+    it (see `_RUN_HEAD`): each successor is interned where it is made and
+    its edge appended, in the order of semantics.successors, so two
+    explorations of the same BoundSpec produce identical graphs.  When
+    every variable is a bool or has a domain, so that a state packs into a
+    62-bit key, the first level at least _WIDE states wide and every level
+    after it are expanded at once instead, as numpy columns of keys, into
+    the same rows and states, and the graph keeps the keys as its states
+    (see `_explore_levels`), unless a column level raises EvalError.
+    Exploring keeps only the states, the edges and the level starts;
+    `parent` is derived from them afterwards (see `_derive_tree`), on the
+    limit and error paths too.  The loop's state -> index dict is
+    explore's own: the graph does not keep it.  States are
     keyed by their value tuples, so `bound` must have passed `validate`.
     Raises EvalError (with the discovery trace of the offending state
     attached), LimitError (with the graph explored so far, except at the
@@ -337,11 +346,102 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
 # Python 3.11, numpy 2.4).
 _WIDE = 64
 
+# The explore loop, generated once per bound spec around every action's code
+# (see `semantics._action_source`): `_explore_module` makes one function
+# `explore(index, <graph containers>, <namespace names>)`, run once per graph,
+# which binds the interning dict `index`, the containers `_GRAPH_ARGS` and
+# the module's names as closure cells, and returns `run`.  `_GRAPH_NAMES`
+# binds the names the loop calls to their methods.
+#
+# run(max_states, max_depth, deadline, wide) expands the states in index
+# order from state 0, with the initial states alone in `states`, `index`
+# mapping them to their indices, and level 1 starting after them.  Each
+# successor is interned where it is made and its edge appended, in the order
+# of `successors`; a new state is appended to `states` and nothing else, each
+# state's edges close its CSR row, and the index where each BFS level starts
+# is appended once that level is complete.  `m` is the number of states, `d`
+# the depth of the successors made, and `lend` where the level being
+# expanded ends: the states from `lend` on are at depth d.  Past `cap` the
+# states pass a limit: past `lend` when d passes `max_depth` (`deep`), else
+# past `max_states`, which no initial state passes.  `run` returns "depth" or
+# "states" once a state's new successors pass that limit, "time" when
+# `deadline` has expired at a multiple of 1,024 expanded states, "level" at
+# the start of a level at least `wide` states wide, with that level's end
+# appended to `levels` and none of its states expanded, or None once every
+# state is expanded.  An EvalError leaves the row of the state being expanded
+# open in `edge_start`.  The loop records no discovery tree; `explore`
+# derives it from the edges and levels afterwards.
+_GRAPH_ARGS = ("states", "levels", "edge_start", "edge_dst", "edge_action")
+_GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
+                "add_level = levels.append", "add_start = edge_start.append",
+                "add_dst = edge_dst.append", "add_action = edge_action.append"]
+_RUN_HEAD = """\
+    def run(max_states, max_depth, deadline, wide):
+        m = lend = len(states)
+        d = 1
+        deep = max_depth is not None and d > max_depth
+        cap = lend if deep else max_states
+        for i, s in enumerate(states):  # `states` grows as the loop runs
+            if i == lend:
+                d += 1
+                lend = m
+                add_level(lend)
+                if lend - i >= wide:
+                    return "level"
+                deep = max_depth is not None and d > max_depth
+                cap = lend if deep else max_states
+"""
+_RUN_TAIL = """\
+            add_start(len(edge_dst))
+            # Checked once the state is expanded, so an EvalError at this
+            # state wins over a limit it reaches, and a limit over a later
+            # EvalError; the first state to make a state past `cap` meets
+            # the limit first.
+            if m > cap:
+                return "depth" if deep else "states"
+            if deadline is not None and not (i + 1) & 1023 and deadline.expired():
+                return "time"
+    return run
+"""
+
+
+def _explore_module(bound: BoundSpec) -> tuple:
+    """(module, source) of the module that explores `bound` (see
+    `_RUN_HEAD`).  The module's helper functions sit inside `explore`, where
+    the names they read are closure cells."""
+    mod = _Module()
+    actions = []
+    for a, action in enumerate(bound.spec.actions):
+        intern = ["j = intern(t, m)",
+                  "if j == m:",
+                  "    add_state(t)",
+                  "    m += 1",
+                  f"add_dst(j); add_action({a})"]
+        actions.append(_action_source(bound, action, mod, intern, 3, frozenset({"m"})))
+    lines = ["    " + line for line in _GRAPH_NAMES]
+    lines += ["    " + line for d in mod.defs for line in d.splitlines()]
+    mod.defs = []
+    params = ", ".join(["index", *_GRAPH_ARGS, *mod.ns])
+    body = "\n".join(line for x in actions for line in x.lines)
+    source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + body, _RUN_TAIL])
+    return mod, source
+
+
+def _explore_function(bound: BoundSpec, graph: StateGraph, index: dict) -> Callable:
+    """`run` over `graph`, whose initial states `index` maps to their
+    indices (see `_RUN_HEAD`).  The module is compiled once per bound
+    spec."""
+    def make():
+        mod, source = _explore_module(bound)
+        return mod.ns, mod.run(source, f"<explore {bound.spec.name}>")["explore"]
+    ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
+    return factory(index, **{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
+
 
 def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Optional[str]:
     """Expand every state of `graph`, which holds its initial states alone,
-    as `run` does (see `semantics._explore_function`), and return what it
-    returns, or "columns" when a column level raised EvalError.
+    as `run` does (see `_RUN_HEAD`), and return what it returns, or
+    "columns" when a column level raised EvalError.
 
     Without a column plan, `run` expands them all.  With one, `run` stops
     at the first level at least _WIDE states wide.  From there on the

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import (
     INT_MAX,
@@ -100,12 +99,11 @@ class Token:
 class ParseError(Exception):
     """Syntax error with a 1-based source position."""
 
-    def __init__(self, message: str, line: int, col: int, expected: Optional[list] = None):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(message)
         self.message = message
         self.line = line
         self.col = col
-        self.expected = expected
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -207,12 +205,7 @@ class _Parser:
     def fail(self, *expected: str):
         t = self.peek()
         got = t.text if t.kind != "end-of-input" else "end of input"
-        raise ParseError(
-            f"expected {', '.join(expected)} but found {got!r}",
-            t.line,
-            t.col,
-            expected=list(expected),
-        )
+        raise ParseError(f"expected {', '.join(expected)} but found {got!r}", t.line, t.col)
 
     # -- grammar -------------------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 Expressions compile to Python source text from source templates, and each
 action to generated straight-line Python with its guards, assignments,
-conditions and `any` sets inline: one function per action for `successors`,
-and for `explore` one generated breadth-first loop that holds every
-action's code and interns each successor where it is made.  Exploring a
-state space then runs straight-line Python rather than AST walks or calls
-per operator.  A spec whose states pack into an int key also compiles to
-one numpy function per action over a whole column of keys, which
-`explore` runs on wide BFS levels (see `_column_plan`).
+conditions and `any` sets inline (`_action_source`), around lines the
+caller gives for each successor: one function per action for
+`successors`, and the explore loop that `explorer.py` builds around every
+action's code.  Exploring a state space then runs straight-line Python
+rather than AST walks or calls per operator.  A spec whose states pack into
+an int key also compiles to one numpy function per action over a whole
+column of keys, which `explore` runs on wide BFS levels (see
+`_column_plan`).
 Evaluation is strict except for `and`/`or`, which short-circuit.  Variables
 not assigned on an executed action path keep their values (implicit frame),
 so an action with guards only - no body - yields the unchanged state as its
@@ -716,6 +717,26 @@ def _contains_any(stmts: list) -> bool:
     return False
 
 
+def _assigned(stmts: list, var_index: dict) -> tuple:
+    """(may, must): the slots assigned anywhere in `stmts`, and those
+    assigned on every path through it that reaches its end.  An `any`
+    restores each slot its body may assign, so it assigns them all."""
+    may, must = set(), set()
+    for st in stmts:
+        if isinstance(st, Assign):
+            may.add(var_index[st.target])
+            must.add(var_index[st.target])
+        elif isinstance(st, If):
+            then, orelse = _assigned(st.then, var_index), _assigned(st.orelse, var_index)
+            may |= then[0] | orelse[0]
+            must |= then[1] & orelse[1]
+        elif isinstance(st, AnyChoice):
+            body = _assigned(st.body, var_index)[0]
+            may |= body
+            must |= body
+    return may, must
+
+
 def _binder_targets(stmts: list, binder: str) -> set:
     """The variables that every path through `stmts` assigns exactly the
     value of `binder`."""
@@ -789,14 +810,14 @@ class _ActionSource:
     next path starts.  Statements that would nest too deep move into a
     helper called in their place.  Helpers are nested functions `k<n>(...)`
     of the binders in scope that share the slot locals; `emit` may rebind
-    `m`, the caller's state count, which a helper that runs `emit` shares
+    the caller's locals `rebinds`, which a helper that runs `emit` shares
     too.  A helper runs one frame deeper than the deepest function whose
     lines call it, and an action whose helpers would run more than
     `_MAX_CALLS` deep raises a located EvalError.
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
-                 emit: Optional[list], depth: int):
+                 emit: Optional[list], depth: int, rebinds: frozenset = frozenset()):
         self.bound = bound
         self.where = f"action {action.name}"
         self.mod = mod
@@ -809,14 +830,14 @@ class _ActionSource:
         self.calls = 0
         self.domains = [_domain(bound, v) for v in bound.spec.variables]
         nvars = len(bound.spec.variables)
-        slots = self.slots(action.body)
+        slots, always = _assigned(action.body, bound.var_index)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
         self.distinct = _distinct_choices(action)
         collect = emit is None or not self.distinct
         made = [f"t = ({fields})" if slots else "t = s"]
         made += ["out.append(t)"] if collect else emit
         # the lines that make a successor, and the locals they rebind
-        self.made, self.rebinds = made, set() if collect else {"m"}
+        self.made, self.rebinds = made, frozenset() if collect else rebinds
 
         lines = []
         if action.guards:
@@ -827,7 +848,7 @@ class _ActionSource:
         body: list = []
         self.block(body, set(), action.body, made, depth, 0, {})
         # A helper shares the slot locals, so they must all be bound here.
-        copied = slots if self.pending else slots - self.always(action.body)
+        copied = slots if self.pending else slots - always
         lines.extend(f"{pad}w{i} = s[{i}]" for i in sorted(copied))
         if collect:
             lines.append(f"{pad}out = []")
@@ -857,32 +878,6 @@ class _ActionSource:
 
     def expr(self, e: Expr, b: dict) -> str:
         return _compile_expr(e, self.bound, self.where, self.mod, b)
-
-    def slots(self, stmts: list) -> set:
-        """Slots assigned anywhere in `stmts`."""
-        out = set()
-        for st in stmts:
-            if isinstance(st, Assign):
-                out.add(self.bound.var_index[st.target])
-            elif isinstance(st, If):
-                out |= self.slots(st.then) | self.slots(st.orelse)
-            elif isinstance(st, AnyChoice):
-                out |= self.slots(st.body)
-        return out
-
-    def always(self, stmts: list) -> set:
-        """Slots assigned on every path through `stmts` that reaches its
-        end.  An `any` restores each slot its body may assign, so it
-        assigns them all."""
-        out = set()
-        for st in stmts:
-            if isinstance(st, Assign):
-                out.add(self.bound.var_index[st.target])
-            elif isinstance(st, If):
-                out |= self.always(st.then) & self.always(st.orelse)
-            elif isinstance(st, AnyChoice):
-                out |= self.slots(st.body)
-        return out
 
     def helper(self, stmts: list, tail: list, b: dict) -> str:
         """A call of a helper that runs `stmts`, then the lines `tail`, with
@@ -940,7 +935,8 @@ class _ActionSource:
             choices = _compile_set(st.over, self.bound, self.where, self.mod, b)
             value = self.mod.fresh("v")
             lines.append(f"{pad}for {value} in {choices}:")
-            for i in sorted(self.slots(st.body) - self.always(st.body + rest)):
+            restored = _assigned(st.body, self.bound.var_index)[0]
+            for i in sorted(restored - _assigned(st.body + rest, self.bound.var_index)[1]):
                 lines.append(f"{pad}    w{i} = s[{i}]")
                 written.add(f"w{i}")
             self.block(lines, written, st.body + rest, tail, depth + 1, loops + 1,
@@ -954,11 +950,12 @@ class _ActionSource:
 
 
 def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
-                   emit: Optional[list], depth: int) -> _ActionSource:
+                   emit: Optional[list], depth: int,
+                   rebinds: frozenset = frozenset()) -> _ActionSource:
     """`_ActionSource`, with a located EvalError for an action that nests
     past Python's recursion limit."""
     return _within_depth(action, f"action {action.name}",
-                         partial(_ActionSource, bound, action, mod, emit, depth))
+                         partial(_ActionSource, bound, action, mod, emit, depth, rebinds))
 
 
 def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
@@ -983,104 +980,6 @@ def _successor_functions(bound: BoundSpec) -> list:
             out.append(mod.run(main, f"<action {action.name}>")["succ"])
         return out
     return _generated(bound._generated, bound.spec, ("succ",), make)
-
-
-# The graph containers the explore module's factory takes after the
-# interning dict, and the names it binds to their methods.
-_GRAPH_ARGS = ("states", "levels", "edge_start", "edge_dst", "edge_action")
-_GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
-                "add_level = levels.append", "add_start = edge_start.append",
-                "add_dst = edge_dst.append", "add_action = edge_action.append"]
-
-# The breadth-first loop: states are expanded in index order, each state's
-# edges closing its CSR row, and the index where each BFS level starts is
-# appended once that level is complete.  It starts at state 0, with the
-# initial states alone in `states` and level 1 starting after them.  `m` is
-# the number of states, `d` the depth of the successors made, and `lend`
-# where the level being expanded ends: the states from `lend` on are at
-# depth d.  Past `cap` the states pass a limit: past `lend` when d passes
-# `max_depth` (`deep`), else past `max_states`, which no initial state
-# passes.  The loop records no discovery tree; `explore` derives it from the
-# edges and levels afterwards.  It returns the limit it stopped at, "level"
-# at the start of a level at least `wide` states wide, or None once every
-# state is expanded.
-_RUN_HEAD = """\
-    def run(max_states, max_depth, deadline, wide):
-        m = lend = len(states)
-        d = 1
-        deep = max_depth is not None and d > max_depth
-        cap = lend if deep else max_states
-        for i, s in enumerate(states):  # `states` grows as the loop runs
-            if i == lend:
-                d += 1
-                lend = m
-                add_level(lend)
-                if lend - i >= wide:
-                    return "level"
-                deep = max_depth is not None and d > max_depth
-                cap = lend if deep else max_states
-"""
-_RUN_TAIL = """\
-            add_start(len(edge_dst))
-            # Checked once the state is expanded, so an EvalError at this
-            # state wins over a limit it reaches, and a limit over a later
-            # EvalError; the first state to make a state past `cap` meets
-            # the limit first.
-            if m > cap:
-                return "depth" if deep else "states"
-            if deadline is not None and not (i + 1) & 1023 and deadline.expired():
-                return "time"
-    return run
-"""
-
-
-def _explore_module(bound: BoundSpec) -> tuple:
-    """(module, source) of the module that explores `bound`: one function
-    `explore(index, <graph containers>, <namespace names>)` whose `run`
-    expands the states of that graph (see `_explore_function`).  The
-    module's helper functions sit inside `explore`, where the names they
-    read are closure cells."""
-    mod = _Module()
-    actions = []
-    for a, action in enumerate(bound.spec.actions):
-        intern = ["j = intern(t, m)",
-                  "if j == m:",
-                  "    add_state(t)",
-                  "    m += 1",
-                  f"add_dst(j); add_action({a})"]
-        actions.append(_action_source(bound, action, mod, intern, 3))
-    lines = ["    " + line for line in _GRAPH_NAMES]
-    lines += ["    " + line for d in mod.defs for line in d.splitlines()]
-    mod.defs = []
-    params = ", ".join(["index", *_GRAPH_ARGS, *mod.ns])
-    body = "\n".join(line for x in actions for line in x.lines)
-    source = "\n".join([f"def explore({params}):", *lines, _RUN_HEAD + body, _RUN_TAIL])
-    return mod, source
-
-
-def _explore_function(bound: BoundSpec, graph, index: dict) -> Callable:
-    """run(max_states, max_depth, deadline, wide), which expands the states
-    of `graph`, its initial states and those it finds, in index order from
-    state 0; `index` maps the initial states to their indices.  It runs
-    until all are expanded (it returns None), a limit is passed, or a level
-    at least `wide` states wide is to start: it returns "depth" or "states"
-    once a state's new successors pass `max_depth` or `max_states`, "time"
-    when `deadline` has expired at a multiple of 1,024 expanded states, and
-    "level" with that level's end appended to `levels` and none of its
-    states expanded.  An EvalError leaves the row of the state being
-    expanded open in `edge_start`.
-
-    Each successor is interned in `index` where it is made, its edge
-    appended in the order of `successors`; a new state is appended to
-    `states` and nothing else, and the start of each BFS level to `levels`.
-    The module is compiled once per bound spec; its `explore` runs once per
-    graph and binds `index`, the graph's containers and the module's names
-    as closure cells."""
-    def make():
-        mod, source = _explore_module(bound)
-        return mod.ns, mod.run(source, f"<explore {bound.spec.name}>")["explore"]
-    ns, factory = _generated(bound._generated, bound.spec, ("explore",), make)
-    return factory(index, **{name: getattr(graph, name) for name in _GRAPH_ARGS}, **ns)
 
 
 # --- level-synchronous expansion of finite-domain specs ------------------------

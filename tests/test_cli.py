@@ -181,6 +181,28 @@ def test_non_utf8_spec_exit_two(capsys, tmp_path):
     assert err == f"error: {bad}: not UTF-8 text (byte 7)\n"
 
 
+@pytest.mark.parametrize("name, consts", [("clock.spa", []),
+                                           ("math_buggy.spa", ["--const", "max_num_q=3"])])
+def test_byte_order_mark_is_dropped(capsys, tmp_path, name, consts):
+    """A spec saved with a UTF-8 byte-order mark, as some editors do, checks
+    as it does without one."""
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + corpus_path(name).read_bytes())
+    want = run_json(capsys, "check", str(corpus_path(name)), *consts, "--json")
+    got = run_json(capsys, "check", str(marked), *consts, "--json")
+    del want[1]["elapsed_ms"], got[1]["elapsed_ms"]
+    assert got == want
+    assert got[0] == (0 if name == "clock.spa" else 1)
+
+
+def test_bad_byte_after_byte_order_mark_has_its_file_offset(capsys, tmp_path):
+    bad = tmp_path / "bad.spa"
+    bad.write_bytes(b"\xef\xbb\xbfspec t\n\xff")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (byte 10)\n"
+
+
 def test_validate_error_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.spa"
     bad.write_text('spec t\nvar x : int init 1\naction A { x\' = "s" }\n')

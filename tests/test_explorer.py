@@ -32,10 +32,10 @@ from spacheck import (
     validate,
 )
 from spacheck import cli, explorer, semantics
-from spacheck.explorer import Deadline, KeyStates
+from spacheck.explorer import Deadline, KeyStates, _explore_module
 from spacheck.model import state_to_record
 from spacheck.parser import _Parser, tokenize
-from spacheck.semantics import _column_plan, _explore_module
+from spacheck.semantics import _column_plan
 from test_successors import _KINDS
 
 

@@ -19,6 +19,7 @@ from spacheck import (
     ExploreLimits,
     bind_constants,
     check_always_eventually,
+    check_deadlock,
     check_eventually,
     check_invariant,
     check_leadsto,
@@ -1528,6 +1529,73 @@ def test_corpus_verdicts_match_lasso_oracle(math_src, clock_src, buggy_src):
         clock_src, {},
         ["hr = 1", "hr = 12", "period = \"am\"", "hr < 13", "hr = 13"],
     )
+
+
+_POOLS = {"int": oracles._INT_POOL, "bool": (True, False), "string": oracles._STR_POOL}
+
+
+def with_domains_and_invariant(spec, seed: int):
+    """`spec` with each variable's pool as its domain, so that its states
+    pack into keys, and one invariant, under the binder of the spec's
+    `forall` properties when they have one."""
+    var_pool = [(v.name, v.kind) for v in spec.variables]
+    for v in spec.variables:
+        v.domain = model.SetLit(elems=[model.Lit(value=x) for x in _POOLS[v.kind]])
+    binder = next((p.binder for p in spec.properties if p.binder is not None), None)
+    rng = random.Random(f"invariant {seed}")
+    pred = oracles._gen_pred(rng, var_pool, {} if binder is None else {binder[0]: "int"})
+    spec.properties.append(model.TemporalProperty(name="Inv", shape=model.Invariant(pred=pred),
+                                                  binder=binder))
+    return spec
+
+
+def oracle_holds(bound, graph, prop) -> bool:
+    """Whether `prop` holds in `graph`, from `tests/oracles.py` alone: every
+    binder value's instance holds."""
+    shape, instances = prop.shape, [{}]
+    if prop.binder is not None:
+        name, over = prop.binder
+        instances = [{name: x} for x in oracles.members(over, None, {}, bound)]
+    for binders in instances:
+        values = functools.partial(pred_values, graph, bound, binders=binders)
+        if isinstance(shape, model.Invariant):
+            holds = all(values(shape.pred))
+        elif isinstance(shape, model.Eventually):
+            holds = oracles.oracle_eventually(graph, values(shape.pred))
+        elif isinstance(shape, model.LeadsTo):
+            holds = oracles.oracle_leadsto(graph, values(shape.lhs), values(shape.rhs))
+        else:
+            holds = oracles.oracle_always_eventually(graph, values(shape.pred))
+        if not holds:
+            return False
+    return True
+
+
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_verdicts_on_both_stores_match_oracles(seed):
+    """A generated spec explored one state at a time (a list of tuples) and
+    as columns from level 0 (keys) gives the same graph and the same
+    verdicts, each the oracles' verdict, and every trace replays."""
+    for spec in (oracles.gen_spec(seed), oracles.gen_forall_spec(seed, 5)):
+        bound = bind_constants(with_domains_and_invariant(spec, seed), {})
+        assert validate(bound) == []
+        runs = []
+        for wide in (1, sys.maxsize):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(explorer, "_WIDE", wide)
+                graph = explore(bound)
+            runs.append((graph_fields(graph, levels=True), graph, [
+                check_deadlock(graph), *(check_property(graph, p) for p in spec.properties)]))
+        (keyed, _, verdicts), (listed, graph, want) = runs
+        assert keyed == listed
+        assert verdicts == want
+        deadlock = any(not oracles.step(bound, s) for s in graph.states)
+        assert verdicts[0].status == ("fail" if deadlock else "pass")
+        for prop, v in zip(spec.properties, verdicts[1:]):
+            assert v.status == ("pass" if oracle_holds(bound, graph, prop) else "fail"), prop
+        for v in verdicts:
+            assert v.trace is None or replay_trace(bound, v.trace) is None, v
 
 
 # --- the analysis's dedupe and the search's one matrix ---------------------------

@@ -22,7 +22,8 @@ from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
 from spacheck import cli, explorer, semantics
 from spacheck.model import Binary, Cond, Lit, Name, Node
-from spacheck.semantics import EvalError, _column_plan, _explore_module, _successor_source
+from spacheck.explorer import _explore_module
+from spacheck.semantics import EvalError, _column_plan, _successor_source
 
 INT_MAX = 2**63 - 1  # adding it to any positive value overflows
 
