@@ -311,9 +311,12 @@ def emit_dot(graph: StateGraph) -> str:
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {spec.name} {{", "  node [shape=box];"]
+    # A DOT keyword is an ID only when quoted.
+    keyword = spec.name.lower() in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    name = f'"{spec.name}"' if keyword else spec.name
+    lines = [f"digraph {name} {{", "  node [shape=box];"]
     for i, state in enumerate(graph.states):
-        label = esc(format_state(state, spec).replace(", ", ","))
+        label = esc(format_state(state, spec, ","))
         shape = ", shape=doubleoctagon" if i in initial else ""
         lines.append(f'  {i} [label="{i}\\n{label}"{shape}];')
     for i in range(graph.n_states):

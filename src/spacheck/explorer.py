@@ -291,16 +291,17 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
     keyed by their value tuples, so `bound` must have passed `validate`.
     Raises EvalError (with the discovery trace of the offending state
     attached), LimitError (with the graph explored so far, except at the
-    initial states), or EvalError on zero initial states.  The initial
-    states are counted from each variable's values before any is built, so
-    `max_states` bounds them too.
+    initial states), or EvalError at the first variable with no initial
+    value.  The initial states are counted from each variable's values
+    before any is built, so `max_states` bounds them too.
     """
     if limits is None:
         limits = ExploreLimits()
     per_var = initial_values(bound)
+    for v, values in zip(bound.spec.variables, per_var):
+        if not values:
+            raise EvalError("spec has no initial states", f"var {v.name}", v.line, v.col)
     n_init = math.prod(len(values) for values in per_var)
-    if not n_init:
-        raise EvalError("spec has no initial states", "init")
     max_states, max_depth = limits.max_states, limits.max_depth
     if n_init > max_states:
         raise LimitError(f"state limit of {max_states} exceeded")

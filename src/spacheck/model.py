@@ -247,8 +247,8 @@ def state_to_record(state: State, spec: SpecModel) -> dict:
     return {decl.name: v for decl, v in zip(spec.variables, state)}
 
 
-def format_state(state: State, spec: SpecModel) -> str:
-    """One-line rendering used by reports: name=value, comma separated."""
-    return ", ".join(
+def format_state(state: State, spec: SpecModel, sep: str = ", ") -> str:
+    """One-line rendering used by reports: name=value, `sep` separated."""
+    return sep.join(
         f"{decl.name}={format_value(v)}" for decl, v in zip(spec.variables, state)
     )

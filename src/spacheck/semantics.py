@@ -57,20 +57,18 @@ SET_LIMIT = 1 << 20
 class EvalError(Exception):
     """Runtime evaluation failure (overflow, domain violation, oversized set).
 
-    Carries the source location, the owning action/property, and optionally
-    the state under evaluation; the explorer attaches the discovery trace of
-    the offending state before re-raising, and `StateGraph.holds` the
-    predicate's values in the states before it, as `held`.
+    Carries the source location and the owning action/property as `where`;
+    the explorer attaches the discovery trace of the offending state as
+    `trace` before re-raising, and `StateGraph.holds` the predicate's values
+    in the states before it as `held`.
     """
 
-    def __init__(self, message: str, where: str = "", line: int = 0, col: int = 0,
-                 state: Optional[State] = None):
+    def __init__(self, message: str, where: str = "", line: int = 0, col: int = 0):
         super().__init__(message)
         self.message = message
         self.where = where
         self.line = line
         self.col = col
-        self.state = state
         self.trace = None
         self.held = None
 
@@ -416,29 +414,29 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _overflow(where: str, line: int, col: int) -> Callable:
-    def overflow(s):
-        raise EvalError("integer overflow", where, line, col, s)
+    def overflow():
+        raise EvalError("integer overflow", where, line, col)
     return overflow
 
 
 def _unresolved(name: str, where: str, line: int, col: int) -> Callable:
-    def unresolved(s):
-        raise EvalError(f"unresolved identifier {name}", where, line, col, s)
+    def unresolved():
+        raise EvalError(f"unresolved identifier {name}", where, line, col)
     return unresolved
 
 
 def _range_values(where: str, line: int, col: int) -> Callable:
-    def range_values(a, z, s):
+    def range_values(a, z):
         if z - a + 1 > SET_LIMIT:
             raise EvalError(
-                f"range {a}..{z} exceeds the {SET_LIMIT}-element set limit", where, line, col, s
+                f"range {a}..{z} exceeds the {SET_LIMIT}-element set limit", where, line, col
             )
         return range(a, z + 1)
     return range_values
 
 
 def _checked(op: str) -> str:
-    return "({t} if %d <= ({t} := {0} %s {1}) <= %d else {f}(s))" % (INT_MIN, op, INT_MAX)
+    return "({t} if %d <= ({t} := {0} %s {1}) <= %d else {f}())" % (INT_MIN, op, INT_MAX)
 
 
 # Templates over operand sources {0}, {1}, ... and a fresh local {t}.  Set
@@ -539,29 +537,22 @@ def _literal(v) -> tuple:
     return (f"({text})" if text.startswith("-") else text), v, 0
 
 
-def _compile_expr(e: Expr, bound: BoundSpec, where: str, mod: _Module, b: dict,
-                  ops: dict = _SCALAR_OPS) -> str:
-    """Python source that evaluates `e` over state `s` and the binders `b`;
-    the names it needs are added to `mod`.  `ops` is the operator table.
-
-    `b` maps each binder in scope to (source, value): the parameter or
-    local variable that holds it with _VARIES, or, where its value is
-    known, that value's literal and the value."""
-    return _source(e, bound, where, mod, b, ops)[0]
-
-
 def _binder_args(b: dict) -> str:
     """The parameters, after `s`, through which a helper function sees the
-    binders `b` whose values vary (see `_compile_expr`)."""
+    binders `b` whose values vary (see `_source`)."""
     return ", ".join(src for src, value in b.values() if value is _VARIES)
 
 
 def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -> tuple:
-    """The one walk over expressions: (source, value, height).  `value` is
-    the constant `e` folds to, or _VARIES: literals and constants are their
-    value, and arithmetic on two constants folds unless it overflows.
-    `height` is the nesting of the source; an operand as high as
-    _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, <binders>)`."""
+    """The one walk over expressions: (source, value, height).  `source`
+    evaluates `e` over state `s` and the binders `b` with the operator table
+    `ops`; the names it needs are added to `mod`.  `b` maps each binder in
+    scope to (source, value): the parameter or local variable that holds it
+    with _VARIES, or, where its value is known, that value's literal and the
+    value.  `value` is the constant `e` folds to, or _VARIES: literals and
+    constants are their value, and arithmetic on two constants folds unless
+    it overflows.  `height` is the nesting of the source; an operand as high
+    as _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, <binders>)`."""
     def sub(x: Expr) -> tuple:
         src, value, height = _source(x, bound, where, mod, b, ops)
         if height < _MAX_EXPR_DEPTH:
@@ -585,7 +576,7 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -
         if e.name in b:
             return (*b[e.name], 0)
         err = mod.bind("U", _unresolved(e.name, where, e.line, e.col))
-        return f"{err}(s)", _VARIES, 1
+        return f"{err}()", _VARIES, 1
     if isinstance(e, Unary):
         x = sub(e.operand)
         return made(ops["not"].format(x[0]), x)
@@ -622,9 +613,9 @@ def _compile_set(se: SetExpr, bound: BoundSpec, where: str, mod: _Module, b: dic
     """Python source for the ordered distinct members of a set expression,
     as an iterable; a literal set of constants is folded to a tuple."""
     if isinstance(se, RangeSet):
-        lo, hi = (_compile_expr(x, bound, where, mod, b) for x in (se.lo, se.hi))
+        lo, hi = (_source(x, bound, where, mod, b, _SCALAR_OPS)[0] for x in (se.lo, se.hi))
         check = mod.bind("R", _range_values(where, se.line, se.col))
-        return f"{check}({lo}, {hi}, s)"
+        return f"{check}({lo}, {hi})"
     elems = [_source(x, bound, where, mod, b, _SCALAR_OPS) for x in se.elems]
     values = [v for _, v, _ in elems]
     if _VARIES not in values:
@@ -650,7 +641,7 @@ def _make_expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCAL
     no binder can hide a name of the generated code."""
     mod = _Module(ops["globals"])
     b = {name: (mod.fresh("v"), _VARIES) for name in names}
-    src = _compile_expr(e, bound, where, mod, b, ops)
+    src = _source(e, bound, where, mod, b, ops)[0]
     params = "".join(", " + p for p, _ in b.values())
     return mod.run(f"def f(s{params}):\n    return {src}\n", f"<{where}>")["f"]
 
@@ -665,7 +656,8 @@ def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OP
 
 def _make_set_function(se: SetExpr, bound: BoundSpec, where: str, b: dict) -> Callable:
     """fn() -> the ordered distinct members of `se`, with the binders `b`
-    at their known values, as a list."""
+    at their known values, as a list.  No set code reads `s`, but a deep
+    operand's helper `x<n>(s)` takes it (see `_source`), so it is None."""
     mod = _Module()
     src = _compile_set(se, bound, where, mod, b)
     return mod.run(f"def f(s=None):\n    return list({src})\n", f"<{where}>")["f"]
@@ -771,10 +763,8 @@ def _distinct_choices(action: ActionDef) -> bool:
     return walk(action.body)
 
 
-def _domain_error(var: str, where: str, line: int, col: int, value, state) -> EvalError:
-    return EvalError(
-        f"value {value!r} assigned to {var} is outside its domain", where, line, col, state
-    )
+def _domain_error(var: str, where: str, line: int, col: int, value) -> EvalError:
+    return EvalError(f"value {value!r} assigned to {var} is outside its domain", where, line, col)
 
 
 class _ActionSource:
@@ -797,7 +787,7 @@ class _ActionSource:
     ends with the successor `t = (s[0], w1, s[2], ...)`, and a slot is
     copied from `s` once the guards hold only when some path can reach
     that line without assigning or restoring it.  Guards, assignments,
-    conditions and `any` sets are `_compile_expr` source, inline; an
+    conditions and `any` sets are `_source` source, inline; an
     assigned value is tested against its slot's domain unless it folds to
     a constant inside it.  Only an action whose `any` choices may collide
     can make one successor twice, so only those collect their successors
@@ -877,7 +867,7 @@ class _ActionSource:
         self.lines = lines
 
     def expr(self, e: Expr, b: dict) -> str:
-        return _compile_expr(e, self.bound, self.where, self.mod, b)
+        return _source(e, self.bound, self.where, self.mod, b, _SCALAR_OPS)[0]
 
     def helper(self, stmts: list, tail: list, b: dict) -> str:
         """A call of a helper that runs `stmts`, then the lines `tail`, with
@@ -893,7 +883,7 @@ class _ActionSource:
               loops: int, b: dict) -> None:
         """Append the lines that run `stmts` and then the lines `tail` at
         indentation `depth`, inside `loops` nested loops, with the binders
-        `b` in scope (see `_compile_expr`); `written` collects the shared
+        `b` in scope (see `_source`); `written` collects the shared
         locals those lines assign.  An `if` with no `any` inside falls
         through to the next statement: its branches end with no tail."""
         pad = "    " * depth
@@ -911,7 +901,7 @@ class _ActionSource:
                     dom = self.mod.bind("D", dom)
                     err = self.mod.bind("X", partial(
                         _domain_error, st.target, self.where, st.line, st.col))
-                    lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i}, s)")
+                    lines.append(f"{pad}if w{i} not in {dom}: raise {err}(w{i})")
                 continue
             if depth >= _MAX_INDENT or loops >= _MAX_LOOPS:
                 lines.append(pad + self.helper(stmts[k:], tail, b))

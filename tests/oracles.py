@@ -161,7 +161,7 @@ def evaluate(e, state, binders: dict, bound, where: str = "<expr>"):
             return _COMPARE[e.op](left, right)
         value = _ARITH[e.op](left, right)
         if not model.INT_MIN <= value <= model.INT_MAX:
-            raise EvalError("integer overflow", where, e.line, e.col, state)
+            raise EvalError("integer overflow", where, e.line, e.col)
         return value
     if isinstance(e, model.InSet):
         if isinstance(e.over, model.RangeSet):
@@ -183,7 +183,7 @@ def members(se, state, binders: dict, bound, where: str = "<set>") -> list:
         hi = evaluate(se.hi, state, binders, bound, where)
         if hi - lo + 1 > SET_LIMIT:
             raise EvalError(f"range {lo}..{hi} exceeds the {SET_LIMIT}-element set limit",
-                            where, se.line, se.col, state)
+                            where, se.line, se.col)
         return list(range(lo, hi + 1))
     values = [evaluate(x, state, binders, bound, where) for x in se.elems]
     return list(dict.fromkeys(values))
@@ -225,7 +225,7 @@ def step(bound, state) -> list:
                 if i in domains and value not in domains[i]:
                     raise EvalError(
                         f"value {value!r} assigned to {st.target} is outside its domain",
-                        where, st.line, st.col, state,
+                        where, st.line, st.col,
                     )
                 run(rest, binders, {**primed, i: value})
             elif isinstance(st, model.If):

@@ -277,6 +277,15 @@ def test_initial_value_outside_its_domain_exit_two(capsys, tmp_path):
     assert err == f"error: {bad}: var x at 4:1: initial value 5 of x is outside its domain\n"
 
 
+def test_empty_initial_set_is_located_at_its_variable(capsys, tmp_path):
+    spec = tmp_path / "empty.spa"
+    spec.write_text("spec t\nvar y : bool init true\nvar x : int init in 1..0\n"
+                    "var z : int init in 2..1\naction A {\nwhen y\n}\n")
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}: var x at 3:1: spec has no initial states\n"
+
+
 def test_forall_binder_set_past_the_set_limit_exit_two(capsys, tmp_path):
     spec = tmp_path / "big.spa"
     spec.write_text("spec t\nvar x : int init 0\naction A {\nx' = 1 - x\n}\n\n"
@@ -511,3 +520,24 @@ def test_dot_without_properties(capsys, tmp_path):
     code, _, _ = run(capsys, "graph", str(spec), "--dot", str(dot))
     assert code == 0
     assert dot.read_text().startswith("digraph bare {")
+
+
+def test_dot_label_keeps_a_string_value_whole(capsys, tmp_path):
+    spec = tmp_path / "label.spa"
+    spec.write_text('spec label\nvar label : string init "a, b"\nvar n : int init 1\n'
+                    "action Stay { when n = 1 }\n")
+    dot = tmp_path / "label.dot"
+    code, _, _ = run(capsys, "graph", str(spec), "--dot", str(dot))
+    assert code == 0
+    assert '  0 [label="0\\nlabel=\\"a, b\\",n=1", shape=doubleoctagon];' \
+        in dot.read_text().splitlines()
+
+
+@pytest.mark.parametrize("name", ["node", "Edge", "GRAPH", "digraph", "subgraph", "strict"])
+def test_dot_quotes_a_spec_named_by_a_keyword(capsys, tmp_path, name):
+    spec = tmp_path / "kw.spa"
+    spec.write_text(f"spec {name}\nvar x : bool init true\naction Stay {{ when x }}\n")
+    dot = tmp_path / "kw.dot"
+    code, _, _ = run(capsys, "graph", str(spec), "--dot", str(dot))
+    assert code == 0
+    assert dot.read_text().startswith(f'digraph "{name}" {{\n')

@@ -591,6 +591,23 @@ def test_deeply_nested_expressions(make, n):
     assert source_size(bound) < 2.5 * source_size(half)
 
 
+def test_deeply_nested_constant_set_members():
+    """A set member nested past `_MAX_EXPR_DEPTH` moves into a helper that
+    takes the state, which a set function has as None: in a domain, an
+    initial set and a `forall` set."""
+    deep = "1"
+    for _ in range(15):
+        deep = f"(if 1 = 1 then {deep} else 0)"
+    bound = build(f"spec t\nvar x : int domain {{{deep}, 2}} init in {{{deep}, 2}}\n"
+                  "action A { when x = 1 x' = 2 }\n"
+                  f"property P: forall q in {{2, {deep}}}: eventually (x = q)\n")
+    graph = explore(bound)
+    assert graph.states == [(1,), (2,)]
+    verdict = check_property(graph, bound.spec.properties[0])
+    assert (verdict.status, verdict.binder) == ("fail", 1)
+    assert verdict.trace.states == [(2,)]
+
+
 def test_generated_actions_read_and_compare_inline(math_src):
     """A variable read, binder, literal, comparison, `and`/`or` or sum in an
     action is inline source, in the explore loop and in the reference
@@ -617,10 +634,23 @@ def test_generated_actions_read_and_compare_inline(math_src):
             name = ast.unparse(node.func)
             if re.fullmatch(r"[OU]\d+", name):
                 assert id(node) in raisers, ast.unparse(node)
+                assert not node.args, ast.unparse(node)
             else:
                 assert name in {"out.append", "dict.fromkeys", "intern", "len", "enumerate",
                                 "deadline.expired"} \
                     or name.startswith("add_"), ast.unparse(node)
+    # An error helper is passed only what it reports: a domain test raises
+    # `X<n>(w<i>)` and an `any` over a range loops over `R<n>(lo, hi)`.
+    bound = build("spec t\nconst top : int\nvar x : int domain 0..3 init 0\n"
+                  "action Step { any c in 0..top { x' = x + c } }\n", {"top": 3})
+    mod, main = _successor_source(bound, bound.spec.actions[0])
+    for source in (_explore_module(bound)[1], mod.source(main)):
+        calls = [(ast.unparse(node.func), node.args) for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)]
+        assert [list(map(ast.unparse, args)) for name, args in calls
+                if re.fullmatch(r"X\d+", name)] == [["w0"]]
+        assert [len(args) for name, args in calls if re.fullmatch(r"R\d+", name)] == [2]
+        assert [args for name, args in calls if re.fullmatch(r"O\d+", name)] == [[]]
 
 
 def slot_copies(source: str) -> list:
