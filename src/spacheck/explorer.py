@@ -337,14 +337,18 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
 # The first BFS level at least this many states wide, and every level after
 # it, is expanded as numpy columns when the spec has a column plan (see
 # `semantics._column_plan`); the levels before it run through the generated
-# loop one state at a time.  A column level costs 0.5-0.7 ms plus about 2 us
-# a state and the loop 9-14 us a state (panels-wide, 15 actions): they break
-# even at about 60 states.  So the switch pays on deep, narrow graphs:
-# `examples/math_domains.spa` at n = 40 (111 of its 120 levels hold under 64
-# states) explores in 12 ms with it and 34 ms with columns from level 0, and
-# at n = 100 in 70 and 97 ms; on panels-wide the two measure the same, 45
-# and 47 ms.  Explore CPU time, medians of 15 interleaved rounds (2 cores,
-# Python 3.11, numpy 2.4).
+# loop one state at a time.  On panels-wide (15 actions), a column level
+# whose keys are looked up in a `_KeyTable` costs 0.3-0.4 ms plus 0.5-0.7 us
+# a state and the loop 4.7-5.7 us a state: they break even at 70-90 states
+# (with a `_KeyIndex`, 0.3-0.4 ms plus 0.7 us a state, 80-110 states), and
+# the two explore panels-wide in 20 ms either way (30 ms with a
+# `_KeyIndex`).  CPU time in one warm process, medians of 15 rounds, a
+# level's cost fitted over its 16 levels (2 cores, Python 3.11, numpy 2.4).
+# So the switch pays on deep, narrow graphs: `examples/math_domains.spa`,
+# whose keys take a `_KeyIndex`, at n = 40 (111 of its 120 levels hold under
+# 64 states) explores in 12 ms with it and 34 ms with columns from level 0,
+# and at n = 100 in 70 and 97 ms (explore CPU time, medians of 15
+# interleaved rounds).
 _WIDE = 64
 
 # The explore loop, generated once per bound spec around every action's code
@@ -450,13 +454,15 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     tuples), and every level, however narrow, is expanded as columns of
     keys; a level whose new states would pass `max_states` or `max_depth` is
     cut where the loop stops (see `_expand_level`), so the graph stays a
-    `KeyStates`.  Columns evaluate both sides of `if`, `and` and `or` in
-    every state, so they can raise where the loop does not; then `explore`
-    drops this graph and explores again with the loop alone.  So a graph's
-    store changes at most once, from tuples to keys, and the graph is the
-    loop's: a column level numbers its new states in order of their first
-    edge, as the loop does.  The deadline is checked after a column level in
-    which a 1,024th state was expanded, as the loop does after each 1,024th."""
+    `KeyStates`.  The known keys are looked up in a `_KeyTable` when the
+    plan's keys have at most _DENSE_BITS bits, else in a `_KeyIndex`.
+    Columns evaluate both sides of `if`, `and` and `or` in every state, so
+    they can raise where the loop does not; then `explore` drops this graph
+    and explores again with the loop alone.  So a graph's store changes at
+    most once, from tuples to keys, and the graph is the loop's: a column
+    level numbers its new states in order of their first edge, as the loop
+    does.  The deadline is checked after a column level in which a 1,024th
+    state was expanded, as the loop does after each 1,024th."""
     levels = graph.levels
     if plan is None or levels[1] < _WIDE:
         stopped = run(limits.max_states, limits.max_depth, limits.deadline,
@@ -464,7 +470,7 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
         if stopped != "level":
             return stopped
     frontier = plan.keys(graph.states)
-    ids = _KeyIndex()
+    ids = _KeyTable(plan.bits) if plan.bits <= _DENSE_BITS else _KeyIndex()
     ids.add(frontier, 0)
     keys = array("q")
     keys.frombytes(frontier.view(np.uint8))
@@ -486,13 +492,14 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
         frontier = new
 
 
-def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, frontier: np.ndarray, depth: int,
+def _expand_level(graph: StateGraph, plan, ids, frontier: np.ndarray, depth: int,
                   limits: ExploreLimits) -> tuple:
     """Expand the states with keys `frontier`, the last `frontier.size`
-    states of `graph`, whose states are a `KeyStates`, as columns: append
-    their CSR rows and the new states' keys, numbered in order of their
-    first edge, to `graph` and to `ids`.  Returns the new states' keys and
-    the limit met, "depth", "states" or None.  Raises EvalError, with
+    states of `graph`, whose states are a `KeyStates`, as columns: look up
+    every edge's target in `ids`, a `_KeyTable` or a `_KeyIndex`, and append
+    the states' CSR rows and the new states' keys, numbered in order of
+    their first edge, to `graph` and to `ids`.  Returns the new states' keys
+    and the limit met, "depth", "states" or None.  Raises EvalError, with
     `graph` and `ids` as they were, when the columns do.
 
     New states, at `depth`, pass a limit from index `cap` on: from the
@@ -500,41 +507,89 @@ def _expand_level(graph: StateGraph, plan, ids: _KeyIndex, frontier: np.ndarray,
     The loop stops after the row that makes state `cap`, so when the level
     would number a state `cap`, only its rows up to the one that holds that
     state's first edge, and the new states first reached in them, are
-    appended."""
+    appended; `ids` forgets the others."""
     targets, actions, counts = plan.expand(frontier)
     keys = graph.states.keys
     n = len(keys)
-    unique, first, inverse = _unique(targets, plan.bits)
-    index = ids.find(unique)
-    new = np.flatnonzero(index < 0)
-    new = new[np.argsort(first[new])]  # in order of their first edge
+    dst, fresh, first = ids.intern(targets, n)
     deep = limits.max_depth is not None and depth > limits.max_depth
     cap = n if deep else limits.max_states
     ends = np.cumsum(counts)  # where each row's edges end
-    stopped = None
-    if n + new.size > cap:
-        ends = ends[:np.searchsorted(ends, first[new[cap - n]], "right") + 1]
+    stopped, kept = None, fresh.size
+    if n + fresh.size > cap:
+        ends = ends[:np.searchsorted(ends, first[cap - n], "right") + 1]
         edges = int(ends[-1])
-        new = new[:np.searchsorted(first[new], edges)]
-        actions, inverse = actions[:edges], inverse[:edges]
+        kept = int(np.searchsorted(first, edges))
+        dst, actions = dst[:edges], actions[:edges]
         stopped = "depth" if deep else "states"
-    index[new] = np.arange(n, n + new.size)
-    fresh = unique[new]
-    ids.add(fresh, n)
+    ids.keep(fresh, kept, n)
+    fresh = fresh[:kept]
     # frombytes takes the columns' buffers as bytes, without a copy
     graph.edge_start.frombytes(
         (ends + len(graph.edge_dst)).astype(np.int64, copy=False).view(np.uint8))
-    graph.edge_dst.frombytes(index[inverse].view(np.uint8))
+    graph.edge_dst.frombytes(dst.view(np.uint8))
     graph.edge_action.frombytes(actions.view(np.uint8))
     keys.frombytes(fresh.view(np.uint8))
     return fresh, stopped
 
 
+# Keys of at most this many bits are looked up in a `_KeyTable`, one entry
+# per possible key, and wider ones in a `_KeyIndex`.  The table is int64, the
+# dtype of the keys, the edge targets and `edge_dst`, so that no lookup
+# converts a column; it is allocated with np.zeros, so only the pages that
+# hold a key explored become resident, and it holds at most 2**20 entries of
+# 8 bytes, 8 MB, however few states a spec reaches.  Panels-wide's keys have
+# 15 bits and panels' at K = 6 have 18; math_domains.spa's at n = 600 have 35.
+_DENSE_BITS = 20
+
+
+class _KeyTable:
+    """State key -> state index, for keys below 2**bits, as a direct-address
+    table (Cormen et al., Introduction to Algorithms, section 11.1): the
+    entry at each key holds its state's index + 1, 0 for a key not added, so
+    a key is looked up with one array read."""
+
+    def __init__(self, bits: int):
+        self.table = np.zeros(1 << bits, dtype=np.int64)
+
+    def add(self, keys: np.ndarray, first: int) -> None:
+        """Add `keys` as the states numbered from `first` on."""
+        self.table[keys] = np.arange(first + 1, first + 1 + keys.size)
+
+    def intern(self, targets: np.ndarray, n: int) -> tuple:
+        """(dst, fresh, first): the state index of each of `targets`, the
+        keys not added numbered from `n` on in order of their first
+        occurrence; those keys in that order; and the position of each
+        one's first occurrence, ascending.  The table holds their numbers
+        from here on, until `keep` forgets those a cut leaves out."""
+        table = self.table
+        dst = table.take(targets)
+        unseen = np.flatnonzero(dst == 0)
+        new = targets[unseen]
+        # Each edge to a key not added writes its position, made negative,
+        # at that key's entry, 0 before: the minimum is its first edge's.
+        # (np.minimum.at is a fast loop from numpy 1.25 on.)
+        at = unseen - targets.size
+        np.minimum.at(table, new, at)
+        firsts = table.take(new) == at
+        fresh, first = new[firsts], unseen[firsts]
+        self.add(fresh, n)
+        dst[unseen] = table.take(new)
+        dst -= 1
+        return dst, fresh, first
+
+    def keep(self, fresh: np.ndarray, kept: int, n: int) -> None:
+        """Keep the first `kept` of the keys `intern` numbered from `n` on
+        as `fresh`, and forget the others."""
+        self.table[fresh[kept:]] = 0
+
+
 class _KeyIndex:
     """State key -> state index, for the states added, as sorted runs of
-    numpy arrays, no Python object per state: each run is at most half as
-    long as the one before it, so a key is looked up in O(log n) runs, and
-    each key is merged into O(log n) runs in all."""
+    numpy arrays, no Python object per state, for keys too wide for a
+    `_KeyTable`: each run is at most half as long as the one before it, so
+    a key is looked up in O(log n) runs, and each key is merged into
+    O(log n) runs in all."""
 
     def __init__(self):
         self.runs: list = []  # (sorted keys, their state indices), longest first
@@ -550,37 +605,24 @@ class _KeyIndex:
         order = np.argsort(run[0])
         self.runs.append((run[0][order], run[1][order]))
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The state index of each of `keys`, -1 for a key not added."""
-        index = np.full(keys.size, -1, dtype=np.int64)
+    def intern(self, targets: np.ndarray, n: int) -> tuple:
+        """`_KeyTable.intern`'s (dst, fresh, first), from one binary search
+        of each distinct target in each run.  Adds nothing."""
+        unique, first, inverse = np.unique(targets, return_index=True, return_inverse=True)
+        index = np.full(unique.size, -1, dtype=np.int64)  # -1: not added
         for known, ids in self.runs:
-            at = np.minimum(np.searchsorted(known, keys), known.size - 1)
-            hit = known[at] == keys
+            at = np.minimum(np.searchsorted(known, unique), known.size - 1)
+            hit = known[at] == unique
             index[hit] = ids[at[hit]]
-        return index
+        new = np.flatnonzero(index < 0)
+        new = new[np.argsort(first[new])]  # in order of their first occurrence
+        index[new] = np.arange(n, n + new.size)
+        return index[inverse], unique[new], first[new]
 
-
-def _unique(keys: np.ndarray, bits: int) -> tuple:
-    """`np.unique(keys, return_index=True, return_inverse=True)` for keys
-    below 2**bits.  When each key's position fits beside it in 63 bits, one
-    in-place sort of (key, position) pairs packed into int64 replaces
-    np.unique's stable argsort: on panels-wide (2 cores, numpy 2.4) explore
-    takes 0.09 s this way against 0.12 s with np.unique."""
-    shift = keys.size.bit_length()
-    if bits + shift > 63:
-        return np.unique(keys, return_index=True, return_inverse=True)
-    packed = keys << shift
-    packed |= np.arange(keys.size)
-    packed.sort()
-    order = packed & ((1 << shift) - 1)
-    packed >>= shift
-    starts = np.empty(packed.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(packed[1:], packed[:-1], out=starts[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    starts = np.flatnonzero(starts)
-    return packed[starts], order[starts], inverse
+    def keep(self, fresh: np.ndarray, kept: int, n: int) -> None:
+        """Add the first `kept` of the keys `intern` numbered from `n` on as
+        `fresh`."""
+        self.add(fresh[:kept], n)
 
 
 def _derive_tree(graph: StateGraph) -> None:

@@ -90,13 +90,22 @@ def graph_fields(graph, levels: bool = False):
     return fields
 
 
-def explore_with(bound, wide: int, **limits) -> tuple:
+# The bounds on a key's bits at which `explore_with` looks keys up in sorted
+# runs (0) and in a table (the default) for any spec with at most that many.
+DENSE_BOUNDS = (0, explorer._DENSE_BITS)
+
+
+def explore_with(bound, wide: int, dense_bits: int = explorer._DENSE_BITS, **limits) -> tuple:
     """`explore`'s outcome with every level at least `wide` states wide
-    expanded as columns: ("graph", fields), ("limit", message, fields of
-    the partial graph or None), or ("error", message, trace states, trace
-    actions).  The fields are `graph_fields`', `levels` among them."""
+    expanded as columns, whose keys are looked up in a table when they have
+    at most `dense_bits` bits, else in sorted runs (at 0, the runs for every
+    spec with more than one possible state): ("graph", fields), ("limit",
+    message, fields of the partial graph or None), or ("error", message,
+    trace states, trace actions).  The fields are `graph_fields`', `levels`
+    among them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", wide)
+        mp.setattr(explorer, "_DENSE_BITS", dense_bits)
         try:
             graph = explore(bound, ExploreLimits(**limits))
         except EvalError as e:

@@ -194,6 +194,34 @@ def key_store_limits(n=600, cap=700000):
     return f"{keyed.n_states} states in keys: math.spa's partial graph"
 
 
+def key_table_limits(k=6, cap=200000):
+    """A state limit met inside a column level of panels, whose keys (18
+    bits at K = 6) are looked up in a table: the level is cut where the loop
+    stops, so the partial graph keeps its states as keys, and it is the
+    partial graph of the same keys looked up in sorted runs."""
+    w = workloads.panels_workload(1, k=k)
+    bound = bind_constants(parse_spec(w.source), w.constants)
+    dense = explorer._DENSE_BITS
+    assert explorer._column_plan(bound).bits <= dense
+    graphs = []
+    for bits in (dense, 0):
+        explorer._DENSE_BITS = bits
+        try:
+            explore(bound, ExploreLimits(max_states=cap))
+        except LimitError as e:
+            assert str(e) == f"state limit of {cap} exceeded", (bits, str(e))
+            graphs.append(e.graph)
+        else:
+            raise AssertionError(f"dense bits {bits}: no state limit")
+        finally:
+            explorer._DENSE_BITS = dense
+    table, runs = graphs
+    assert isinstance(table.states, KeyStates), type(table.states)
+    assert table.levels[-2] < cap, (cap, table.levels[-2])  # met inside the last level
+    assert table == runs
+    return f"{table.n_states} states in keys: the partial graph of the sorted runs"
+
+
 def column_restart(x_max=2000, z_max=127):
     """A column level that raises where the loop does not: at level 1,024,
     `x * 2**53` overflows in a branch that no state takes.  Explore drops
@@ -238,7 +266,7 @@ def cli_exit(n=600):
 
 
 CHECKS = (reference_successors, repeated_edges, panels, math_quizzes, forall_one_pass,
-          math_buggy, key_store_limits, column_restart, cli_exit)
+          math_buggy, key_store_limits, key_table_limits, column_restart, cli_exit)
 
 
 def main() -> int:

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build, build_graph, corpus_path, explore_with, graph_fields, index_of
+from conftest import (DENSE_BOUNDS, build, build_graph, corpus_path, explore_with, graph_fields,
+                      index_of)
 from spacheck import (
     EvalError,
     ExploreLimits,
@@ -767,15 +768,19 @@ def test_limit_inside_a_wide_level(limits, message, rows, monkeypatch):
     rows up to the one where the loop stops, and the new states first
     reached in them: the loop's partial graph, its states still keys.  The
     first row of level 8, state 120, makes states 162 and 163, so it passes
-    a limit of 162 or 163 states, and of depth 8, on its own."""
+    a limit of 162 or 163 states, and of depth 8, on its own.  The keys
+    looked up in sorted runs and in a table give the same graph."""
     bound = build(_CUBE)
+    loop = explore_with(bound, sys.maxsize, **limits)
     calls = count_runs(monkeypatch)
-    outcome = explore_with(bound, 40, **limits)
-    assert calls == [0]  # the loop ran only the levels before level 8
-    assert outcome[:2] == ("limit", message)
-    assert isinstance(outcome[2]["states"], KeyStates)
-    assert len(outcome[2]["edge_start"]) - 1 in rows  # stopped inside level 8
-    assert outcome == explore_with(bound, sys.maxsize, **limits)
+    for dense_bits in DENSE_BOUNDS:
+        calls.clear()
+        outcome = explore_with(bound, 40, dense_bits, **limits)
+        assert calls == [0]  # the loop ran only the levels before level 8
+        assert outcome[:2] == ("limit", message)
+        assert isinstance(outcome[2]["states"], KeyStates)
+        assert len(outcome[2]["edge_start"]) - 1 in rows  # stopped inside level 8
+        assert outcome == loop
     fields = dict(outcome[2])
     del fields["levels"]
     assert ("limit", message, fields) == oracles.explore_reference(
@@ -840,18 +845,22 @@ def test_math_with_domains_is_math_in_columns(monkeypatch):
 @pytest.mark.parametrize("limit", ["max_states", "max_depth"])
 def test_a_limit_keeps_the_keys_of_math_with_domains(limit, monkeypatch):
     """A limit met inside a column level of `examples/math_domains.spa`
-    leaves its partial graph in keys, and that graph is math.spa's."""
+    leaves its partial graph in keys, and that graph is math.spa's, with
+    the keys looked up in sorted runs and in a table."""
     constants = {"max_num_q": 40}
     keyed = build(corpus_path("math_domains.spa").read_text(encoding="utf-8"), constants)
     listed = build(corpus_path("math.spa").read_text(encoding="utf-8"), constants)
     full = explore(keyed)
     limits = {"max_states": full.n_states - 500} if limit == "max_states" else \
         {"max_depth": len(full.levels) - 20}
+    want = explore_with(listed, explorer._WIDE, **limits)
     calls = count_runs(monkeypatch)
-    outcome = explore_with(keyed, explorer._WIDE, **limits)
-    assert len(calls) == 1  # the loop ran only the narrow levels at the start
-    assert outcome[0] == "limit" and isinstance(outcome[2]["states"], KeyStates)
-    assert outcome == explore_with(listed, explorer._WIDE, **limits)
+    for dense_bits in (0, _column_plan(keyed).bits):
+        calls.clear()
+        outcome = explore_with(keyed, explorer._WIDE, dense_bits, **limits)
+        assert len(calls) == 1  # the loop ran only the narrow levels at the start
+        assert outcome[0] == "limit" and isinstance(outcome[2]["states"], KeyStates)
+        assert outcome == want
 
 
 def test_specs_without_a_wide_level_run_the_loop_once(math_src, monkeypatch):
@@ -930,15 +939,48 @@ def test_a_column_level_that_raises_leaves_the_loop_to_explore(top, width, over,
     assert explore_with(bound, 1)[0] == ("error" if taken < top else "graph")
 
 
-@pytest.mark.parametrize("bits", [4, 62], ids=["packed", "np.unique"])
-def test_unique_matches_numpy(bits):
-    rng = np.random.default_rng(bits)
-    for size in (0, 1, 2, 1000):
-        keys = rng.integers(0, 1 << bits, size, dtype=np.int64)
-        got = explorer._unique(keys.copy(), bits)
-        want = np.unique(keys, return_index=True, return_inverse=True)
-        for x, y in zip(got, want):
-            assert x.tolist() == y.reshape(-1).tolist()
+@pytest.mark.parametrize("make", [lambda: explorer._KeyTable(4), explorer._KeyIndex],
+                         ids=["table", "runs"])
+def test_key_lookups_number_new_keys_by_first_occurrence(make):
+    """Both lookups number the keys not added from n on, in order of their
+    first occurrence, and keep only those a cut level keeps."""
+    ids = make()
+    ids.add(np.array([3, 5]), 0)
+    dst, fresh, first = ids.intern(np.array([5, 9, 3, 1, 9, 7, 1]), 2)
+    assert (dst.tolist(), fresh.tolist(), first.tolist()) == (
+        [1, 2, 0, 3, 2, 4, 3], [9, 1, 7], [1, 3, 5])
+    ids.keep(fresh, 2, 2)  # the level is cut before key 7's first edge
+    dst, fresh, first = ids.intern(np.array([7, 1, 9, 3, 5]), 4)
+    assert (dst.tolist(), fresh.tolist(), first.tolist()) == ([4, 3, 2, 0, 1], [7], [0])
+    if isinstance(ids, explorer._KeyTable):
+        assert np.flatnonzero(ids.table).tolist() == [1, 3, 5, 7, 9]
+
+
+def keys_of_bits(bits: int) -> str:
+    """A spec whose keys have `bits` bits, more than 10: x in the low 10,
+    whose 64 initial values make level 0 a column level, and y in the
+    rest."""
+    return ("spec dense\nvar x : int domain 0..1023 init in 0..63\n"
+            f"var y : int domain 0..{2 ** (bits - 10) - 1} init 0\n"
+            "action Up { when y < 3 y' = y + 1 }\n"
+            "action Shift { when x < 1000 x' = x + 24 }\n")
+
+
+@pytest.mark.parametrize("extra, index", [(0, "_KeyTable"), (1, "_KeyIndex")],
+                         ids=["dense_bits", "one_more"])
+def test_keys_of_dense_bits_take_the_table(extra, index, monkeypatch):
+    """Keys of at most `_DENSE_BITS` bits are looked up in a table, wider
+    ones in sorted runs, and either gives the loop's graph."""
+    bound = build(keys_of_bits(explorer._DENSE_BITS + extra))
+    assert _column_plan(bound).bits == explorer._DENSE_BITS + extra
+    made = []
+    for name in ("_KeyTable", "_KeyIndex"):
+        cls = getattr(explorer, name)
+        monkeypatch.setattr(explorer, name, lambda *args, cls=cls: made.append(cls.__name__)
+                            or cls(*args))
+    assert isinstance(explore(bound).states, KeyStates)
+    assert made == [index]
+    assert explore_with(bound, explorer._WIDE) == explore_with(bound, sys.maxsize)
 
 
 # --- the cyclic GC during explore ----------------------------------------------------

@@ -1575,26 +1575,30 @@ def oracle_holds(bound, graph, prop) -> bool:
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_verdicts_on_both_stores_match_oracles(seed):
     """A generated spec explored one state at a time (a list of tuples) and
-    as columns from level 0 (keys) gives the same graph and the same
-    verdicts, each the oracles' verdict, and every trace replays."""
+    as columns from level 0 (keys, looked up in sorted runs and in a table)
+    gives the same graph and the same verdicts, each the oracles' verdict,
+    and every trace replays."""
     for spec in (oracles.gen_spec(seed), oracles.gen_forall_spec(seed, 5)):
         bound = bind_constants(with_domains_and_invariant(spec, seed), {})
         assert validate(bound) == []
         runs = []
-        for wide in (1, sys.maxsize):
+        for wide, dense_bits in ((1, 0), (1, explorer._DENSE_BITS),
+                                 (sys.maxsize, explorer._DENSE_BITS)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(explorer, "_WIDE", wide)
+                mp.setattr(explorer, "_DENSE_BITS", dense_bits)
                 graph = explore(bound)
             runs.append((graph_fields(graph, levels=True), graph, [
                 check_deadlock(graph), *(check_property(graph, p) for p in spec.properties)]))
-        (keyed, _, verdicts), (listed, graph, want) = runs
-        assert keyed == listed
-        assert verdicts == want
+        *keyed, (listed, graph, want) = runs
+        for fields, _, verdicts in keyed:
+            assert fields == listed
+            assert verdicts == want
         deadlock = any(not oracles.step(bound, s) for s in graph.states)
-        assert verdicts[0].status == ("fail" if deadlock else "pass")
-        for prop, v in zip(spec.properties, verdicts[1:]):
+        assert want[0].status == ("fail" if deadlock else "pass")
+        for prop, v in zip(spec.properties, want[1:]):
             assert v.status == ("pass" if oracle_holds(bound, graph, prop) else "fail"), prop
-        for v in verdicts:
+        for v in want:
             assert v.trace is None or replay_trace(bound, v.trace) is None, v
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build, corpus_text, explore_with, graph_fields
+from conftest import DENSE_BOUNDS, build, corpus_text, explore_with, graph_fields
 from spacheck import (ExploreLimits, LimitError, bind_constants, check_deadlock, check_property,
                       explore, initial_states, parse_spec, replay_trace, successors, validate)
 from spacheck import cli, explorer, semantics
@@ -751,7 +751,8 @@ def test_column_examples_have_a_column_plan():
 @given(deep_specs(all_domains=True), st.integers(1, 40), st.integers(0, 5))
 def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_depth):
     """With every level expanded as columns, `explore` gives the loop's
-    graph, error or partial graph, and the reference BFS's; a level whose
+    graph, error or partial graph, and the reference BFS's, with its keys
+    looked up in sorted runs and in a table; a level whose
     columns raise EvalError is expanded by the loop, also when only a later
     chunk of the level raises EvalError, and one whose new states would pass
     a limit is cut where the loop stops.  The
@@ -760,10 +761,11 @@ def test_column_levels_match_the_loop_and_the_reference(source, max_states, max_
     for limits in ({"max_states": 200}, {"max_states": max_states},
                    {"max_states": 200, "max_depth": max_depth}):
         loop = explore_with(bound, sys.maxsize, **limits)
-        assert explore_with(bound, 1, **limits) == loop
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(semantics, "_CHUNK_ROWS", 1)  # a chunk per state
-            assert explore_with(bound, 1, **limits) == loop
+        for dense_bits in DENSE_BOUNDS:
+            assert explore_with(bound, 1, dense_bits, **limits) == loop
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "_CHUNK_ROWS", 1)  # a chunk per state
+                assert explore_with(bound, 1, dense_bits, **limits) == loop
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explorer, "_WIDE", 1)
         assert_explore_matches_reference(bound, 200)
