@@ -240,6 +240,20 @@ class StateGraph:
         """The action name of the first edge u -> v, or None if there is none."""
         return next((label for label, t in self.out_edges(u) if t == v), None)
 
+    def trace(self, indices: list, loop_start: Optional[int] = None) -> "Trace":
+        """The states at `indices` as a trace, each step named by its first
+        edge (`edge_label`).  With `loop_start`, a lasso: the last state
+        steps back to indices[loop_start], and only such a step from a
+        state to itself, a stutter, may lack an edge."""
+        steps = list(zip(indices, indices[1:]))
+        if loop_start is not None:
+            steps.append((indices[-1], indices[loop_start]))
+        labels = [self.edge_label(u, v) for u, v in steps]
+        assert all(a is not None or u == v for a, (u, v) in zip(labels, steps))
+        return Trace(states=[self.states[i] for i in indices], actions=labels[:len(indices) - 1],
+                     loop_start=loop_start,
+                     loop_action=None if loop_start is None else labels[-1])
+
 
 @dataclass
 class Trace:
@@ -666,9 +680,7 @@ def discovery_path(graph: StateGraph, target: int) -> list:
 
 def reconstruct_trace(graph: StateGraph, target: int) -> Trace:
     """The discovery path to `target` as a trace."""
-    indices = discovery_path(graph, target)
-    return Trace(states=[graph.states[i] for i in indices],
-                 actions=[graph.edge_label(u, v) for u, v in zip(indices, indices[1:])])
+    return graph.trace(discovery_path(graph, target))
 
 
 def check_invariant(

@@ -65,7 +65,6 @@ from .model import (
 from .explorer import (
     Deadline,
     StateGraph,
-    Trace,
     Verdict,
     check_invariant,
     discovery_path,
@@ -347,25 +346,6 @@ def _cycle_through(graph: StateGraph, entry: int, members: np.ndarray) -> list:
     raise AssertionError("nontrivial SCC must contain a cycle")
 
 
-def _assemble(graph: StateGraph, prefix: list, info: _FailInfo, entry: int) -> Trace:
-    """Build the lasso trace: `prefix` ends at `entry`; the loop is either a
-    perpetual stutter at a quiescent entry or a cycle through its SCC."""
-    indices = list(prefix)
-    loop_start = len(indices) - 1
-    if info.on_scc(entry):
-        indices += _cycle_through(graph, entry, info.scc_of(entry))[1:]
-    steps = list(zip(indices, indices[1:] + [entry]))
-    labels = [graph.edge_label(u, v) for u, v in steps]
-    # Only the stutter at a quiescent entry may lack an edge.
-    assert all(a is not None or u == v for a, (u, v) in zip(labels, steps))
-    return Trace(
-        states=[graph.states[i] for i in indices],
-        actions=labels[:-1],
-        loop_start=loop_start,
-        loop_action=labels[-1],
-    )
-
-
 # --- one leads-to search for every liveness shape ------------------------------
 
 
@@ -394,10 +374,10 @@ def _starts(shape, premise: np.ndarray, restrict: np.ndarray, n0: int) -> np.nda
     return starts
 
 
-# Each shape's pass detail, and its fail detail over `start`, `entry` and `loop`.
+# Each shape's pass detail, and its fail detail over `start`, `entry` and `forever`.
 _DETAILS = {
     Eventually: ("every admitted behavior reaches the target",
-                 "never reaches the target: {loop} {entry}"),
+                 "never reaches the target: {forever} {entry}"),
     LeadsTo: ("every premise state leads to the conclusion",
               "state {start} satisfies the premise but can avoid the conclusion forever"),
     AlwaysEventually: ("the target recurs on every admitted behavior",
@@ -411,7 +391,9 @@ def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
     discovery path to the search's first state, then the search's BFS path
     from there to the loop: for eventually that first state is initial, and
     for always eventually the BFS path is the loop's entry alone, the lowest
-    index that can stay forever."""
+    index that can stay forever.  The loop is a perpetual stutter at a
+    quiescent entry or a cycle through the entry's SCC (`_cycle_through`),
+    and `StateGraph.trace` makes the lasso of these state indices."""
     kind = KIND_OF_SHAPE[type(shape)]
     try:
         columns = [graph.holds(e, f"property {name}", binders) for e in _preds(shape)]
@@ -425,12 +407,15 @@ def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
         return Verdict(name=name, kind=kind, status="pass", detail=passed)
     path = _bfs_prefix(info)
     start, entry = path[0], path[-1]
-    head = discovery_path(graph, start)
-    trace = _assemble(graph, head[:-1] + path, info, entry)
-    loop = "cycles forever from state" if info.on_scc(entry) \
-        else "stutters forever at quiescent state"
-    return Verdict(name=name, kind=kind, status="fail", trace=trace,
-                   detail=failed.format(start=start, entry=entry, loop=loop))
+    indices = discovery_path(graph, start)[:-1] + path
+    loop_start = len(indices) - 1
+    if info.on_scc(entry):
+        indices += _cycle_through(graph, entry, info.scc_of(entry))[1:]
+        forever = "cycles forever from state"
+    else:
+        forever = "stutters forever at quiescent state"
+    return Verdict(name=name, kind=kind, status="fail", trace=graph.trace(indices, loop_start),
+                   detail=failed.format(start=start, entry=entry, forever=forever))
 
 
 def check_eventually(graph: StateGraph, pred: Expr, *, name: str = "eventually",

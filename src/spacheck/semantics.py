@@ -10,10 +10,12 @@ rather than AST walks or calls per operator.  A spec whose states pack into
 an int key also compiles to one numpy function per action over a whole
 column of keys, which `explore` runs on wide BFS levels (see
 `_column_plan`).
-Evaluation is strict except for `and`/`or`, which short-circuit.  Variables
-not assigned on an executed action path keep their values (implicit frame),
-so an action with guards only - no body - yields the unchanged state as its
-one successor.
+Evaluation skips what cannot change a result: `and`, `or` and `implies`
+skip their right operand, `if` evaluates one branch, `x in lo..hi` skips
+`hi` when `x` is below `lo`, and `x in {a, b}` stops at the first member
+equal to `x`.  Variables not assigned on an executed action path keep
+their values (implicit frame), so an action with guards only - no body -
+yields the unchanged state as its one successor.
 """
 
 from __future__ import annotations
@@ -508,10 +510,12 @@ _COLUMN_OPS = {
 
 class _Module:
     """Generated source under construction: the helper functions it defines,
-    and the namespace its other names refer to."""
+    and the namespace its other names refer to.  With `state`, its functions
+    take a state `s`, which its helpers are passed too."""
 
-    def __init__(self, ns: Optional[dict] = None):
+    def __init__(self, ns: Optional[dict] = None, state: bool = True):
         self.ns = dict(ns or {})
+        self.state = state
         self.defs: list = []
         self.count = itertools.count()
 
@@ -538,8 +542,8 @@ def _literal(v) -> tuple:
 
 
 def _binder_args(b: dict) -> str:
-    """The parameters, after `s`, through which a helper function sees the
-    binders `b` whose values vary (see `_source`)."""
+    """The parameters through which a helper function sees the binders `b`
+    whose values vary (see `_source`)."""
     return ", ".join(src for src, value in b.values() if value is _VARIES)
 
 
@@ -552,14 +556,16 @@ def _source(e: Expr, bound: BoundSpec, where: str, mod: _Module, b, ops: dict) -
     value.  `value` is the constant `e` folds to, or _VARIES: literals and
     constants are their value, and arithmetic on two constants folds unless
     it overflows.  `height` is the nesting of the source; an operand as high
-    as _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, <binders>)`."""
+    as _MAX_EXPR_DEPTH moves into a helper function `x<n>(s, <binders>)`,
+    which takes no `s` in a module whose functions take no state."""
     def sub(x: Expr) -> tuple:
         src, value, height = _source(x, bound, where, mod, b, ops)
         if height < _MAX_EXPR_DEPTH:
             return src, value, height
         name = mod.fresh("x")
-        args = _binder_args(b)
-        params = f"s, {args}" if args else "s"
+        params = _binder_args(b)
+        if mod.state:
+            params = f"s, {params}" if params else "s"
         mod.defs.append(f"def {name}({params}):\n    return {src}\n")
         return f"{name}({params})", value, 1
 
@@ -656,11 +662,11 @@ def _expr_function(e: Expr, bound: BoundSpec, where: str, ops: dict = _SCALAR_OP
 
 def _make_set_function(se: SetExpr, bound: BoundSpec, where: str, b: dict) -> Callable:
     """fn() -> the ordered distinct members of `se`, with the binders `b`
-    at their known values, as a list.  No set code reads `s`, but a deep
-    operand's helper `x<n>(s)` takes it (see `_source`), so it is None."""
-    mod = _Module()
+    at their known values, as a list.  No set code reads a state, so its
+    module's functions take none."""
+    mod = _Module(state=False)
     src = _compile_set(se, bound, where, mod, b)
-    return mod.run(f"def f(s=None):\n    return list({src})\n", f"<{where}>")["f"]
+    return mod.run(f"def f():\n    return list({src})\n", f"<{where}>")["f"]
 
 
 def eval_const_set(setexpr: SetExpr, bound: BoundSpec, where: str) -> list:
@@ -1033,18 +1039,11 @@ class _Codec:
         self.mask = (1 << self.bits) - 1
         self.field = self.mask << shift
         self.checked = checked  # a declared domain, which assigned values must be in
-        self.lo = self.hi = self.table = self.codes = None
+        self.lo = self.hi = self.table = None
         if kind == "int" and values[-1] - values[0] + 1 == len(values):
             self.lo, self.hi = values[0], values[-1]
         else:
             self.table = np.array(values, dtype=_Columns._DTYPES[kind])
-            self.codes = {v: c for c, v in enumerate(values)}
-
-    def code(self, value) -> Optional[int]:
-        """The code of one value, or None outside the domain."""
-        if self.lo is None:
-            return self.codes.get(value)
-        return value - self.lo if self.lo <= value <= self.hi else None
 
     def value(self, key: int):
         """The value held in one key, as a Python value."""
@@ -1215,7 +1214,7 @@ class _ColumnAction:
             src = self.local(src)
             bad = f"B{i}({src})" if codec.checked else None
         else:
-            bad = None if codec.code(value) is not None else "True"
+            bad = "True" if codec.outside([value])[0] else None
         if bad is not None:
             taken = self.mask(terms)
             test = taken if bad == "True" else bad if taken == "True" else \
@@ -1234,8 +1233,8 @@ class _ColumnAction:
             keep &= ~codec.field
             if value is _VARIES:
                 parts.append(f"E{i}({src})")
-            else:
-                const |= (codec.code(value) or 0) << codec.shift
+            elif not codec.outside([value])[0]:  # else the path raises where it is taken
+                const |= int(codec.encode([value])[0])
         return " | ".join(["K" if keep == full else f"(K & {keep})"]
                           + ([str(const)] if const else []) + parts)
 

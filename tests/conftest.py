@@ -3,8 +3,10 @@ import os
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import csgraph
 
 from spacheck import (EvalError, ExploreLimits, LimitError, Trace, bind_constants, explore,
                       explorer, parse_spec, validate)
@@ -128,3 +130,25 @@ def math_src() -> str:
 @pytest.fixture(scope="session")
 def buggy_src() -> str:
     return corpus_text("math_buggy.spa")
+
+
+@pytest.fixture(autouse=True)
+def _no_repeated_edge_reaches_scipy(monkeypatch):
+    """Fail a test whose strong components pass gets a matrix that holds one
+    target twice in a row, instead of letting scipy loop forever on it.
+    Self-loops may repeat: a search parks the states outside it on rows of
+    them, and scipy handles them.  A sort and a neighbour compare, since a
+    test counts the calls of `np.unique`."""
+    strong = csgraph.connected_components
+
+    def checked(matrix, *args, **kwargs):
+        indptr, indices = matrix.indptr, matrix.indices
+        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+        pairs = rows * matrix.shape[1] + indices
+        pairs = pairs[indices != rows]
+        pairs.sort()
+        if (pairs[1:] == pairs[:-1]).any():
+            pytest.fail("a row of the matrix given to connected_components repeats a target")
+        return strong(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", checked)

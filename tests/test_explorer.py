@@ -371,6 +371,20 @@ def test_replay_fails_a_loop_start_that_is_not_an_index(clock_src):
     assert replay_trace(bound, lasso) is None
 
 
+def test_replay_fails_a_stutter_loop_at_a_state_that_can_move(clock_src):
+    bound = build(clock_src)
+    # 1 am steps to 2 am, so it may not stutter forever
+    assert replay_trace(bound, Trace([(1, "am")], [], loop_start=0, loop_action=None)) == 1
+    assert replay_trace(bound, Trace([(1, "am")], [], loop_start=0, loop_action="Next")) == 1
+
+
+def test_replay_fails_a_state_that_holds_no_value(clock_src):
+    bound = build(clock_src)
+    assert replay_trace(bound, Trace([(None, "am")], [])) == 0
+    assert replay_trace(bound, Trace([(12, "am"), (None, "am")], ["Next"])) == 1
+    assert replay_trace(bound, Trace([(12, "am"), (1, "am"), (2, None)], ["Next"] * 2)) == 2
+
+
 # --- which of a limit and an evaluation error wins ------------------------------------
 
 # State 1 (x = 1) has five new successors from Fan, and then Boom overflows

@@ -130,9 +130,14 @@ def test_always_alias_is_invariant():
     assert isinstance(spec.properties[0].shape, Invariant)
 
 
-@pytest.mark.parametrize("name", ["clock.spa", "math.spa", "math_buggy.spa"])
+# The golden panels spec and math_domains.spa print `domain` clauses.
+@pytest.mark.parametrize("name", ["clock.spa", "math.spa", "math_buggy.spa", "math_domains.spa",
+                                  "golden/panels.spa"])
 def test_corpus_round_trip(name):
-    source = corpus_text(name)
+    if name.startswith("golden/"):
+        source = (ROOT / "tests" / name).read_text(encoding="utf-8")
+    else:
+        source = corpus_text(name)
     first = parse_spec(source)
     printed = pretty_print(first)
     second = parse_spec(printed)
@@ -145,6 +150,27 @@ def test_minimal_spec_round_trip():
     src = "spec t var x : bool init true action A { when x x' = false }"
     spec = parse_spec(src)
     assert parse_spec(pretty_print(spec)) == spec
+
+
+def test_forall_always_round_trip():
+    src = ("spec t var x : int init 0 action A { when x < 3 x' = x + 1 }\n"
+           "property P: forall v in 0..3 : always (x <= v)")
+    spec = parse_spec(src)
+    printed = pretty_print(spec)
+    assert "property P: forall v in 0..3 : always (" in printed
+    assert parse_spec(printed) == spec
+    assert pretty_print(parse_spec(printed)) == printed
+
+
+@pytest.mark.parametrize("source,message", [
+    ("spec t foo", "1:8: expected 'const', 'var', 'action', 'invariant', 'property' but found 'foo'"),
+    ("spec t property P: 3", "1:20: expected 'always', 'eventually', '(', identifier but found '3'"),
+    ("spec t var x : bool action A { when x }", "1:21: expected 'init' but found 'action'"),
+], ids=["top_level", "property_shape", "var_without_init"])
+def test_parse_error_names_what_was_expected(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_spec(source)
+    assert str(err.value) == message
 
 
 def test_parse_error_positions_inside_source():

@@ -210,6 +210,13 @@ def test_eval_short_circuit_skips_overflow(math_src):
     record = dict(oracles.math_init(), num=INT_MAX)
     assert value_at(bound, "true or num + 1 = 0", record) is True
     assert value_at(bound, "false and num + 1 = 0", record) is False
+    assert value_at(bound, "false implies num + 1 = 0", record) is True
+    assert value_at(bound, "(if true then 1 else num + 1) = 1", record) is True
+    # a set literal stops at the first equal member, a range below its low end
+    assert value_at(bound, "1 in {1, num + 1}", record) is True
+    assert value_at(bound, "5 in 7..num + 1", record) is False
+    with pytest.raises(EvalError, match="overflow"):
+        value_at(bound, "1 in {num + 1, 1}", record)
 
 
 def test_eval_set_range(clock_src):

@@ -592,9 +592,9 @@ def test_deeply_nested_expressions(make, n):
 
 
 def test_deeply_nested_constant_set_members():
-    """A set member nested past `_MAX_EXPR_DEPTH` moves into a helper that
-    takes the state, which a set function has as None: in a domain, an
-    initial set and a `forall` set."""
+    """A set member nested past `_MAX_EXPR_DEPTH` moves into a helper, which
+    in a set function takes no state: in a domain, an initial set and a
+    `forall` set."""
     deep = "1"
     for _ in range(15):
         deep = f"(if 1 = 1 then {deep} else 0)"
