@@ -9,14 +9,36 @@ import os
 # set a number, and the cyclic GC is paused; once they have loaded, every
 # object alive, the importer's own too, is frozen out of the GC for good.
 # The environment and whether the GC is enabled are restored, also when an
-# import raises, which freezes nothing.  README's "What `import spacheck`
-# does" says why.
+# import raises, which freezes nothing.  Before scipy loads, the numpy
+# submodules that scipy's `from numpy import *` would run and no check reads
+# are registered as numpy's own lazy modules, whose code runs at their first
+# attribute read.  README's "What `import spacheck` does" says why.
 _SET_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ
 if _SET_THREADS:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 _GC_ENABLED = gc.isenabled()
 gc.disable()
 try:
+    def _defer_numpy_submodules():
+        import importlib.util
+        import sys
+
+        import numpy
+        for name in ("f2py", "testing", "ma", "polynomial", "char", "rec", "strings",
+                     "ctypeslib", "core"):
+            full = "numpy." + name
+            if name in vars(numpy) or full in sys.modules:
+                continue
+            spec = importlib.util.find_spec(full)
+            if spec is None:  # numpy 1.x has no `strings`
+                continue
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            setattr(numpy, name, module)
+
+    _defer_numpy_submodules()
+    del _defer_numpy_submodules
     from .model import (
         SpecModel,
         State,

@@ -524,7 +524,7 @@ def _binder_equality(graph: StateGraph, pred: Expr, binder: str) -> Optional[int
 def _value_slots(column: np.ndarray, values: list) -> tuple:
     """`column` searched among a `forall`'s binder `values`: those, distinct
     and sorted, and each state's index among them, or their count if none."""
-    distinct = np.unique(np.array(values, dtype=column.dtype))
+    distinct = np.array(sorted(set(values)), dtype=column.dtype)
     at = np.searchsorted(distinct, column)
     at[np.take(distinct, at, mode="clip") != column] = distinct.size
     return distinct, at
