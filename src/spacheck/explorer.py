@@ -321,7 +321,7 @@ def explore(bound: BoundSpec, limits: Optional[ExploreLimits] = None) -> StateGr
         raise LimitError(f"state limit of {max_states} exceeded")
     init = [tuple(combo) for combo in itertools.product(*per_var)]
     for plan in (_column_plan(bound), None):  # None: again, after a column level raised
-        graph = StateGraph(bound=bound, states=list(init), levels=array("q", [0, len(init)]),
+        graph = StateGraph(bound=bound, states=list(init), levels=array("q", [0]),
                            edge_start=array("q", [0]), edge_dst=array("q"),
                            edge_action=array("q"), parent=array("q"))
         run = _explore_function(bound, graph, {s: i for i, s in enumerate(init)})
@@ -374,32 +374,31 @@ _WIDE = 64
 #
 # run(max_states, max_depth, deadline, wide) expands the states in index
 # order from state 0, with the initial states alone in `states`, `index`
-# mapping them to their indices, and level 1 starting after them.  Each
-# successor is interned where it is made and its edge appended, in the order
-# of `successors`; a new state is appended to `states` and nothing else, each
-# state's edges close its CSR row, and the index where each BFS level starts
-# is appended once that level is complete.  `m` is the number of states, `d`
-# the depth of the successors made, and `lend` where the level being
-# expanded ends: the states from `lend` on are at depth d.  Past `cap` the
-# states pass a limit: past `lend` when d passes `max_depth` (`deep`), else
-# past `max_states`, which no initial state passes.  `run` returns "depth" or
-# "states" once a state's new successors pass that limit, "time" when
-# `deadline` has expired at a multiple of 1,024 expanded states, "level" at
-# the start of a level at least `wide` states wide, with that level's end
-# appended to `levels` and none of its states expanded, or None once every
-# state is expanded.  An EvalError leaves the row of the state being expanded
-# open in `edge_start`.  The loop records no discovery tree; `explore`
-# derives it from the edges and levels afterwards.
+# mapping them to their indices, and `levels` holding level 0's start alone.
+# Each successor is interned where it is made and its edge appended, in the
+# order of `successors`; a new state is appended to `states` and nothing
+# else, and each state's edges close its CSR row.  `m` is the number of
+# states, `d` the depth of the successors made, and `lend` where the level
+# being expanded ends: the states from `lend` on are at depth d.  Every
+# level, level 0 too, starts in one block at its first state, `i == lend`:
+# the level is complete, so its end `m` is appended to `levels`, and `cap`
+# is set.  Past `cap` the states pass a limit: past `lend` when d passes
+# `max_depth` (`deep`), else past `max_states`, which no initial state
+# passes.  `run` returns "depth" or "states" once a state's new successors
+# pass that limit, "time" when `deadline` has expired at a multiple of 1,024
+# expanded states, "level" at the start of a level at least `wide` states
+# wide, with that level's end appended to `levels` and none of its states
+# expanded, or None once every state is expanded.  An EvalError leaves the
+# row of the state being expanded open in `edge_start`.  The loop records no
+# discovery tree; `explore` derives it from the edges and levels afterwards.
 _GRAPH_ARGS = ("states", "levels", "edge_start", "edge_dst", "edge_action")
 _GRAPH_NAMES = ["intern = index.setdefault", "add_state = states.append",
                 "add_level = levels.append", "add_start = edge_start.append",
                 "add_dst = edge_dst.append", "add_action = edge_action.append"]
 _RUN_HEAD = """\
     def run(max_states, max_depth, deadline, wide):
-        m = lend = len(states)
-        d = 1
-        deep = max_depth is not None and d > max_depth
-        cap = lend if deep else max_states
+        m = len(states)
+        lend = d = 0
         for i, s in enumerate(states):  # `states` grows as the loop runs
             if i == lend:
                 d += 1
@@ -467,9 +466,10 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     graph's states are their keys (a `KeyStates`, in place of the list of
     tuples), and every level, however narrow, is expanded as columns of
     keys; a level whose new states would pass `max_states` or `max_depth` is
-    cut where the loop stops (see `_expand_level`), so the graph stays a
-    `KeyStates`.  The known keys are looked up in a `_KeyTable` when the
-    plan's keys have at most _DENSE_BITS bits, else in a `_KeyIndex`.
+    cut where the loop stops (see `_expand_level`), and explore ends there,
+    the graph still a `KeyStates`.  The known keys are looked up in a
+    `_KeyTable` when the plan's keys have at most _DENSE_BITS bits, else in
+    a `_KeyIndex`.
     Columns evaluate both sides of `if`, `and` and `or` in every state, so
     they can raise where the loop does not; then `explore` drops this graph
     and explores again with the loop alone.  So a graph's store changes at
@@ -478,11 +478,10 @@ def _explore_levels(graph: StateGraph, run, plan, limits: ExploreLimits) -> Opti
     does.  The deadline is checked after a column level in which a 1,024th
     state was expanded, as the loop does after each 1,024th."""
     levels = graph.levels
-    if plan is None or levels[1] < _WIDE:
-        stopped = run(limits.max_states, limits.max_depth, limits.deadline,
-                      sys.maxsize if plan is None else _WIDE)
-        if stopped != "level":
-            return stopped
+    stopped = run(limits.max_states, limits.max_depth, limits.deadline,
+                  sys.maxsize if plan is None else _WIDE)
+    if stopped != "level":
+        return stopped
     frontier = plan.keys(graph.states)
     ids = _KeyTable(plan.bits) if plan.bits <= _DENSE_BITS else _KeyIndex()
     ids.add(frontier, 0)
@@ -521,7 +520,8 @@ def _expand_level(graph: StateGraph, plan, ids, frontier: np.ndarray, depth: int
     The loop stops after the row that makes state `cap`, so when the level
     would number a state `cap`, only its rows up to the one that holds that
     state's first edge, and the new states first reached in them, are
-    appended; `ids` forgets the others."""
+    appended to `graph`.  `ids` numbers the others too, but a cut ends
+    explore, which reads `ids` no more."""
     targets, actions, counts = plan.expand(frontier)
     keys = graph.states.keys
     n = len(keys)
@@ -529,15 +529,13 @@ def _expand_level(graph: StateGraph, plan, ids, frontier: np.ndarray, depth: int
     deep = limits.max_depth is not None and depth > limits.max_depth
     cap = n if deep else limits.max_states
     ends = np.cumsum(counts)  # where each row's edges end
-    stopped, kept = None, fresh.size
+    stopped = None
     if n + fresh.size > cap:
         ends = ends[:np.searchsorted(ends, first[cap - n], "right") + 1]
         edges = int(ends[-1])
-        kept = int(np.searchsorted(first, edges))
+        fresh = fresh[:np.searchsorted(first, edges)]
         dst, actions = dst[:edges], actions[:edges]
         stopped = "depth" if deep else "states"
-    ids.keep(fresh, kept, n)
-    fresh = fresh[:kept]
     # frombytes takes the columns' buffers as bytes, without a copy
     graph.edge_start.frombytes(
         (ends + len(graph.edge_dst)).astype(np.int64, copy=False).view(np.uint8))
@@ -574,8 +572,8 @@ class _KeyTable:
         """(dst, fresh, first): the state index of each of `targets`, the
         keys not added numbered from `n` on in order of their first
         occurrence; those keys in that order; and the position of each
-        one's first occurrence, ascending.  The table holds their numbers
-        from here on, until `keep` forgets those a cut leaves out."""
+        one's first occurrence, ascending.  Those keys are added, with
+        their numbers."""
         table = self.table
         dst = table.take(targets)
         unseen = np.flatnonzero(dst == 0)
@@ -591,11 +589,6 @@ class _KeyTable:
         dst[unseen] = table.take(new)
         dst -= 1
         return dst, fresh, first
-
-    def keep(self, fresh: np.ndarray, kept: int, n: int) -> None:
-        """Keep the first `kept` of the keys `intern` numbered from `n` on
-        as `fresh`, and forget the others."""
-        self.table[fresh[kept:]] = 0
 
 
 class _KeyIndex:
@@ -621,7 +614,7 @@ class _KeyIndex:
 
     def intern(self, targets: np.ndarray, n: int) -> tuple:
         """`_KeyTable.intern`'s (dst, fresh, first), from one binary search
-        of each distinct target in each run.  Adds nothing."""
+        of each distinct target in each run; adds `fresh` as it does."""
         unique, first, inverse = np.unique(targets, return_index=True, return_inverse=True)
         index = np.full(unique.size, -1, dtype=np.int64)  # -1: not added
         for known, ids in self.runs:
@@ -631,12 +624,9 @@ class _KeyIndex:
         new = np.flatnonzero(index < 0)
         new = new[np.argsort(first[new])]  # in order of their first occurrence
         index[new] = np.arange(n, n + new.size)
-        return index[inverse], unique[new], first[new]
-
-    def keep(self, fresh: np.ndarray, kept: int, n: int) -> None:
-        """Add the first `kept` of the keys `intern` numbered from `n` on as
-        `fresh`."""
-        self.add(fresh[:kept], n)
+        fresh = unique[new]
+        self.add(fresh, n)
+        return index[inverse], fresh, first[new]
 
 
 def _derive_tree(graph: StateGraph) -> None:

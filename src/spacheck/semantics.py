@@ -777,10 +777,7 @@ class _ActionSource:
     """The code of one action: `lines`, at indentation `depth` of a generated
     function whose locals include the state `s`, run `emit` once for each
     distinct successor `t` of `s` that the action makes, in enumeration
-    order.  With no `emit`, they append every successor to a list `out`
-    made once the guards hold, and the caller deduplicates it unless
-    `distinct` (see `_distinct_choices`).  The names the code needs are
-    added to `mod`.
+    order.  The names the code needs are added to `mod`.
 
     The lines check the guards in order, in one `if`, then run the body as
     straight-line code with one local `w<i>` for each slot `i` the body
@@ -813,7 +810,7 @@ class _ActionSource:
     """
 
     def __init__(self, bound: BoundSpec, action: ActionDef, mod: _Module,
-                 emit: Optional[list], depth: int, rebinds: frozenset = frozenset()):
+                 emit: list, depth: int, rebinds: frozenset = frozenset()):
         self.bound = bound
         self.where = f"action {action.name}"
         self.mod = mod
@@ -828,8 +825,7 @@ class _ActionSource:
         nvars = len(bound.spec.variables)
         slots, always = _assigned(action.body, bound.var_index)
         fields = "".join(f"w{i}, " if i in slots else f"s[{i}], " for i in range(nvars))
-        self.distinct = _distinct_choices(action)
-        collect = emit is None or not self.distinct
+        collect = not _distinct_choices(action)
         made = [f"t = ({fields})" if slots else "t = s"]
         made += ["out.append(t)"] if collect else emit
         # the lines that make a successor, and the locals they rebind
@@ -867,7 +863,7 @@ class _ActionSource:
                 lines.append(f"{pad}    nonlocal " + ", ".join(sorted(written)))
             lines.extend(helper)
         lines.extend(body)
-        if collect and emit is not None:
+        if collect:
             lines.append(f"{pad}for t in dict.fromkeys(out):")
             lines.extend(f"{pad}    {line}" for line in emit)
         self.lines = lines
@@ -946,7 +942,7 @@ class _ActionSource:
 
 
 def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
-                   emit: Optional[list], depth: int,
+                   emit: list, depth: int,
                    rebinds: frozenset = frozenset()) -> _ActionSource:
     """`_ActionSource`, with a located EvalError for an action that nests
     past Python's recursion limit."""
@@ -957,13 +953,12 @@ def _action_source(bound: BoundSpec, action: ActionDef, mod: _Module,
 def _successor_source(bound: BoundSpec, action: ActionDef) -> tuple:
     """(module, main source) of `succ(s)`, which returns the action's
     distinct successors of state `s` in enumeration order: the reference
-    next-state function that `successors` and `replay_trace` run.  It
-    deduplicates them only when two paths may make one successor (see
-    `_distinct_choices`)."""
+    next-state function that `successors` and `replay_trace` run.  Its
+    emit line appends each successor to a list of its own: `out` may hold
+    a colliding action's successors before they are deduplicated."""
     mod = _Module()
-    src = _action_source(bound, action, mod, None, 1)
-    end = "out" if src.distinct else "dict.fromkeys(out)"
-    return mod, "\n".join(["def succ(s):", "    out = ()", *src.lines, f"    return {end}\n"])
+    src = _action_source(bound, action, mod, ["found.append(t)"], 1)
+    return mod, "\n".join(["def succ(s):", "    found = []", *src.lines, "    return found\n"])
 
 
 def _successor_functions(bound: BoundSpec) -> list:

@@ -705,7 +705,9 @@ def test_explore_loop_appends_only_the_state_for_a_new_state(math_src):
 
 def count_runs(monkeypatch) -> list:
     """The calls of the generated loop's `run` that `explore` makes from
-    now on, each as the index of the state it starts at."""
+    now on and that expand a state, each as the index of the state it
+    starts at.  A call that meets a wide level 0 returns "level" at once
+    and is not counted."""
     calls = []
     make = explorer._explore_function
 
@@ -713,8 +715,11 @@ def count_runs(monkeypatch) -> list:
         run = make(bound, graph, index)
 
         def counted(*args):
-            calls.append(graph.levels[-2])
-            return run(*args)
+            calls.append(len(graph.edge_start) - 1)
+            stopped = run(*args)
+            if stopped == "level" and len(graph.edge_start) - 1 == calls[-1]:
+                calls.pop()  # level 0 is wide: no state was expanded
+            return stopped
         return counted
 
     monkeypatch.setattr(explorer, "_explore_function", counting)
@@ -957,17 +962,14 @@ def test_a_column_level_that_raises_leaves_the_loop_to_explore(top, width, over,
                          ids=["table", "runs"])
 def test_key_lookups_number_new_keys_by_first_occurrence(make):
     """Both lookups number the keys not added from n on, in order of their
-    first occurrence, and keep only those a cut level keeps."""
+    first occurrence, and add them: the next lookup finds them."""
     ids = make()
     ids.add(np.array([3, 5]), 0)
     dst, fresh, first = ids.intern(np.array([5, 9, 3, 1, 9, 7, 1]), 2)
     assert (dst.tolist(), fresh.tolist(), first.tolist()) == (
         [1, 2, 0, 3, 2, 4, 3], [9, 1, 7], [1, 3, 5])
-    ids.keep(fresh, 2, 2)  # the level is cut before key 7's first edge
-    dst, fresh, first = ids.intern(np.array([7, 1, 9, 3, 5]), 4)
-    assert (dst.tolist(), fresh.tolist(), first.tolist()) == ([4, 3, 2, 0, 1], [7], [0])
-    if isinstance(ids, explorer._KeyTable):
-        assert np.flatnonzero(ids.table).tolist() == [1, 3, 5, 7, 9]
+    dst, fresh, first = ids.intern(np.array([7, 1, 9, 3, 5]), 5)
+    assert (dst.tolist(), fresh.tolist(), first.tolist()) == ([4, 3, 2, 0, 1], [], [])
 
 
 def keys_of_bits(bits: int) -> str:

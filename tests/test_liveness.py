@@ -1687,6 +1687,35 @@ def test_the_analysis_of_the_benchmark_workloads_sorts_nothing(monkeypatch):
         assert sorts == [], name
 
 
+@pytest.mark.parametrize("name, bits, store, lookups", [
+    ("math-dag", None, list, []),
+    ("math-cyclic", None, list, []),
+    ("panels-wide", 15, KeyStates, ["_KeyTable"]),
+])
+def test_each_benchmark_workload_explores_on_its_own_path(name, bits, store, lookups,
+                                                          monkeypatch):
+    """The explore path each benchmark workload takes at full size: the
+    math workloads have no column plan and keep their states as tuples;
+    panels-wide's keys have 15 bits, so its states are keys looked up in
+    one `_KeyTable`.  No column level raises, so each explores once.  A
+    change that moves a workload to another path fails here."""
+    made, runs = [], []
+    for cls_name in ("_KeyTable", "_KeyIndex"):
+        cls = getattr(explorer, cls_name)
+        monkeypatch.setattr(explorer, cls_name, lambda *args, cls=cls: made.append(cls.__name__)
+                            or cls(*args))
+    make = explorer._explore_function
+    monkeypatch.setattr(explorer, "_explore_function",
+                        lambda *args: runs.append(1) or make(*args))
+    w = perfbench_workloads().WORKLOADS[name](1)
+    bound, graph = build_graph(w.source, w.constants)
+    plan = semantics._column_plan(bound)
+    assert (None if plan is None else plan.bits) == bits
+    assert type(graph.states) is store
+    assert made == lookups
+    assert len(runs) == 1
+
+
 def test_the_analysis_matrix_keeps_no_value_per_entry():
     """scipy's passes never read the matrix's values, so one zero-stride 1.0
     stands for all of them, and the failing searches' rewrites keep it."""

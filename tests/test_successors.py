@@ -636,8 +636,8 @@ def test_generated_actions_read_and_compare_inline(math_src):
                 assert id(node) in raisers, ast.unparse(node)
                 assert not node.args, ast.unparse(node)
             else:
-                assert name in {"out.append", "dict.fromkeys", "intern", "len", "enumerate",
-                                "deadline.expired"} \
+                assert name in {"out.append", "found.append", "dict.fromkeys", "intern",
+                                "len", "enumerate", "deadline.expired"} \
                     or name.startswith("add_"), ast.unparse(node)
     # An error helper is passed only what it reports: a domain test raises
     # `X<n>(w<i>)` and an `any` over a range loops over `R<n>(lo, hi)`.
