@@ -214,24 +214,21 @@ def _analysis(graph: StateGraph, check_time: Callable = _no_limit) -> _Analysis:
 
 @dataclass
 class _FailInfo:
-    quiescent_hits: np.ndarray  # reached quiescent states, ascending
-    scc_hits: np.ndarray  # reached states on a nontrivial SCC, ascending
+    # The reached states that can stay forever, ascending: quiescent ones,
+    # which stutter, and the others, which lie on a nontrivial SCC.
+    stay: np.ndarray
     # The SCC label of each node of the search's matrix (n + 1 of them), when
-    # its SCC pass ran; only those of `scc_hits` are read.
+    # its SCC pass ran; only those of `stay` are read.
     labels: Optional[np.ndarray]
     # The BFS that found the reached states, from the virtual source n:
-    # visiting order, and each state's BFS parent (n for a start).
+    # visiting order, and each state's BFS parent (n for a start).  It also
+    # visits, as leaves, states outside the restriction.
     order: np.ndarray
     pred: np.ndarray
 
-    def on_scc(self, i: int) -> bool:
-        """Whether state i is one of `scc_hits`."""
-        at = np.searchsorted(self.scc_hits, i)
-        return bool(at < self.scc_hits.size and self.scc_hits[at] == i)
-
     def scc_of(self, i: int) -> np.ndarray:
         """The bool column of the states on the nontrivial SCC of state i,
-        one of `scc_hits`."""
+        one of `stay` that is not quiescent."""
         return self.labels[:-1] == self.labels[i]
 
 
@@ -250,9 +247,8 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
     reached states.
 
     The BFS also visits states outside `restrict` that an edge leads to, but
-    only as leaves: the states inside keep the order and the parents of a
-    BFS that never left the restriction, and a failing search drops the
-    others from `order` and `pred`.
+    only as leaves, never a parent or one of `stay`: the states inside keep
+    the order and the parents of a BFS that never left the restriction.
     """
     ana = _analysis(graph)
     starts = starts & restrict
@@ -264,21 +260,14 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
     )
     reached = pred[:ana.n] >= 0  # a start's parent is n
     reached &= restrict
-    quiescent_hits = np.flatnonzero(ana.quiescent & reached)
-
-    labels = None
+    can_stay, labels = ana.quiescent, None
     if (np.take(reached, ana.cycle_src) & np.take(reached, ana.cycle_dst)).any():
         _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
-        nontrivial = np.bincount(labels)[labels[:ana.n]] >= 2
-        scc_hits = np.flatnonzero(nontrivial & reached)
-    else:
-        scc_hits = np.empty(0, dtype=np.int64)
-
-    if quiescent_hits.size == 0 and scc_hits.size == 0:
+        can_stay = can_stay | (np.bincount(labels)[labels[:ana.n]] >= 2)
+    stay = np.flatnonzero(can_stay & reached)
+    if stay.size == 0:
         return None
-    order = order[np.append(restrict, True)[order]]
-    pred[:ana.n][~restrict] = pred[ana.n]  # scipy's "no parent"
-    return _FailInfo(quiescent_hits, scc_hits, labels, order, pred)
+    return _FailInfo(stay, labels, order, pred)
 
 
 # --- lasso extraction (failure path only) ------------------------------------------
@@ -298,8 +287,7 @@ def _bfs_prefix(info: _FailInfo) -> list:
     position[order] = np.arange(order.size, dtype=np.int32)
     parent_position = position[pred[order[1:]]]
     hit = np.zeros(order.size, dtype=bool)
-    hit[position[info.quiescent_hits]] = True
-    hit[position[info.scc_hits]] = True
+    hit[position[info.stay]] = True
     lo, hi = 0, 1  # level 0 is the virtual source
     while not hit[lo:hi].any():
         lo, hi = hi, int(np.searchsorted(parent_position, hi)) + 1
@@ -310,10 +298,12 @@ def _bfs_prefix(info: _FailInfo) -> list:
     return path
 
 
-def _cycle_through(graph: StateGraph, entry: int, members: np.ndarray) -> list:
+def _cycle_through(ana: _Analysis, entry: int, members: np.ndarray) -> list:
     """Depth-first walk over state-changing edges inside one SCC, whose
     states are the bool column `members`; returns the first cycle through
-    `entry`, preferring lower state indices.
+    `entry`, preferring lower state indices.  A state's edges are its row of
+    `ana.dst`, which holds first copies and no self-loops, between the
+    CSR's own `indptr`.
 
     A state whose subtree is exhausted is never entered again.  Until the
     cycle is found, every path from such a state to `entry` passes through a
@@ -321,10 +311,11 @@ def _cycle_through(graph: StateGraph, entry: int, members: np.ndarray) -> list:
     Comput. 1975), so no simple path through it closes the loop: skipping it
     finds the same first cycle as a walk over all simple paths, in O(V+E)."""
 
-    start, dst = graph.edge_start, graph.edge_dst
+    indptr = ana._csr.indptr
 
     def nbrs(u: int) -> list:
-        return sorted({v for v in dst[start[u]:start[u + 1]] if v != u and members[v]})
+        row = ana.dst[indptr[u]:indptr[u + 1]]
+        return sorted(row[members[row]].tolist())
 
     path = [entry]
     entered = {entry}  # on the path, or exhausted
@@ -392,8 +383,9 @@ def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
     from there to the loop: for eventually that first state is initial, and
     for always eventually the BFS path is the loop's entry alone, the lowest
     index that can stay forever.  The loop is a perpetual stutter at a
-    quiescent entry or a cycle through the entry's SCC (`_cycle_through`),
-    and `StateGraph.trace` makes the lasso of these state indices."""
+    quiescent entry, or else a cycle through the entry's SCC
+    (`_cycle_through`): a quiescent state lies on no nontrivial SCC.
+    `StateGraph.trace` makes the lasso of these state indices."""
     kind = KIND_OF_SHAPE[type(shape)]
     try:
         columns = [graph.holds(e, f"property {name}", binders) for e in _preds(shape)]
@@ -409,11 +401,12 @@ def _check_live(graph: StateGraph, shape, name: str, binders: dict) -> Verdict:
     start, entry = path[0], path[-1]
     indices = discovery_path(graph, start)[:-1] + path
     loop_start = len(indices) - 1
-    if info.on_scc(entry):
-        indices += _cycle_through(graph, entry, info.scc_of(entry))[1:]
-        forever = "cycles forever from state"
-    else:
+    ana = _analysis(graph)
+    if ana.quiescent[entry]:
         forever = "stutters forever at quiescent state"
+    else:
+        indices += _cycle_through(ana, entry, info.scc_of(entry))[1:]
+        forever = "cycles forever from state"
     return Verdict(name=name, kind=kind, status="fail", trace=graph.trace(indices, loop_start),
                    detail=failed.format(start=start, entry=entry, forever=forever))
 

@@ -83,6 +83,34 @@ MUTANTS = [
            'EXIT_OK if "fail" in statuses else EXIT_OK',
            ["tests/test_cli.py"],
            "a failed property exits 0"),
+    Mutant("liveness.py", "path = [int(order[lo:hi][hit[lo:hi]].min())]",
+           "path = [int(order[lo:hi][hit[lo:hi]].max())]",
+           ["tests/test_liveness.py"],
+           "the lasso prefix ends at the highest of the nearest states that can stay"),
+    Mutant("liveness.py", "return sorted(row[members[row]].tolist())",
+           "return sorted(row[members[row]].tolist(), reverse=True)",
+           ["tests/test_liveness.py"],
+           "the lasso's loop prefers higher state indices"),
+    Mutant("liveness.py", "if ana.quiescent[entry]:", "if not ana.quiescent[entry]:",
+           ["tests/test_liveness.py"],
+           "a lasso stutters at an entry on a cycle and cycles from a quiescent one"),
+    Mutant("liveness.py", "np.take(self.level, self.dst) <= np.take(self.level, self.src)",
+           "np.take(self.level, self.dst) < np.take(self.level, self.src)",
+           ["tests/test_liveness.py"],
+           "an edge within one BFS level is no back edge, so a cycle inside a level is missed"),
+    Mutant("liveness.py", "    flags |= np.bitwise_or.reduce(reach[plan.quiescent])\n", "",
+           ["tests/test_liveness.py"],
+           "the `forall` sweep passes an instance that reaches a quiescent state"),
+    Mutant("explorer.py", "tree = np.flatnonzero(dst > above)",
+           "tree = np.flatnonzero(dst >= above)",
+           ["tests/test_explorer.py"],
+           "an edge to the last state numbered counts as discovering it again"),
+    Mutant("explorer.py", "if n_init > max_states:", "if n_init >= max_states:",
+           ["tests/test_explorer.py"],
+           "exactly `max_states` initial states exceed the state limit"),
+    Mutant("cli.py", '        "loop_action": trace.loop_action,\n', "",
+           ["tests/test_cli.py", "tests/test_golden.py"],
+           "a JSON trace drops the action that closes its loop"),
 ]
 
 

@@ -6,6 +6,7 @@ import functools
 import random
 import sys
 import time
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -477,11 +478,19 @@ def test_eventually_monotone_under_weakening(math_src):
 # --- SCC info ---------------------------------------------------------------------
 
 
-def scc_members(info) -> dict:
-    """Each of a search's `scc_hits` -> the states of its SCC, read off the
-    bool column `scc_of` returns."""
+def split_stay(graph, info) -> tuple:
+    """A search's `stay`, split by `_Analysis.quiescent`: the reached
+    quiescent states, and the reached states on a nontrivial SCC, as
+    ascending lists."""
+    quiescent = liveness._analysis(graph).quiescent[info.stay]
+    return info.stay[quiescent].tolist(), info.stay[~quiescent].tolist()
+
+
+def scc_members(graph, info) -> dict:
+    """Each reached state on a nontrivial SCC of a search -> the states of
+    its SCC, read off the bool column `scc_of` returns."""
     return {i: frozenset(np.flatnonzero(info.scc_of(i)).tolist())
-            for i in info.scc_hits.tolist()}
+            for i in split_stay(graph, info)[1]}
 
 
 def state_mask(graph, indices):
@@ -494,20 +503,20 @@ def test_clock_is_one_nontrivial_scc(clock_src):
     bound, graph = build_graph(clock_src)
     mask = state_mask(graph, range(graph.n_states))
     info = _search_fail(graph, mask, mask)
-    assert set(scc_members(info).values()) == {frozenset(range(24))}
-    assert info.scc_hits.size == 24
+    assert set(scc_members(graph, info).values()) == {frozenset(range(24))}
+    assert split_stay(graph, info) == ([], list(range(24)))
 
 
 def test_math_has_no_nontrivial_scc(math_src):
     bound, graph = build_graph(math_src, {"max_num_q": 3})
     mask = state_mask(graph, range(graph.n_states))
     info = _search_fail(graph, mask, mask)
-    assert scc_members(info) == {}
-    assert info.scc_hits.size == 0
+    assert scc_members(graph, info) == {}
+    assert split_stay(graph, info)[1] == []
     # restricting to a subset keeps it that way
     mask2 = state_mask(graph, range(0, graph.n_states, 2))
     info2 = _search_fail(graph, mask2, mask2)
-    assert info2 is None or scc_members(info2) == {}
+    assert info2 is None or scc_members(graph, info2) == {}
 
 
 MATH_TERMINATING = """action Terminating {
@@ -568,9 +577,8 @@ def assert_search_matches_reference(graph, rng, trials):
                 assert got is None, (trial, everywhere)
                 continue
             assert got is not None, (trial, everywhere)
-            assert got.quiescent_hits.tolist() == want[0], (trial, everywhere)
-            assert got.scc_hits.tolist() == want[1], (trial, everywhere)
-            assert scc_members(got) == want[2], (trial, everywhere)
+            assert split_stay(graph, got) == (want[0], want[1]), (trial, everywhere)
+            assert scc_members(graph, got) == want[2], (trial, everywhere)
 
 
 @pytest.mark.parametrize("which", ["restart", "clock"])
@@ -583,7 +591,7 @@ def test_search_fail_matches_reference_on_cyclic_graphs(which, math_src, clock_s
         bound, graph = build_graph(clock_src)
     everything = state_mask(graph, range(graph.n_states))
     full = _search_fail(graph, everything, everything)
-    assert set(scc_members(full).values()) == {frozenset(range(graph.n_states))}
+    assert set(scc_members(graph, full).values()) == {frozenset(range(graph.n_states))}
     assert_search_matches_reference(graph, random.Random(4), 300)
 
 
@@ -717,7 +725,7 @@ def test_search_fail_matches_reference_on_equal_depth_cycle():
     assert graph_fields(graph)["depth"] == [0, 1, 1]
     everything = state_mask(graph, range(graph.n_states))
     full = _search_fail(graph, everything, everything)
-    assert set(scc_members(full).values()) == {frozenset({1, 2})}
+    assert set(scc_members(graph, full).values()) == {frozenset({1, 2})}
     assert_search_matches_reference(graph, random.Random(6), 100)
 
 
@@ -727,9 +735,9 @@ def test_fail_info_survives_later_searches(math_src):
     everything = state_mask(graph, range(graph.n_states))
     initial = state_mask(graph, graph.initial)
     info = _search_fail(graph, everything, initial)
-    fields = ("quiescent_hits", "scc_hits", "order", "pred")
+    fields = ("stay", "order", "pred")
     before = {f: getattr(info, f).copy() for f in fields}
-    members, prefix = scc_members(info), _bfs_prefix(info)
+    members, prefix = scc_members(graph, info), _bfs_prefix(info)
     rng = random.Random(8)
     for _ in range(20):
         restrict, starts = random_masks(graph, rng)
@@ -737,8 +745,18 @@ def test_fail_info_survives_later_searches(math_src):
             _search_fail(graph, restrict, some)
     for f in fields:
         assert np.array_equal(getattr(info, f), before[f]), f
-    assert scc_members(info) == members
+    assert scc_members(graph, info) == members
     assert _bfs_prefix(info) == prefix
+
+
+def bfs_tree_inside(info, restrict) -> dict:
+    """A failing search's BFS tree on the states inside `restrict`, as
+    state -> parent (n for a start).  The BFS also visits states outside
+    `restrict`, but only as leaves: no such state is a parent."""
+    n = restrict.size
+    parents = set(info.pred[info.order[1:]].tolist())
+    assert parents <= set(np.flatnonzero(restrict).tolist()) | {n}
+    return {int(v): int(info.pred[v]) for v in info.order[1:] if restrict[v]}
 
 
 def assert_mask_walk_matches_reference(graph, rng, steps):
@@ -764,15 +782,14 @@ def assert_mask_walk_matches_reference(graph, rng, steps):
             assert got is None, step
             continue
         assert got is not None, step
-        assert got.quiescent_hits.tolist() == want[0], step
-        assert got.scc_hits.tolist() == want[1], step
-        assert scc_members(got) == want[2], step
+        assert split_stay(graph, got) == (want[0], want[1]), step
+        assert scc_members(graph, got) == want[2], step
         _, parents = oracles.bfs_within(
             graph, np.flatnonzero(some).tolist(), set(np.flatnonzero(restrict).tolist())
         )
-        tree = {int(v): int(got.pred[v]) for v in got.order[1:]}
+        tree = bfs_tree_inside(got, restrict)
         assert tree == {v: n if u is None else u for v, u in parents.items()}, step
-        assert set(np.flatnonzero(got.pred >= 0).tolist()) == set(tree), step
+        assert set(np.flatnonzero((got.pred[:n] >= 0) & restrict).tolist()) == set(tree), step
 
 
 @pytest.mark.parametrize("which", ["restart", "clock", "panels", "random"])
@@ -1314,7 +1331,7 @@ def assert_prefixes_match_reference(graph, rng, trials):
         _, parents = oracles.bfs_within(
             graph, np.flatnonzero(starts).tolist(), set(np.flatnonzero(restrict).tolist())
         )
-        got = {int(v): int(info.pred[v]) for v in info.order[1:]}
+        got = bfs_tree_inside(info, restrict)
         assert got == {v: n if u is None else u for v, u in parents.items()}, trial
 
 
@@ -1407,6 +1424,7 @@ def test_lasso_prefixes_match_reference_on_panels(seed, monkeypatch):
 def assert_cycles_match_reference(graph, allowed):
     """`_cycle_through` finds the reference walk's first cycle from every
     state of every nontrivial SCC inside `allowed`."""
+    ana = liveness._Analysis(graph)
     for comp in oracles._tarjan_sccs(oracles._changing_adj(graph, allowed)):
         if len(comp) < 2:
             continue
@@ -1415,19 +1433,20 @@ def assert_cycles_match_reference(graph, allowed):
         column[comp] = True
         for entry in comp:
             want = oracles.first_cycle_through(graph, entry, members)
-            assert _cycle_through(graph, entry, column) == want, (entry, members)
+            assert _cycle_through(ana, entry, column) == want, (entry, members)
 
 
 def random_digraph(rng, n):
     """A stand-in for a StateGraph: n states with up to 4 edges each, in
-    random order, self-loops and repeated edges included."""
+    random order, self-loops and repeated edges included, all on one BFS
+    level, which `_Analysis` reads."""
     rows = [[rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)]
-    start, dst = [0], []
+    start, dst = array("q", [0]), array("q")
     for row in rows:
         dst.extend(row)
         start.append(len(dst))
     return SimpleNamespace(
-        n_states=n, edge_start=start, edge_dst=dst,
+        n_states=n, edge_start=start, edge_dst=dst, levels=array("q", [0, n]),
         out_edges=lambda u: [("a", v) for v in rows[u]],
     )
 
@@ -1461,13 +1480,14 @@ def test_cycle_through_is_linear_on_panels(trial):
         restrict, starts = random_masks(graph, rng)
     info = _search_fail(graph, restrict, starts)
     entry = _bfs_prefix(info)[-1]
-    assert info.on_scc(entry)
+    ana = liveness._analysis(graph)
+    assert not ana.quiescent[entry]
     column = info.scc_of(entry)
     members = frozenset(np.flatnonzero(column).tolist())
     with pytest.raises(RuntimeError, match="step cap"):
         oracles.first_cycle_through(graph, entry, members, step_cap=100_000)
     t0 = time.perf_counter()
-    cycle = _cycle_through(graph, entry, column)
+    cycle = _cycle_through(ana, entry, column)
     assert time.perf_counter() - t0 < 1.0
     assert cycle[0] == entry and len(set(cycle)) == len(cycle) >= 2
     assert set(cycle) <= members
@@ -1762,10 +1782,10 @@ def test_search_scc_pass_reads_the_bfs_matrix(monkeypatch):
     assert len(calls) == 1
     assert info.labels is not None  # the SCC pass ran
     pair = frozenset({low, index_of(graph)[(2,)]})
-    assert scc_members(info) == dict.fromkeys(pair, pair)
-    assert info.quiescent_hits.size == 0
+    assert scc_members(graph, info) == dict.fromkeys(pair, pair)
+    assert split_stay(graph, info)[0] == []
     want = reference_search(graph, restrict, starts)
-    assert (info.quiescent_hits.tolist(), info.scc_hits.tolist(), scc_members(info)) \
+    assert (*split_stay(graph, info), scc_members(graph, info)) \
         == (want[0], want[1], {i: want[2][i] for i in want[1]})
     # the other cycle is nontrivial in the very same labels
     assert info.labels[high] == info.labels[index_of(graph)[(4,)]]
