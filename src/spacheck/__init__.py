@@ -12,7 +12,10 @@ import os
 # import raises, which freezes nothing.  Before scipy loads, the numpy
 # submodules that scipy's `from numpy import *` would run and no check reads
 # are registered as numpy's own lazy modules, whose code runs at their first
-# attribute read.  README's "What `import spacheck` does" says why.
+# attribute read.  Of scipy's graph code only the compiled traversal module
+# loads, under a stand-in for its package that is never run and is gone from
+# `sys.modules` once the module has loaded.  README's "What `import spacheck`
+# does" says why.
 _SET_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ
 if _SET_THREADS:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -37,8 +40,24 @@ try:
             spec.loader.exec_module(module)
             setattr(numpy, name, module)
 
+    def _load_graph_traversal():
+        import importlib.util
+        import sys
+
+        name = "scipy.sparse.csgraph"
+        if name in sys.modules:
+            return
+        # The package's `__init__` would load scipy.sparse.linalg and
+        # scipy.linalg (by way of `_laplacian`), which no check uses.
+        sys.modules[name] = importlib.util.module_from_spec(importlib.util.find_spec(name))
+        try:
+            import scipy.sparse.csgraph._traversal  # noqa: F401
+        finally:
+            del sys.modules[name]
+
     _defer_numpy_submodules()
-    del _defer_numpy_submodules
+    _load_graph_traversal()
+    del _defer_numpy_submodules, _load_graph_traversal
     from .model import (
         SpecModel,
         State,

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+from scipy.sparse.csgraph._traversal import breadth_first_order, connected_components
 
 from .model import (
     AlwaysEventually,
@@ -166,9 +166,7 @@ class _Analysis:
         self._inside = np.empty(m, dtype=bool)
         check_time()
         if self.back_src.size:
-            _, labels = csgraph.connected_components(
-                self._csr, directed=True, connection="strong"
-            )
+            _, labels = connected_components(self._csr, directed=True, connection="strong")
             self.cyclic = (np.bincount(labels)[labels] >= 2)[:n]  # on a nontrivial SCC
         else:
             self.cyclic = np.zeros(n, dtype=bool)  # no back edge: a DAG
@@ -255,14 +253,12 @@ def _search_fail(graph: StateGraph, restrict: np.ndarray,
     if not starts.any() or not (restrict & ana.can_stay).any():
         return None
     matrix = ana.restricted(restrict, starts)
-    order, pred = csgraph.breadth_first_order(
-        matrix, ana.n, directed=True, return_predecessors=True
-    )
+    order, pred = breadth_first_order(matrix, ana.n, directed=True, return_predecessors=True)
     reached = pred[:ana.n] >= 0  # a start's parent is n
     reached &= restrict
     can_stay, labels = ana.quiescent, None
     if (np.take(reached, ana.cycle_src) & np.take(reached, ana.cycle_dst)).any():
-        _, labels = csgraph.connected_components(matrix, directed=True, connection="strong")
+        _, labels = connected_components(matrix, directed=True, connection="strong")
         can_stay = can_stay | (np.bincount(labels)[labels[:ana.n]] >= 2)
     stay = np.flatnonzero(can_stay & reached)
     if stay.size == 0:

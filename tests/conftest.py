@@ -6,10 +6,9 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import settings
-from scipy.sparse import csgraph
 
 from spacheck import (EvalError, ExploreLimits, LimitError, Trace, bind_constants, explore,
-                      explorer, parse_spec, validate)
+                      explorer, liveness, parse_spec, validate)
 
 # `HYPOTHESIS_PROFILE=ci` fuzzes harder where time is cheap: tests that ask
 # for `max(N, settings().max_examples)` examples draw 1,000, and none has a
@@ -138,8 +137,9 @@ def _no_repeated_edge_reaches_scipy(monkeypatch):
     target twice in a row, instead of letting scipy loop forever on it.
     Self-loops may repeat: a search parks the states outside it on rows of
     them, and scipy handles them.  A sort and a neighbour compare, since a
-    test counts the calls of `np.unique`."""
-    strong = csgraph.connected_components
+    test counts the calls of `np.unique`.  The pass is patched where
+    liveness calls it, its own module-level name."""
+    strong = liveness.connected_components
 
     def checked(matrix, *args, **kwargs):
         indptr, indices = matrix.indptr, matrix.indices
@@ -151,4 +151,4 @@ def _no_repeated_edge_reaches_scipy(monkeypatch):
             pytest.fail("a row of the matrix given to connected_components repeats a target")
         return strong(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(csgraph, "connected_components", checked)
+    monkeypatch.setattr(liveness, "connected_components", checked)

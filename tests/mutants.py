@@ -111,6 +111,15 @@ MUTANTS = [
     Mutant("cli.py", '        "loop_action": trace.loop_action,\n', "",
            ["tests/test_cli.py", "tests/test_golden.py"],
            "a JSON trace drops the action that closes its loop"),
+    Mutant("__init__.py", "            del sys.modules[name]\n", "            pass\n",
+           ["tests/test_threads.py"],
+           "the stand-in for scipy.sparse.csgraph, never run, stays in sys.modules"),
+    Mutant("explorer.py", "np.minimum.at(table, new, at)", "table[new] = at",
+           ["tests/test_explorer.py"],
+           "the key table numbers a new key by its last edge, not its first"),
+    Mutant("explorer.py", "e.held = held[:i]", "e.held = held[:i + 1]",
+           ["tests/test_liveness.py"],
+           "the scalar fallback's error holds a value for the state whose evaluation failed"),
 ]
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import oracles
 from conftest import build, build_graph, graph_fields, index_of, perfbench_workloads
@@ -1653,6 +1654,17 @@ def matrix_pairs_repeat(matrix) -> bool:
     return False
 
 
+def test_the_repeated_edge_guard_wraps_the_pass_liveness_calls():
+    """conftest's guard stands in for the strong components pass that
+    liveness calls, so a repeated edge fails the test instead of hanging it
+    in scipy."""
+    from scipy.sparse.csgraph._traversal import connected_components
+    assert liveness.connected_components is not connected_components
+    matrix = sparse.csr_matrix((np.ones(2), np.array([1, 1]), np.array([0, 2, 2])), shape=(2, 2))
+    with pytest.raises(pytest.fail.Exception, match="repeats a target"):
+        liveness.connected_components(matrix, directed=True, connection="strong")
+
+
 def test_changing_edges_keep_the_first_copy_of_each_pair(monkeypatch):
     """The dedupe, on random rows with repeated targets and self-loops, some
     too long for the shifted compares: the first copy of each pair, in edge
@@ -1661,7 +1673,7 @@ def test_changing_edges_keep_the_first_copy_of_each_pair(monkeypatch):
     sorts = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
-    monkeypatch.setattr(liveness.csgraph, "connected_components",
+    monkeypatch.setattr(liveness, "connected_components",
                         lambda m, **k: (m.shape[0], np.arange(m.shape[0])))
     rng = random.Random(8)
     lengths = [0, 1, 2, 3, 10, liveness._SHIFT_ROWS, liveness._SHIFT_ROWS + 1, 80]

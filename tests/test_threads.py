@@ -1,4 +1,4 @@
-"""The three process-wide policies of `import spacheck`, each case in a
+"""The four process-wide policies of `import spacheck`, each case in a
 fresh interpreter:
 
 - it starts no BLAS thread pool, and leaves `os.environ` as it found it;
@@ -8,7 +8,12 @@ fresh interpreter:
   the GC (`gc.freeze`);
 - the numpy submodules that scipy's `from numpy import *` would run and no
   check reads are numpy's own lazy modules: none of their code runs during
-  the import or a check, and the first read of one runs it."""
+  the import or a check, and the first read of one runs it;
+- of scipy's graph code only the compiled traversal module loads, under a
+  stand-in for `scipy.sparse.csgraph` that never runs and is gone from
+  `sys.modules` once the import ends, also when it raises: neither the
+  package nor the `scipy.sparse.linalg` and `scipy.linalg` that it imports
+  are loaded, and a later import of it runs the real package."""
 
 import json
 import os
@@ -84,8 +89,8 @@ def test_a_preset_thread_count_is_kept():
 
 
 def test_numpy_imported_first_gains_no_thread():
-    # numpy's pool is already running; scipy's, loaded by spacheck, is not
-    # started
+    # numpy's pool is already running, and spacheck loads no other OpenBLAS:
+    # scipy's comes with scipy.linalg, which the import leaves out
     alone, with_spacheck = child("import numpy", "import spacheck")["threads"]
     assert with_spacheck <= alone
 
@@ -112,6 +117,15 @@ def test_a_failed_import_restores_the_gc_and_the_environment():
     assert out["after"] == out["before"]
 
 
+def test_a_failed_graph_import_leaves_no_package_that_never_ran():
+    out = child("sys.modules['scipy.sparse.csgraph._validation'] = None", "import spacheck",
+                "assert 'scipy.sparse.csgraph' not in sys.modules", raises=1)
+    assert "scipy.sparse.csgraph._validation" in out["raised"][1]
+    assert out["gc_enabled"] == [True, True, True]
+    assert "OPENBLAS_NUM_THREADS" not in out["before"]
+    assert out["after"] == out["before"]
+
+
 # A module of each deferred package that only running the package loads.
 _DEFERRED_CODE = ("numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.ma.core")
 
@@ -132,6 +146,26 @@ def test_a_numpy_submodule_imported_first_is_kept():
     child("import numpy.ma; first = numpy.ma; assert 'numpy.ma.core' in sys.modules",
           "import spacheck",
           "assert numpy.ma is first and sys.modules['numpy.ma'] is first")
+
+
+def test_import_loads_the_graph_traversal_alone():
+    child("import spacheck",
+          "assert not {'scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg'}"
+          " & set(sys.modules)",
+          "assert 'scipy.sparse.csgraph._traversal' in sys.modules")
+
+
+def test_a_later_csgraph_import_runs_the_package():
+    child("import spacheck", "from scipy.sparse import csgraph",
+          "assert callable(csgraph.laplacian)",
+          "assert csgraph.connected_components is spacheck.liveness.connected_components",
+          "assert csgraph.breadth_first_order is spacheck.liveness.breadth_first_order")
+
+
+def test_a_csgraph_imported_first_is_kept():
+    child("import scipy.sparse.csgraph; first = sys.modules['scipy.sparse.csgraph']",
+          "import spacheck",
+          "assert sys.modules['scipy.sparse.csgraph'] is first and callable(first.laplacian)")
 
 
 # Runs `cli.run_check`, with every report rendered, on each (spec path,
